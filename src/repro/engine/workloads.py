@@ -34,7 +34,7 @@ class WorkloadHandle:
     Duck-type compatible with ``LayerWorkload`` for every attribute the
     simulators, experiments and benchmarks read (``spec``, ``target``,
     ``weights``, ``activations``, ``weight_density``, ``activation_density``,
-    ``nonzero_multiplies``, ``dense_multiplies``).
+    ``dense_multiplies``).
     """
 
     network_name: str
@@ -102,10 +102,6 @@ class WorkloadHandle:
     @property
     def activations(self) -> np.ndarray:
         return self.materialize().activations
-
-    @property
-    def nonzero_multiplies(self) -> int:
-        return self.materialize().nonzero_multiplies
 
     @property
     def dense_multiplies(self) -> int:

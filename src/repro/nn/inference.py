@@ -51,18 +51,6 @@ class LayerWorkload:
         return float(np.count_nonzero(self.activations)) / self.activations.size
 
     @property
-    def nonzero_multiplies(self) -> int:
-        """Multiplies with both operands non-zero (the oracle work bound).
-
-        Computed exactly by convolving the operand non-zero masks, so it
-        accounts for boundary effects that the density product misses.
-        """
-        weight_mask = (self.weights != 0).astype(float)
-        act_mask = (self.activations != 0).astype(float)
-        products = conv2d_layer(act_mask, weight_mask, self.spec)
-        return int(round(products.sum()))
-
-    @property
     def dense_multiplies(self) -> int:
         return self.spec.multiplies
 
@@ -73,14 +61,17 @@ def _smooth(field: np.ndarray, radius: int) -> np.ndarray:
         return field
     size = 2 * radius + 1
     padded = np.pad(field, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
-    # Separable box filter via cumulative sums along each spatial axis.
-    csum = np.cumsum(padded, axis=1)
-    vert = csum[:, size - 1 :, :].copy()
-    vert[:, 1:, :] -= csum[:, : -size, :]
-    csum = np.cumsum(vert, axis=2)
-    horiz = csum[:, :, size - 1 :].copy()
-    horiz[:, :, 1:] -= csum[:, :, : -size]
-    return horiz / (size * size)
+    # Separable box filter via cumulative sums along each spatial axis, all in
+    # the padded buffer (numpy resolves the overlapping in-place subtractions
+    # as if the operands were copies).
+    np.cumsum(padded, axis=1, out=padded)
+    vert = padded[:, size - 1 :, :]
+    vert[:, 1:, :] -= padded[:, : -size, :]
+    np.cumsum(vert, axis=2, out=vert)
+    horiz = vert[:, :, size - 1 :]
+    horiz[:, :, 1:] -= vert[:, :, : -size]
+    horiz /= size * size
+    return horiz
 
 
 def generate_activations(
@@ -101,7 +92,9 @@ def generate_activations(
         raise ValueError(f"density must be in (0, 1], got {density}")
     rng = rng or np.random.default_rng()
     shape = spec.input_shape
-    magnitudes = np.abs(rng.normal(0.0, 1.0, size=shape)) + 1e-6
+    magnitudes = rng.normal(0.0, 1.0, size=shape)
+    np.abs(magnitudes, out=magnitudes)
+    magnitudes += 1e-6
     if density >= 1.0:
         return magnitudes
     field = _smooth(rng.normal(0.0, 1.0, size=shape), correlation_radius)
@@ -110,7 +103,7 @@ def generate_activations(
     # Quantile ties can leave the density slightly off; fix up by flipping the
     # minimum number of positions.
     want = int(round(density * magnitudes.size))
-    have = int(mask.sum())
+    have = np.count_nonzero(mask)
     flat_mask = mask.reshape(-1)
     if have > want:
         on_positions = np.flatnonzero(flat_mask)
@@ -120,7 +113,8 @@ def generate_activations(
         off_positions = np.flatnonzero(~flat_mask)
         add = rng.choice(off_positions, size=want - have, replace=False)
         flat_mask[add] = True
-    return magnitudes * flat_mask.reshape(shape)
+    magnitudes *= flat_mask.reshape(shape)
+    return magnitudes
 
 
 def build_layer_workload(

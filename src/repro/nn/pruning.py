@@ -53,14 +53,17 @@ def prune_to_density(
         keep = 1
 
     rng = rng or np.random.default_rng()
-    magnitudes = np.abs(weights).reshape(-1)
     # Random jitter far below the smallest magnitude gap breaks exact ties
     # (common when many weights share a value) without reordering distinct
-    # magnitudes.
-    jitter = rng.uniform(0.0, 1.0, size=total) * 1e-12
-    order = np.argsort(magnitudes + jitter)
+    # magnitudes.  The jittered keys are then distinct, so a partition picks
+    # the same smallest set a full sort would, with an exact count that a
+    # value threshold could miss on ties.
+    keys = rng.uniform(0.0, 1.0, size=total)
+    keys *= 1e-12
+    keys += np.abs(weights).reshape(-1)
+    drop = np.argpartition(keys, total - keep)[: total - keep]
     pruned = weights.reshape(-1).copy()
-    pruned[order[: total - keep]] = 0.0
+    pruned[drop] = 0.0
     return pruned.reshape(weights.shape)
 
 

@@ -2,8 +2,8 @@
 
 These are the ground truth the functional SCNN simulator is validated
 against: a straightforward (vectorised) convolution, ReLU and max pooling.
-They intentionally favour clarity over speed — the cycle-level models never
-call them in an inner loop.
+They intentionally favour clarity over speed — the simulation models never
+call them (the oracle counts non-zero products without convolving).
 """
 
 from __future__ import annotations

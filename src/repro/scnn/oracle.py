@@ -5,14 +5,25 @@ multiplication operations required for Cartesian product-based convolution
 with the number of multipliers available on-chip" — i.e. a machine with
 perfect load balance, no fragmentation, and no barriers, performing exactly
 the multiplies whose two operands are both non-zero.
+
+That count is an integer identity over the operands' non-zero structure::
+
+    products = Σ_{c,s,r} W[c,s,r] · A[c,s,r]
+
+where ``W[c,s,r]`` is the number of non-zero weights at filter offset
+``(s, r)`` of input channel ``c``, summed over the filters of ``c``'s group,
+and ``A[c,s,r]`` is the number of non-zero activations of channel ``c``
+inside the strided output window that offset sweeps across the zero-padded
+plane.  Each window lies on one stride phase of the plane, so ``A`` is four
+lookups into that phase's integral image — no convolution is evaluated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.dataflow.tiling import _integral_image, _rectangle_counts
 from repro.nn.layers import ConvLayerSpec
-from repro.nn.reference import conv2d_layer
 from repro.scnn.config import AcceleratorConfig, SCNN_CONFIG
 
 
@@ -21,13 +32,46 @@ def nonzero_multiplies(
 ) -> int:
     """Exact count of multiplies with both operands non-zero.
 
-    Computed by convolving the operand non-zero masks, which accounts for
-    border effects (products that never contribute to a real output are not
-    counted, matching what the real dataflow would skip).
+    Border effects are accounted for: products of a filter offset with
+    padding, or with activations its strided window never reaches, are not
+    counted, matching what the real dataflow would skip.
     """
-    weight_mask = (np.asarray(weights) != 0).astype(float)
-    act_mask = (np.asarray(activations) != 0).astype(float)
-    return int(round(conv2d_layer(act_mask, weight_mask, spec).sum()))
+    weights = np.asarray(weights)
+    num_k, c_per_group, filt_h, filt_w = weights.shape
+    weight_nz = np.count_nonzero(
+        weights.reshape(spec.groups, num_k // spec.groups, c_per_group, filt_h, filt_w),
+        axis=1,
+    ).reshape(-1, filt_h, filt_w)
+    mask = np.asarray(activations) != 0
+    stride = spec.stride
+    # Offset s reads input rows s - padding + stride * j for j < output
+    # height: a run of that many consecutive rows of the plane decimated at
+    # phase (s - padding) % stride, starting at (s - padding) // stride.
+    # Clipping the run to the decimated plane drops the padding rows; columns
+    # work the same way.
+    first_row = np.arange(filt_h) - spec.padding
+    first_col = np.arange(filt_w) - spec.padding
+    row_phase, col_phase = first_row % stride, first_col % stride
+    total = 0
+    for py in np.unique(row_phase):
+        rows = np.flatnonzero(row_phase == py)[:, None]
+        y_lo = first_row[rows] // stride
+        for px in np.unique(col_phase):
+            cols = np.flatnonzero(col_phase == px)[None, :]
+            x_lo = first_col[cols] // stride
+            integral = _integral_image(mask[:, py::stride, px::stride])
+            height, width = integral.shape[1] - 1, integral.shape[2] - 1
+            # Window counts per (channel, row offset, column offset), returned
+            # transposed like the matching weight counts below.
+            windows = _rectangle_counts(
+                integral,
+                np.clip(y_lo, 0, height),
+                np.clip(y_lo + spec.output_height, 0, height),
+                np.clip(x_lo, 0, width),
+                np.clip(x_lo + spec.output_width, 0, width),
+            )
+            total += int((windows * weight_nz[:, rows, cols].T).sum())
+    return total
 
 
 def oracle_cycles(

@@ -16,8 +16,13 @@ from repro.nn.pruning import generate_pruned_weights
 from repro.nn.reference import conv2d_layer, relu
 from repro.scnn.config import SCNN_CONFIG, scnn_with_pe_count
 from repro.scnn.functional import run_functional_layer
+from repro.scnn.oracle import nonzero_multiplies
 
 from _helpers import make_workload
+
+# Same stride/filter structure as AlexNet conv1, smaller plane.
+CONV1_LIKE = ConvLayerSpec("conv1_like", 3, 8, 35, 35, 11, 11, stride=4)
+STEM_LIKE = ConvLayerSpec("stem_like", 3, 8, 21, 21, 7, 7, stride=2, padding=3)
 
 
 def assert_layer_matches_reference(spec, weight_density=0.4, activation_density=0.5,
@@ -51,13 +56,10 @@ class TestEquivalenceAcrossLayerShapes:
         assert_layer_matches_reference(spec)
 
     def test_alexnet_conv1_shape_scaled_down(self):
-        # Same stride/filter structure as AlexNet conv1, smaller plane.
-        spec = ConvLayerSpec("conv1_like", 3, 8, 35, 35, 11, 11, stride=4)
-        assert_layer_matches_reference(spec, 0.84, 1.0)
+        assert_layer_matches_reference(CONV1_LIKE, 0.84, 1.0)
 
     def test_stem_like_7x7_stride2(self):
-        spec = ConvLayerSpec("stem_like", 3, 8, 21, 21, 7, 7, stride=2, padding=3)
-        assert_layer_matches_reference(spec, 0.7, 1.0)
+        assert_layer_matches_reference(STEM_LIKE, 0.7, 1.0)
 
     def test_fully_dense_operands(self, small_spec):
         assert_layer_matches_reference(small_spec, 1.0, 1.0)
@@ -108,13 +110,20 @@ class TestEquivalenceAcrossConfigurations:
 
 
 class TestFunctionalStatistics:
-    def test_multiplies_match_nonzero_products(self, small_spec):
-        from repro.scnn.oracle import nonzero_multiplies
-
-        workload = make_workload(small_spec)
-        result = run_functional_layer(small_spec, workload.weights, workload.activations)
+    @pytest.mark.parametrize(
+        "shape",
+        ["small_spec", "strided_spec", "grouped_spec", "pointwise_spec",
+         CONV1_LIKE, STEM_LIKE],
+        ids=lambda shape: getattr(shape, "name", shape),
+    )
+    @pytest.mark.parametrize("densities", [(0.4, 0.5), (0.1, 0.2), (1.0, 1.0)])
+    def test_multiplies_match_nonzero_products(self, request, shape, densities):
+        """The oracle count equals the products the element-exact simulator issues."""
+        spec = request.getfixturevalue(shape) if isinstance(shape, str) else shape
+        workload = make_workload(spec, *densities)
+        result = run_functional_layer(spec, workload.weights, workload.activations)
         assert result.multiplies == nonzero_multiplies(
-            small_spec, workload.weights, workload.activations
+            spec, workload.weights, workload.activations
         )
 
     def test_utilization_between_zero_and_one(self, small_workload):
@@ -171,3 +180,4 @@ def test_functional_equivalence_property(
     result = run_functional_layer(spec, weights, activations)
     reference = relu(conv2d_layer(activations, weights, spec))
     np.testing.assert_allclose(result.output, reference, atol=1e-9)
+    assert result.multiplies == nonzero_multiplies(spec, weights, activations)
