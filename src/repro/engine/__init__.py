@@ -9,7 +9,9 @@ Public surface:
   adapters (what the ``compare`` sweeps consume), and ``sweep`` for parallel
   design-space exploration.
 * :func:`default_engine` / :func:`configure_default_engine` — the shared
-  engine instance the experiment layer and CLI route through.
+  engine instance the experiment layer and CLI route through.  Unlike a
+  :class:`SimulationEngine` built directly (serial unless told otherwise),
+  it shards across one fork worker per usable CPU by default.
 * :class:`ResultCache` and :class:`WorkloadHandle` — the content-addressed
   on-disk store and the lazy workload recipe the engine is built on.
 
@@ -19,33 +21,37 @@ sharding rules, cache invalidation).
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.engine.cache import ResultCache, SCHEMA_VERSION, default_cache_dir, fingerprint
 from repro.engine.core import ArchitectureRun, EngineRun, SimulationEngine
-from repro.engine.parallel import parallel_map, resolve_workers
+from repro.engine.parallel import parallel_map, pool_forks, resolve_workers
 from repro.engine.workloads import WorkloadHandle
 
 _default_engine: Optional[SimulationEngine] = None
 
 
-def _env_parallel() -> Optional[int]:
-    import os
-
+def _default_parallel() -> Optional[int]:
+    """Pool size of the shared engine: ``REPRO_PARALLEL`` if set, else one
+    worker per usable CPU where the pool forks (Linux), else serial."""
     raw = os.environ.get("REPRO_PARALLEL")
-    return int(raw) if raw else None
+    if raw:
+        return int(raw)
+    return -1 if pool_forks() else None
 
 
 def default_engine() -> SimulationEngine:
     """The process-wide engine instance (created on first use).
 
     Honours ``REPRO_CACHE_DIR`` (disk cache root) and ``REPRO_PARALLEL``
-    (default pool size) unless :func:`configure_default_engine` replaced it.
+    (pool size; unset means one worker per usable CPU where the pool forks)
+    unless :func:`configure_default_engine` replaced it.
     """
     global _default_engine
     if _default_engine is None:
-        _default_engine = SimulationEngine(parallel=_env_parallel())
+        _default_engine = SimulationEngine(parallel=_default_parallel())
     return _default_engine
 
 
@@ -55,13 +61,14 @@ def configure_default_engine(
 ) -> SimulationEngine:
     """Replace the shared engine (CLI flags, notebooks, tests).
 
-    ``parallel=None`` falls back to ``REPRO_PARALLEL``, mirroring how
+    ``parallel=None`` falls back to ``REPRO_PARALLEL`` and then to the
+    per-CPU default of :func:`default_engine`, mirroring how
     ``cache_dir=None`` falls back to ``REPRO_CACHE_DIR`` — reconfiguring one
-    knob never silently discards the other's environment default.
+    knob never silently discards the other's default.
     """
     global _default_engine
     if parallel is None:
-        parallel = _env_parallel()
+        parallel = _default_parallel()
     _default_engine = SimulationEngine(cache_dir=cache_dir, parallel=parallel)
     return _default_engine
 

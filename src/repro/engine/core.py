@@ -8,20 +8,23 @@ network simulations and design-space sweeps.  It composes three layers:
   Python-level element iteration;
 * **process-pool sharding** (:mod:`repro.engine.parallel`) spreads
   independent layer simulations and candidate configurations across CPU
-  cores, with results always assembled in submission order so parallel runs
-  are bitwise-identical to serial ones;
+  cores, with results always assembled in task order so parallel runs are
+  bitwise-identical to serial ones;
 * a **content-addressed result cache** (:mod:`repro.engine.cache`) memoises
   finished metrics in memory and, when a cache directory is configured, on
   disk keyed by a fingerprint of every input.
 
 Workloads move between processes and cache entries as lazy
 :class:`~repro.engine.workloads.WorkloadHandle` recipes, so neither the pool
-nor the cache ever ships multi-megabyte activation tensors.
+nor the cache ever ships multi-megabyte activation tensors.  A network
+simulation is one build-and-simulate task per layer: each task synthesises
+its layer's operands, simulates them and releases them, so the operand
+tensors never outlive their layer, in the parent process or in the memo
+table.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import threading
 import time
@@ -36,7 +39,8 @@ from repro.engine.cache import ResultCache, default_cache_dir, describe, fingerp
 from repro.engine.parallel import parallel_map
 from repro.engine.workloads import WorkloadHandle
 from repro.nn.densities import LayerSparsity, network_sparsity
-from repro.nn.inference import LayerWorkload
+from repro.nn.inference import LayerWorkload, activation_nonzeros
+from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.scnn.config import (
     AcceleratorConfig,
@@ -98,16 +102,13 @@ def _instrumented(method_name: str):
 # -- them by reference) --------------------------------------------------------
 
 
-def _build_handle_task(
-    task: Tuple[str, int, int, object, LayerSparsity]
-) -> WorkloadHandle:
-    network_name, seed, index, spec, target = task
-    return WorkloadHandle.build(network_name, seed, index, spec, target)
-
-
 def _simulate_layer_task(
     task: Tuple[
-        AnyWorkload,
+        str,
+        int,
+        int,
+        ConvLayerSpec,
+        LayerSparsity,
         Optional[float],
         AcceleratorConfig,
         AcceleratorConfig,
@@ -115,20 +116,30 @@ def _simulate_layer_task(
         EnergyTable,
     ]
 ) -> LayerSimulation:
-    workload, output_density, scnn_config, dcnn_config, dcnn_opt_config, table = task
+    """Synthesise one network layer, simulate it, and release its tensors."""
+    (
+        network_name, seed, index, spec, target, output_density,
+        scnn_config, dcnn_config, dcnn_opt_config, table,
+    ) = task
+    handle = WorkloadHandle.build(network_name, seed, index, spec, target)
     simulation = simulate_layer(
-        workload,
+        handle,
         scnn_config=scnn_config,
         dcnn_config=dcnn_config,
         dcnn_opt_config=dcnn_opt_config,
         energy_table=table,
         output_density=output_density,
     )
-    if isinstance(workload, WorkloadHandle):
-        # Keep the slim handle as the simulation's workload so pickling the
-        # result (pool return, disk cache) never ships the tensors.
-        simulation = dataclasses.replace(simulation, workload=workload)
+    # The result keeps the slim handle: neither the memo table nor a pool or
+    # disk-cache pickle holds the tensors, which rematerialise on demand.
+    handle.release()
     return simulation
+
+
+def _operand_footprint(task: Tuple) -> int:
+    """Operand elements a :func:`_simulate_layer_task` synthesises."""
+    spec = task[3]
+    return spec.weight_count + spec.input_activation_count
 
 
 def _layer_cycles_task(
@@ -412,9 +423,12 @@ class SimulationEngine:
         """Simulate every layer of ``network`` (SCNN + DCNN + oracle + energy).
 
         Equivalent to :func:`repro.scnn.simulator.simulate_network` — the
-        metrics are bitwise-identical — but cached and shardable: workload
-        generation and the per-layer simulations fan out across the process
-        pool, and a repeated request is served from the cache.
+        metrics are bitwise-identical — but cached and shardable: each layer
+        is one task that synthesises and simulates it, the tasks fan out
+        across the process pool largest first, and a repeated request is
+        served from the cache.  The returned layers hold slim
+        :class:`WorkloadHandle` workloads whose tensors rematerialise on
+        demand.
 
         ``network`` accepts any registered workload name (resolved through
         :mod:`repro.workloads.registry`, which also supplies the workload's
@@ -437,22 +451,27 @@ class SimulationEngine:
         if cached is not None:
             return cached
 
-        workers = self._workers(parallel)
-        build_tasks = [
-            (network.name, seed, index, spec, sparsity[spec.name])
-            for index, spec in enumerate(network.layers)
-        ]
-        handles = parallel_map(_build_handle_task, build_tasks, workers)
-        simulate_tasks = []
-        for index, handle in enumerate(handles):
-            output_density = (
-                handles[index + 1].activation_density
-                if index + 1 < len(handles)
-                else None
-            )
-            simulate_tasks.append(
+        specs = network.layers
+        tasks = []
+        for index, spec in enumerate(specs):
+            # Layer i's output is layer i+1's input, whose non-zero count the
+            # synthesis fixes exactly, so no task waits for another.
+            output_density = None
+            if index + 1 < len(specs):
+                following = specs[index + 1]
+                output_density = (
+                    activation_nonzeros(
+                        following, sparsity[following.name].activation_density
+                    )
+                    / following.input_activation_count
+                )
+            tasks.append(
                 (
-                    handle,
+                    network.name,
+                    seed,
+                    index,
+                    spec,
+                    sparsity[spec.name],
                     output_density,
                     scnn_config,
                     dcnn_config,
@@ -460,7 +479,12 @@ class SimulationEngine:
                     energy_table,
                 )
             )
-        layers = parallel_map(_simulate_layer_task, simulate_tasks, workers)
+        layers = parallel_map(
+            _simulate_layer_task,
+            tasks,
+            self._workers(parallel),
+            cost=_operand_footprint,
+        )
         simulation = NetworkSimulation(network=network, layers=layers)
         self._store(key, simulation)
         return simulation

@@ -6,13 +6,15 @@ everywhere the simulators and experiments read one, but carries only the
 target densities — plus the measured densities.  The tensors themselves are
 regenerated deterministically on first access (``np.random.default_rng([seed,
 index])``, exactly as :func:`repro.nn.inference.build_network_workloads`
-seeds each layer) and are dropped again when the handle is pickled.
+seeds each layer) and are dropped again when the handle is pickled or
+:meth:`~WorkloadHandle.release`-d.
 
-This is what keeps both the process-pool path and the on-disk cache cheap:
-results cross process and disk boundaries at a few hundred bytes per layer
-instead of tens of megabytes of activation tensors, while ablation studies
-that do need the raw tensors (``handle.weights`` / ``handle.activations``)
-still get bit-identical arrays on demand.
+This is what keeps the process pool, the on-disk cache and the engine's
+memo table cheap: results cross process and disk boundaries, and sit in
+memory, at a few hundred bytes per layer instead of tens of megabytes of
+activation tensors, while ablation studies that do need the raw tensors
+(``handle.weights`` / ``handle.activations``) still get bit-identical
+arrays on demand.
 """
 
 from __future__ import annotations
@@ -92,6 +94,10 @@ class WorkloadHandle:
                 self.network_name, self.spec, self.target, rng
             )
         return self._materialized
+
+    def release(self) -> None:
+        """Drop the tensors; the next access regenerates them."""
+        self._materialized = None
 
     # -- LayerWorkload duck-type surface ---------------------------------------
 

@@ -4,8 +4,10 @@ Lists and runs the experiment drivers (one per paper table/figure) so the
 evaluation can be regenerated without writing any Python.  ``python -m repro``
 forwards here as well.
 
-The simulation engine behind the drivers is configured here: ``--parallel N``
-shards independent layer simulations across N worker processes, and
+The simulation engine behind the drivers is configured here: layer
+simulations shard across one fork worker per usable CPU by default (Linux;
+serial elsewhere), ``--parallel N`` picks N worker processes instead
+(``1`` = serial; ``REPRO_PARALLEL`` sets the same environment-wide), and
 ``--cache-dir PATH`` persists finished metrics to a content-addressed
 on-disk cache so re-running an experiment with unchanged inputs is instant
 (``REPRO_CACHE_DIR`` sets the same root environment-wide; ``--no-cache``
@@ -96,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="shard layer simulations across N worker processes "
-        "(-1 = one per CPU; default: serial)",
+        "(1 = serial, -1 = one per usable CPU; default: $REPRO_PARALLEL if "
+        "set, else one per usable CPU on Linux and serial elsewhere)",
     )
     parser.add_argument(
         "--cache-dir",

@@ -161,7 +161,9 @@ def build_compare_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--parallel", type=int, default=None, metavar="N",
-        help="shard simulations across N worker processes (-1 = one per CPU)",
+        help="shard simulations across N worker processes (1 = serial, "
+        "-1 = one per usable CPU; default: $REPRO_PARALLEL if set, else one "
+        "per usable CPU on Linux and serial elsewhere)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",

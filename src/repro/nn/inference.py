@@ -74,6 +74,15 @@ def _smooth(field: np.ndarray, radius: int) -> np.ndarray:
     return horiz
 
 
+def activation_nonzeros(spec: ConvLayerSpec, density: float) -> int:
+    """Exact non-zero count of ``generate_activations(spec, density, ...)``.
+
+    The generator fixes its count up to this number whatever the seed, so a
+    layer's measured input density is known before its tensor is drawn.
+    """
+    return int(round(density * spec.input_activation_count))
+
+
 def generate_activations(
     spec: ConvLayerSpec,
     density: float,
@@ -86,7 +95,8 @@ def generate_activations(
     ReLU outputs are non-negative and spatially clustered (neighbouring pixels
     of a feature map tend to fire together); the generator reproduces both
     properties by thresholding a smoothed noise field at the density quantile
-    and assigning positive magnitudes to the surviving positions.
+    and assigning positive magnitudes to the surviving positions.  Exactly
+    :func:`activation_nonzeros` positions end up non-zero.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
@@ -102,7 +112,7 @@ def generate_activations(
     mask = field > threshold
     # Quantile ties can leave the density slightly off; fix up by flipping the
     # minimum number of positions.
-    want = int(round(density * magnitudes.size))
+    want = activation_nonzeros(spec, density)
     have = np.count_nonzero(mask)
     flat_mask = mask.reshape(-1)
     if have > want:

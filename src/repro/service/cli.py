@@ -62,7 +62,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--parallel", type=int, default=None, metavar="N",
-        help="engine process-pool size per simulation (-1 = one per CPU)",
+        help="engine process-pool size per simulation in thread mode "
+        "(-1 = one per usable CPU; default: serial)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",

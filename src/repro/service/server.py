@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.engine import SimulationEngine, default_engine
+from repro.engine import SimulationEngine
 from repro.obs import Span
 from repro.service.coalesce import (
     CoalescingSink,
@@ -121,7 +121,8 @@ class SimulationService:
         engine: the shared engine (thread mode runs jobs on it directly;
             process mode derives each worker's engine configuration from it
             via :func:`~repro.service.worker.engine_config_of`, so all
-            workers share its on-disk cache root).
+            workers share its on-disk cache root).  Defaults to a serial
+            engine on ``REPRO_CACHE_DIR``: worker threads never fork pools.
         registry: the scenario catalogue (defaults to the built-in one).
         num_workers: worker threads or processes draining the queue.
         journal_dir: persist job records here; queued/running jobs resume
@@ -162,7 +163,7 @@ class SimulationService:
             # Before anything else records (journal load, pool forks): the
             # forked worker processes inherit the enabled flag.
             obs.enable()
-        self.engine = engine if engine is not None else default_engine()
+        self.engine = engine if engine is not None else SimulationEngine()
         self.registry = registry if registry is not None else default_registry()
         self.mode = mode
         self.max_queue_depth = max_queue_depth

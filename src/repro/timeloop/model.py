@@ -17,11 +17,6 @@ from typing import Union
 
 import numpy as np
 
-try:  # scipy stays optional on the scalar path; see _log_comb.
-    from scipy.special import gammaln as _gammaln
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _gammaln = None
-
 from repro.arch.registry import resolve_config
 from repro.dataflow.tiling import plan_layer
 from repro.nn.layers import ConvLayerSpec
@@ -71,10 +66,25 @@ def _expected_vector_count(elements: int, density_milli: int, width: int) -> flo
     return float((pmf * np.ceil(counts / width)).sum())
 
 
+@lru_cache(maxsize=None)
+def _scipy_gammaln():
+    """scipy's ``gammaln``, or ``None`` without scipy.
+
+    Looked up on first use rather than at import: scipy (and what it pulls
+    in) costs a cold ``import repro`` about 0.3 s, and Fig. 8 never needs it.
+    """
+    try:
+        from scipy.special import gammaln
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return None
+    return gammaln
+
+
 def _log_comb(n: int, k: np.ndarray) -> np.ndarray:
     """log C(n, k) via log-gamma (scipy when present, math.lgamma otherwise)."""
-    if _gammaln is not None:
-        return _gammaln(n + 1) - _gammaln(k + 1) - _gammaln(n - k + 1)
+    gammaln = _scipy_gammaln()
+    if gammaln is not None:
+        return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 

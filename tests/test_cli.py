@@ -1,7 +1,13 @@
 """Tests for the command-line interface (repro.experiments.cli)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments import cli
 
 
@@ -165,3 +171,21 @@ class TestMain:
     def test_unknown_experiment_exit_code(self, capsys):
         assert cli.main(["bogus"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """Start-up stays lean: scipy (optional) loads only when the binomial
+    kernel of the analytical models first runs, never on import."""
+    code = (
+        "import sys, repro.experiments.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

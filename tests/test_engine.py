@@ -12,13 +12,19 @@ Three properties matter:
 import numpy as np
 import pytest
 
+import repro.engine
 from repro.engine import (
     ResultCache,
     SimulationEngine,
     WorkloadHandle,
+    configure_default_engine,
+    default_engine,
     fingerprint,
+    parallel_map,
     resolve_workers,
 )
+from repro.engine import parallel
+from repro.engine.parallel import pool_forks, usable_cpus
 from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import build_network_workloads
 from repro.nn.layers import ConvLayerSpec
@@ -197,6 +203,23 @@ class TestEngineNetworkSimulation:
         parallel = engine.run_network(tiny_network, seed=0, parallel=2)
         assert_simulations_identical(parallel, reference_simulation)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_pin_no_tensors(self, tiny_network, workers):
+        """Neither the memo table nor the returned layers keep operand
+        tensors alive; an ablation that asks for them gets the exact arrays."""
+        engine = SimulationEngine(cache_dir=False)
+        simulation = engine.run_network(tiny_network, seed=0, parallel=workers)
+        assert engine.run_network(tiny_network, seed=0) is simulation
+        handles = [layer.workload for layer in simulation.layers]
+        assert all(isinstance(handle, WorkloadHandle) for handle in handles)
+        assert all(handle._materialized is None for handle in handles)
+        reference = build_network_workloads(tiny_network, seed=0)
+        for handle, workload in zip(handles, reference):
+            assert np.array_equal(handle.weights, workload.weights)
+            assert np.array_equal(handle.activations, workload.activations)
+            assert handle.weight_density == workload.weight_density
+            assert handle.activation_density == workload.activation_density
+
     def test_memory_cache_returns_same_object(self, tiny_network):
         engine = SimulationEngine(cache_dir=False)
         first = engine.run_network(tiny_network, seed=0)
@@ -334,10 +357,61 @@ class TestResolveWorkers:
         assert resolve_workers(4, 0) == 0
 
     def test_bounded_by_tasks_and_cpus(self):
-        import os
-
         assert resolve_workers(8, 3) == 3
-        assert resolve_workers(-1, 2) == min(os.cpu_count() or 1, 2)
+        assert resolve_workers(-1, 2) == min(usable_cpus(), 2)
+
+
+class TestParallelMap:
+    def test_submits_largest_first_and_returns_task_order(self, monkeypatch):
+        submitted = []
+
+        class RecordingPool:
+            def __init__(self, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, function, tasks):
+                submitted.extend(tasks)
+                return map(function, tasks)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        tasks = [2, 7, 1, 7, 5]
+        assert parallel_map(str, tasks, 2, cost=lambda task: task) == list(
+            map(str, tasks)
+        )
+        assert submitted == [7, 7, 5, 2, 1]
+
+    def test_pool_results_in_task_order(self):
+        tasks = list(range(-6, 6))
+        assert parallel_map(abs, tasks, 2, cost=abs) == [abs(t) for t in tasks]
+
+
+class TestDefaultEngine:
+    def test_shared_engine_uses_every_usable_cpu(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+        monkeypatch.setattr(repro.engine, "_default_engine", None)
+        expected = -1 if pool_forks() else None
+        assert default_engine().parallel == expected
+        assert configure_default_engine(cache_dir=False).parallel == expected
+
+    def test_environment_and_flag_override_the_default(self, monkeypatch):
+        monkeypatch.setattr(repro.engine, "_default_engine", None)
+        monkeypatch.setenv("REPRO_PARALLEL", "1")
+        assert default_engine().parallel == 1
+        assert configure_default_engine(cache_dir=False).parallel == 1
+        assert configure_default_engine(cache_dir=False, parallel=3).parallel == 3
+
+    def test_engines_built_directly_stay_serial(self):
+        from repro.service.server import SimulationService
+
+        assert SimulationEngine(cache_dir=False).parallel is None
+        service = SimulationService(num_workers=1, observability=False)
+        assert service.engine.parallel is None
 
 
 class TestEngineGridPaths:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import (
+    activation_nonzeros,
     build_layer_workload,
     build_network_workloads,
     generate_activations,
@@ -50,6 +52,24 @@ class TestGenerateActivations:
     def test_invalid_density_rejected(self, spec, rng):
         with pytest.raises(ValueError):
             generate_activations(spec, 0.0, rng)
+
+
+@given(
+    channels=st.integers(min_value=1, max_value=6),
+    height=st.integers(min_value=1, max_value=12),
+    width=st.integers(min_value=1, max_value=12),
+    density=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_activation_nonzeros_is_the_generated_count(
+    channels, height, width, density, seed
+):
+    """The count the engine derives output densities from is exactly what
+    synthesis produces, for any shape, density and seed."""
+    spec = ConvLayerSpec("p", channels, 4, height, width, 1, 1)
+    acts = generate_activations(spec, density, np.random.default_rng(seed))
+    assert activation_nonzeros(spec, density) == np.count_nonzero(acts)
 
 
 class TestLayerWorkload:
