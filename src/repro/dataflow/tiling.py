@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -177,19 +177,39 @@ def _padded_tiles(
 
 
 def _integral_image(mask: np.ndarray) -> np.ndarray:
-    """Exclusive 2-D prefix sums of a ``(C, H, W)`` mask: shape ``(C, H+1, W+1)``.
+    """Exclusive 2-D prefix sums of a ``(C, H, W)`` bool mask: ``(C, H+1, W+1)``.
 
     ``S[:, y, x]`` is the number of non-zeros in ``mask[:, :y, :x]``, so any
     rectangle count is four lookups — the key to evaluating all per-PE tile
-    counts at once instead of slicing per tile.
+    counts at once instead of slicing per tile.  Counts are int32 (a plane
+    holds far fewer than 2**31 elements), half the memory traffic of int64.
     """
-    padded = np.zeros(
-        (mask.shape[0], mask.shape[1] + 1, mask.shape[2] + 1), dtype=np.int64
-    )
+    num_c, height, width = mask.shape
+    padded = np.zeros((num_c, height + 1, width + 1), dtype=np.int32)
     inner = padded[:, 1:, 1:]
-    np.cumsum(mask, axis=1, dtype=np.int64, out=inner)
+    inner[...] = mask
+    # Along the contiguous axis first, then down the rows one row at a time.
     np.cumsum(inner, axis=2, out=inner)
+    for y in range(1, height):
+        inner[:, y] += inner[:, y - 1]
     return padded
+
+
+def phase_integral_images(mask: np.ndarray, stride: int) -> Tuple[np.ndarray, ...]:
+    """Integral image of each stride phase of a ``(C, H, W)`` non-zero mask.
+
+    Entry ``py * stride + px`` covers rows ``py::stride`` and columns
+    ``px::stride``, the phase order of :func:`activation_phase_nonzeros`.
+    The cycle model's tile counts and the oracle's windows both read these
+    images, so :func:`repro.scnn.simulator.simulate_layer` builds them once
+    per layer and passes them to both.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    return tuple(
+        _integral_image(mask[:, py::stride, px::stride])
+        for py in range(stride)
+        for px in range(stride)
+    )
 
 
 def _tile_bounds(plan: TilingPlan) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -219,7 +239,12 @@ def _rectangle_counts(
 
 
 def activation_phase_nonzeros(
-    activations: np.ndarray, plan: TilingPlan, stride: int, padding: int = 0
+    activations: np.ndarray,
+    plan: TilingPlan,
+    stride: int,
+    padding: int = 0,
+    *,
+    integrals: Optional[Sequence[np.ndarray]] = None,
 ) -> np.ndarray:
     """Non-zero activations per (PE, input channel, stride phase).
 
@@ -232,7 +257,8 @@ def activation_phase_nonzeros(
     this reduces to :func:`activation_tile_nonzeros`.
 
     All PEs are counted at once from a per-phase integral image, so the cost
-    is independent of the PE-array size.
+    is independent of the PE-array size.  ``integrals`` are the images of
+    :func:`phase_integral_images`, when the caller has built them already.
 
     Returns:
         Integer array of shape ``(num_pes, C, stride * stride)`` where the
@@ -243,26 +269,22 @@ def activation_phase_nonzeros(
         raise ValueError(f"expected (C, H, W) activations, got {activations.shape}")
     if stride <= 0:
         raise ValueError("stride must be positive")
+    if integrals is None:
+        integrals = phase_integral_images(activations, stride)
     num_c = activations.shape[0]
-    phases = stride * stride
-    counts = np.zeros((plan.num_pes, num_c, phases), dtype=np.int64)
-    if stride == 1:
-        counts[:, :, 0] = activation_tile_nonzeros(activations, plan)
-        return counts
-    mask = activations != 0
+    counts = np.zeros((plan.num_pes, num_c, stride * stride), dtype=np.int64)
     y_lo, y_hi, x_lo, x_hi = _tile_bounds(plan)
     for py in range(stride):
         for px in range(stride):
             # Rows y = py + stride*j of the tile map to rows [j0, j1) of the
             # phase-decimated plane; ceil divisions pick the first/last
             # decimated row inside [y_lo, y_hi) (and likewise for columns).
-            decimated = _integral_image(mask[:, py::stride, px::stride])
             j0 = (y_lo - py + stride - 1) // stride
             j1 = (y_hi - py + stride - 1) // stride
             i0 = (x_lo - px + stride - 1) // stride
             i1 = (x_hi - px + stride - 1) // stride
             counts[:, :, py * stride + px] = _rectangle_counts(
-                decimated, j0, np.maximum(j0, j1), i0, np.maximum(i0, i1)
+                integrals[py * stride + px], j0, np.maximum(j0, j1), i0, np.maximum(i0, i1)
             )
     return counts
 
@@ -287,23 +309,21 @@ def weight_phase_nonzeros(
     weights = np.asarray(weights)
     if weights.ndim != 4:
         raise ValueError(f"expected (K, C, S, R) weights, got {weights.shape}")
+    if group_size <= 0:
+        raise ValueError("group size must be positive")
     if stride <= 0:
         raise ValueError("stride must be positive")
-    num_k, num_c, filt_h, filt_w = weights.shape
-    num_groups = -(-num_k // group_size)
-    phases = stride * stride
-    counts = np.zeros((num_groups, num_c, phases), dtype=np.int64)
-    if stride == 1:
-        counts[:, :, 0] = weight_group_nonzeros(weights, group_size)
-        return counts
-    mask = weights != 0
+    # Fold the output channels into groups first: those sums run over whole
+    # contiguous (C', S, R) blocks, and each phase's filter offsets are then
+    # summed over an array ``group_size`` times smaller.
+    grouped = _group_sums(np.asarray(weights, dtype=bool), group_size)
+    counts = np.zeros(grouped.shape[:2] + (stride * stride,), dtype=np.int64)
     for py in range(stride):
         for px in range(stride):
             s_phase = (py + padding) % stride
             r_phase = (px + padding) % stride
-            sub = mask[:, :, s_phase::stride, r_phase::stride]
-            per_channel = sub.reshape(num_k, num_c, -1).sum(axis=2)
-            counts[:, :, py * stride + px] = _group_sums(per_channel, group_size)
+            sub = grouped[:, :, s_phase::stride, r_phase::stride]
+            counts[:, :, py * stride + px] = sub.sum(axis=(2, 3))
     return counts
 
 
@@ -317,29 +337,22 @@ def weight_group_nonzeros(weights: np.ndarray, group_size: int) -> np.ndarray:
     Returns:
         Integer array of shape ``(num_groups, C')``.
     """
-    weights = np.asarray(weights)
-    if weights.ndim != 4:
-        raise ValueError(f"expected (K, C, S, R) weights, got {weights.shape}")
-    if group_size <= 0:
-        raise ValueError("group size must be positive")
-    num_k, num_c = weights.shape[:2]
-    per_channel = np.count_nonzero(weights.reshape(num_k, num_c, -1), axis=2)
-    return _group_sums(per_channel, group_size)
+    return weight_phase_nonzeros(weights, group_size, stride=1)[:, :, 0]
 
 
-def _group_sums(per_channel: np.ndarray, group_size: int) -> np.ndarray:
+def _group_sums(values: np.ndarray, group_size: int) -> np.ndarray:
     """Sum a ``(K, ...)`` array over output-channel groups: ``(ceil(K/Kc), ...)``.
 
     The K axis is zero-padded to a multiple of the group size so one reshape
     replaces the per-group Python loop.
     """
-    num_k = per_channel.shape[0]
+    num_k = values.shape[0]
     num_groups = -(-num_k // group_size)
     pad = num_groups * group_size - num_k
     if pad:
-        widths = [(0, pad)] + [(0, 0)] * (per_channel.ndim - 1)
-        per_channel = np.pad(per_channel, widths)
-    grouped = per_channel.reshape((num_groups, group_size) + per_channel.shape[1:])
+        widths = [(0, pad)] + [(0, 0)] * (values.ndim - 1)
+        values = np.pad(values, widths)
+    grouped = values.reshape((num_groups, group_size) + values.shape[1:])
     return grouped.sum(axis=1, dtype=np.int64)
 
 
@@ -355,11 +368,7 @@ def activation_tile_nonzeros(
     Returns:
         Integer array of shape ``(num_pes, C)``.
     """
-    activations = np.asarray(activations)
-    if activations.ndim != 3:
-        raise ValueError(f"expected (C, H, W) activations, got {activations.shape}")
-    integral = _integral_image(activations != 0)
-    return _rectangle_counts(integral, *_tile_bounds(plan))
+    return activation_phase_nonzeros(activations, plan, stride=1)[:, :, 0]
 
 
 def activation_tile_totals(activations: np.ndarray, plan: TilingPlan) -> np.ndarray:

@@ -56,22 +56,54 @@ class LayerWorkload:
 
 
 def _smooth(field: np.ndarray, radius: int) -> np.ndarray:
-    """Box-filter each plane of ``field`` to introduce spatial correlation."""
+    """Box-filter each plane of ``field`` to introduce spatial correlation.
+
+    The result is written over ``field`` (a fresh draw the caller gives up),
+    so the edge-padded copy is the only new buffer.
+    """
     if radius <= 0:
         return field
     size = 2 * radius + 1
     padded = np.pad(field, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
-    # Separable box filter via cumulative sums along each spatial axis, all in
-    # the padded buffer (numpy resolves the overlapping in-place subtractions
-    # as if the operands were copies).
-    np.cumsum(padded, axis=1, out=padded)
+    # Separable box filter via running sums along each spatial axis.  Down
+    # the rows they go one contiguous row at a time: the additions of
+    # ``cumsum(axis=1)`` in the same order, without its strided walk.
+    rows = padded.shape[1]
+    for y in range(1, rows):
+        padded[:, y] += padded[:, y - 1]
+    # Window sums in place, bottom row first, so each row subtracted is still
+    # a running sum and no operand overlaps its output.
+    for y in range(rows - 1, size - 1, -1):
+        padded[:, y] -= padded[:, y - size]
     vert = padded[:, size - 1 :, :]
-    vert[:, 1:, :] -= padded[:, : -size, :]
     np.cumsum(vert, axis=2, out=vert)
-    horiz = vert[:, :, size - 1 :]
-    horiz[:, :, 1:] -= vert[:, :, : -size]
-    horiz /= size * size
-    return horiz
+    field[:, :, 0] = vert[:, :, size - 1]
+    np.subtract(vert[:, :, size:], vert[:, :, :-size], out=field[:, :, 1:])
+    field /= size * size
+    return field
+
+
+def _quantile_threshold(field: np.ndarray, q: float) -> float:
+    """``np.quantile(field, q)`` (linear method) from two order statistics.
+
+    numpy interpolates between the order statistics at ``floor((n-1)q)`` and
+    the next one as ``a + (b-a)t``, or ``b - (b-a)(1-t)`` when ``t >= 0.5``.
+    One partition at the first index gives ``a``; the smallest value above
+    it is ``b``.  ``np.quantile`` partitions at four indices instead.  The
+    value equals numpy's up to the sign of a zero.
+    """
+    values = field.ravel().copy()
+    position = (values.size - 1) * q
+    below = min(int(position), values.size - 1)
+    values.partition(below)
+    low = values[below]
+    if below == values.size - 1:
+        return low
+    high = values[below + 1 :].min()
+    fraction = position - below
+    if fraction >= 0.5:
+        return high - (high - low) * (1 - fraction)
+    return low + (high - low) * fraction
 
 
 def activation_nonzeros(spec: ConvLayerSpec, density: float) -> int:
@@ -102,14 +134,17 @@ def generate_activations(
         raise ValueError(f"density must be in (0, 1], got {density}")
     rng = rng or np.random.default_rng()
     shape = spec.input_shape
-    magnitudes = rng.normal(0.0, 1.0, size=shape)
+    # ``standard_normal`` is ``normal(0.0, 1.0)`` through numpy's fill kernel:
+    # the same draws and generator state, except that ``normal`` turns a
+    # ``-0.0`` into ``+0.0``.  ``abs`` and the strict ``>`` below cannot see
+    # the sign of a zero.
+    magnitudes = rng.standard_normal(size=shape)
     np.abs(magnitudes, out=magnitudes)
     magnitudes += 1e-6
     if density >= 1.0:
         return magnitudes
-    field = _smooth(rng.normal(0.0, 1.0, size=shape), correlation_radius)
-    threshold = np.quantile(field, 1.0 - density)
-    mask = field > threshold
+    field = _smooth(rng.standard_normal(size=shape), correlation_radius)
+    mask = field > _quantile_threshold(field, 1.0 - density)
     # Quantile ties can leave the density slightly off; fix up by flipping the
     # minimum number of positions.
     want = activation_nonzeros(spec, density)

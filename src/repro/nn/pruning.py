@@ -40,15 +40,22 @@ def prune_to_density(
 
     The smallest-magnitude weights are zeroed first, exactly like phase one of
     Han et al.'s pruning.  Ties at the threshold are broken randomly so the
-    requested density is hit exactly (up to integer rounding).
+    requested density is hit exactly (up to integer rounding).  ``weights``
+    is left untouched: the pruned tensor is a new array.
     """
+    return _prune_in_place(np.array(weights, dtype=float, order="C"), density, rng)
+
+
+def _prune_in_place(
+    weights: np.ndarray, density: float, rng: Optional[np.random.Generator]
+) -> np.ndarray:
+    """Zero the smallest magnitudes of the C-contiguous ``weights`` in place."""
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
-    weights = np.asarray(weights, dtype=float)
     total = weights.size
     keep = int(round(total * density))
     if keep >= total:
-        return weights.copy()
+        return weights
     if keep <= 0:
         keep = 1
 
@@ -57,14 +64,14 @@ def prune_to_density(
     # (common when many weights share a value) without reordering distinct
     # magnitudes.  The jittered keys are then distinct, so a partition picks
     # the same smallest set a full sort would, with an exact count that a
-    # value threshold could miss on ties.
-    keys = rng.uniform(0.0, 1.0, size=total)
+    # value threshold could miss on ties.  ``random`` draws the same bits as
+    # ``uniform(0.0, 1.0)`` through numpy's fill kernel.
+    keys = rng.random(total)
     keys *= 1e-12
     keys += np.abs(weights).reshape(-1)
     drop = np.argpartition(keys, total - keep)[: total - keep]
-    pruned = weights.reshape(-1).copy()
-    pruned[drop] = 0.0
-    return pruned.reshape(weights.shape)
+    weights.reshape(-1)[drop] = 0.0
+    return weights
 
 
 def generate_pruned_weights(
@@ -74,7 +81,8 @@ def generate_pruned_weights(
 ) -> np.ndarray:
     """Convenience wrapper: dense initialisation followed by pruning."""
     rng = rng or np.random.default_rng()
-    return prune_to_density(generate_dense_weights(spec, rng), density, rng)
+    # The dense draw is ours alone, so it is pruned where it lies.
+    return _prune_in_place(generate_dense_weights(spec, rng), density, rng)
 
 
 def measured_density(tensor: np.ndarray) -> float:

@@ -25,7 +25,7 @@ milliseconds, and the simulation engine can batch layers freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -99,10 +99,17 @@ def simulate_layer_cycles(
     config: AcceleratorConfig = SCNN_CONFIG,
     *,
     plan: Optional[TilingPlan] = None,
+    integrals: Optional[Sequence[np.ndarray]] = None,
 ) -> LayerCycleResult:
-    """Estimate SCNN cycles for one layer from its actual operand sparsity."""
-    weights = np.asarray(weights)
-    activations = np.asarray(activations)
+    """Estimate SCNN cycles for one layer from its actual operand sparsity.
+
+    Only the operands' non-zero structure is read, so ``weights`` and
+    ``activations`` may be their bool masks.  ``integrals`` are the
+    activation mask's :func:`~repro.dataflow.tiling.phase_integral_images`,
+    when the caller has built them already.
+    """
+    weights = np.asarray(weights, dtype=bool)
+    activations = np.asarray(activations, dtype=bool)
     if plan is None:
         pe_rows, pe_cols = config.pe_grid
         plan = plan_layer(
@@ -120,7 +127,7 @@ def simulate_layer_cycles(
         weights, spec, config.output_channel_group
     )  # (G, C, phases)
     act_counts = activation_phase_nonzeros(
-        activations, plan, spec.stride, spec.padding
+        activations, plan, spec.stride, spec.padding, integrals=integrals
     )  # (P, C, phases)
 
     weight_vectors = -(-weight_counts // f_width)  # ceil division

@@ -20,30 +20,40 @@ lookups into that phase's integral image — no convolution is evaluated.
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 import numpy as np
 
-from repro.dataflow.tiling import _integral_image, _rectangle_counts
+from repro.dataflow.tiling import _rectangle_counts, phase_integral_images
 from repro.nn.layers import ConvLayerSpec
 from repro.scnn.config import AcceleratorConfig, SCNN_CONFIG
 
 
 def nonzero_multiplies(
-    spec: ConvLayerSpec, weights: np.ndarray, activations: np.ndarray
+    spec: ConvLayerSpec,
+    weights: np.ndarray,
+    activations: np.ndarray,
+    *,
+    integrals: Optional[Sequence[np.ndarray]] = None,
 ) -> int:
     """Exact count of multiplies with both operands non-zero.
 
     Border effects are accounted for: products of a filter offset with
     padding, or with activations its strided window never reaches, are not
-    counted, matching what the real dataflow would skip.
+    counted, matching what the real dataflow would skip.  Only the non-zero
+    structure is read, so the operands may be bool masks; ``integrals`` are
+    the activation mask's :func:`~repro.dataflow.tiling.phase_integral_images`,
+    when the caller has built them already.
     """
-    weights = np.asarray(weights)
+    weights = np.asarray(weights, dtype=bool)
     num_k, c_per_group, filt_h, filt_w = weights.shape
     weight_nz = np.count_nonzero(
         weights.reshape(spec.groups, num_k // spec.groups, c_per_group, filt_h, filt_w),
         axis=1,
     ).reshape(-1, filt_h, filt_w)
-    mask = np.asarray(activations) != 0
     stride = spec.stride
+    if integrals is None:
+        integrals = phase_integral_images(activations, stride)
     # Offset s reads input rows s - padding + stride * j for j < output
     # height: a run of that many consecutive rows of the plane decimated at
     # phase (s - padding) % stride, starting at (s - padding) // stride.
@@ -59,7 +69,7 @@ def nonzero_multiplies(
         for px in np.unique(col_phase):
             cols = np.flatnonzero(col_phase == px)[None, :]
             x_lo = first_col[cols] // stride
-            integral = _integral_image(mask[:, py::stride, px::stride])
+            integral = integrals[py * stride + px]
             height, width = integral.shape[1] - 1, integral.shape[2] - 1
             # Window counts per (channel, row offset, column offset), returned
             # transposed like the matching weight counts below.

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.arch.registry import get_architecture, resolve_config
 from repro.arch.spec import AcceleratorConfig
+from repro.dataflow.tiling import phase_integral_images
 from repro.nn.inference import LayerWorkload, build_network_workloads
 from repro.nn.networks import Network
 
@@ -191,20 +192,30 @@ def simulate_layer(
     dcnn_config = resolve_config(dcnn_config, parameter="dcnn_config")
     dcnn_opt_config = resolve_config(dcnn_opt_config, parameter="dcnn_opt_config")
     spec = workload.spec
+    # The cycle model and the oracle read only the operands' non-zero
+    # structure: each mask, and the activation mask's per-stride-phase
+    # integral images, are formed once and shared.
+    weight_mask = workload.weights != 0
+    activation_mask = workload.activations != 0
+    integrals = phase_integral_images(activation_mask, spec.stride)
     scnn = simulate_layer_cycles(
-        spec, workload.weights, workload.activations, scnn_config
+        spec, weight_mask, activation_mask, scnn_config, integrals=integrals
     )
     dcnn = simulate_dcnn_layer(spec, dcnn_config)
     if include_oracle:
-        products = nonzero_multiplies(spec, workload.weights, workload.activations)
+        products = nonzero_multiplies(
+            spec, weight_mask, activation_mask, integrals=integrals
+        )
     else:
         products = scnn.products
     oracle = oracle_cycles(
-        spec, workload.weights, workload.activations, scnn_config, products=products
+        spec, weight_mask, activation_mask, scnn_config, products=products
     )
     if output_density is None:
         output_density = DEFAULT_OUTPUT_DENSITY
 
+    weight_density = workload.weight_density
+    activation_density = workload.activation_density
     energy: Dict[str, EnergyBreakdown] = {}
     for config, cycles in (
         (scnn_config, scnn.cycles),
@@ -214,8 +225,8 @@ def simulate_layer(
         energy[config.name] = layer_energy_from_densities(
             spec,
             config,
-            weight_density=workload.weight_density,
-            activation_density=workload.activation_density,
+            weight_density=weight_density,
+            activation_density=activation_density,
             output_density=output_density,
             cycles=cycles,
             products=products,

@@ -128,6 +128,16 @@ class TestGeneratePrunedWeights:
         assert weights.shape == spec.weight_shape
         assert measured_density(weights) == pytest.approx(0.35, abs=0.01)
 
+    def test_in_place_pruning_matches_the_copying_prune(self, spec):
+        """Pruning the fresh dense draw in place gives prune_to_density's bits."""
+        in_place = generate_pruned_weights(spec, 0.35, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        dense = generate_dense_weights(spec, rng)
+        original = dense.copy()
+        copied = prune_to_density(dense, 0.35, rng)
+        assert in_place.tobytes() == copied.tobytes()
+        assert dense.tobytes() == original.tobytes()  # the input is untouched
+
 
 class TestMeasuredDensity:
     def test_known_values(self):
