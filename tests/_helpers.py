@@ -33,3 +33,31 @@ def make_workload(
         activations=activations,
         target=LayerSparsity(weight_density, activation_density),
     )
+
+
+def random_layer_specs(rng: np.random.Generator, count: int = 6):
+    """Seeded random layer shapes covering stride, groups and 1x1 degeneracies."""
+    specs = [
+        # Degenerate pointwise layer on a single pixel.
+        ConvLayerSpec("pt1x1", 64, 32, 1, 1, 1, 1),
+        # Strided grouped conv with uneven spatial extent.
+        ConvLayerSpec("odd", 48, 96, 7, 5, 3, 3, stride=2, groups=2),
+    ]
+    for index in range(count - len(specs)):
+        groups = int(rng.choice([1, 1, 2, 4]))
+        in_channels = int(rng.choice([16, 32, 48])) * groups
+        specs.append(
+            ConvLayerSpec(
+                f"rand{index}",
+                in_channels,
+                int(rng.choice([16, 32, 64])),
+                int(rng.integers(3, 30)),
+                int(rng.integers(3, 30)),
+                int(rng.choice([1, 3, 5])),
+                int(rng.choice([1, 3])),
+                stride=int(rng.choice([1, 1, 2])),
+                groups=groups,
+                padding=int(rng.choice([0, 1])),
+            )
+        )
+    return specs

@@ -10,6 +10,7 @@ groups > 1, degenerate 1x1 layers and near-zero densities.
 import numpy as np
 import pytest
 
+from _helpers import random_layer_specs
 from repro.arch.registry import default_registry, resolve_config
 from repro.grid import (
     dense_cycle_grid,
@@ -28,40 +29,46 @@ from repro.timeloop.model import (
 )
 
 
-def _random_specs(rng, count=6):
-    """Random layer shapes covering stride, groups and 1x1 degeneracies."""
-    specs = [
-        # Degenerate pointwise layer on a single pixel.
-        ConvLayerSpec("pt1x1", 64, 32, 1, 1, 1, 1),
-        # Strided grouped conv with uneven spatial extent.
-        ConvLayerSpec("odd", 48, 96, 7, 5, 3, 3, stride=2, groups=2),
-    ]
-    for index in range(count - len(specs)):
-        groups = int(rng.choice([1, 1, 2, 4]))
-        in_channels = int(rng.choice([16, 32, 48])) * groups
-        specs.append(
-            ConvLayerSpec(
-                f"rand{index}",
-                in_channels,
-                int(rng.choice([16, 32, 64])),
-                int(rng.integers(3, 30)),
-                int(rng.integers(3, 30)),
-                int(rng.choice([1, 3, 5])),
-                int(rng.choice([1, 3])),
-                stride=int(rng.choice([1, 1, 2])),
-                groups=groups,
-                padding=int(rng.choice([0, 1])),
-            )
-        )
-    return specs
+_random_specs = random_layer_specs
+
+#: (weight, activation) density axes of the SCNN cycle-grid check.
+SCNN_DENSITIES = (
+    np.array([0.0003, 0.15, 0.62, 1.0]),
+    np.array([0.31, 0.0004, 0.88, 1.0]),
+)
+#: (weight, activation, output) density axes of the energy-grid check.
+ENERGY_DENSITIES = (
+    np.array([0.001, 0.4, 1.0]),
+    np.array([0.25, 0.0002, 1.0]),
+    np.array([0.3, 0.5, 1.0]),
+)
+#: Shared weight density and activation axis of the whole-grid check.
+EVALUATE_WEIGHT_DENSITY = 0.42
+EVALUATE_DENSITIES = np.array([0.0001, 0.35, 0.9, 1.0])
+#: (weight, activation) densities of the forced-SCNN-model check.
+FORCED_DENSITIES = (0.4, 0.35)
+
+
+def vector_count_triples():
+    """Seeded (elements, density_milli, width) triples, with 0 and > 1000 milli."""
+    rng = np.random.default_rng(7)
+    elements = rng.integers(0, 900, size=300)
+    milli = rng.integers(0, 1100, size=300)
+    width = rng.integers(1, 9, size=300)
+    return elements, milli, width
+
+
+def energy_cycles():
+    """Seeded layer shapes and integer cycle grid of the energy-grid check."""
+    rng = np.random.default_rng(17)
+    specs = _random_specs(rng)
+    cycles = rng.integers(1, 10_000_000, size=(len(specs), len(ENERGY_DENSITIES[0])))
+    return specs, cycles
 
 
 class TestExpectedVectorCounts:
     def test_matches_scalar_kernel_over_random_triples(self):
-        rng = np.random.default_rng(7)
-        elements = rng.integers(0, 900, size=300)
-        milli = rng.integers(0, 1100, size=300)  # includes 0 and > 1000
-        width = rng.integers(1, 9, size=300)
+        elements, milli, width = vector_count_triples()
         batched = expected_vector_counts(elements, milli, width)
         for e, m, w, got in zip(elements, milli, width, batched):
             assert got == _expected_vector_count(int(e), int(m), int(w))
@@ -100,8 +107,7 @@ class TestCycleGridEquivalence:
         rng = np.random.default_rng(11)
         specs = _random_specs(rng)
         config = resolve_config(config_name)
-        wd = np.array([0.0003, 0.15, 0.62, 1.0])
-        ad = np.array([0.31, 0.0004, 0.88, 1.0])
+        wd, ad = SCNN_DENSITIES
         grid_wd = np.broadcast_to(wd, (len(specs), len(wd)))
         grid_ad = np.broadcast_to(ad, (len(specs), len(ad)))
         grid = scnn_cycle_grid(specs, config, grid_wd, grid_ad)
@@ -141,12 +147,8 @@ class TestCycleGridEquivalence:
 
 class TestEnergyGridEquivalence:
     def test_every_registered_config_matches_scalar_breakdown(self):
-        rng = np.random.default_rng(17)
-        specs = _random_specs(rng)
-        wd = np.array([0.001, 0.4, 1.0])
-        ad = np.array([0.25, 0.0002, 1.0])
-        od = np.array([0.3, 0.5, 1.0])
-        cycles = rng.integers(1, 10_000_000, size=(len(specs), len(wd)))
+        specs, cycles = energy_cycles()
+        wd, ad, od = ENERGY_DENSITIES
         for name in default_registry().names():
             config = resolve_config(name)
             grids = energy_grid(
