@@ -9,10 +9,10 @@ example reproduces that style of exploration on GoogLeNet:
 * multiplier-array aspect ratio (F x I),
 * output-channel group size Kc,
 
-and closes with a full candidate sweep through the simulation engine —
-``dse.sweep(candidates, network, parallel=-1)`` shards the evaluations
-across every CPU and caches the finished design points — reporting the
-Pareto frontier over (latency, energy, area).
+and closes with a full candidate sweep — ``dse.sweep(candidates, network)``
+evaluates every candidate on every layer in one whole-grid pass of the
+analytical model, in this process — reporting the Pareto frontier over
+(latency, energy, area).
 
 Run with::
 
@@ -118,9 +118,9 @@ def main() -> None:
     ))
     print()
 
-    # --- full candidate sweep through the simulation engine ---------------------
+    # --- full candidate sweep: one whole-grid pass ------------------------------
     candidates = [SCNN_CONFIG] + dse.default_candidates()
-    points = dse.sweep(candidates, network, parallel=-1)
+    points = dse.sweep(candidates, network)
     frontier = {point.name for point in dse.pareto_frontier(points)}
     rows = [
         (
@@ -135,7 +135,7 @@ def main() -> None:
     print(format_table(
         ["Configuration", "Cycles (rel)", "Energy (rel)", "Area (rel)", "Pareto"],
         rows,
-        title="Engine-backed sweep, normalised to the paper's design point",
+        title="Whole-grid sweep, normalised to the paper's design point",
     ))
 
 

@@ -2,19 +2,18 @@
 """Record repeatable performance benchmarks as JSON at the repo root.
 
 ``--bench whole_grid`` (default, ``BENCH_whole_grid.json``) times a
-Figure-7-style density sweep (every layer of a catalogue network x a density
-axis x the SCNN/DCNN/DCNN-opt trio) three ways:
+Figure-7-style density sweep (every layer of GoogLeNet x a density axis x
+the SCNN/DCNN/DCNN-opt trio) through the analytical grid kernels, two ways:
 
-* ``per_config_loop_s`` — the scalar oracle loop (``fig7.run(batched=False)``),
-  one analytical model call per (layer, density, config) cell;
-* ``batched_cold_s`` — the batched grid pass with every grid memo cleared
-  (tiling plans, stacked constants, solved binomial triples);
-* ``batched_warm_s`` — the same pass again with the memos warm, which is the
+* ``grid_cold_s`` — the grid pass with every grid memo cleared (tiling
+  plans, stacked constants, solved binomial triples, log-factorial tables);
+* ``grid_warm_s`` — the same pass again with the memos warm, which is the
   steady state a sweep-heavy session (DSE, service traffic) actually sees.
 
-Every timing section first asserts the batched sweep is element-for-element
-identical to the oracle loop, so the recorded speedup is never bought with a
-numerical divergence.
+Each is the median of ``repeats`` runs.  The gate requires the cold and warm
+sweeps to be identical and every point at a golden density to equal the
+GoogLeNet Figure 7 points pinned in ``tests/golden/analytical_models.json``
+(by ``repr``), so a recorded time is never bought with a numerical change.
 
 ``--bench service_scaleout`` (``BENCH_service_scaleout.json``) measures the
 service's worker tiers against each other:
@@ -50,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -65,58 +65,67 @@ from repro.experiments import fig7_sensitivity  # noqa: E402
 from repro.experiments.common import cached_network  # noqa: E402
 
 
-def _points_equal(batched, oracle) -> bool:
-    """Exact (bitwise) equality of two fig7 sweep-point lists."""
-    if len(batched) != len(oracle):
-        return False
-    for ours, theirs in zip(batched, oracle):
-        if ours.density != theirs.density:
-            return False
-        if ours.scnn_cycles != theirs.scnn_cycles:
-            return False
-        if ours.dcnn_cycles != theirs.dcnn_cycles:
-            return False
-        if ours.energy != theirs.energy:
-            return False
-    return True
+GOLDEN = REPO_ROOT / "tests" / "golden" / "analytical_models.json"
 
 
-def run_benchmark(network_name: str, density_points: int) -> dict:
-    """Time the oracle loop vs the cold and warm batched grid passes."""
-    densities = tuple(
-        float(d) for d in np.round(np.linspace(0.01, 1.0, density_points), 4)
-    )
-    network = cached_network(network_name)  # build outside every timing window
+def _point_record(point) -> dict:
+    """One sweep point in the golden fixture's ``repr`` form."""
+    return {
+        "density": repr(point.density),
+        "scnn_cycles": repr(point.scnn_cycles),
+        "dcnn_cycles": repr(point.dcnn_cycles),
+        "energy": {name: repr(value) for name, value in point.energy.items()},
+    }
+
+
+def _golden_points_match(points) -> bool:
+    """Whether the sweep covers every golden Fig. 7 density, equal by ``repr``."""
+    golden = {
+        record["density"]: record
+        for record in json.loads(GOLDEN.read_text())["fig7_googlenet"]
+    }
+    covered = {
+        record["density"]: record
+        for record in map(_point_record, points)
+        if record["density"] in golden
+    }
+    return covered == golden
+
+
+def run_benchmark(densities, repeats: int) -> dict:
+    """Time the cold and warm grid passes of a GoogLeNet density sweep."""
+    densities = tuple(float(d) for d in densities)
+    network = cached_network("googlenet")  # build outside every timing window
     layers = len(network.layers)
-
-    grid.clear_caches()
-    start = time.perf_counter()
-    oracle = fig7_sensitivity.run(densities, network_name, batched=False)
-    loop_s = time.perf_counter() - start
-
-    grid.clear_caches()
-    start = time.perf_counter()
-    cold = fig7_sensitivity.run(densities, network_name)
-    cold_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    warm = fig7_sensitivity.run(densities, network_name)
-    warm_s = time.perf_counter() - start
-
-    equivalent = _points_equal(cold, oracle) and _points_equal(warm, oracle)
+    cold_s, warm_s = [], []
+    cold_equals_warm = True
+    for _ in range(repeats):
+        grid.clear_caches()
+        start = time.perf_counter()
+        cold = fig7_sensitivity.run(densities, "googlenet")
+        cold_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        warm = fig7_sensitivity.run(densities, "googlenet")
+        warm_s.append(time.perf_counter() - start)
+        cold_equals_warm = cold_equals_warm and (
+            list(map(_point_record, warm)) == list(map(_point_record, cold))
+        )
+    golden = _golden_points_match(cold)
     return {
         "benchmark": "whole_grid",
-        "network": network_name,
+        "network": "googlenet",
         "layers": layers,
-        "density_points": density_points,
+        "density_points": len(densities),
         "configs": 3,
-        "grid_cells": layers * density_points * 3,
-        "per_config_loop_s": round(loop_s, 6),
-        "batched_cold_s": round(cold_s, 6),
-        "batched_warm_s": round(warm_s, 6),
-        "speedup_cold": round(loop_s / cold_s, 3),
-        "speedup_warm": round(loop_s / warm_s, 3),
-        "equivalent": equivalent,
+        "grid_cells": layers * len(densities) * 3,
+        "repeats": repeats,
+        "grid_cold_s": round(float(np.median(cold_s)), 6),
+        "grid_warm_s": round(float(np.median(warm_s)), 6),
+        "cold_equals_warm": cold_equals_warm,
+        "golden_fig7_points_equal": golden,
+        "equivalent": cold_equals_warm and golden,
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
@@ -204,7 +213,6 @@ def _coalesced_burst(mode: str, jobs: int, workers: int) -> dict:
 
 def run_service_benchmark(distinct_jobs: int, identical_jobs: int, workers: int) -> dict:
     """Time thread vs process worker tiers and verify coalescing semantics."""
-    import os
 
     distinct_s = {
         mode: _timed_distinct_drain(mode, distinct_jobs, workers)
@@ -383,9 +391,10 @@ def main(argv=None) -> int:
         else:
             record = run_observability_benchmark(iterations=6, repeats=3)
     elif args.smoke:
-        record = run_benchmark("googlenet-stem", density_points=10)
+        record = run_benchmark(fig7_sensitivity.DEFAULT_DENSITIES, repeats=1)
     else:
-        record = run_benchmark("googlenet", density_points=100)
+        # 0.01 ... 1.00: a superset of the golden DEFAULT_DENSITIES.
+        record = run_benchmark(np.round(np.linspace(0.01, 1.0, 100), 4), repeats=7)
     output = args.output or REPO_ROOT / f"BENCH_{record['benchmark']}.json"
     output.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record, indent=2))

@@ -52,7 +52,9 @@ class LintConfig:
         "repro/devtools",
     )
     #: Third-party imports tolerated *outside* the stdlib-only packages.
-    third_party_allowlist: FrozenSet[str] = frozenset({"numpy", "scipy"})
+    #: numpy only: a second numerical backend (scipy's ``gammaln``) once made
+    #: the analytical models' bits depend on what was installed.
+    third_party_allowlist: FrozenSet[str] = frozenset({"numpy"})
     #: First-party top-level packages (always importable from anywhere).
     first_party_modules: FrozenSet[str] = frozenset({"repro"})
     #: Resolved stdlib top-level names.

@@ -3,8 +3,8 @@
 The service and observability layers are deliberately dependency-free —
 ``repro serve`` must boot on a bare Python install, and the devtools must
 lint the repo without importing its numerical stack (PR 3, PR 8).  The
-numerical packages (the ``third_party_allowlist``, ``numpy``/``scipy``)
-are tolerated everywhere else; any other third-party import is flagged
+numerical package (the ``third_party_allowlist``: ``numpy``) is
+tolerated everywhere else; any other third-party import is flagged
 repo-wide so a new dependency can never slip in silently.
 """
 
@@ -32,7 +32,7 @@ class StdlibOnlyImportsRule(Rule):
     id = "stdlib-only"
     description = (
         "service/, obs/ and devtools/ must import only the stdlib and "
-        "first-party code; numpy/scipy are tolerated elsewhere"
+        "first-party code; numpy is tolerated elsewhere"
     )
 
     def check(self, context: FileContext) -> Iterable[Finding]:

@@ -48,7 +48,7 @@ import numpy as np
 from repro import obs
 
 # Bump when a model change alters what any cached metric means.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _log = obs.get_logger("repro.engine.cache")
 

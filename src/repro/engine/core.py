@@ -7,9 +7,9 @@ network simulations and design-space sweeps.  It composes three layers:
   tile counts of :mod:`repro.dataflow.tiling`) evaluate one layer without any
   Python-level element iteration;
 * **process-pool sharding** (:mod:`repro.engine.parallel`) spreads
-  independent layer simulations and candidate configurations across CPU
-  cores, with results always assembled in task order so parallel runs are
-  bitwise-identical to serial ones;
+  independent layer simulations across CPU cores, with results always
+  assembled in task order so parallel runs are bitwise-identical to serial
+  ones;
 * a **content-addressed result cache** (:mod:`repro.engine.cache`) memoises
   finished metrics in memory and, when a cache directory is configured, on
   disk keyed by a fingerprint of every input.
@@ -50,12 +50,7 @@ from repro.scnn.config import (
 )
 from repro.scnn.cycles import LayerCycleResult, simulate_layer_cycles
 from repro.scnn.simulator import LayerSimulation, NetworkSimulation, simulate_layer
-from repro.timeloop.dse import (
-    DesignPoint,
-    evaluate_config,
-    evaluate_configs,
-    sweep_densities,
-)
+from repro.timeloop.dse import DesignPoint, evaluate_configs, sweep_densities
 from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
 
 AnyWorkload = Union[LayerWorkload, WorkloadHandle]
@@ -149,13 +144,6 @@ def _layer_cycles_task(
     return simulate_layer_cycles(
         workload.spec, workload.weights, workload.activations, config
     )
-
-
-def _design_point_task(
-    task: Tuple[AcceleratorConfig, Network, Dict[str, LayerSparsity], EnergyTable]
-) -> DesignPoint:
-    config, network, sparsity, table = task
-    return evaluate_config(config, network, sparsity=sparsity, energy_table=table)
 
 
 def _resolve_network_and_sparsity(
@@ -545,7 +533,6 @@ class SimulationEngine:
         architectures: Sequence[object],
         *,
         parallel: Optional[int] = None,
-        batched: bool = True,
     ) -> ArchitectureRun:
         """Evaluate every workload on every registered architecture.
 
@@ -557,12 +544,6 @@ class SimulationEngine:
         or :class:`~repro.arch.spec.ArchitectureSpec` objects; cells are
         individually content-addressed in the cache and shard across the
         process pool.
-
-        Dense (``dot-product-dense``) columns are shape-only, so their
-        pending cells are evaluated in one batched grid pass
-        (:func:`repro.grid.dense_cycle_grid`) instead of the pool — bitwise
-        the same results, without ever touching the operand tensors.
-        ``batched=False`` forces every cell through its adapter.
         """
         from repro.arch.registry import get_architecture
         from repro.arch.spec import ArchitectureSpec
@@ -588,17 +569,6 @@ class SimulationEngine:
                     cells[i][j] = cached
                 else:
                     pending.append((i, j, key))
-        if batched:
-            dense_pending = [
-                cell for cell in pending if specs[cell[1]].adapter == "dot-product-dense"
-            ]
-            if dense_pending:
-                self._run_dense_columns(workloads, specs, dense_pending, cells)
-                pending = [
-                    cell
-                    for cell in pending
-                    if specs[cell[1]].adapter != "dot-product-dense"
-                ]
         results = parallel_map(
             _architecture_layer_task,
             [(workloads[i], specs[j]) for i, j, _ in pending],
@@ -608,38 +578,6 @@ class SimulationEngine:
             cells[i][j] = result
             self._store(key, result)
         return ArchitectureRun(workloads=workloads, architectures=specs, results=cells)
-
-    def _run_dense_columns(
-        self,
-        workloads: List[AnyWorkload],
-        specs: List[object],
-        pending: List[Tuple[int, int, str]],
-        cells: List[List[object]],
-    ) -> None:
-        """Fill pending dense-adapter cells from one grid pass per column."""
-        # Imported lazily for the same reason as _architecture_layer_task.
-        from repro.arch.adapters import ArchLayerResult
-        from repro.grid import dense_cycle_grid
-
-        by_column: Dict[int, List[Tuple[int, str]]] = {}
-        for i, j, key in pending:
-            by_column.setdefault(j, []).append((i, key))
-        for j, items in by_column.items():
-            config = specs[j].config
-            layer_specs = [workloads[i].spec for i, _ in items]
-            grid = dense_cycle_grid(layer_specs, config)
-            for row, (i, key) in enumerate(items):
-                result = ArchLayerResult(
-                    architecture=config.name,
-                    layer=layer_specs[row].name,
-                    cycles=int(grid.cycles[row]),
-                    operations=int(grid.products[row]),
-                    multiplier_utilization=float(grid.multiplier_utilization[row]),
-                    idle_fraction=float(grid.idle_fraction[row]),
-                    weight_vector_fetches=None,
-                )
-                cells[i][j] = result
-                self._store(key, result)
 
     # -- design-space exploration -----------------------------------------------
 
@@ -651,20 +589,16 @@ class SimulationEngine:
         *,
         sparsity: Optional[Dict[str, LayerSparsity]] = None,
         energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
-        parallel: Optional[int] = None,
-        batched: bool = True,
     ) -> List[DesignPoint]:
-        """Evaluate candidate configurations on ``network``, in parallel.
+        """Evaluate candidate configurations on ``network``, cached.
 
-        Drop-in replacement for :func:`repro.timeloop.dse.sweep`: the same
-        analytical model evaluates each candidate, candidates that miss the
-        cache are evaluated in one batched grid pass (itself cached under a
-        grid-level key via :meth:`evaluate_grid`), and finished design points
-        stay individually content-addressed.  ``batched=False`` falls back to
-        sharding per-config evaluations across the pool; every path produces
-        bitwise-identical points.  ``network`` accepts any registered
-        workload name (whose density profile supplies ``sparsity`` unless
-        overridden), like :meth:`run_network`.
+        The cached counterpart of :func:`repro.timeloop.dse.sweep`: the
+        candidates that miss the cache are evaluated in one whole-grid pass
+        in this process (itself cached under a grid-level key via
+        :meth:`evaluate_grid`), and finished design points stay individually
+        content-addressed.  ``network`` accepts any registered workload name
+        (whose density profile supplies ``sparsity`` unless overridden), like
+        :meth:`run_network`.
         """
         network, sparsity = _resolve_network_and_sparsity(network, sparsity)
         configs = list(configs)
@@ -683,34 +617,24 @@ class SimulationEngine:
                 points[index] = cached
             else:
                 pending.append((index, key))
-        if batched:
-            pending_configs = [configs[index] for index, _ in pending]
-            weight, activation, output = sweep_densities(network, sparsity)
-            grid = self.evaluate_grid(
-                list(network.layers),
-                pending_configs,
-                weight_density=weight,
-                activation_density=activation,
-                output_density=output,
-                energy_table=energy_table,
-                model="scnn",
-            )
-            results = evaluate_configs(
-                pending_configs,
-                network,
-                sparsity=sparsity,
-                energy_table=energy_table,
-                grid=grid,
-            )
-        else:
-            results = parallel_map(
-                _design_point_task,
-                [
-                    (configs[index], network, sparsity, energy_table)
-                    for index, _ in pending
-                ],
-                self._workers(parallel),
-            )
+        pending_configs = [configs[index] for index, _ in pending]
+        weight, activation, output = sweep_densities(network, sparsity)
+        grid = self.evaluate_grid(
+            list(network.layers),
+            pending_configs,
+            weight_density=weight,
+            activation_density=activation,
+            output_density=output,
+            energy_table=energy_table,
+            model="scnn",
+        )
+        results = evaluate_configs(
+            pending_configs,
+            network,
+            sparsity=sparsity,
+            energy_table=energy_table,
+            grid=grid,
+        )
         for (index, key), point in zip(pending, results):
             points[index] = point
             self._store(key, point)

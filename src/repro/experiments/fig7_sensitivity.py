@@ -28,8 +28,7 @@ from repro.scnn.config import (
     DCNN_OPT_CONFIG,
     SCNN_CONFIG,
 )
-from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, layer_energy_from_densities
-from repro.timeloop.model import estimate_dense_layer, estimate_scnn_layer
+from repro.timeloop.energy import DEFAULT_ENERGY_TABLE
 
 DEFAULT_DENSITIES: Tuple[float, ...] = (
     0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
@@ -66,68 +65,18 @@ def run(
     scnn_config: AcceleratorConfig = SCNN_CONFIG,
     dcnn_config: AcceleratorConfig = DCNN_CONFIG,
     dcnn_opt_config: AcceleratorConfig = DCNN_OPT_CONFIG,
-    batched: bool = True,
 ) -> List[SweepPoint]:
     """Run the density sweep with the analytical model.
 
-    The default path evaluates the whole layers x densities grid in one
-    batched pass through :mod:`repro.grid`; ``batched=False`` keeps the
-    original per-(layer, density) loop as the equivalence oracle.  Both
-    produce bitwise-identical sweep points.
+    The whole layers x densities grid is one pass through :mod:`repro.grid`.
     """
-    if batched:
-        return _run_batched(
-            densities,
-            network_name,
-            scnn_config=scnn_config,
-            dcnn_config=dcnn_config,
-            dcnn_opt_config=dcnn_opt_config,
-        )
-    network = cached_network(network_name)
-    dense_cycles = {
-        spec.name: estimate_dense_layer(spec, dcnn_config).cycles
-        for spec in network.layers
-    }
-    points: List[SweepPoint] = []
-    for density in densities:
-        scnn_total = 0.0
-        dcnn_total = 0.0
-        energy = {"SCNN": 0.0, "DCNN": 0.0, "DCNN-opt": 0.0}
-        for spec in network.layers:
-            estimate = estimate_scnn_layer(
-                spec,
-                weight_density=density,
-                activation_density=density,
-                config=scnn_config,
-            )
-            scnn_total += estimate.cycles
-            dcnn_total += dense_cycles[spec.name]
-            # The sweep scales the *input* densities; output activations keep
-            # roughly the input density (they feed the next swept layer).
-            output_density = min(1.0, density)
-            for config, cycles in (
-                (scnn_config, estimate.cycles),
-                (dcnn_config, dense_cycles[spec.name]),
-                (dcnn_opt_config, dense_cycles[spec.name]),
-            ):
-                energy[config.name] += layer_energy_from_densities(
-                    spec,
-                    config,
-                    weight_density=density,
-                    activation_density=density,
-                    output_density=output_density,
-                    cycles=int(cycles),
-                    table=DEFAULT_ENERGY_TABLE,
-                ).total
-        points.append(
-            SweepPoint(
-                density=density,
-                scnn_cycles=scnn_total,
-                dcnn_cycles=dcnn_total,
-                energy=energy,
-            )
-        )
-    return points
+    return _run_batched(
+        densities,
+        network_name,
+        scnn_config=scnn_config,
+        dcnn_config=dcnn_config,
+        dcnn_opt_config=dcnn_opt_config,
+    )
 
 
 def _run_batched(
@@ -138,12 +87,13 @@ def _run_batched(
     dcnn_config: AcceleratorConfig,
     dcnn_opt_config: AcceleratorConfig,
 ) -> List[SweepPoint]:
-    """One grid pass over the whole layers x densities sweep.
+    """One grid pass over the whole layers x densities sweep, then its totals.
 
-    Mirrors the oracle loop exactly: the SCNN cycle grid feeds SCNN's energy
-    cycles, while *both* dense configs are charged the DCNN config's dense
-    cycles (DCNN-opt's optimisations do not change the cycle count), and the
-    per-point totals accumulate in the oracle's layer order.
+    The SCNN cycle grid feeds SCNN's energy cycles, while *both* dense
+    configs are charged the DCNN config's dense cycles (DCNN-opt's
+    optimisations do not change the cycle count).  The sweep scales the
+    *input* densities; output activations keep the input density (they feed
+    the next swept layer).  Per-point totals accumulate in layer order.
     """
     import numpy as np
 
@@ -163,33 +113,20 @@ def _run_batched(
         dense.cycles[:, None], grid.shape
     )
     energy_grids = {
-        scnn_config.name: energy_grid(
+        config.name: energy_grid(
             specs,
-            scnn_config,
+            config,
             weight_density=grid,
             activation_density=grid,
             output_density=output_density,
-            cycles=scnn_energy_cycles,
+            cycles=cycles,
             table=DEFAULT_ENERGY_TABLE,
-        )["total"],
-        dcnn_config.name: energy_grid(
-            specs,
-            dcnn_config,
-            weight_density=grid,
-            activation_density=grid,
-            output_density=output_density,
-            cycles=dense_energy_cycles,
-            table=DEFAULT_ENERGY_TABLE,
-        )["total"],
-        dcnn_opt_config.name: energy_grid(
-            specs,
-            dcnn_opt_config,
-            weight_density=grid,
-            activation_density=grid,
-            output_density=output_density,
-            cycles=dense_energy_cycles,
-            table=DEFAULT_ENERGY_TABLE,
-        )["total"],
+        )["total"]
+        for config, cycles in (
+            (scnn_config, scnn_energy_cycles),
+            (dcnn_config, dense_energy_cycles),
+            (dcnn_opt_config, dense_energy_cycles),
+        )
     }
     points: List[SweepPoint] = []
     for d, density in enumerate(densities):

@@ -34,7 +34,7 @@ def density_grid(
 
     Complements the static area rows of :func:`run` with a dynamic view:
     every ``table4``-tagged architecture is evaluated on ``network_name``
-    at every density in one batched grid pass
+    at every density in one grid pass
     (:class:`repro.grid.GridResult`), cached by the shared engine under a
     grid-level key.  Weight and activation densities sweep together, the
     Figure 7 convention.

@@ -1,13 +1,14 @@
-"""Batched whole-grid evaluation of the analytical models.
+"""Whole-grid evaluation of the analytical models.
 
-The scalar analytical models (:mod:`repro.timeloop.model`,
-:mod:`repro.timeloop.energy`, :mod:`repro.scnn.dcnn`) evaluate one
-(config, layer, density) cell per call.  This package evaluates the whole
-arch x workload x density grid as one broadcast tensor computation —
-bitwise-identical to the scalar oracle cell for cell — and is the fast path
-behind :meth:`repro.engine.core.SimulationEngine.sweep`,
-:func:`repro.timeloop.dse.sweep`, the architecture comparison sweeps, and
-the Figure 7 / Table IV experiment drivers.
+This package evaluates the whole arch x workload x density grid as one
+broadcast tensor computation.  Its kernels are the analytical SCNN cycle
+model's only implementation — the one-layer entry points of
+:mod:`repro.timeloop.model` are single cells of them — and they share the
+dense baseline and event-count bodies with the per-layer simulator
+(:mod:`repro.scnn.dcnn`, :mod:`repro.timeloop.energy`).  They serve
+:meth:`repro.engine.core.SimulationEngine.sweep`,
+:func:`repro.timeloop.dse.sweep`, and the Figure 7 / Table IV experiment
+drivers.
 """
 
 from repro.grid.binomial import clear_solved_triples, expected_vector_counts
@@ -16,6 +17,7 @@ from repro.grid.evaluate import (
     CycleGrid,
     GridResult,
     dense_cycle_grid,
+    density_milli,
     energy_grid,
     evaluate_grid,
     scnn_cycle_grid,
@@ -32,6 +34,7 @@ __all__ = [
     "clear_stack_cache",
     "config_layer_stack",
     "dense_cycle_grid",
+    "density_milli",
     "energy_grid",
     "evaluate_grid",
     "expected_vector_counts",
@@ -43,13 +46,11 @@ def clear_caches() -> None:
     """Drop every memo the grid path warms (for cold-path benchmarking).
 
     Clears the stacked-constant cache, the shared tiling-plan cache, the
-    solved-triple memo, and the scalar binomial-expectation cache so a
-    subsequent evaluation times the true cold path.
+    solved-triple memo and the log-factorial tables so a subsequent
+    evaluation times the true cold path.
     """
     from repro.dataflow.tiling import _plan_layer_cached
-    from repro.timeloop.model import _expected_vector_count
 
     clear_stack_cache()
     clear_solved_triples()
     _plan_layer_cached.cache_clear()
-    _expected_vector_count.cache_clear()

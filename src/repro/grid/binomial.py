@@ -3,28 +3,32 @@
 The analytical cycle model's inner kernel is
 ``E[ceil(X / width)]`` with ``X ~ Binomial(elements, density)`` — the
 expected number of operand-vector fetches a compressed block needs.  The
-scalar path (:func:`repro.timeloop.model._expected_vector_count`) computes it
-one lru-cached call at a time; a whole-grid evaluation needs it for an
-entire *matrix* of ``(elements, density, width)`` triples at once.
+expectation of the *ceiling* exceeds the ceiling of the expectation —
+exactly the fragmentation effect that keeps the multiplier array from
+reaching full occupancy on sparse blocks — so it is computed exactly from
+the binomial pmf, for an entire *matrix* of ``(elements, density, width)``
+triples at once.
 
-:func:`expected_vector_counts` does exactly that: the triples are packed
-into int64 keys, deduplicated with one 1-D sort, looked up in a module-level
-memo, and only the still-unsolved triples are grouped by block size and
-evaluated in broadcast pmf passes.  Because every row of a pass has the same
-length as the scalar path's pmf vector — and numpy's last-axis reductions of
-a C-contiguous matrix are bitwise-identical to the same-length 1-D
-reductions — the results match the scalar kernel bit for bit, which is what
-lets the batched grid evaluator stand in for the per-config oracle without
-any tolerance.
+:func:`expected_vector_counts` packs the triples into int64 keys,
+deduplicates them with one 1-D sort, looks them up in a module-level memo,
+and evaluates only the still-unsolved triples, grouped by block size, in
+broadcast pmf passes.  Every row of a pass reduces a pmf vector of the same
+length as a one-triple evaluation — and numpy's last-axis reductions of a
+C-contiguous matrix are bitwise-identical to the same-length 1-D reductions
+— so a triple's value never depends on which other triples share its pass
+or whether the memo served it.
+
+``log C(n, k)`` comes from one log-factorial table built from
+:func:`math.lgamma`, so the model prints the same bits on every install.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Dict, List
 
 import numpy as np
-
-from repro.timeloop.model import _log_comb
 
 # Packed triple key: (elements * 1000 + density_milli) << 16 | width.  The
 # bounds below keep the packing collision-free inside int64.
@@ -44,10 +48,9 @@ def expected_vector_counts(
     """``E[ceil(X / width)]``, ``X ~ Binomial(elements, density)``, elementwise.
 
     Accepts integer arrays (or scalars) broadcastable against each other;
-    ``density_milli`` is the density in thousandths, exactly as the scalar
-    kernel's cache key quantises it.  Returns a float array of the broadcast
-    shape whose every element is bitwise-equal to
-    ``repro.timeloop.model._expected_vector_count`` of that triple.
+    ``density_milli`` is the density in thousandths, as
+    :func:`repro.grid.evaluate.density_milli` quantises it.  Returns a float
+    array of the broadcast shape.
 
     Distinct triples are deduplicated first (one 1-D sort over packed int64
     keys) and served from a module-level memo of solved triples; only the
@@ -69,7 +72,7 @@ def expected_vector_counts(
     out = np.zeros(el.shape, dtype=np.float64)
     live = el > 0
     # Saturated densities: the block is fully dense, so the expectation is
-    # the exact ceiling division (scalar path: float(-(-elements // width))).
+    # the exact ceiling division.
     full = live & (dm >= 1000)
     if full.any():
         out[full] = (-(-el[full] // w[full])).astype(np.float64)
@@ -112,8 +115,23 @@ def expected_vector_counts(
 
 
 def clear_solved_triples() -> None:
-    """Drop the solved-triple memo (benchmarks use this to time cold runs)."""
+    """Drop the solved-triple memo and the log-factorial tables (cold runs)."""
     _solved.clear()
+    _log_factorials.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def _log_factorials(size: int) -> np.ndarray:
+    """``log(i!)`` for ``0 <= i < size``, each entry ``math.lgamma(i + 1)``."""
+    table = np.array([math.lgamma(i + 1) for i in range(size)])
+    table.flags.writeable = False
+    return table
+
+
+def _log_comb(n: int, k: np.ndarray) -> np.ndarray:
+    """``log C(n, k)`` for an integer array ``0 <= k <= n``, from the table."""
+    table = _log_factorials(1 << int(n).bit_length())
+    return table[n] - table[k] - table[n - k]
 
 
 def _pmf_pass(
@@ -121,9 +139,9 @@ def _pmf_pass(
 ) -> np.ndarray:
     """One broadcast pmf pass over every (density, width) pair of one block size.
 
-    The arithmetic mirrors the scalar kernel operation for operation (same
-    operand order, same reduction lengths), which is what makes the batched
-    result bitwise-identical rather than merely close.
+    The pmf is taken through logarithms for numerical stability on large
+    blocks, then renormalised; each row's reductions run over the same
+    ``elements + 1`` counts a one-triple pass would, in the same order.
     """
     density = density_milli / 1000.0
     counts = np.arange(elements + 1)

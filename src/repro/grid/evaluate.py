@@ -1,20 +1,20 @@
-"""Whole-grid broadcast evaluation of the analytical cycle/energy models.
+"""Whole-grid evaluation of the analytical cycle/energy models.
 
 One call evaluates an entire arch x workload x density grid: the layer
 shapes and config parameters are stacked once (:mod:`repro.grid.stack`), the
 binomial fetch expectations are computed for every (block, density, width)
 triple in a handful of pmf passes (:mod:`repro.grid.binomial`), and the
-closed-form cycle/energy/utilization formulas of
-:mod:`repro.timeloop.model`, :mod:`repro.timeloop.energy` and
-:mod:`repro.scnn.dcnn` broadcast across the whole grid as tensor arithmetic.
+closed-form cycle/energy/utilization formulas broadcast across the whole
+grid as tensor arithmetic.
 
-Every operation mirrors its scalar counterpart operand-for-operand (same
-order, same reduction lengths), so the grid is **bitwise-identical** to the
-per-config oracle — ``estimate_scnn_layer`` / ``estimate_dense_layer`` plus
-``layer_energy_from_densities`` cell by cell — which the equivalence suite
-(``tests/test_grid_equivalence.py``) pins element-for-element.  The scalar
-path therefore stays the semantics; this module is purely the fast way to
-evaluate many cells of it at once.
+These kernels are the analytical models' only implementation.
+:func:`scnn_cycle_grid` is the SCNN cycle model
+(:func:`repro.timeloop.model.estimate_scnn_layer` is one cell of it);
+:func:`dense_cycle_grid` reduces the dense baseline's per-PE busy cycles
+with the same :func:`repro.scnn.dcnn.dense_cycle_metrics` the per-layer
+simulator uses; :func:`energy_grid` runs the event-count model
+(:func:`repro.timeloop.energy.event_counts`) on whole grids.  The golden
+fixture ``tests/golden/analytical_models.json`` pins their outputs.
 """
 
 from __future__ import annotations
@@ -27,25 +27,19 @@ import numpy as np
 from repro import obs
 from repro.arch.registry import resolve_config
 from repro.grid.binomial import expected_vector_counts
-from repro.grid.stack import ConfigLayerStack, config_layer_stack
+from repro.grid.stack import config_layer_stack
 from repro.nn.layers import ConvLayerSpec
 from repro.scnn.config import AcceleratorConfig
-from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, EnergyBreakdown, EnergyTable
-from repro.timeloop.model import AnalyticalLayerEstimate
-
-#: Energy component labels, in the exact order ``layer_energy`` emits them
-#: (the order matters: totals are summed in it, term by term).
-ENERGY_COMPONENTS: Tuple[str, ...] = (
-    "multiplier",
-    "accumulator",
-    "scatter crossbar",
-    "activation RAM",
-    "weight buffer",
-    "index handling",
-    "halo exchange",
-    "DRAM",
-    "static / control",
+from repro.scnn.dcnn import dense_cycle_metrics
+from repro.timeloop.energy import (
+    DEFAULT_ENERGY_TABLE,
+    ENERGY_COMPONENTS,
+    EnergyBreakdown,
+    EnergyTable,
+    energy_components,
+    event_counts,
 )
+from repro.timeloop.model import AnalyticalLayerEstimate
 
 _GRID_EVALUATIONS = obs.counter(
     "repro_grid_evaluations_total", "Whole-grid analytical evaluations."
@@ -89,9 +83,16 @@ def _validate_density(array: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be in (0, 1]")
 
 
-def _milli(density: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`repro.timeloop.model.density_milli`."""
-    return np.maximum(1, np.rint(density * 1000).astype(np.int64))
+def density_milli(density) -> np.ndarray:
+    """Quantise validated densities in (0, 1] to thousandths, floored at 1.
+
+    The floor matters: a nonzero density below 0.0005 would otherwise round
+    to 0 and the binomial kernel would report zero expected fetches — zero
+    cycles for real work.  One milli is the model's density resolution, so
+    near-zero densities saturate at it instead of vanishing.  Elementwise;
+    rounds half to even.
+    """
+    return np.maximum(1, np.rint(np.asarray(density) * 1000).astype(np.int64))
 
 
 def scnn_cycle_grid(
@@ -100,12 +101,17 @@ def scnn_cycle_grid(
     weight_density: np.ndarray,
     activation_density: np.ndarray,
 ) -> CycleGrid:
-    """Batched :func:`~repro.timeloop.model.estimate_scnn_layer`.
+    """The SCNN analytical cycle model over a ``(layers, points)`` grid.
 
     ``weight_density`` / ``activation_density`` are ``(layers, points)``
     float grids (use :func:`evaluate_grid` for the friendlier broadcasting
-    front end).  Returns ``(layers, points)`` arrays bitwise-equal to the
-    scalar estimates.
+    front end).  Returns ``(layers, points)`` arrays.
+
+    Each (PE, output-channel group) is busy for the product of its expected
+    weight- and activation-vector fetches per connected channel and stride
+    phase (strided layers decompose the Cartesian product into stride^2
+    phase sub-streams), stretched by the expected accumulator-bank conflict
+    stalls; a group takes as long as its slowest PE plus a barrier.
     """
     config = resolve_config(config)
     stack = config_layer_stack(tuple(specs), config)
@@ -113,8 +119,8 @@ def scnn_cycle_grid(
     ad = np.asarray(activation_density, dtype=np.float64)
     _validate_density(wd, "weight_density")
     _validate_density(ad, "activation_density")
-    wd_milli = _milli(wd)
-    ad_milli = _milli(ad)
+    wd_milli = density_milli(wd)
+    ad_milli = density_milli(ad)
 
     weight_vectors = expected_vector_counts(
         stack.weight_phase_block[:, None], wd_milli, config.multipliers_f
@@ -161,27 +167,18 @@ def dense_cycle_grid(
     specs: Sequence[ConvLayerSpec],
     config: Union[AcceleratorConfig, str],
 ) -> CycleGrid:
-    """Batched :func:`~repro.scnn.dcnn.simulate_dcnn_layer` (density-free).
+    """The dense baseline cycle model over a stack of layers (density-free).
 
     Returns ``(layers,)`` arrays — the dense baselines perform every multiply
     regardless of operand values, so there is no density axis to broadcast.
+    :func:`repro.scnn.dcnn.simulate_dcnn_layer` is the same model on one
+    layer.
     """
     config = resolve_config(config)
     stack = config_layer_stack(tuple(specs), config)
-    busy = stack.dense_busy
-    cycles = busy.max(axis=1)
-    live = cycles > 0
-    utilization = np.zeros(cycles.shape, dtype=np.float64)
-    np.divide(
-        stack.dense_macs,
-        cycles.astype(np.float64) * stack.num_pes * config.multipliers_per_pe,
-        out=utilization,
-        where=live,
+    cycles, utilization, idle = dense_cycle_metrics(
+        stack.dense_busy, stack.dense_macs, stack.num_pes, config.multipliers_per_pe
     )
-    denominator = cycles * stack.num_pes
-    busy_ratio = np.zeros(cycles.shape, dtype=np.float64)
-    np.divide(busy.sum(axis=1), denominator, out=busy_ratio, where=live)
-    idle = np.where(live, np.maximum(0.0, 1.0 - busy_ratio), 0.0)
     return CycleGrid(
         cycles=cycles,
         products=stack.dense_macs,
@@ -202,12 +199,12 @@ def energy_grid(
     weight_buffer_reads: Optional[np.ndarray] = None,
     table: EnergyTable = DEFAULT_ENERGY_TABLE,
 ) -> Dict[str, np.ndarray]:
-    """Batched :func:`~repro.timeloop.energy.layer_energy_from_densities`.
+    """The event-count energy model over a ``(layers, points)`` grid.
 
     All array arguments are ``(layers, points)`` grids (``cycles`` integer).
     Returns the component arrays keyed as ``layer_energy`` keys them, plus a
-    ``"total"`` entry summed in the same term order — every element bitwise
-    equal to the scalar breakdown.
+    ``"total"`` entry summed in the same term order, so each cell equals
+    :func:`~repro.timeloop.energy.layer_energy_from_densities` of its layer.
     """
     config = resolve_config(config)
     stack = config_layer_stack(tuple(specs), config)
@@ -216,95 +213,22 @@ def energy_grid(
     od = np.asarray(output_density, dtype=np.float64)
     cycles = np.asarray(cycles)
     shape = np.broadcast_shapes(wd.shape, ad.shape, od.shape, cycles.shape)
-    zeros = np.zeros(shape, dtype=np.int64)
-
-    nnz_weights = np.rint(stack.weight_values[:, None] * wd).astype(np.int64)
-    nnz_inputs = np.rint(stack.input_values[:, None] * ad).astype(np.int64)
-    nnz_outputs = np.rint(stack.output_values[:, None] * od).astype(np.int64)
-    if products is None:
-        products = np.rint(
-            stack.dense_macs[:, None] * wd * ad
-        ).astype(np.int64)
-    num_groups = stack.num_groups[:, None]
-    capacity = config.activation_sram_bytes // 2
-    dataflow = config.dataflow
-
-    multiplies = zeros
-    gated_multiplies = zeros
-    accumulator_updates = zeros
-    crossbar_products = zeros
-    iaram_reads = zeros
-    oaram_writes = zeros
-    dense_sram_reads = zeros
-    dense_sram_writes = zeros
-    index_accesses = zeros
-    halo_transfers = zeros
-    pe_cycles = cycles * config.num_pes
-
-    if dataflow.is_sparse:
-        multiplies = products
-        accumulator_updates = products
-        crossbar_products = products
-        iaram_reads = nnz_inputs * num_groups
-        oaram_writes = nnz_outputs
-        if weight_buffer_reads is None:
-            act_vectors = np.maximum(1, -(-nnz_inputs // config.multipliers_i))
-            weight_buffer_reads = nnz_weights * np.maximum(
-                1, act_vectors // np.maximum(1, stack.in_channels[:, None])
-            )
-        index_accesses = iaram_reads + weight_buffer_reads
-        halo_transfers = (
-            0.1 * config.output_channel_group * num_groups * config.num_pes * 16
-        ).astype(np.int64)
-        factor = 1.0 + config.index_bits / 16.0
-        dram_values = (nnz_weights * factor).astype(np.int64)
-        fits = (
-            (nnz_inputs * 1.3).astype(np.int64)
-            + (nnz_outputs * 1.3).astype(np.int64)
-        ) <= capacity
-        dram_values = dram_values + np.where(
-            fits, 0, ((nnz_inputs + nnz_outputs) * factor).astype(np.int64)
-        )
-    else:
-        dense_macs = np.broadcast_to(stack.dense_macs[:, None], shape)
-        if dataflow.gates_zero_operands:
-            multiplies = products
-            gated_multiplies = dense_macs - products
-        else:
-            multiplies = dense_macs
-        accumulator_updates = stack.dense_macs[:, None] // max(
-            1, config.multipliers_f
-        )
-        dense_sram_reads = stack.input_values[:, None] * num_groups
-        dense_sram_writes = np.broadcast_to(stack.output_values[:, None], shape)
-        weight_buffer_reads = stack.dense_macs[:, None] // max(
-            1, config.multipliers_i
-        )
-        fits = (stack.input_values + stack.output_values)[:, None] <= capacity
-        if dataflow.compresses_dram_traffic:
-            spill = ((nnz_inputs + nnz_outputs) * (1.0 + 4.0 / 16.0)).astype(
-                np.int64
-            )
-        else:
-            spill = (stack.input_values + stack.output_values)[:, None]
-        dram_values = stack.weight_values[:, None] + np.where(fits, 0, spill)
-
-    components = {
-        "multiplier": multiplies * table.multiply,
-        "accumulator": accumulator_updates * table.accumulator_update,
-        "scatter crossbar": crossbar_products * table.crossbar,
-        "activation RAM": (
-            iaram_reads * table.iaram_read
-            + oaram_writes * table.oaram_write
-            + dense_sram_reads * table.dense_sram_read
-            + dense_sram_writes * table.dense_sram_write
-        ),
-        "weight buffer": weight_buffer_reads * table.weight_buffer_read,
-        "index handling": index_accesses * table.index_access,
-        "halo exchange": halo_transfers * table.halo_transfer,
-        "DRAM": dram_values * table.dram,
-        "static / control": pe_cycles * table.pe_cycle,
-    }
+    events = event_counts(
+        config,
+        dense_macs=stack.dense_macs[:, None],
+        weight_values=stack.weight_values[:, None],
+        input_values=stack.input_values[:, None],
+        output_values=stack.output_values[:, None],
+        num_groups=stack.num_groups[:, None],
+        in_channels=stack.in_channels[:, None],
+        weight_density=wd,
+        activation_density=ad,
+        output_density=od,
+        cycles=cycles,
+        products=products,
+        weight_buffer_reads=weight_buffer_reads,
+    )
+    components = energy_components(events, table)
     total = None
     for name in ENERGY_COMPONENTS:
         term = components[name]
@@ -322,9 +246,9 @@ class GridResult:
     """Metrics of one whole-grid evaluation.
 
     Every metric array has shape ``(configs, layers, points)``; the density
-    grids have shape ``(layers, points)``.  The scalar views
-    (:meth:`estimate`, :meth:`energy_breakdown`) materialise the exact
-    dataclasses the per-config oracle returns for any single cell.
+    grids have shape ``(layers, points)``.  The cell views (:meth:`estimate`,
+    :meth:`energy_breakdown`) materialise the dataclasses the one-layer
+    entry points return.
     """
 
     specs: Tuple[ConvLayerSpec, ...]
@@ -372,7 +296,7 @@ class GridResult:
     def estimate(
         self, config: Union[int, str], layer: Union[int, str], point: int = 0
     ) -> AnalyticalLayerEstimate:
-        """One cell as the scalar model's :class:`AnalyticalLayerEstimate`."""
+        """One cell as an :class:`AnalyticalLayerEstimate`."""
         c = self.config_index(config)
         s = self.layer_index(layer)
         return AnalyticalLayerEstimate(
@@ -389,7 +313,7 @@ class GridResult:
     def energy_breakdown(
         self, config: Union[int, str], layer: Union[int, str], point: int = 0
     ) -> EnergyBreakdown:
-        """One cell as the scalar model's :class:`EnergyBreakdown`."""
+        """One cell as an :class:`EnergyBreakdown`."""
         c = self.config_index(config)
         s = self.layer_index(layer)
         return EnergyBreakdown(
@@ -508,7 +432,7 @@ def _evaluate_grid_arrays(
             products[c] = sparse.products
             utilization[c] = sparse.multiplier_utilization
             idle[c] = sparse.idle_fraction
-            # The scalar path hands the energy model int(estimate.cycles).
+            # The energy model counts whole cycles.
             energy_cycles = sparse.cycles.astype(np.int64)
         breakdown = energy_grid(
             specs,

@@ -1,6 +1,6 @@
 """Stacked model constants: one config across a whole stack of layers.
 
-The analytical formulas in :mod:`repro.timeloop.model`,
+The analytical formulas of :mod:`repro.grid.evaluate`,
 :mod:`repro.timeloop.energy` and :mod:`repro.scnn.dcnn` mix two kinds of
 inputs: *density-dependent* quantities (swept per grid point) and
 *shape-derived constants* — tiling plans, phase block sizes, event-count
@@ -11,10 +11,10 @@ arithmetic never re-derives a plan or a footprint per density point.
 
 Stacks are memoised on ``(specs, config)``: a warm grid evaluation (the
 second sweep over the same arch x workload axes) skips straight to the
-broadcast arithmetic.  The tiling plans underneath are additionally shared
-with the scalar path through :func:`repro.dataflow.tiling.plan_layer`'s own
-memo, so batched and per-config evaluations agree on every tile extent by
-construction.
+broadcast arithmetic.  The tiling plans underneath are shared with the
+cycle-level simulator through :func:`repro.dataflow.tiling.plan_layer`'s
+own memo, and the dense busy cycles come from the same
+:func:`repro.scnn.dcnn.dense_busy_cycles` the per-layer simulator calls.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.dataflow.tiling import plan_layer
 from repro.nn.layers import ConvLayerSpec
 from repro.scnn.accumulator import expected_conflict_cycles
 from repro.scnn.config import AcceleratorConfig
+from repro.scnn.dcnn import dense_busy_cycles
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,7 @@ class ConfigLayerStack:
 
     All per-layer attributes are int64 arrays of shape ``(layers,)`` except
     ``phase_sizes`` and ``dense_busy`` which carry the per-PE axis:
-    ``(layers, num_pes)``.  The arrays are exactly the values the scalar
-    models derive call-by-call, stacked.
+    ``(layers, num_pes)``.
     """
 
     config: AcceleratorConfig
@@ -83,8 +83,6 @@ def _config_layer_stack(
     specs: Tuple[ConvLayerSpec, ...], config: AcceleratorConfig
 ) -> ConfigLayerStack:
     pe_rows, pe_cols = config.pe_grid
-    f_width = config.multipliers_f
-    i_width = config.multipliers_i
     count = len(specs)
     num_pes = pe_rows * pe_cols
     num_groups = np.empty(count, dtype=np.int64)
@@ -119,17 +117,7 @@ def _config_layer_stack(
         phase_sizes[index] = np.maximum(
             tile_sizes // layer_phases, (tile_sizes > 0).astype(np.int64)
         )
-        dot_steps = -(
-            -(c_connected[index] * spec.filter_height * spec.filter_width)
-            // f_width
-        )
-        output_sizes = np.array(
-            [tile.size for tile in plan.output_tiles], dtype=np.int64
-        )
-        outputs = output_sizes * spec.out_channels
-        dense_busy[index] = np.where(
-            output_sizes > 0, -(-outputs * dot_steps // i_width), 0
-        )
+        dense_busy[index] = dense_busy_cycles(spec, plan, config)
         dense_macs[index] = spec.multiplies
         weight_values[index] = spec.weight_count
         input_values[index] = spec.input_activation_count
@@ -146,7 +134,7 @@ def _config_layer_stack(
         phase_sizes=phase_sizes,
         dense_busy=dense_busy,
         stall_per_step=expected_conflict_cycles(
-            f_width * i_width, config.accumulator_banks
+            config.multipliers_f * config.multipliers_i, config.accumulator_banks
         ),
         dense_macs=dense_macs,
         weight_values=weight_values,

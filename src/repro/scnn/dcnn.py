@@ -16,7 +16,7 @@ dot-product steps; the ``I`` lanes of the multiplier array are filled across
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,37 +61,62 @@ def simulate_dcnn_layer(
             pe_rows=pe_rows,
             pe_cols=pe_cols,
         )
-    f_width = config.multipliers_f
-    i_width = config.multipliers_i
-    c_per_group = spec.in_channels // spec.groups
-    dot_steps_per_output = -(
-        -(c_per_group * spec.filter_height * spec.filter_width) // f_width
+    busy = dense_busy_cycles(spec, plan, config)
+    cycles, utilization, idle = dense_cycle_metrics(
+        busy, spec.multiplies, plan.num_pes, config.multipliers_per_pe
     )
-
-    busy = np.zeros(plan.num_pes, dtype=np.int64)
-    for pe_index, tile in enumerate(plan.output_tiles):
-        if tile.size == 0:
-            continue
-        outputs = tile.size * spec.out_channels
-        busy[pe_index] = -(-outputs * dot_steps_per_output // i_width)
-
-    cycles = int(busy.max()) if busy.size else 0
-    multiplies = spec.multiplies
-    utilization = 0.0
-    if cycles > 0:
-        utilization = multiplies / (
-            float(cycles) * plan.num_pes * config.multipliers_per_pe
-        )
-    idle = 0.0
-    denom = cycles * plan.num_pes
-    if denom > 0:
-        idle = max(0.0, 1.0 - float(busy.sum()) / denom)
     return DenseLayerResult(
         spec=spec,
         config_name=config.name,
-        cycles=cycles,
+        cycles=int(cycles),
         busy_cycles_per_pe=busy,
-        multiplies=multiplies,
+        multiplies=spec.multiplies,
         multiplier_utilization=float(utilization),
         idle_fraction=float(idle),
     )
+
+
+def dense_busy_cycles(
+    spec: ConvLayerSpec, plan: TilingPlan, config: AcceleratorConfig
+) -> np.ndarray:
+    """Busy cycles of every PE for one layer, ``(num_pes,)`` int64.
+
+    A PE owning ``P`` output pixels streams ``ceil(P * K * steps / I)``
+    cycles, where ``steps = ceil(C' * R * S / F)`` dot-product steps per
+    output; a PE with an empty tile stays idle.
+    """
+    dot_steps = -(
+        -(spec.in_channels // spec.groups * spec.filter_height * spec.filter_width)
+        // config.multipliers_f
+    )
+    output_sizes = np.array([tile.size for tile in plan.output_tiles], dtype=np.int64)
+    outputs = output_sizes * spec.out_channels
+    return np.where(
+        output_sizes > 0, -(-outputs * dot_steps // config.multipliers_i), 0
+    )
+
+
+def dense_cycle_metrics(
+    busy: np.ndarray, multiplies, num_pes: int, multipliers_per_pe: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cycles, multiplier utilization and idle fraction from per-PE busy cycles.
+
+    Reduces the last (per-PE) axis of ``busy``, so the same arithmetic
+    serves one layer (``(num_pes,)``, as :func:`simulate_dcnn_layer` calls
+    it) and a stack of layers (``(layers, num_pes)``, as
+    :func:`repro.grid.dense_cycle_grid` does).  The layer takes as long as
+    its slowest PE.
+    """
+    cycles = busy.max(axis=-1)
+    live = cycles > 0
+    utilization = np.zeros(np.shape(cycles))
+    np.divide(
+        multiplies,
+        cycles.astype(np.float64) * num_pes * multipliers_per_pe,
+        out=utilization,
+        where=live,
+    )
+    busy_ratio = np.zeros(np.shape(cycles))
+    np.divide(busy.sum(axis=-1), cycles * num_pes, out=busy_ratio, where=live)
+    idle = np.where(live, np.maximum(0.0, 1.0 - busy_ratio), 0.0)
+    return cycles, utilization, idle

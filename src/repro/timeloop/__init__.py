@@ -16,7 +16,6 @@ This package provides the same three capabilities:
 from repro.timeloop.dse import (
     DesignPoint,
     default_candidates,
-    evaluate_config,
     pareto_frontier,
     sweep,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "default_candidates",
     "estimate_dense_layer",
     "estimate_scnn_layer",
-    "evaluate_config",
     "layer_energy",
     "pareto_frontier",
     "pe_area_mm2",

@@ -7,17 +7,16 @@ candidate :class:`repro.scnn.config.AcceleratorConfig` instances, evaluate
 each on a workload suite with the analytical cycle/energy/area models, and
 extract the Pareto frontier over (latency, energy, area).
 
-Candidate evaluations are independent of one another, so :func:`sweep`
-accepts ``parallel=N`` to shard them across the simulation engine's process
-pool (and through its result cache); ``sweep(configs, network)`` without
-``parallel`` keeps the plain serial loop.  Both paths produce identical
-design points.
+:func:`sweep` evaluates every candidate on every layer in one whole-grid
+pass of the analytical models (:func:`repro.grid.evaluate_grid`), in the
+calling process; :meth:`repro.engine.SimulationEngine.sweep` runs the same
+pass behind the engine's result cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,12 +24,7 @@ from repro.nn.densities import network_sparsity
 from repro.nn.networks import Network
 from repro.scnn.config import SCNN_CONFIG, AcceleratorConfig
 from repro.timeloop.area import accelerator_area_mm2
-from repro.timeloop.energy import (
-    DEFAULT_ENERGY_TABLE,
-    EnergyTable,
-    layer_energy_from_densities,
-)
-from repro.timeloop.model import estimate_scnn_layer
+from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
 
 
 @dataclass(frozen=True)
@@ -63,49 +57,6 @@ class DesignPoint:
             or self.area_mm2 < other.area_mm2
         )
         return no_worse and strictly_better
-
-
-def evaluate_config(
-    config: AcceleratorConfig,
-    network: Network,
-    *,
-    sparsity=None,
-    energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
-) -> DesignPoint:
-    """Evaluate one configuration on a whole network with the analytical model."""
-    sparsity = sparsity if sparsity is not None else network_sparsity(network)
-    total_cycles = 0.0
-    total_energy = 0.0
-    for index, spec in enumerate(network.layers):
-        layer_sparsity = sparsity[spec.name]
-        estimate = estimate_scnn_layer(
-            spec,
-            weight_density=layer_sparsity.weight_density,
-            activation_density=layer_sparsity.activation_density,
-            config=config,
-        )
-        total_cycles += estimate.cycles
-        successors = network.layers[index + 1 : index + 2]
-        output_density = (
-            sparsity[successors[0].name].activation_density
-            if successors
-            else 0.55
-        )
-        total_energy += layer_energy_from_densities(
-            spec,
-            config,
-            weight_density=layer_sparsity.weight_density,
-            activation_density=layer_sparsity.activation_density,
-            output_density=output_density,
-            cycles=int(estimate.cycles),
-            table=energy_table,
-        ).total
-    return DesignPoint(
-        config=config,
-        cycles=total_cycles,
-        energy=total_energy,
-        area_mm2=accelerator_area_mm2(config),
-    )
 
 
 def sweep_densities(
@@ -146,12 +97,12 @@ def evaluate_configs(
     energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
     grid=None,
 ) -> List[DesignPoint]:
-    """Batched :func:`evaluate_config`: every candidate in one grid pass.
+    """Evaluate every candidate on a whole network in one grid pass.
 
     The whole configs x layers grid is evaluated through
-    :func:`repro.grid.evaluate_grid` (the analytical SCNN model for every
-    candidate, exactly as the per-config loop uses it); the resulting design
-    points are bitwise-identical to ``evaluate_config`` of each candidate.
+    :func:`repro.grid.evaluate_grid` with the analytical SCNN model for
+    every candidate, at the densities of :func:`sweep_densities`; a design
+    point's cycles and energy are its layers' totals, summed in layer order.
     ``grid`` injects an already-evaluated :class:`repro.grid.GridResult`
     covering ``configs`` in order (the engine passes its cached one).
     """
@@ -187,31 +138,13 @@ def sweep(
     network: Network,
     *,
     energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
-    parallel: int | None = None,
-    batched: bool = True,
 ) -> List[DesignPoint]:
     """Evaluate every candidate configuration on ``network``.
 
-    The serial path evaluates the whole candidate grid in one batched pass
-    (:func:`evaluate_configs`); ``batched=False`` keeps the original
-    per-config loop as the equivalence oracle.  With ``parallel=N`` the
-    candidates are sharded across the shared simulation engine's process
-    pool and served from its result cache; results are identical on every
-    path.
+    One whole-grid pass (:func:`evaluate_configs`) at the network's
+    measured densities, in the calling process.
     """
-    configs = list(configs)
-    if parallel is not None and parallel not in (0, 1):
-        from repro.engine import default_engine
-
-        return default_engine().sweep(
-            configs, network, energy_table=energy_table, parallel=parallel
-        )
-    if batched:
-        return evaluate_configs(configs, network, energy_table=energy_table)
-    return [
-        evaluate_config(config, network, energy_table=energy_table)
-        for config in configs
-    ]
+    return evaluate_configs(list(configs), network, energy_table=energy_table)
 
 
 def pareto_frontier(points: Sequence[DesignPoint]) -> List[DesignPoint]:

@@ -14,7 +14,9 @@ stated in picojoules for readability but only their ratios matter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.arch.registry import resolve_config
 from repro.nn.layers import ConvLayerSpec
@@ -57,7 +59,11 @@ DEFAULT_ENERGY_TABLE = EnergyTable()
 
 @dataclass
 class EventCounts:
-    """Architectural event counts of one layer on one accelerator."""
+    """Architectural event counts on one accelerator.
+
+    Plain ints for one layer (:func:`count_layer_events`); integer arrays
+    for a layers x points grid (:func:`event_counts` as the grid calls it).
+    """
 
     multiplies: int = 0
     gated_multiplies: int = 0
@@ -86,12 +92,118 @@ class EnergyBreakdown:
         return float(sum(self.components.values()))
 
 
-def _activation_fits_on_chip(
-    input_values: int, output_values: int, config: AcceleratorConfig
-) -> bool:
-    """Whether a layer's input + output activations fit in on-chip storage."""
-    capacity_values = config.activation_sram_bytes // 2  # 16-bit values
-    return input_values + output_values <= capacity_values
+#: Energy component labels in the order :func:`energy_components` emits them
+#: (the order matters: totals are summed in it, term by term).
+ENERGY_COMPONENTS: Tuple[str, ...] = (
+    "multiplier",
+    "accumulator",
+    "scatter crossbar",
+    "activation RAM",
+    "weight buffer",
+    "index handling",
+    "halo exchange",
+    "DRAM",
+    "static / control",
+)
+
+
+def _round(values):
+    """``round()`` elementwise (half to even), as int64."""
+    return np.rint(values).astype(np.int64)
+
+
+def _truncate(values):
+    """``int()`` elementwise (toward zero), as int64."""
+    return np.trunc(values).astype(np.int64)
+
+
+def event_counts(
+    config: AcceleratorConfig,
+    *,
+    dense_macs,
+    weight_values,
+    input_values,
+    output_values,
+    num_groups,
+    in_channels,
+    weight_density,
+    activation_density,
+    output_density,
+    cycles,
+    products=None,
+    weight_buffer_reads=None,
+) -> EventCounts:
+    """The event-count model: architectural events of layers on one accelerator.
+
+    Written with numpy ufuncs, so the same body takes a layer's footprint
+    (``dense_macs`` ... ``in_channels``, the shape-derived counts) and
+    densities as Python scalars (:func:`count_layer_events`) or as arrays
+    broadcastable to a layers x points grid (:func:`repro.grid.energy_grid`).
+    The returned counts are numpy integers or integer arrays.
+
+    ``products`` (multiplies with both operands non-zero) and
+    ``weight_buffer_reads`` may come from the cycle-level simulation when
+    available; otherwise they are estimated analytically from the densities,
+    which is what the TimeLoop sweep does.
+    """
+    nnz_weights = _round(weight_values * weight_density)
+    nnz_inputs = _round(input_values * activation_density)
+    nnz_outputs = _round(output_values * output_density)
+    if products is None:
+        products = _round(dense_macs * weight_density * activation_density)
+    events = EventCounts(pe_cycles=cycles * config.num_pes)
+    dataflow = config.dataflow
+    # Input + output activations fit on chip when they fit the activation
+    # SRAM's 16-bit values.
+    capacity = config.activation_sram_bytes // 2
+
+    if dataflow.is_sparse:
+        # SCNN: only non-zero operands reach the datapath; data stays
+        # compressed in the IARAM/OARAM and on the DRAM interface.
+        events.multiplies = products
+        events.accumulator_updates = products
+        events.crossbar_products = products
+        events.iaram_reads = nnz_inputs * num_groups
+        events.oaram_writes = nnz_outputs
+        if weight_buffer_reads is None:
+            act_vectors = np.maximum(1, -(-nnz_inputs // config.multipliers_i))
+            weight_buffer_reads = nnz_weights * np.maximum(
+                1, act_vectors // np.maximum(1, in_channels)
+            )
+        events.weight_buffer_reads = weight_buffer_reads
+        events.index_accesses = events.iaram_reads + weight_buffer_reads
+        events.halo_transfers = _truncate(
+            0.1 * config.output_channel_group * num_groups * config.num_pes * 16
+        )
+        factor = 1.0 + config.index_bits / 16.0
+        fits = _truncate(nnz_inputs * 1.3) + _truncate(nnz_outputs * 1.3) <= capacity
+        events.dram_values = _truncate(nnz_weights * factor) + np.where(
+            fits, 0, _truncate((nnz_inputs + nnz_outputs) * factor)
+        )
+        return events
+
+    # Dense baselines: every multiply occupies the datapath; DCNN-opt gates
+    # the multiplier when an operand is zero and compresses DRAM activation
+    # traffic, but its on-chip storage stays dense and its adder tree /
+    # accumulator still cycles every step.  The dot-product inner operation
+    # reduces F products through an adder tree before touching the
+    # accumulator buffer, so the buffer is accessed once per F multiplies.
+    if dataflow.gates_zero_operands:
+        events.multiplies = products
+        events.gated_multiplies = dense_macs - products
+    else:
+        events.multiplies = dense_macs
+    events.accumulator_updates = dense_macs // max(1, config.multipliers_f)
+    events.dense_sram_reads = input_values * num_groups
+    events.dense_sram_writes = output_values
+    events.weight_buffer_reads = dense_macs // max(1, config.multipliers_i)
+    if dataflow.compresses_dram_traffic:
+        spill = _truncate((nnz_inputs + nnz_outputs) * (1.0 + 4.0 / 16.0))
+    else:
+        spill = input_values + output_values
+    fits = input_values + output_values <= capacity
+    events.dram_values = weight_values + np.where(fits, 0, spill)
+    return events
 
 
 def count_layer_events(
@@ -107,90 +219,37 @@ def count_layer_events(
 ) -> EventCounts:
     """Count the architectural events of one layer on one accelerator.
 
-    ``products`` (multiplies with both operands non-zero) and
-    ``weight_buffer_reads`` may come from the cycle-level simulation when
-    available; otherwise they are estimated analytically from the densities,
-    which is what the TimeLoop sweep does.  ``config`` accepts a registered
-    architecture name (resolved through :mod:`repro.arch.registry`).
+    :func:`event_counts` of the layer's footprint, as plain ints.
+    ``config`` accepts a registered architecture name (resolved through
+    :mod:`repro.arch.registry`).
     """
     config = resolve_config(config)
-    dense_macs = spec.multiplies
-    weight_values = spec.weight_count
-    input_values = spec.input_activation_count
-    output_values = spec.output_activation_count
-    nnz_weights = int(round(weight_values * weight_density))
-    nnz_inputs = int(round(input_values * activation_density))
-    nnz_outputs = int(round(output_values * output_density))
-    if products is None:
-        products = int(round(dense_macs * weight_density * activation_density))
-    num_groups = -(-spec.out_channels // config.output_channel_group)
-
-    events = EventCounts()
-    events.pe_cycles = cycles * config.num_pes
-    dataflow = config.dataflow
-
-    if dataflow.is_sparse:
-        # SCNN: only non-zero operands reach the datapath; data stays
-        # compressed in the IARAM/OARAM and on the DRAM interface.
-        events.multiplies = products
-        events.accumulator_updates = products
-        events.crossbar_products = products
-        events.iaram_reads = nnz_inputs * num_groups
-        events.oaram_writes = nnz_outputs
-        if weight_buffer_reads is None:
-            i_width = config.multipliers_i
-            act_vectors = max(1, -(-nnz_inputs // i_width))
-            weight_buffer_reads = nnz_weights * max(
-                1, act_vectors // max(1, spec.in_channels)
-            )
-        events.weight_buffer_reads = weight_buffer_reads
-        events.index_accesses = events.iaram_reads + events.weight_buffer_reads
-        plan_groups = num_groups
-        events.halo_transfers = int(
-            0.1 * config.output_channel_group * plan_groups * config.num_pes * 16
-        )
-        dram_values = int(nnz_weights * (1.0 + config.index_bits / 16.0))
-        if not _activation_fits_on_chip(
-            int(nnz_inputs * 1.3), int(nnz_outputs * 1.3), config
-        ):
-            dram_values += int((nnz_inputs + nnz_outputs) * (1.0 + config.index_bits / 16.0))
-        events.dram_values = dram_values
-        return events
-
-    # Dense baselines: every multiply occupies the datapath; DCNN-opt gates
-    # the multiplier when an operand is zero and compresses DRAM activation
-    # traffic, but its on-chip storage stays dense and its adder tree /
-    # accumulator still cycles every step.  The dot-product inner operation
-    # reduces F products through an adder tree before touching the
-    # accumulator buffer, so the buffer is accessed once per F multiplies.
-    events.multiplies = products if dataflow.gates_zero_operands else dense_macs
-    events.gated_multiplies = (
-        dense_macs - products if dataflow.gates_zero_operands else 0
+    events = event_counts(
+        config,
+        dense_macs=spec.multiplies,
+        weight_values=spec.weight_count,
+        input_values=spec.input_activation_count,
+        output_values=spec.output_activation_count,
+        num_groups=-(-spec.out_channels // config.output_channel_group),
+        in_channels=spec.in_channels,
+        weight_density=weight_density,
+        activation_density=activation_density,
+        output_density=output_density,
+        cycles=cycles,
+        products=products,
+        weight_buffer_reads=weight_buffer_reads,
     )
-    events.accumulator_updates = dense_macs // max(1, config.multipliers_f)
-    events.dense_sram_reads = input_values * num_groups
-    events.dense_sram_writes = output_values
-    events.weight_buffer_reads = dense_macs // max(1, config.multipliers_i)
-    dram_values = weight_values
-    if not _activation_fits_on_chip(input_values, output_values, config):
-        if dataflow.compresses_dram_traffic:
-            dram_values += int(
-                (nnz_inputs + nnz_outputs) * (1.0 + 4.0 / 16.0)
-            )
-        else:
-            dram_values += input_values + output_values
-    events.dram_values = dram_values
-    return events
+    return EventCounts(
+        **{name: int(value) for name, value in vars(events).items()}
+    )
 
 
-def layer_energy(
-    events: EventCounts,
-    config: Union[AcceleratorConfig, str],
-    table: EnergyTable = DEFAULT_ENERGY_TABLE,
-) -> EnergyBreakdown:
-    """Convert event counts into an energy breakdown."""
-    config = resolve_config(config)
-    components = {
+def energy_components(events: EventCounts, table: EnergyTable) -> Dict[str, object]:
+    """Energy per component (picojoules), keyed in :data:`ENERGY_COMPONENTS` order.
+
+    Scalar event counts give floats; array counts give arrays.
+    """
+    return {
         "multiplier": events.multiplies * table.multiply,
         "accumulator": events.accumulator_updates * table.accumulator_update,
         "scatter crossbar": events.crossbar_products * table.crossbar,
@@ -206,7 +265,18 @@ def layer_energy(
         "DRAM": events.dram_values * table.dram,
         "static / control": events.pe_cycles * table.pe_cycle,
     }
-    return EnergyBreakdown(config_name=config.name, components=components)
+
+
+def layer_energy(
+    events: EventCounts,
+    config: Union[AcceleratorConfig, str],
+    table: EnergyTable = DEFAULT_ENERGY_TABLE,
+) -> EnergyBreakdown:
+    """Convert event counts into an energy breakdown."""
+    config = resolve_config(config)
+    return EnergyBreakdown(
+        config_name=config.name, components=energy_components(events, table)
+    )
 
 
 def layer_energy_from_densities(

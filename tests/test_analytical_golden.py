@@ -28,8 +28,9 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ LADDER: Tuple[Tuple[float, float, float], ...] = (
 )
 
 
+@lru_cache(maxsize=None)
 def _golden() -> Dict:
     return json.loads(GOLDEN.read_text())
 
@@ -102,10 +104,10 @@ def scalar_cells(workload: str, arch: str, model: str) -> List[List[str]]:
     return cells
 
 
-def grid_result(workload: str, model: str):
-    """Every registered architecture on ``workload`` across the ladder, one pass."""
+def grid_result(workload: str, model: str, archs: Sequence[str]):
+    """``archs`` (those ``model`` covers) on ``workload`` across the ladder, one pass."""
     specs = resolve_network(workload).layers
-    archs = [arch for arch in default_registry().names() if model in _models(arch)]
+    archs = [arch for arch in archs if model in _models(arch)]
     ladder = np.array(LADDER)
     shape = (len(specs), len(LADDER))
     return evaluate_grid(
@@ -137,11 +139,11 @@ def network_totals(grid, arch: str) -> Dict[str, List[str]]:
     }
 
 
-def layer_records(workload: str) -> Dict[str, Dict]:
+def layer_records(workload: str, archs: Sequence[str]) -> Dict[str, Dict]:
     """``{arch: {model: {"sha256", "totals"}}}`` of one workload (grid path)."""
     records: Dict[str, Dict] = {}
     for model in ("scnn", "dense"):
-        grid = grid_result(workload, model)
+        grid = grid_result(workload, model, archs)
         for config in grid.configs:
             records.setdefault(config.name, {})[model] = {
                 "sha256": _digest([cell for row in grid_cells(grid, config.name) for cell in row]),
@@ -184,7 +186,7 @@ def _estimate_fields(estimate) -> List[str]:
     ]
 
 
-def grid_equivalence_values() -> Dict:
+def grid_equivalence_values(archs: Sequence[str]) -> Dict:
     """The values ``tests/test_grid_equivalence.py`` checks, one layer at a time."""
     from test_grid_equivalence import (
         ENERGY_DENSITIES,
@@ -192,10 +194,10 @@ def grid_equivalence_values() -> Dict:
         EVALUATE_WEIGHT_DENSITY,
         FORCED_DENSITIES,
         SCNN_DENSITIES,
+        _expected_vector_count,
         energy_cycles,
         vector_count_triples,
     )
-    from test_grid_equivalence import _expected_vector_count
 
     values: Dict = {
         "expected_vector_counts": [
@@ -231,7 +233,7 @@ def grid_equivalence_values() -> Dict:
     specs, cycles = energy_cycles()
     wd, ad, od = ENERGY_DENSITIES
     energy = {}
-    for name in default_registry().names():
+    for name in archs:
         rows = []
         for s, spec in enumerate(specs):
             row = []
@@ -288,9 +290,14 @@ def grid_equivalence_values() -> Dict:
     return values
 
 
+def _golden_archs() -> List[str]:
+    """The architectures the fixture pins (examples may register more)."""
+    return sorted(_golden()["grid_equivalence"]["energy_grid"])
+
+
 @pytest.mark.parametrize("workload", available_workloads())
 def test_grid_path_matches_golden(workload):
-    assert layer_records(workload) == _golden()["layers"][workload]
+    assert layer_records(workload, _golden_archs()) == _golden()["layers"][workload]
 
 
 @pytest.mark.parametrize("workload", available_workloads())
@@ -314,19 +321,20 @@ def test_design_points_match_golden(workload):
 
 
 def test_grid_equivalence_values_match_golden():
-    assert grid_equivalence_values() == _golden()["grid_equivalence"]
+    assert grid_equivalence_values(_golden_archs()) == _golden()["grid_equivalence"]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_analytical_golden.py --write")
     workloads = available_workloads()
+    archs = default_registry().names()
     document = {
         "ladder": [list(point) for point in LADDER],
-        "layers": {name: layer_records(name) for name in workloads},
+        "layers": {name: layer_records(name, archs) for name in workloads},
         "fig7_googlenet": fig7_records(),
         "design_points": {name: design_point_records(name) for name in workloads},
-        "grid_equivalence": grid_equivalence_values(),
+        "grid_equivalence": grid_equivalence_values(archs),
     }
     for name in workloads:
         for arch, models in document["layers"][name].items():

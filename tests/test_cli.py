@@ -174,10 +174,15 @@ class TestMain:
 
 
 def test_cli_import_loads_no_scipy():
-    """Start-up stays lean: scipy (optional) loads only when the binomial
-    kernel of the analytical models first runs, never on import."""
+    """numpy is the only numerical backend: neither start-up nor the
+    analytical models (a Fig. 7 ladder, a DSE sweep) load scipy."""
     code = (
-        "import sys, repro.experiments.cli; "
+        "import sys, repro.experiments.cli\n"
+        "from repro import get_network\n"
+        "from repro.experiments import fig7_sensitivity\n"
+        "from repro.timeloop import dse\n"
+        "fig7_sensitivity.run((0.1, 0.5, 1.0), 'alexnet')\n"
+        "dse.sweep(dse.default_candidates(), get_network('alexnet'))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(repro.__file__).resolve().parent.parent)

@@ -8,7 +8,7 @@ from repro.scnn.config import SCNN_CONFIG, scnn_with_pe_count
 from repro.timeloop.dse import (
     DesignPoint,
     default_candidates,
-    evaluate_config,
+    evaluate_configs,
     pareto_frontier,
     summarize,
     sweep,
@@ -40,15 +40,17 @@ def small_sparsity():
 
 class TestEvaluateConfig:
     def test_returns_positive_metrics(self, small_network, small_sparsity):
-        point = evaluate_config(SCNN_CONFIG, small_network, sparsity=small_sparsity)
+        [point] = evaluate_configs(
+            [SCNN_CONFIG], small_network, sparsity=small_sparsity
+        )
         assert point.cycles > 0
         assert point.energy > 0
         assert point.area_mm2 == pytest.approx(7.9, abs=0.3)
         assert point.energy_delay_product == pytest.approx(point.energy * point.cycles)
 
     def test_name_comes_from_config(self, small_network, small_sparsity):
-        point = evaluate_config(
-            scnn_with_pe_count(16), small_network, sparsity=small_sparsity
+        [point] = evaluate_configs(
+            [scnn_with_pe_count(16)], small_network, sparsity=small_sparsity
         )
         assert "16PE" in point.name
 
@@ -92,28 +94,23 @@ class TestSweepAndPareto:
         assert summarize([]) == []
 
 
-class TestBatchedSweep:
-    def test_batched_matches_per_config_oracle(self, small_network):
-        candidates = default_candidates()
-        batched = sweep(candidates, small_network)
-        oracle = sweep(candidates, small_network, batched=False)
-        for ours, theirs in zip(batched, oracle):
-            assert ours.config == theirs.config
-            assert ours.cycles == theirs.cycles
-            assert ours.energy == theirs.energy
-            assert ours.area_mm2 == theirs.area_mm2
+class TestGridSweep:
+    def test_respects_sparsity_override(self, small_network, small_sparsity):
+        from repro.timeloop.model import estimate_scnn_layer
 
-    def test_batched_respects_sparsity_override(self, small_network, small_sparsity):
-        from repro.timeloop.dse import evaluate_configs
-
-        points = evaluate_configs(
+        [point] = evaluate_configs(
             [SCNN_CONFIG], small_network, sparsity=small_sparsity
         )
-        reference = evaluate_config(
-            SCNN_CONFIG, small_network, sparsity=small_sparsity
-        )
-        assert points[0].cycles == reference.cycles
-        assert points[0].energy == reference.energy
+        [default] = sweep([SCNN_CONFIG], small_network)
+        cycles = 0.0
+        for spec in small_network.layers:
+            cycles += estimate_scnn_layer(
+                spec,
+                weight_density=small_sparsity[spec.name].weight_density,
+                activation_density=small_sparsity[spec.name].activation_density,
+            ).cycles
+        assert point.cycles == cycles
+        assert point.energy != default.energy
 
     def test_empty_candidate_list(self, small_network):
         assert sweep([], small_network) == []

@@ -326,19 +326,13 @@ class TestEngineSweep:
         candidates = default_candidates()
         reference = sweep(candidates, tiny_network)
         engine_points = SimulationEngine(cache_dir=False).sweep(
-            candidates, tiny_network, parallel=2
+            candidates, tiny_network
         )
         assert [p.name for p in engine_points] == [p.name for p in reference]
         for ours, theirs in zip(engine_points, reference):
             assert ours.cycles == theirs.cycles
             assert ours.energy == theirs.energy
             assert ours.area_mm2 == theirs.area_mm2
-
-    def test_dse_sweep_parallel_flag_routes_through_engine(self, tiny_network):
-        candidates = default_candidates()[:3]
-        assert [p.cycles for p in sweep(candidates, tiny_network, parallel=2)] == [
-            p.cycles for p in sweep(candidates, tiny_network)
-        ]
 
     def test_sweep_cached(self, tiny_network, tmp_path):
         candidates = default_candidates()[:2]
@@ -415,17 +409,6 @@ class TestDefaultEngine:
 
 
 class TestEngineGridPaths:
-    def test_sweep_batched_matches_pool_path(self, tiny_network):
-        candidates = default_candidates()
-        batched = SimulationEngine(cache_dir=False).sweep(candidates, tiny_network)
-        pooled = SimulationEngine(cache_dir=False).sweep(
-            candidates, tiny_network, parallel=2, batched=False
-        )
-        for ours, theirs in zip(batched, pooled):
-            assert ours.cycles == theirs.cycles
-            assert ours.energy == theirs.energy
-            assert ours.area_mm2 == theirs.area_mm2
-
     def test_evaluate_grid_cached_across_engines(self, tiny_network, tmp_path):
         engine = SimulationEngine(cache_dir=tmp_path)
         specs = list(tiny_network.layers)
@@ -439,22 +422,3 @@ class TestEngineGridPaths:
         assert fresh.disk_cache.hits == 1
         assert (first.cycles == second.cycles).all()
         assert (first.energy == second.energy).all()
-
-    def test_run_architectures_dense_fast_path_matches_adapters(self, tiny_network):
-        sparsity = network_sparsity(tiny_network)
-        workloads = [
-            WorkloadHandle.build(
-                tiny_network.name, 0, index, spec, sparsity[spec.name]
-            )
-            for index, spec in enumerate(tiny_network.layers)
-        ]
-        architectures = ["DCNN", "DCNN-opt", "SCNN"]
-        fast = SimulationEngine(cache_dir=False).run_architectures(
-            workloads, architectures
-        )
-        slow = SimulationEngine(cache_dir=False).run_architectures(
-            workloads, architectures, batched=False
-        )
-        for i in range(len(workloads)):
-            for j in range(len(architectures)):
-                assert fast.results[i][j] == slow.results[i][j]

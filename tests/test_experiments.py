@@ -168,18 +168,6 @@ class TestSectionVID:
         assert stats["mean_penalty"] == 0.0
 
 
-class TestFigure7BatchedEquivalence:
-    def test_batched_sweep_matches_oracle_loop(self):
-        densities = (0.1, 0.55, 1.0)
-        batched = fig7_sensitivity.run(densities)
-        oracle = fig7_sensitivity.run(densities, batched=False)
-        for ours, theirs in zip(batched, oracle):
-            assert ours.density == theirs.density
-            assert ours.scnn_cycles == theirs.scnn_cycles
-            assert ours.dcnn_cycles == theirs.dcnn_cycles
-            assert ours.energy == theirs.energy
-
-
 class TestTable4DensityGrid:
     def test_covers_every_table4_config_and_density(self):
         densities = (0.25, 1.0)

@@ -1,11 +1,20 @@
-"""The batched grid evaluator must match the per-config oracle bitwise.
+"""The grid kernels against the golden fixture and the naive pmf reference.
 
-Every test here compares :mod:`repro.grid` output against the scalar models
-(``estimate_scnn_layer`` / ``estimate_dense_layer`` /
-``layer_energy_from_densities`` / ``_expected_vector_count``) with exact
-``==`` — no tolerances — across randomized shapes that include stride > 1,
-groups > 1, degenerate 1x1 layers and near-zero densities.
+Every test here compares :mod:`repro.grid` output with exact ``==`` (by
+``repr``) — no tolerances — against ``tests/golden/analytical_models.json``,
+over seeded shapes that include stride > 1, groups > 1, degenerate 1x1
+layers and near-zero densities.  ``tests/test_analytical_golden.py`` checks
+the one-layer entry points against the same values.
+
+:func:`_expected_vector_count` is the naive one-triple pmf kernel; it stays
+the live reference for the deduplication, int64 key packing and memo of
+:func:`repro.grid.expected_vector_counts`.
 """
+
+import json
+import math
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,23 +22,21 @@ import pytest
 from _helpers import random_layer_specs
 from repro.arch.registry import default_registry, resolve_config
 from repro.grid import (
+    clear_solved_triples,
+    config_layer_stack,
     dense_cycle_grid,
+    density_milli,
     energy_grid,
     evaluate_grid,
     expected_vector_counts,
     scnn_cycle_grid,
 )
+from repro.grid.binomial import _log_comb
 from repro.nn.layers import ConvLayerSpec
-from repro.timeloop.energy import layer_energy_from_densities
-from repro.timeloop.model import (
-    _expected_vector_count,
-    density_milli,
-    estimate_dense_layer,
-    estimate_scnn_layer,
-)
+from repro.timeloop.model import estimate_scnn_layer
+from repro.workloads.registry import available_workloads, resolve_network
 
-
-_random_specs = random_layer_specs
+GOLDEN = Path(__file__).resolve().parent / "golden" / "analytical_models.json"
 
 #: (weight, activation) density axes of the SCNN cycle-grid check.
 SCNN_DENSITIES = (
@@ -61,28 +68,122 @@ def vector_count_triples():
 def energy_cycles():
     """Seeded layer shapes and integer cycle grid of the energy-grid check."""
     rng = np.random.default_rng(17)
-    specs = _random_specs(rng)
+    specs = random_layer_specs(rng)
     cycles = rng.integers(1, 10_000_000, size=(len(specs), len(ENERGY_DENSITIES[0])))
     return specs, cycles
 
 
-class TestExpectedVectorCounts:
-    def test_matches_scalar_kernel_over_random_triples(self):
-        elements, milli, width = vector_count_triples()
-        batched = expected_vector_counts(elements, milli, width)
-        for e, m, w, got in zip(elements, milli, width, batched):
-            assert got == _expected_vector_count(int(e), int(m), int(w))
+@lru_cache(maxsize=4096)
+def _expected_vector_count(elements: int, density_milli: int, width: int) -> float:
+    """E[ceil(X / width)] where X ~ Binomial(elements, density).
 
-    def test_broadcasts_like_numpy(self):
+    The expectation of the *ceiling* exceeds the ceiling of the expectation —
+    exactly the fragmentation effect that keeps the multiplier array from
+    reaching full occupancy on sparse blocks — so it is computed exactly from
+    the binomial pmf.  ``density_milli`` is the density in thousandths so the
+    cache key stays hashable and small.
+    """
+    if elements <= 0:
+        return 0.0
+    density = density_milli / 1000.0
+    if density <= 0.0:
+        return 0.0
+    if density >= 1.0:
+        return float(-(-elements // width))
+    counts = np.arange(elements + 1)
+    # Binomial pmf via logarithms for numerical stability on large blocks.
+    log_pmf = (
+        _log_comb(elements, counts)
+        + counts * np.log(density)
+        + (elements - counts) * np.log1p(-density)
+    )
+    pmf = np.exp(log_pmf)
+    pmf /= pmf.sum()
+    return float((pmf * np.ceil(counts / width)).sum())
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())["grid_equivalence"]
+
+
+def _fields(grid, *index):
+    return [
+        repr(float(grid.cycles[index])),
+        repr(float(grid.products[index])),
+        repr(float(grid.multiplier_utilization[index])),
+        repr(float(grid.idle_fraction[index])),
+    ]
+
+
+class TestExpectedVectorCounts:
+    def test_matches_golden_over_random_triples(self, golden):
+        got = expected_vector_counts(*vector_count_triples())
+        assert [repr(float(value)) for value in got] == golden["expected_vector_counts"]
+
+    def test_memo_and_dedup_match_naive_pmf(self):
+        elements, milli, width = vector_count_triples()
+        reference = [
+            _expected_vector_count(int(e), int(m), int(w))
+            for e, m, w in zip(elements, milli, width)
+        ]
+        clear_solved_triples()
+        cold = expected_vector_counts(elements, milli, width)
+        warm = expected_vector_counts(elements, milli, width)
+        # Another grouping: every triple twice, reversed, half of them memoised.
+        clear_solved_triples()
+        expected_vector_counts(elements[::2], milli[::2], width[::2])
+        doubled = expected_vector_counts(
+            np.concatenate([elements, elements])[::-1],
+            np.concatenate([milli, milli])[::-1],
+            np.concatenate([width, width])[::-1],
+        )
+        assert cold.tolist() == reference
+        assert warm.tolist() == reference
+        assert doubled[::-1].tolist() == reference + reference
+
+    def test_broadcasts_like_numpy(self, golden):
         out = expected_vector_counts(
             np.array([[64], [128]]), np.array([100, 500, 1000]), 4
         )
         assert out.shape == (2, 3)
-        assert out[1, 2] == _expected_vector_count(128, 1000, 4)
+        assert repr(float(out[1, 2])) == golden["expected_vector_count_128_1000_4"]
+        assert out[0, 1] == _expected_vector_count(64, 500, 4)
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError, match="width"):
             expected_vector_counts(64, 500, 0)
+
+
+class TestLogComb:
+    @staticmethod
+    def _assert_lgamma_bits(n: int) -> None:
+        counts = np.arange(n + 1)
+        expected = np.array(
+            [
+                math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                for k in range(n + 1)
+            ]
+        )
+        got = _log_comb(n, counts)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes(), n
+
+    def test_small_blocks_equal_math_lgamma_bitwise(self):
+        for n in range(257):
+            self._assert_lgamma_bits(n)
+
+    def test_every_registered_block_equals_math_lgamma_bitwise(self):
+        # Up to the largest block any registered workload x architecture has.
+        sizes = set()
+        for workload in available_workloads():
+            specs = tuple(resolve_network(workload).layers)
+            for name in default_registry().names():
+                stack = config_layer_stack(specs, resolve_config(name))
+                sizes.update(stack.phase_sizes.ravel().tolist())
+                sizes.update(stack.weight_phase_block.tolist())
+        for n in sorted(sizes):
+            self._assert_lgamma_bits(int(n))
 
 
 class TestDensityMilliRegression:
@@ -101,134 +202,96 @@ class TestDensityMilliRegression:
         assert estimate.cycles > 0
 
 
-class TestCycleGridEquivalence:
+class TestCycleGridGolden:
     @pytest.mark.parametrize("config_name", ["SCNN", "SCNN-16PE", "SCNN-SparseW"])
-    def test_scnn_grid_matches_scalar_estimates(self, config_name):
-        rng = np.random.default_rng(11)
-        specs = _random_specs(rng)
-        config = resolve_config(config_name)
+    def test_scnn_grid_matches_golden(self, golden, config_name):
+        specs = random_layer_specs(np.random.default_rng(11))
         wd, ad = SCNN_DENSITIES
-        grid_wd = np.broadcast_to(wd, (len(specs), len(wd)))
-        grid_ad = np.broadcast_to(ad, (len(specs), len(ad)))
-        grid = scnn_cycle_grid(specs, config, grid_wd, grid_ad)
-        for s, spec in enumerate(specs):
-            for d in range(len(wd)):
-                ref = estimate_scnn_layer(
-                    spec,
-                    weight_density=wd[d],
-                    activation_density=ad[d],
-                    config=config,
-                )
-                assert float(grid.cycles[s, d]) == ref.cycles
-                assert float(grid.products[s, d]) == ref.products
-                assert (
-                    float(grid.multiplier_utilization[s, d])
-                    == ref.multiplier_utilization
-                )
-                assert float(grid.idle_fraction[s, d]) == ref.idle_fraction
+        grid = scnn_cycle_grid(
+            specs,
+            resolve_config(config_name),
+            np.broadcast_to(wd, (len(specs), len(wd))),
+            np.broadcast_to(ad, (len(specs), len(ad))),
+        )
+        assert [
+            [_fields(grid, s, d) for d in range(len(wd))] for s in range(len(specs))
+        ] == golden["scnn_cycle_grid"][config_name]
 
     @pytest.mark.parametrize("config_name", ["DCNN", "DCNN-opt"])
-    def test_dense_grid_matches_scalar_estimates(self, config_name):
-        rng = np.random.default_rng(13)
-        specs = _random_specs(rng)
+    def test_dense_grid_matches_golden(self, golden, config_name):
+        specs = random_layer_specs(np.random.default_rng(13))
         grid = dense_cycle_grid(specs, config_name)
-        for s, spec in enumerate(specs):
-            ref = estimate_dense_layer(spec, config_name)
-            assert float(grid.cycles[s]) == ref.cycles
-            assert float(grid.products[s]) == ref.products
-            assert float(grid.multiplier_utilization[s]) == ref.multiplier_utilization
-            assert float(grid.idle_fraction[s]) == ref.idle_fraction
+        assert [
+            _fields(grid, s) for s in range(len(specs))
+        ] == golden["dense_cycle_grid"][config_name]
 
     def test_rejects_out_of_range_density(self):
-        specs = _random_specs(np.random.default_rng(0), count=3)
+        specs = random_layer_specs(np.random.default_rng(0), count=3)
         with pytest.raises(ValueError, match="weight_density"):
             scnn_cycle_grid(specs, "SCNN", np.array([[0.0]]), np.array([[0.5]]))
 
 
-class TestEnergyGridEquivalence:
-    def test_every_registered_config_matches_scalar_breakdown(self):
+class TestEnergyGridGolden:
+    def test_every_registered_config_matches_golden(self, golden):
         specs, cycles = energy_cycles()
         wd, ad, od = ENERGY_DENSITIES
-        for name in default_registry().names():
-            config = resolve_config(name)
+        # The fixture's architectures: examples may register more at runtime.
+        for name, expected in golden["energy_grid"].items():
             grids = energy_grid(
                 specs,
-                config,
+                resolve_config(name),
                 weight_density=np.broadcast_to(wd, cycles.shape),
                 activation_density=np.broadcast_to(ad, cycles.shape),
                 output_density=np.broadcast_to(od, cycles.shape),
                 cycles=cycles,
             )
-            for s, spec in enumerate(specs):
-                for d in range(len(wd)):
-                    ref = layer_energy_from_densities(
-                        spec,
-                        config,
-                        weight_density=wd[d],
-                        activation_density=ad[d],
-                        output_density=od[d],
-                        cycles=int(cycles[s, d]),
-                    )
-                    assert float(grids["total"][s, d]) == ref.total
-                    for component, value in ref.components.items():
-                        assert float(grids[component][s, d]) == value
+            got = [
+                [
+                    {key: repr(float(value[s, d])) for key, value in grids.items()}
+                    for d in range(len(wd))
+                ]
+                for s in range(len(specs))
+            ]
+            assert got == expected, name
 
 
 class TestEvaluateGrid:
-    def test_full_grid_matches_oracle_cell_for_cell(self):
-        rng = np.random.default_rng(19)
-        specs = _random_specs(rng, count=5)
+    def test_full_grid_matches_golden_cell_for_cell(self, golden):
+        specs = random_layer_specs(np.random.default_rng(19), count=5)
         configs = ["SCNN", "DCNN", "DCNN-opt"]
-        densities = np.array([0.0001, 0.35, 0.9, 1.0])
         grid = evaluate_grid(
             specs,
             configs,
-            weight_density=0.42,
-            activation_density=densities,
+            weight_density=EVALUATE_WEIGHT_DENSITY,
+            activation_density=EVALUATE_DENSITIES,
             model="auto",
         )
         for c, name in enumerate(configs):
-            config = resolve_config(name)
-            for s, spec in enumerate(specs):
-                for d, density in enumerate(densities):
-                    if config.is_sparse:
-                        ref = estimate_scnn_layer(
-                            spec,
-                            weight_density=0.42,
-                            activation_density=density,
-                            config=config,
-                        )
-                    else:
-                        ref = estimate_dense_layer(spec, config)
-                    assert grid.estimate(c, s, d) == ref
-                    energy_ref = layer_energy_from_densities(
-                        spec,
-                        config,
-                        weight_density=0.42,
-                        activation_density=density,
-                        output_density=density,
-                        cycles=int(ref.cycles),
-                    )
-                    assert float(grid.energy[c, s, d]) == energy_ref.total
+            got = [
+                [
+                    {
+                        "estimate": repr(grid.estimate(c, s, d)),
+                        "energy": repr(float(grid.energy[c, s, d])),
+                    }
+                    for d in range(len(EVALUATE_DENSITIES))
+                ]
+                for s in range(len(specs))
+            ]
+            assert got == golden["evaluate_grid"][name], name
 
-    def test_forced_scnn_model_covers_dense_configs(self):
+    def test_forced_scnn_model_covers_dense_configs(self, golden):
         # The DSE convention: the analytical SCNN model for every candidate.
-        specs = _random_specs(np.random.default_rng(23), count=3)
+        specs = random_layer_specs(np.random.default_rng(23), count=3)
+        wd, ad = FORCED_DENSITIES
         grid = evaluate_grid(
-            specs,
-            ["DCNN"],
-            weight_density=0.4,
-            activation_density=0.35,
-            model="scnn",
+            specs, ["DCNN"], weight_density=wd, activation_density=ad, model="scnn"
         )
-        for s, spec in enumerate(specs):
-            ref = estimate_scnn_layer(
-                spec, weight_density=0.4, activation_density=0.35, config="DCNN"
-            )
-            assert grid.estimate(0, s, 0) == ref
+        assert [
+            repr(grid.estimate(0, s, 0)) for s in range(len(specs))
+        ] == golden["forced_scnn_model"]
 
     def test_rejects_unknown_model(self):
-        specs = _random_specs(np.random.default_rng(0), count=2)
+        specs = random_layer_specs(np.random.default_rng(0), count=2)
         with pytest.raises(ValueError, match="model"):
             evaluate_grid(
                 specs, ["SCNN"], weight_density=0.5, activation_density=0.5,
@@ -236,7 +299,7 @@ class TestEvaluateGrid:
             )
 
     def test_named_lookup_errors_list_catalogue(self):
-        specs = _random_specs(np.random.default_rng(0), count=2)
+        specs = random_layer_specs(np.random.default_rng(0), count=2)
         grid = evaluate_grid(
             specs, ["SCNN"], weight_density=0.5, activation_density=0.5
         )
