@@ -57,36 +57,25 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests"))  # the golden's record format
 
 import numpy as np  # noqa: E402  (path setup above)
 
 import repro.grid as grid  # noqa: E402
+from _helpers import ANALYTICAL_GOLDEN, fig7_point_record  # noqa: E402
 from repro.experiments import fig7_sensitivity  # noqa: E402
 from repro.experiments.common import cached_network  # noqa: E402
-
-
-GOLDEN = REPO_ROOT / "tests" / "golden" / "analytical_models.json"
-
-
-def _point_record(point) -> dict:
-    """One sweep point in the golden fixture's ``repr`` form."""
-    return {
-        "density": repr(point.density),
-        "scnn_cycles": repr(point.scnn_cycles),
-        "dcnn_cycles": repr(point.dcnn_cycles),
-        "energy": {name: repr(value) for name, value in point.energy.items()},
-    }
 
 
 def _golden_points_match(points) -> bool:
     """Whether the sweep covers every golden Fig. 7 density, equal by ``repr``."""
     golden = {
         record["density"]: record
-        for record in json.loads(GOLDEN.read_text())["fig7_googlenet"]
+        for record in json.loads(ANALYTICAL_GOLDEN.read_text())["fig7_googlenet"]
     }
     covered = {
         record["density"]: record
-        for record in map(_point_record, points)
+        for record in map(fig7_point_record, points)
         if record["density"] in golden
     }
     return covered == golden
@@ -108,7 +97,7 @@ def run_benchmark(densities, repeats: int) -> dict:
         warm = fig7_sensitivity.run(densities, "googlenet")
         warm_s.append(time.perf_counter() - start)
         cold_equals_warm = cold_equals_warm and (
-            list(map(_point_record, warm)) == list(map(_point_record, cold))
+            list(map(fig7_point_record, warm)) == list(map(fig7_point_record, cold))
         )
     golden = _golden_points_match(cold)
     return {

@@ -9,12 +9,17 @@ whichever conftest was imported first and is not a stable import target.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from repro.nn.densities import LayerSparsity
 from repro.nn.inference import LayerWorkload, generate_activations
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.pruning import generate_pruned_weights
+
+#: The bitwise golden of the analytical models (see test_analytical_golden.py).
+ANALYTICAL_GOLDEN = Path(__file__).resolve().parent / "golden" / "analytical_models.json"
 
 
 def make_workload(
@@ -61,3 +66,13 @@ def random_layer_specs(rng: np.random.Generator, count: int = 6):
             )
         )
     return specs
+
+
+def fig7_point_record(point) -> dict:
+    """One Figure 7 sweep point in the analytical golden's ``repr`` form."""
+    return {
+        "density": repr(point.density),
+        "scnn_cycles": repr(point.scnn_cycles),
+        "dcnn_cycles": repr(point.dcnn_cycles),
+        "energy": {name: repr(value) for name, value in point.energy.items()},
+    }

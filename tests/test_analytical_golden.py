@@ -29,13 +29,12 @@ import hashlib
 import json
 import sys
 from functools import lru_cache
-from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
 
-from _helpers import random_layer_specs
+from _helpers import ANALYTICAL_GOLDEN, fig7_point_record, random_layer_specs
 from repro.arch.registry import default_registry, resolve_config
 from repro.engine import SimulationEngine
 from repro.experiments import fig7_sensitivity
@@ -44,8 +43,6 @@ from repro.timeloop.dse import default_candidates
 from repro.timeloop.energy import layer_energy_from_densities
 from repro.timeloop.model import estimate_dense_layer, estimate_scnn_layer
 from repro.workloads.registry import available_workloads, resolve_network
-
-GOLDEN = Path(__file__).resolve().parent / "golden" / "analytical_models.json"
 
 #: (weight, activation, output) density triples: unequal operands, the
 #: near-zero densities that floor at one milli, and fully dense.
@@ -63,7 +60,7 @@ LADDER: Tuple[Tuple[float, float, float], ...] = (
 
 @lru_cache(maxsize=None)
 def _golden() -> Dict:
-    return json.loads(GOLDEN.read_text())
+    return json.loads(ANALYTICAL_GOLDEN.read_text())
 
 
 def _models(arch: str) -> Tuple[str, ...]:
@@ -155,12 +152,7 @@ def layer_records(workload: str, archs: Sequence[str]) -> Dict[str, Dict]:
 def fig7_records() -> List[Dict]:
     """GoogLeNet Figure 7 points at the default density axis."""
     return [
-        {
-            "density": repr(point.density),
-            "scnn_cycles": repr(point.scnn_cycles),
-            "dcnn_cycles": repr(point.dcnn_cycles),
-            "energy": {name: repr(value) for name, value in point.energy.items()},
-        }
+        fig7_point_record(point)
         for point in fig7_sensitivity.run(fig7_sensitivity.DEFAULT_DENSITIES, "googlenet")
     ]
 
@@ -342,5 +334,5 @@ if __name__ == "__main__":
                 cells = scalar_cells(name, arch, model)
                 if _digest([c for row in cells for c in row]) != record["sha256"]:
                     sys.exit(f"grid and one-layer paths disagree: {name} / {arch} / {model}")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+    ANALYTICAL_GOLDEN.parent.mkdir(exist_ok=True)
+    ANALYTICAL_GOLDEN.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")

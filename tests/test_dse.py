@@ -96,21 +96,40 @@ class TestSweepAndPareto:
 
 class TestGridSweep:
     def test_respects_sparsity_override(self, small_network, small_sparsity):
+        from repro.timeloop.energy import layer_energy_from_densities
         from repro.timeloop.model import estimate_scnn_layer
 
         [point] = evaluate_configs(
             [SCNN_CONFIG], small_network, sparsity=small_sparsity
         )
-        [default] = sweep([SCNN_CONFIG], small_network)
+        # Layer-order reference at the override densities; each layer's
+        # output density is the next layer's override activation density,
+        # and 0.55 for the last layer.
+        specs = list(small_network.layers)
         cycles = 0.0
-        for spec in small_network.layers:
-            cycles += estimate_scnn_layer(
+        energy = 0.0
+        for index, spec in enumerate(specs):
+            layer = small_sparsity[spec.name]
+            estimate = estimate_scnn_layer(
                 spec,
-                weight_density=small_sparsity[spec.name].weight_density,
-                activation_density=small_sparsity[spec.name].activation_density,
-            ).cycles
+                weight_density=layer.weight_density,
+                activation_density=layer.activation_density,
+            )
+            cycles += estimate.cycles
+            energy += layer_energy_from_densities(
+                spec,
+                SCNN_CONFIG,
+                weight_density=layer.weight_density,
+                activation_density=layer.activation_density,
+                output_density=(
+                    small_sparsity[specs[index + 1].name].activation_density
+                    if index + 1 < len(specs)
+                    else 0.55
+                ),
+                cycles=int(estimate.cycles),
+            ).total
         assert point.cycles == cycles
-        assert point.energy != default.energy
+        assert point.energy == energy
 
     def test_empty_candidate_list(self, small_network):
         assert sweep([], small_network) == []
