@@ -12,7 +12,6 @@ from repro.analysis.reporting import format_table, format_value
 from repro.analysis.serialization import (
     design_point_payload,
     design_points_payload,
-    engine_run_payload,
     layer_payload,
     simulation_payload,
     to_jsonable,
@@ -24,7 +23,6 @@ __all__ = [
     "density_table",
     "design_point_payload",
     "design_points_payload",
-    "engine_run_payload",
     "format_table",
     "format_value",
     "geometric_mean",

@@ -19,7 +19,7 @@ govern the payload builders here:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -166,14 +166,3 @@ def comparison_payload(comparison: Any) -> Dict[str, Any]:
         },
     }
 
-
-def engine_run_payload(run: Any) -> Dict[str, Any]:
-    """The transport form of one :class:`repro.engine.EngineRun` grid."""
-    config_names: List[str] = [config.name for config in run.configs]
-    return {
-        "workloads": [workload.spec.name for workload in run.workloads],
-        "configs": config_names,
-        "cycles": [[int(cell.cycles) for cell in row] for row in run.results],
-        "products": [[int(cell.products) for cell in row] for row in run.results],
-        "total_cycles": {name: int(run.total_cycles(name)) for name in config_names},
-    }

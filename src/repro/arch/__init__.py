@@ -51,7 +51,6 @@ _LAZY = {
     "available_adapters": "repro.arch.adapters",
     "effective_densities": "repro.arch.adapters",
     "get_adapter": "repro.arch.adapters",
-    "register_adapter": "repro.arch.adapters",
     "ArchLayerMetrics": "repro.arch.compare",
     "NetworkComparison": "repro.arch.compare",
     "compare_network": "repro.arch.compare",

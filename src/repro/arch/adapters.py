@@ -4,33 +4,40 @@ An adapter knows how to evaluate one *family* of architectures with the
 repository's performance models; a spec names its adapter
 (:attr:`~repro.arch.spec.ArchitectureSpec.adapter`) and the registry resolves
 it at simulation time.  Every adapter exposes the same
-``simulate_layer(workload, config) -> ArchLayerResult`` surface, so the
+``simulate_layer(spec, config, operands) -> ArchLayerResult`` surface, so the
 engine's comparison sweeps (and anything else that iterates architectures)
 never branch on accelerator family.
 
-Two adapters cover the paper's catalogue:
+Adapters read operand *masks*, never operand tensors: the engine synthesises
+a layer at most once, forms its :class:`LayerOperands`, and hands the same
+masks to every architecture it evaluates on that layer.  Two adapters cover
+the paper's catalogue:
 
 * ``cartesian-sparse`` — the vectorised PT-IS-CP cycle model
   (:func:`repro.scnn.cycles.simulate_layer_cycles`).  The dataflow's
   ``skips_zero_weights`` / ``skips_zero_activations`` flags decide which
   operands the architecture observes compressed: an operand the dataflow
-  cannot skip is presented fully dense (the cycle model consumes only the
-  non-zero *structure* of its operands, so an all-ones stand-in models an
-  uncompressed stream exactly).  This one adapter therefore covers SCNN and
-  both single-operand ablations.
+  cannot skip is observed as an all-True mask (the cycle model consumes
+  only the non-zero *structure* of its operands, so an all-True mask models
+  an uncompressed stream exactly).  This one adapter therefore covers SCNN
+  and both single-operand ablations.
 * ``dot-product-dense`` — the dense PT-IS-DP baseline model
   (:func:`repro.scnn.dcnn.simulate_dcnn_layer`); only the layer shape
-  matters, so the operand tensors are never materialised.
+  matters, so it reads no operands and a layer evaluated only on dense
+  architectures is never synthesised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.spec import AcceleratorConfig
+from repro.dataflow.tiling import phase_integral_images
+from repro.nn.layers import ConvLayerSpec
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.dcnn import simulate_dcnn_layer
 
@@ -55,20 +62,63 @@ class ArchLayerResult:
     weight_vector_fetches: Optional[int] = None
 
 
+class LayerOperands:
+    """One layer's operand non-zero structure, shared across architectures.
+
+    ``weights`` and ``activations`` are the operands' bool masks.  The
+    activation mask's phase integral images, and the all-True stand-ins (with
+    their integral images) of operands a dataflow cannot skip, are each
+    built on first use and then reused by every later architecture.
+    """
+
+    def __init__(
+        self, spec: ConvLayerSpec, weights: np.ndarray, activations: np.ndarray
+    ) -> None:
+        self.spec = spec
+        self.weights = weights
+        self.activations = activations
+
+    @cached_property
+    def integrals(self) -> Tuple[np.ndarray, ...]:
+        """Phase integral images of the activation mask."""
+        return phase_integral_images(self.activations, self.spec.stride)
+
+    @cached_property
+    def dense_weights(self) -> np.ndarray:
+        """All-True weight mask: the uncompressed weight stream."""
+        return np.ones(self.weights.shape, dtype=bool)
+
+    @cached_property
+    def dense_activations(self) -> np.ndarray:
+        """All-True activation mask: the uncompressed activation stream."""
+        return np.ones(self.activations.shape, dtype=bool)
+
+    @cached_property
+    def dense_integrals(self) -> Tuple[np.ndarray, ...]:
+        """Phase integral images of :attr:`dense_activations`."""
+        return phase_integral_images(self.dense_activations, self.spec.stride)
+
+
 class SimulatorAdapter:
     """Common interface every architecture family implements."""
 
     #: Registry key (the value a spec's ``adapter`` field names).
     name: str = ""
+    #: Whether :meth:`simulate_layer` reads the layer's operand masks.
+    reads_operands: bool = True
 
-    def simulate_layer(self, workload, config: AcceleratorConfig) -> ArchLayerResult:
-        """Evaluate one layer workload on ``config``.
+    def simulate_layer(
+        self,
+        spec: ConvLayerSpec,
+        config: AcceleratorConfig,
+        operands: Optional[LayerOperands],
+    ) -> ArchLayerResult:
+        """Evaluate one layer on ``config``.
 
-        ``workload`` is anything duck-typed like
-        :class:`repro.nn.inference.LayerWorkload` (``spec`` / ``weights`` /
-        ``activations``); adapters that do not need the operand tensors must
-        not touch them, so lazy :class:`~repro.engine.workloads.WorkloadHandle`
-        recipes stay cheap.
+        ``operands`` carries the layer's masks.  It is ``None`` when the
+        engine skipped synthesis because no architecture evaluated on the
+        layer reads operands, so only an adapter with
+        ``reads_operands = False`` can receive ``None``.
         """
         raise NotImplementedError
 
@@ -78,21 +128,29 @@ class CartesianSparseAdapter(SimulatorAdapter):
 
     name = "cartesian-sparse"
 
-    def simulate_layer(self, workload, config: AcceleratorConfig) -> ArchLayerResult:
-        """Run the vectorised sparse cycle model, densifying unskipped operands."""
+    def simulate_layer(
+        self,
+        spec: ConvLayerSpec,
+        config: AcceleratorConfig,
+        operands: Optional[LayerOperands],
+    ) -> ArchLayerResult:
+        """Run the vectorised sparse cycle model on the masks ``config`` observes."""
         dataflow = config.dataflow
-        weights = workload.weights
-        activations = workload.activations
-        if not dataflow.skips_zero_weights:
-            # The cycle model only reads the non-zero structure; an all-ones
-            # tensor is exactly an uncompressed operand stream.
-            weights = np.ones_like(weights)
-        if not dataflow.skips_zero_activations:
-            activations = np.ones_like(activations)
-        result = simulate_layer_cycles(workload.spec, weights, activations, config)
+        if dataflow.skips_zero_weights:
+            weights = operands.weights
+        else:
+            weights = operands.dense_weights
+        if dataflow.skips_zero_activations:
+            activations, integrals = operands.activations, operands.integrals
+        else:
+            activations = operands.dense_activations
+            integrals = operands.dense_integrals
+        result = simulate_layer_cycles(
+            spec, weights, activations, config, integrals=integrals
+        )
         return ArchLayerResult(
             architecture=config.name,
-            layer=workload.spec.name,
+            layer=spec.name,
             cycles=int(result.cycles),
             operations=int(result.products),
             multiplier_utilization=result.multiplier_utilization,
@@ -105,13 +163,19 @@ class DotProductDenseAdapter(SimulatorAdapter):
     """PT-IS-DP architectures: the DCNN / DCNN-opt dense baselines."""
 
     name = "dot-product-dense"
+    reads_operands = False
 
-    def simulate_layer(self, workload, config: AcceleratorConfig) -> ArchLayerResult:
-        """Run the dense baseline model (layer shape only, no tensors)."""
-        result = simulate_dcnn_layer(workload.spec, config)
+    def simulate_layer(
+        self,
+        spec: ConvLayerSpec,
+        config: AcceleratorConfig,
+        operands: Optional[LayerOperands],
+    ) -> ArchLayerResult:
+        """Run the dense baseline model (layer shape only, no operands)."""
+        result = simulate_dcnn_layer(spec, config)
         return ArchLayerResult(
             architecture=config.name,
-            layer=workload.spec.name,
+            layer=spec.name,
             cycles=int(result.cycles),
             operations=int(result.multiplies),
             multiplier_utilization=result.multiplier_utilization,
@@ -140,16 +204,6 @@ def get_adapter(name: str) -> SimulatorAdapter:
         raise KeyError(
             f"unknown simulator adapter {name!r}; available adapters: {known}"
         ) from None
-
-
-def register_adapter(adapter: SimulatorAdapter) -> SimulatorAdapter:
-    """Add a custom adapter (a new architecture family) to the catalogue."""
-    if not adapter.name:
-        raise ValueError("an adapter needs a non-empty name")
-    if adapter.name in _ADAPTERS:
-        raise ValueError(f"adapter {adapter.name!r} is already registered")
-    _ADAPTERS[adapter.name] = adapter
-    return adapter
 
 
 def effective_densities(

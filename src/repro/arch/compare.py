@@ -19,8 +19,9 @@ Two evaluation paths feed one comparison, both through the shared
   ``tests/test_compare_equivalence.py``);
 * every other registered architecture (the sparsity ablations, granularity
   variants, anything a user registers) is evaluated through
-  ``engine.run_architectures`` — the registry's simulator adapters — with
-  energy accounted at the *effective* densities its dataflow observes.
+  ``engine.run_architectures`` — the registry's simulator adapters, one task
+  per layer that synthesises it once for all of them — with energy
+  accounted at the *effective* densities its dataflow observes.
 """
 
 from __future__ import annotations
@@ -264,7 +265,6 @@ def compare_network(
     density_profile: Optional[str] = None,
     engine=None,
     energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
-    parallel: Optional[int] = None,
 ) -> NetworkComparison:
     """Evaluate ``network`` on every requested architecture.
 
@@ -306,9 +306,7 @@ def compare_network(
     if variant_names:
         workloads = [layer.workload for layer in simulation.layers]
         grid = engine.run_architectures(
-            workloads,
-            [specs[name] for name in variant_names],
-            parallel=parallel,
+            workloads, [specs[name] for name in variant_names]
         )
         variant_runs = {name: grid.column(name) for name in variant_names}
 
@@ -339,7 +337,6 @@ def compare_networks(
     density_profile: Optional[str] = None,
     engine=None,
     energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
-    parallel: Optional[int] = None,
 ) -> Dict[str, NetworkComparison]:
     """Run :func:`compare_network` over several networks, keyed by name.
 
@@ -369,7 +366,6 @@ def compare_networks(
             density_profile=density_profile,
             engine=engine,
             energy_table=energy_table,
-            parallel=parallel,
         )
         existing = comparisons.get(comparison.network)
         if existing is not None:

@@ -97,7 +97,7 @@ class ArchitectureRegistry:
         """The spec registered under ``name``.
 
         An unknown name raises a :class:`KeyError` that lists every known
-        architecture, mirroring :meth:`repro.engine.EngineRun.column`.
+        architecture, mirroring :meth:`repro.engine.ArchitectureRun.column`.
         """
         try:
             return self._specs[name]

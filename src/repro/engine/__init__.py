@@ -2,12 +2,13 @@
 
 Public surface:
 
-* :class:`SimulationEngine` — ``run(workloads, configs, parallel=N)`` for
-  batched layer evaluation, ``run_network`` for full per-network simulations
-  (what the figure experiments consume), ``run_architectures`` for
-  workload x architecture grids evaluated through the registry's simulator
-  adapters (what the ``compare`` sweeps consume), and ``sweep`` for parallel
-  design-space exploration.
+* :class:`SimulationEngine` — ``run_network`` for full per-network
+  simulations (what the figure experiments consume), ``run_architectures``
+  for workload x architecture grids evaluated through the registry's
+  simulator adapters (what the ``compare`` sweeps, the Section VI-C study
+  and the service's ``layer`` scenario consume), and ``sweep`` /
+  ``evaluate_grid`` for cached design-space exploration.  The pool size is
+  the engine's ``parallel``, fixed when it is built.
 * :func:`default_engine` / :func:`configure_default_engine` — the shared
   engine instance the experiment layer and CLI route through.  Unlike a
   :class:`SimulationEngine` built directly (serial unless told otherwise),
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.engine.cache import ResultCache, SCHEMA_VERSION, default_cache_dir, fingerprint
-from repro.engine.core import ArchitectureRun, EngineRun, SimulationEngine
+from repro.engine.core import ArchitectureRun, SimulationEngine
 from repro.engine.parallel import parallel_map, pool_forks, resolve_workers
 from repro.engine.workloads import WorkloadHandle
 
@@ -75,7 +76,6 @@ def configure_default_engine(
 
 __all__ = [
     "ArchitectureRun",
-    "EngineRun",
     "ResultCache",
     "SCHEMA_VERSION",
     "SimulationEngine",

@@ -17,10 +17,12 @@ network simulations and design-space sweeps.  It composes three layers:
 Workloads move between processes and cache entries as lazy
 :class:`~repro.engine.workloads.WorkloadHandle` recipes, so neither the pool
 nor the cache ever ships multi-megabyte activation tensors.  A network
-simulation is one build-and-simulate task per layer: each task synthesises
-its layer's operands, simulates them and releases them, so the operand
-tensors never outlive their layer, in the parent process or in the memo
-table.
+simulation is one build-and-simulate task per layer, and a workload x
+architecture grid is one task per layer with an uncached cell: each task
+synthesises its layer's operands at most once, evaluates them and releases
+them, so the operand tensors never outlive their layer, in the parent
+process or in the memo table.  Every entry point reads and writes the cache
+through one helper, :meth:`SimulationEngine._cached`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +50,6 @@ from repro.scnn.config import (
     DCNN_OPT_CONFIG,
     SCNN_CONFIG,
 )
-from repro.scnn.cycles import LayerCycleResult, simulate_layer_cycles
 from repro.scnn.simulator import LayerSimulation, NetworkSimulation, simulate_layer
 from repro.timeloop.dse import DesignPoint, evaluate_configs, sweep_densities
 from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
@@ -131,19 +132,38 @@ def _simulate_layer_task(
     return simulation
 
 
-def _operand_footprint(task: Tuple) -> int:
-    """Operand elements a :func:`_simulate_layer_task` synthesises."""
-    spec = task[3]
+def _operand_footprint(spec: ConvLayerSpec) -> int:
+    """Operand elements a synthesis of layer ``spec`` draws."""
     return spec.weight_count + spec.input_activation_count
 
 
-def _layer_cycles_task(
-    task: Tuple[AnyWorkload, AcceleratorConfig]
-) -> LayerCycleResult:
-    workload, config = task
-    return simulate_layer_cycles(
-        workload.spec, workload.weights, workload.activations, config
-    )
+def _architecture_row_task(task: Tuple[AnyWorkload, List[object]]) -> List[object]:
+    """Evaluate one workload on each of its uncached architectures.
+
+    The layer is synthesised at most once, and not at all when no
+    architecture's adapter reads operands; every architecture then reads the
+    same bool masks.  A handle that arrived without tensors leaves without
+    them.
+    """
+    # Imported here: repro.arch.adapters pulls the simulators in, and the
+    # engine must stay importable from the low layers that the architecture
+    # registry itself feeds (see repro.arch.__init__).
+    from repro.arch.adapters import LayerOperands, get_adapter
+
+    workload, specs = task
+    adapters = [get_adapter(spec.adapter) for spec in specs]
+    operands = None
+    if any(adapter.reads_operands for adapter in adapters):
+        lazy = isinstance(workload, WorkloadHandle) and not workload.materialized
+        operands = LayerOperands(
+            workload.spec, workload.weights != 0, workload.activations != 0
+        )
+        if lazy:
+            workload.release()
+    return [
+        adapter.simulate_layer(workload.spec, spec.config, operands)
+        for adapter, spec in zip(adapters, specs)
+    ]
 
 
 def _resolve_network_and_sparsity(
@@ -171,45 +191,6 @@ def _resolve_network_and_sparsity(
             f"{', '.join(map(repr, missing))} of {network.name}"
         )
     return network, sparsity
-
-
-def _architecture_layer_task(task):
-    """Evaluate one (workload, architecture spec) cell via the spec's adapter."""
-    # Imported here: repro.arch.adapters pulls the simulators in, and the
-    # engine must stay importable from the low layers that the architecture
-    # registry itself feeds (see repro.arch.__init__).
-    from repro.arch.adapters import get_adapter
-
-    workload, spec = task
-    return get_adapter(spec.adapter).simulate_layer(workload, spec.config)
-
-
-@dataclass
-class EngineRun:
-    """Result grid of one :meth:`SimulationEngine.run` call.
-
-    ``results[i][j]`` is the cycle-model result of ``workloads[i]`` on
-    ``configs[j]``.
-    """
-
-    workloads: List[AnyWorkload]
-    configs: List[AcceleratorConfig]
-    results: List[List[LayerCycleResult]]
-
-    def column(self, config_name: str) -> List[LayerCycleResult]:
-        """All per-workload results of the named configuration."""
-        for j, config in enumerate(self.configs):
-            if config.name == config_name:
-                return [row[j] for row in self.results]
-        known = ", ".join(repr(config.name) for config in self.configs) or "(none)"
-        raise KeyError(
-            f"no evaluated configuration named {config_name!r}; "
-            f"this run evaluated: {known}"
-        )
-
-    def total_cycles(self, config_name: str) -> int:
-        """Summed cycles of the named configuration across every workload."""
-        return sum(result.cycles for result in self.column(config_name))
 
 
 @dataclass
@@ -256,9 +237,8 @@ class SimulationEngine:
         cache_dir: on-disk cache root.  ``None`` (default) reads the
             ``REPRO_CACHE_DIR`` environment variable; ``False`` disables the
             disk cache outright; a path enables it there.
-        parallel: default process-pool size for all ``run*`` methods
+        parallel: process-pool size of the ``run*`` methods
             (``None``/``0``/``1`` = serial, ``-1`` = one worker per CPU).
-            Each call can override it.
         cache_max_entries: optional bound on the on-disk cache; beyond it
             the least-recently-used entries are evicted.
         memory_max_entries: optional bound on the in-memory memo table,
@@ -351,6 +331,24 @@ class SimulationEngine:
             with obs.span("cache.put"):
                 self.disk_cache.put(key, value)
 
+    def _cached(
+        self, keys: Sequence[str], compute: Callable[[List[int]], Sequence]
+    ) -> List:
+        """The value of every key, in key order, computing only the misses.
+
+        ``compute`` receives the indices of the keys that both cache tiers
+        missed and returns their values in that order; it is called once,
+        and not at all when every key hits.  This is the engine's only path
+        to the memo table and the disk cache.
+        """
+        values = [self._lookup(key) for key in keys]
+        missing = [index for index, value in enumerate(values) if value is None]
+        if missing:
+            for index, value in zip(missing, compute(missing)):
+                values[index] = value
+                self._store(keys[index], value)
+        return values
+
     def clear_cache(self) -> None:
         """Drop the in-memory memo table and every on-disk entry."""
         with self._lock:
@@ -390,9 +388,6 @@ class SimulationEngine:
             counters["hit_rate"] = hits / lookups if lookups else 0.0
         return counters
 
-    def _workers(self, parallel: Optional[int]) -> Optional[int]:
-        return self.parallel if parallel is None else parallel
-
     # -- network simulation -----------------------------------------------------
 
     @_instrumented("run_network")
@@ -402,7 +397,6 @@ class SimulationEngine:
         seed: int = 0,
         *,
         sparsity: Optional[Dict[str, LayerSparsity]] = None,
-        parallel: Optional[int] = None,
         scnn_config: AcceleratorConfig = SCNN_CONFIG,
         dcnn_config: AcceleratorConfig = DCNN_CONFIG,
         dcnn_opt_config: AcceleratorConfig = DCNN_OPT_CONFIG,
@@ -435,115 +429,66 @@ class SimulationEngine:
             dcnn_opt=dcnn_opt_config,
             energy=energy_table,
         )
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
 
-        specs = network.layers
-        tasks = []
-        for index, spec in enumerate(specs):
-            # Layer i's output is layer i+1's input, whose non-zero count the
-            # synthesis fixes exactly, so no task waits for another.
-            output_density = None
-            if index + 1 < len(specs):
-                following = specs[index + 1]
-                output_density = (
-                    activation_nonzeros(
-                        following, sparsity[following.name].activation_density
+        def simulate(_missing: List[int]) -> List[NetworkSimulation]:
+            specs = network.layers
+            tasks = []
+            for index, spec in enumerate(specs):
+                # Layer i's output is layer i+1's input, whose non-zero count
+                # the synthesis fixes exactly, so no task waits for another.
+                output_density = None
+                if index + 1 < len(specs):
+                    following = specs[index + 1]
+                    output_density = (
+                        activation_nonzeros(
+                            following, sparsity[following.name].activation_density
+                        )
+                        / following.input_activation_count
                     )
-                    / following.input_activation_count
+                tasks.append(
+                    (
+                        network.name,
+                        seed,
+                        index,
+                        spec,
+                        sparsity[spec.name],
+                        output_density,
+                        scnn_config,
+                        dcnn_config,
+                        dcnn_opt_config,
+                        energy_table,
+                    )
                 )
-            tasks.append(
-                (
-                    network.name,
-                    seed,
-                    index,
-                    spec,
-                    sparsity[spec.name],
-                    output_density,
-                    scnn_config,
-                    dcnn_config,
-                    dcnn_opt_config,
-                    energy_table,
-                )
+            layers = parallel_map(
+                _simulate_layer_task,
+                tasks,
+                self.parallel,
+                cost=lambda task: _operand_footprint(task[3]),
             )
-        layers = parallel_map(
-            _simulate_layer_task,
-            tasks,
-            self._workers(parallel),
-            cost=_operand_footprint,
-        )
-        simulation = NetworkSimulation(network=network, layers=layers)
-        self._store(key, simulation)
-        return simulation
+            return [NetworkSimulation(network=network, layers=layers)]
 
-    # -- batched layer evaluation -----------------------------------------------
+        return self._cached([key], simulate)[0]
 
-    @_instrumented("run")
-    def run(
-        self,
-        workloads: Sequence[AnyWorkload],
-        configs: Optional[Sequence[AcceleratorConfig]] = None,
-        *,
-        parallel: Optional[int] = None,
-    ) -> EngineRun:
-        """Evaluate every workload on every configuration with the cycle model.
-
-        The (workload, config) grid is flattened into independent tasks and
-        sharded across the pool; each cell is individually content-addressed
-        in the disk cache (synthetic workloads by their generative recipe,
-        raw workloads by a digest of their tensors).
-        """
-        workloads = list(workloads)
-        configs = list(configs) if configs is not None else [SCNN_CONFIG]
-        cells: List[List[Optional[LayerCycleResult]]] = [
-            [None] * len(configs) for _ in workloads
-        ]
-        # Describe each workload and config once up front — a raw workload's
-        # description digests its tensors, which must not be repeated per
-        # grid cell.  describe() output is canonical JSON data, so feeding it
-        # back through fingerprint() is idempotent.
-        workload_parts = [describe(workload) for workload in workloads]
-        config_parts = [describe(config) for config in configs]
-        pending: List[Tuple[int, int, str]] = []
-        for i, workload in enumerate(workloads):
-            for j, config in enumerate(configs):
-                key = fingerprint(
-                    "layer-cycles", workload=workload_parts[i], config=config_parts[j]
-                )
-                cached = self._lookup(key)
-                if cached is not None:
-                    cells[i][j] = cached
-                else:
-                    pending.append((i, j, key))
-        results = parallel_map(
-            _layer_cycles_task,
-            [(workloads[i], configs[j]) for i, j, _ in pending],
-            self._workers(parallel),
-        )
-        for (i, j, key), result in zip(pending, results):
-            cells[i][j] = result
-            self._store(key, result)
-        return EngineRun(workloads=workloads, configs=configs, results=cells)
+    # -- workload x architecture grids ------------------------------------------
 
     @_instrumented("run_architectures")
     def run_architectures(
         self,
         workloads: Sequence[AnyWorkload],
         architectures: Sequence[object],
-        *,
-        parallel: Optional[int] = None,
     ) -> ArchitectureRun:
         """Evaluate every workload on every registered architecture.
 
-        Like :meth:`run`, but each cell is evaluated through the
-        architecture's simulator adapter (the common ``simulate_layer``
-        surface of :mod:`repro.arch.adapters`) instead of the raw SCNN cycle
-        model, so sparse and dense architectures — and any future family —
-        mix freely in one grid.  ``architectures`` accepts registered names
-        or :class:`~repro.arch.spec.ArchitectureSpec` objects; cells are
-        individually content-addressed in the cache and shard across the
-        process pool.
+        Each cell is evaluated through the architecture's simulator adapter
+        (the common ``simulate_layer`` surface of :mod:`repro.arch.adapters`),
+        so sparse and dense architectures — and any future family — mix
+        freely in one grid.  ``architectures`` accepts registered names or
+        :class:`~repro.arch.spec.ArchitectureSpec` objects.  Each cell is
+        content-addressed in the cache on its own (synthetic workloads by
+        their generative recipe, raw workloads by a digest of their
+        tensors), but all of a layer's uncached cells are computed in one
+        task, which synthesises the layer once; the tasks shard across the
+        process pool, largest layer first.
         """
         from repro.arch.registry import get_architecture
         from repro.arch.spec import ArchitectureSpec
@@ -553,31 +498,36 @@ class SimulationEngine:
             spec if isinstance(spec, ArchitectureSpec) else get_architecture(spec)
             for spec in architectures
         ]
-        cells: List[List[object]] = [[None] * len(specs) for _ in workloads]
-        workload_parts = [describe(workload) for workload in workloads]
+        # Describe each workload and spec once up front — a raw workload's
+        # description digests its tensors, which must not be repeated per
+        # grid cell.  describe() output is canonical JSON data, so feeding it
+        # back through fingerprint() is idempotent.
         spec_parts = [describe(spec) for spec in specs]
-        pending: List[Tuple[int, int, str]] = []
-        for i, workload in enumerate(workloads):
-            for j, spec in enumerate(specs):
-                key = fingerprint(
-                    "architecture-layer",
-                    workload=workload_parts[i],
-                    architecture=spec_parts[j],
-                )
-                cached = self._lookup(key)
-                if cached is not None:
-                    cells[i][j] = cached
-                else:
-                    pending.append((i, j, key))
-        results = parallel_map(
-            _architecture_layer_task,
-            [(workloads[i], specs[j]) for i, j, _ in pending],
-            self._workers(parallel),
+        keys = [
+            fingerprint("architecture-layer", workload=workload_part, architecture=part)
+            for workload_part in map(describe, workloads)
+            for part in spec_parts
+        ]
+        width = len(specs)
+
+        def evaluate(missing: List[int]) -> List[object]:
+            rows: Dict[int, List[object]] = {}
+            for index in missing:
+                rows.setdefault(index // width, []).append(specs[index % width])
+            results = parallel_map(
+                _architecture_row_task,
+                [(workloads[row], row_specs) for row, row_specs in rows.items()],
+                self.parallel,
+                cost=lambda task: _operand_footprint(task[0].spec),
+            )
+            return [cell for row in results for cell in row]
+
+        cells = self._cached(keys, evaluate)
+        return ArchitectureRun(
+            workloads=workloads,
+            architectures=specs,
+            results=[cells[i * width : (i + 1) * width] for i in range(len(workloads))],
         )
-        for (i, j, key), result in zip(pending, results):
-            cells[i][j] = result
-            self._store(key, result)
-        return ArchitectureRun(workloads=workloads, architectures=specs, results=cells)
 
     # -- design-space exploration -----------------------------------------------
 
@@ -602,43 +552,38 @@ class SimulationEngine:
         """
         network, sparsity = _resolve_network_and_sparsity(network, sparsity)
         configs = list(configs)
-        points: List[Optional[DesignPoint]] = [None] * len(configs)
-        pending: List[Tuple[int, str]] = []
-        for index, config in enumerate(configs):
-            key = fingerprint(
+        keys = [
+            fingerprint(
                 "design-point",
                 config=config,
                 network=network,
                 sparsity=sparsity,
                 energy=energy_table,
             )
-            cached = self._lookup(key)
-            if cached is not None:
-                points[index] = cached
-            else:
-                pending.append((index, key))
-        pending_configs = [configs[index] for index, _ in pending]
-        weight, activation, output = sweep_densities(network, sparsity)
-        grid = self.evaluate_grid(
-            list(network.layers),
-            pending_configs,
-            weight_density=weight,
-            activation_density=activation,
-            output_density=output,
-            energy_table=energy_table,
-            model="scnn",
-        )
-        results = evaluate_configs(
-            pending_configs,
-            network,
-            sparsity=sparsity,
-            energy_table=energy_table,
-            grid=grid,
-        )
-        for (index, key), point in zip(pending, results):
-            points[index] = point
-            self._store(key, point)
-        return points
+            for config in configs
+        ]
+
+        def evaluate(missing: List[int]) -> List[DesignPoint]:
+            pending = [configs[index] for index in missing]
+            weight, activation, output = sweep_densities(network, sparsity)
+            grid = self.evaluate_grid(
+                list(network.layers),
+                pending,
+                weight_density=weight,
+                activation_density=activation,
+                output_density=output,
+                energy_table=energy_table,
+                model="scnn",
+            )
+            return evaluate_configs(
+                pending,
+                network,
+                sparsity=sparsity,
+                energy_table=energy_table,
+                grid=grid,
+            )
+
+        return self._cached(keys, evaluate)
 
     # -- whole-grid analytical evaluation -----------------------------------------
 
@@ -679,17 +624,17 @@ class SimulationEngine:
             energy=energy_table,
             model=model,
         )
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        result = grid_evaluate(
-            specs,
-            configs,
-            weight_density=weight_density,
-            activation_density=activation_density,
-            output_density=output_density,
-            energy_table=energy_table,
-            model=model,
-        )
-        self._store(key, result)
-        return result
+        return self._cached(
+            [key],
+            lambda _missing: [
+                grid_evaluate(
+                    specs,
+                    configs,
+                    weight_density=weight_density,
+                    activation_density=activation_density,
+                    output_density=output_density,
+                    energy_table=energy_table,
+                    model=model,
+                )
+            ],
+        )[0]

@@ -1,8 +1,8 @@
 """Process-pool sharding for the simulation engine.
 
-Independent units of work — fused build-and-simulate layer tasks, (workload,
-config) cycle evaluations, DSE candidate configurations — are mapped over a
-``concurrent.futures`` process pool.  Three rules keep the parallel path
+Independent units of work — fused build-and-simulate layer tasks and
+architecture rows (one layer's uncached architectures, synthesised once) —
+are mapped over a ``concurrent.futures`` process pool.  Three rules keep the parallel path
 bitwise-identical to the serial one:
 
 * every worker function is a pure function of its (picklable) task tuple;

@@ -99,6 +99,11 @@ class WorkloadHandle:
         """Drop the tensors; the next access regenerates them."""
         self._materialized = None
 
+    @property
+    def materialized(self) -> bool:
+        """Whether the tensors are in memory now."""
+        return self._materialized is not None
+
     # -- LayerWorkload duck-type surface ---------------------------------------
 
     @property

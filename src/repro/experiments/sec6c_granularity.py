@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.analysis.reporting import format_table
+from repro.arch.spec import ArchitectureSpec
+from repro.engine import default_engine
 from repro.experiments.common import cached_simulation
 from repro.scnn.config import scnn_with_pe_count
-from repro.scnn.cycles import simulate_layer_cycles
 
 DEFAULT_PE_COUNTS = (64, 16, 4)
 
@@ -39,18 +40,22 @@ def run(
     seed: int = 0,
 ) -> List[GranularityPoint]:
     """Simulate the network at each PE count, reusing one set of workloads."""
-    simulation = cached_simulation(network_name, seed)
-    workloads = [layer.workload for layer in simulation.layers]
+    engine = default_engine()
+    simulation = cached_simulation(network_name, seed, engine)
+    configs = [scnn_with_pe_count(num_pes) for num_pes in pe_counts]
+    grid = engine.run_architectures(
+        [layer.workload for layer in simulation.layers],
+        [
+            ArchitectureSpec(name=config.name, config=config, adapter="cartesian-sparse")
+            for config in configs
+        ],
+    )
     points = []
-    for num_pes in pe_counts:
-        config = scnn_with_pe_count(num_pes)
+    for num_pes, config in zip(pe_counts, configs):
         total_cycles = 0
         weighted_util = 0.0
         weighted_idle = 0.0
-        for workload in workloads:
-            result = simulate_layer_cycles(
-                workload.spec, workload.weights, workload.activations, config
-            )
+        for result in grid.column(config.name):
             total_cycles += result.cycles
             weighted_util += result.multiplier_utilization * result.cycles
             weighted_idle += result.idle_fraction * result.cycles

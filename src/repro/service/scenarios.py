@@ -34,7 +34,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.analysis.serialization import (
     comparison_payload,
     design_points_payload,
-    engine_run_payload,
     simulation_payload,
     to_jsonable,
 )
@@ -320,11 +319,16 @@ def _run_single_layer(engine: SimulationEngine, params: Dict[str, Any]) -> Any:
     handle = WorkloadHandle.build(
         network.name, params["seed"], index, spec, sparsity[spec.name]
     )
-    run = engine.run([handle], [SCNN_CONFIG])
-    payload = engine_run_payload(run)
-    payload["network"] = network.name
-    payload["layer"] = spec.name
-    return payload
+    [result] = engine.run_architectures([handle], ["SCNN"]).column("SCNN")
+    return {
+        "workloads": [spec.name],
+        "configs": ["SCNN"],
+        "cycles": [[result.cycles]],
+        "products": [[result.operations]],
+        "total_cycles": {"SCNN": result.cycles},
+        "network": network.name,
+        "layer": spec.name,
+    }
 
 
 def _run_network(engine: SimulationEngine, params: Dict[str, Any]) -> Any:

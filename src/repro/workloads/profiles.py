@@ -254,7 +254,7 @@ def get_profile(name: str) -> DensityProfile:
     """The profile registered under ``name`` (case-insensitive).
 
     An unknown name raises a :class:`KeyError` that lists the catalogue,
-    mirroring :meth:`repro.engine.EngineRun.column`.
+    mirroring :meth:`repro.engine.ArchitectureRun.column`.
     """
     with _profiles_lock:
         profile = _catalogue().get(_key(name))

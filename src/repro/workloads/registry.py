@@ -78,7 +78,7 @@ class WorkloadRegistry:
         """The spec registered under ``name`` (case-insensitive).
 
         An unknown name raises a :class:`KeyError` that lists every known
-        workload, mirroring :meth:`repro.engine.EngineRun.column`.
+        workload, mirroring :meth:`repro.engine.ArchitectureRun.column`.
         """
         with self._lock:
             spec = self._specs.get(self._key(name))

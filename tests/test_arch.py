@@ -21,6 +21,7 @@ from repro.arch import (
     resolve_config,
 )
 from repro.arch.adapters import (
+    LayerOperands,
     available_adapters,
     effective_densities,
     get_adapter,
@@ -38,6 +39,13 @@ from _helpers import make_workload
 def workload():
     spec = ConvLayerSpec("conv", 32, 32, 14, 14, 3, 3, padding=1)
     return make_workload(spec, weight_density=0.4, activation_density=0.5)
+
+
+@pytest.fixture
+def operands(workload):
+    return LayerOperands(
+        workload.spec, workload.weights != 0, workload.activations != 0
+    )
 
 
 class TestRegistry:
@@ -128,9 +136,9 @@ class TestAdapters:
         with pytest.raises(KeyError, match="unknown simulator adapter"):
             get_adapter("hls")
 
-    def test_sparse_adapter_matches_core_model_for_scnn(self, workload):
+    def test_sparse_adapter_matches_core_model_for_scnn(self, workload, operands):
         result = get_adapter("cartesian-sparse").simulate_layer(
-            workload, SCNN_CONFIG
+            workload.spec, SCNN_CONFIG, operands
         )
         reference = simulate_layer_cycles(
             workload.spec, workload.weights, workload.activations, SCNN_CONFIG
@@ -140,24 +148,27 @@ class TestAdapters:
         assert result.weight_vector_fetches == reference.weight_vector_fetches
 
     def test_dense_adapter_matches_dcnn_model(self, workload):
+        """The dense adapter reads no operands, so it needs no masks."""
+        assert not get_adapter("dot-product-dense").reads_operands
         result = get_adapter("dot-product-dense").simulate_layer(
-            workload, DCNN_CONFIG
+            workload.spec, DCNN_CONFIG, None
         )
         reference = simulate_dcnn_layer(workload.spec, DCNN_CONFIG)
         assert result.cycles == reference.cycles
         assert result.operations == reference.multiplies
         assert result.weight_vector_fetches is None
 
-    def test_single_operand_ablations_bracketed_by_scnn_and_dense(self, workload):
+    def test_single_operand_ablations_bracketed_by_scnn_and_dense(
+        self, workload, operands
+    ):
         """Skipping one operand is slower than SCNN, faster than dense."""
-        scnn = get_adapter("cartesian-sparse").simulate_layer(
-            workload, SCNN_CONFIG
+        adapter = get_adapter("cartesian-sparse")
+        scnn = adapter.simulate_layer(workload.spec, SCNN_CONFIG, operands)
+        sparse_w = adapter.simulate_layer(
+            workload.spec, get_architecture("SCNN-SparseW").config, operands
         )
-        sparse_w = get_adapter("cartesian-sparse").simulate_layer(
-            workload, get_architecture("SCNN-SparseW").config
-        )
-        sparse_a = get_adapter("cartesian-sparse").simulate_layer(
-            workload, get_architecture("SCNN-SparseA").config
+        sparse_a = adapter.simulate_layer(
+            workload.spec, get_architecture("SCNN-SparseA").config, operands
         )
         dense_equivalent = simulate_layer_cycles(
             workload.spec,
@@ -167,6 +178,23 @@ class TestAdapters:
         )
         assert scnn.cycles <= sparse_w.cycles <= dense_equivalent.cycles
         assert scnn.cycles <= sparse_a.cycles <= dense_equivalent.cycles
+
+    def test_unskipped_operand_is_an_all_true_mask(self, workload, operands):
+        """An ablation sees its unskipped operand as the uncompressed stream,
+        built once and shared by every architecture on the layer."""
+        sparse_w = get_architecture("SCNN-SparseW").config
+        result = get_adapter("cartesian-sparse").simulate_layer(
+            workload.spec, sparse_w, operands
+        )
+        reference = simulate_layer_cycles(
+            workload.spec, workload.weights, np.ones_like(workload.activations), sparse_w
+        )
+        assert result.cycles == reference.cycles
+        assert result.operations == reference.products
+        assert operands.dense_activations.dtype == bool
+        assert operands.dense_activations.all()
+        assert operands.dense_activations is operands.dense_activations
+        assert operands.dense_integrals is operands.dense_integrals
 
     def test_effective_densities_follow_dataflow_flags(self):
         assert effective_densities(SCNN_CONFIG, 0.3, 0.4, 0.5) == (0.3, 0.4, 0.5)

@@ -23,7 +23,7 @@ from repro.engine import (
     parallel_map,
     resolve_workers,
 )
-from repro.engine import parallel
+from repro.engine import core, parallel
 from repro.engine.parallel import pool_forks, usable_cpus
 from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import build_network_workloads
@@ -199,16 +199,16 @@ class TestEngineNetworkSimulation:
         )
 
     def test_parallel_identical_to_serial(self, tiny_network, reference_simulation):
-        engine = SimulationEngine(cache_dir=False)
-        parallel = engine.run_network(tiny_network, seed=0, parallel=2)
+        engine = SimulationEngine(cache_dir=False, parallel=2)
+        parallel = engine.run_network(tiny_network, seed=0)
         assert_simulations_identical(parallel, reference_simulation)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_results_pin_no_tensors(self, tiny_network, workers):
         """Neither the memo table nor the returned layers keep operand
         tensors alive; an ablation that asks for them gets the exact arrays."""
-        engine = SimulationEngine(cache_dir=False)
-        simulation = engine.run_network(tiny_network, seed=0, parallel=workers)
+        engine = SimulationEngine(cache_dir=False, parallel=workers)
+        simulation = engine.run_network(tiny_network, seed=0)
         assert engine.run_network(tiny_network, seed=0) is simulation
         handles = [layer.workload for layer in simulation.layers]
         assert all(isinstance(handle, WorkloadHandle) for handle in handles)
@@ -288,37 +288,139 @@ class TestEngineRunGrid:
 
     def test_grid_covers_every_cell(self, workloads):
         engine = SimulationEngine(cache_dir=False)
-        configs = [SCNN_CONFIG, scnn_with_pe_count(16)]
-        run = engine.run(workloads, configs)
+        architectures = ["SCNN", "SCNN-16PE"]
+        run = engine.run_architectures(workloads, architectures)
         assert len(run.results) == len(workloads)
-        assert all(len(row) == len(configs) for row in run.results)
+        assert all(len(row) == len(architectures) for row in run.results)
+        for row, workload in zip(run.results, workloads):
+            assert [cell.architecture for cell in row] == architectures
+            assert {cell.layer for cell in row} == {workload.spec.name}
         assert run.total_cycles("SCNN") > 0
         with pytest.raises(KeyError) as excinfo:
             run.column("nonexistent")
-        # The error names every configuration the run did evaluate.
+        # The error names every architecture the run did evaluate.
         assert "'SCNN'" in str(excinfo.value)
         assert "'SCNN-16PE'" in str(excinfo.value)
         with pytest.raises(KeyError):
             run.total_cycles("also-nonexistent")
 
-    def test_parallel_grid_identical_to_serial(self, workloads):
-        configs = [SCNN_CONFIG, scnn_with_pe_count(16)]
-        serial = SimulationEngine(cache_dir=False).run(workloads, configs)
-        parallel = SimulationEngine(cache_dir=False).run(
-            workloads, configs, parallel=2
+    def test_parallel_grid_identical_to_serial(self, tiny_network):
+        """Pool and serial rows agree cell for cell, on lazy handles."""
+        architectures = ["SCNN-SparseW", "SCNN-16PE"]
+        layers = SimulationEngine(cache_dir=False).run_network(tiny_network).layers
+        handles = [layer.workload for layer in layers]
+        serial = SimulationEngine(cache_dir=False).run_architectures(
+            handles, architectures
         )
-        for row_s, row_p in zip(serial.results, parallel.results):
-            for cell_s, cell_p in zip(row_s, row_p):
-                assert cell_s.cycles == cell_p.cycles
-                assert cell_s.products == cell_p.products
+        parallel = SimulationEngine(cache_dir=False, parallel=2).run_architectures(
+            handles, architectures
+        )
+        assert parallel.results == serial.results
 
     def test_cells_individually_cached(self, workloads, tmp_path):
         engine = SimulationEngine(cache_dir=tmp_path)
-        engine.run(workloads[:2], [SCNN_CONFIG])
+        engine.run_architectures(workloads[:2], ["SCNN"])
         assert len(engine.disk_cache) == 2
         fresh = SimulationEngine(cache_dir=tmp_path)
-        fresh.run(workloads[:2], [SCNN_CONFIG])
+        fresh.run_architectures(workloads[:2], ["SCNN"])
         assert fresh.disk_cache.hits == 2 and fresh.disk_cache.misses == 0
+
+
+def _record_parallel_map(monkeypatch):
+    """Record every ``(function, tasks)`` the engine hands to ``parallel_map``."""
+    calls = []
+    real = core.parallel_map
+
+    def recording(function, tasks, workers=None, **kwargs):
+        calls.append((function, list(tasks)))
+        return real(function, tasks, workers, **kwargs)
+
+    monkeypatch.setattr(core, "parallel_map", recording)
+    return calls
+
+
+class TestArchitectureRows:
+    """``run_architectures`` submits one task per layer with an uncached cell."""
+
+    VARIANTS = ["SCNN-SparseW", "SCNN-SparseA", "SCNN-16PE", "SCNN-4PE"]
+
+    def test_one_task_per_layer(self, monkeypatch):
+        engine = SimulationEngine(cache_dir=False)
+        handles = [layer.workload for layer in engine.run_network("alexnet").layers]
+        calls = _record_parallel_map(monkeypatch)
+        engine.run_architectures(handles, self.VARIANTS)
+        [(function, tasks)] = calls
+        assert len(tasks) == 5
+        assert function is core._architecture_row_task
+        for (workload, specs), handle in zip(tasks, handles):
+            assert workload is handle
+            assert [spec.name for spec in specs] == self.VARIANTS
+
+    def test_rows_submit_only_their_misses(self, tiny_network, monkeypatch):
+        engine = SimulationEngine(cache_dir=False)
+        handles = [layer.workload for layer in engine.run_network(tiny_network).layers]
+        engine.run_architectures(handles[:2], ["SCNN"])
+        calls = _record_parallel_map(monkeypatch)
+        run = engine.run_architectures(handles, ["SCNN", "SCNN-SparseW"])
+        [(_, tasks)] = calls
+        assert [
+            (workload.spec.name, [spec.name for spec in specs])
+            for workload, specs in tasks
+        ] == [
+            ("e1", ["SCNN-SparseW"]),
+            ("e2", ["SCNN-SparseW"]),
+            ("e3", ["SCNN", "SCNN-SparseW"]),
+        ]
+        # A fully cached grid submits no task at all.
+        calls.clear()
+        again = engine.run_architectures(handles, ["SCNN", "SCNN-SparseW"])
+        assert calls == []
+        assert again.results == run.results
+
+    def test_dense_only_row_synthesises_nothing(self, tiny_network, monkeypatch):
+        import repro.engine.workloads as workloads_module
+
+        layers = SimulationEngine(cache_dir=False).run_network(tiny_network).layers
+        handles = [layer.workload for layer in layers]
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("a dense-only row synthesised its layer")
+
+        monkeypatch.setattr(workloads_module, "build_layer_workload", no_synthesis)
+        run = SimulationEngine(cache_dir=False).run_architectures(
+            handles, ["DCNN", "DCNN-opt"]
+        )
+        assert run.total_cycles("DCNN") == sum(
+            layer.dcnn.cycles for layer in layers
+        )
+        assert not any(handle.materialized for handle in handles)
+
+
+class TestTensorsNeverOutliveTheirRow:
+    """No handle in the engine's cached simulation keeps its tensors."""
+
+    @staticmethod
+    def _assert_no_tensors(engine, network):
+        handles = [layer.workload for layer in engine.run_network(network).layers]
+        assert all(isinstance(handle, WorkloadHandle) for handle in handles)
+        assert not any(handle.materialized for handle in handles)
+
+    def test_after_granularity_study(self, monkeypatch):
+        from repro.experiments import sec6c_granularity
+
+        engine = SimulationEngine(cache_dir=False)
+        monkeypatch.setattr(repro.engine, "_default_engine", engine)
+        sec6c_granularity.run()
+        self._assert_no_tensors(engine, "googlenet")
+
+    def test_after_serial_compare(self):
+        from repro.arch.compare import compare_network
+
+        engine = SimulationEngine(cache_dir=False)
+        compare_network(
+            "alexnet", ["DCNN", "DCNN-opt", "SCNN", "SCNN-SparseW"], engine=engine
+        )
+        self._assert_no_tensors(engine, "alexnet")
 
 
 class TestEngineSweep:
@@ -341,6 +443,23 @@ class TestEngineSweep:
         fresh = SimulationEngine(cache_dir=tmp_path)
         fresh.sweep(candidates, tiny_network)
         assert fresh.disk_cache.hits == 2
+
+    def test_warm_sweep_evaluates_no_grid(self, tiny_network, tmp_path, monkeypatch):
+        """Every design point a hit: no empty grid is evaluated or stored."""
+        import repro.grid
+
+        candidates = default_candidates()[:3]
+        SimulationEngine(cache_dir=tmp_path).sweep(candidates, tiny_network)
+        fresh = SimulationEngine(cache_dir=tmp_path)
+        entries = len(fresh.disk_cache)
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a warm sweep evaluated a grid")
+
+        monkeypatch.setattr(repro.grid, "evaluate_grid", no_grid)
+        fresh.sweep(candidates, tiny_network)
+        assert len(fresh.disk_cache) == entries
+        assert fresh.disk_cache.hits == len(candidates)
 
 
 class TestResolveWorkers:
