@@ -2,8 +2,8 @@
 
 Independent units of work — fused build-and-simulate layer tasks and
 architecture rows (one layer's uncached architectures, synthesised once) —
-are mapped over a ``concurrent.futures`` process pool.  Three rules keep the parallel path
-bitwise-identical to the serial one:
+are mapped over a ``concurrent.futures`` process pool.  Three rules keep the
+parallel path bitwise-identical to the serial one:
 
 * every worker function is a pure function of its (picklable) task tuple;
 * results are returned in task order, whatever order the tasks ran in;

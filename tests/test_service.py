@@ -277,6 +277,24 @@ class TestScenarios:
         with pytest.raises(ScenarioError, match="unknown architecture 'TPU'"):
             scenario.run(engine, {"architectures": ["TPU"]})
 
+    def test_fig8_after_network_job_synthesises_nothing(self, monkeypatch):
+        """A fig8 job is served from the entry a network job for the same
+        (network, seed) cached."""
+        import repro.engine.workloads as workloads_module
+
+        registry = default_registry()
+        engine = SimulationEngine(cache_dir=False)
+        network = registry.get("network")
+        network.run(engine, network.validate({"network": "alexnet", "seed": 0}))
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("fig8 synthesised a layer the network job cached")
+
+        monkeypatch.setattr(workloads_module, "build_layer_workload", no_synthesis)
+        fig8 = registry.get("fig8")
+        payload = fig8.run(engine, fig8.validate({"networks": ["alexnet"], "seed": 0}))
+        assert payload
+
     def test_unknown_scenario_names_the_catalogue(self):
         with pytest.raises(ScenarioError, match="available: .*network"):
             default_registry().get("bogus")
