@@ -9,8 +9,8 @@ under-provisioned configurations pay a visible cycle penalty.
 
 from dataclasses import replace
 
+from repro.arch import SCNN_CONFIG
 from repro.experiments.common import cached_simulation
-from repro.scnn.config import SCNN_CONFIG
 from repro.scnn.cycles import simulate_layer_cycles
 
 BANK_SWEEP = (4, 8, 16, 32, 64)

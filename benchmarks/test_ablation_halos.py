@@ -10,9 +10,9 @@ versus the partial-sum exchange traffic output halos generate.
 
 import numpy as np
 
+from repro.arch import SCNN_CONFIG
 from repro.dataflow.tiling import plan_layer
 from repro.experiments.common import cached_simulation
-from repro.scnn.config import SCNN_CONFIG
 
 
 def _halo_costs():

@@ -9,9 +9,9 @@ the performance-vs-storage tradeoff around that point.
 
 from dataclasses import replace
 
+from repro.arch import SCNN_CONFIG
 from repro.dataflow.tiling import plan_layer
 from repro.experiments.common import cached_simulation
-from repro.scnn.config import SCNN_CONFIG
 from repro.scnn.cycles import simulate_layer_cycles
 
 KC_SWEEP = (2, 4, 8, 16, 32)

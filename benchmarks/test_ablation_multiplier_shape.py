@@ -9,8 +9,8 @@ activation vectors (large I) fragment on small per-PE tiles.
 
 from dataclasses import replace
 
+from repro.arch import SCNN_CONFIG
 from repro.experiments.common import cached_simulation
-from repro.scnn.config import SCNN_CONFIG
 from repro.scnn.cycles import simulate_layer_cycles
 
 SHAPES = ((16, 1), (8, 2), (4, 4), (2, 8), (1, 16))

@@ -25,12 +25,13 @@ Run with::
 import numpy as np
 
 from repro.analysis.reporting import format_table
+from repro.arch import SCNN_CONFIG
 from repro.nn import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.nn.inference import run_forward
 from repro.nn.pruning import generate_pruned_weights
 from repro.nn.reference import max_pool2d
-from repro.scnn import SCNN_CONFIG, run_functional_layer
+from repro.scnn import run_functional_layer
 from repro.tensor import CompressedActivations
 
 

@@ -18,12 +18,13 @@ Run with::
 
 import numpy as np
 
+from repro.arch import SCNN_CONFIG
 from repro.dataflow.tiling import plan_layer
 from repro.nn import ConvLayerSpec
 from repro.nn.inference import generate_activations
 from repro.nn.pruning import generate_pruned_weights
 from repro.nn.reference import conv2d_layer, relu
-from repro.scnn import SCNN_CONFIG, run_functional_layer
+from repro.scnn import run_functional_layer
 from repro.tensor import CompressedWeights, CompressedActivations
 
 

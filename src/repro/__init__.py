@@ -32,6 +32,10 @@ Quickstart::
 """
 
 from repro.arch import (
+    DCNN_CONFIG,
+    DCNN_OPT_CONFIG,
+    SCNN_CONFIG,
+    AcceleratorConfig,
     ArchitectureSpec,
     available_architectures,
     compare_network,
@@ -51,10 +55,6 @@ from repro.nn import (
     vggnet,
 )
 from repro.scnn import (
-    DCNN_CONFIG,
-    DCNN_OPT_CONFIG,
-    SCNN_CONFIG,
-    AcceleratorConfig,
     run_functional_layer,
     simulate_layer,
     simulate_layer_cycles,

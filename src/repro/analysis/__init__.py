@@ -1,7 +1,7 @@
 """Analysis helpers: network characteristics, density statistics, reporting,
 and JSON serialization of simulation results for transport."""
 
-from repro.analysis.aggregate import geometric_mean, weighted_mean
+from repro.analysis.aggregate import geometric_mean
 from repro.analysis.metrics import (
     DensityRow,
     NetworkCharacteristics,
@@ -30,5 +30,4 @@ __all__ = [
     "network_characteristics",
     "simulation_payload",
     "to_jsonable",
-    "weighted_mean",
 ]

@@ -13,20 +13,3 @@ def geometric_mean(values: Sequence[float]) -> float:
     if not filtered:
         return 0.0
     return float(np.exp(np.mean(np.log(filtered))))
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean."""
-    values_arr = np.asarray(values, dtype=float)
-    weights_arr = np.asarray(weights, dtype=float)
-    if values_arr.size == 0 or weights_arr.sum() == 0:
-        return 0.0
-    return float((values_arr * weights_arr).sum() / weights_arr.sum())
-
-
-def harmonic_mean(values: Sequence[float]) -> float:
-    """Harmonic mean of positive values."""
-    filtered = [value for value in values if value > 0 and np.isfinite(value)]
-    if not filtered:
-        return 0.0
-    return float(len(filtered) / np.sum(1.0 / np.asarray(filtered)))

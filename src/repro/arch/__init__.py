@@ -4,10 +4,10 @@ Every accelerator the repository can simulate is declared here as an
 :class:`ArchitectureSpec` — hardware parameterization plus a simulator
 adapter binding plus paper provenance — and registered in the
 :class:`ArchitectureRegistry`.  The canonical Table II / Table IV
-configurations are *defined* in :mod:`repro.arch.registry` (and re-exported
-by :mod:`repro.scnn.config` for compatibility); the sparsity ablations and
-granularity variants ride along as further entries.  New variants are a data
-change: register a spec and it is immediately comparable everywhere.
+configurations are *defined* in :mod:`repro.arch.registry`, their only home;
+the sparsity ablations and granularity variants ride along as further
+entries.  New variants are a data change: register a spec and it is
+immediately comparable everywhere.
 
 Public surface:
 
@@ -22,9 +22,9 @@ Public surface:
   the cached, parallel simulation engine (see :mod:`repro.arch.compare`).
 
 The adapter and comparison modules import the simulators and the engine, so
-they load lazily (PEP 562) — importing :mod:`repro.arch` from low layers
-(``repro.scnn.config`` consumes the registry at import time) never drags the
-engine in.
+they load lazily (PEP 562) — the simulators and the analytical models take
+their configurations from this package at import time, and importing it
+never drags the engine in.
 """
 
 from __future__ import annotations

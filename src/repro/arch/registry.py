@@ -2,8 +2,8 @@
 
 One place declares every evaluated accelerator as an
 :class:`~repro.arch.spec.ArchitectureSpec`.  The canonical configurations of
-the paper's Tables II and IV (SCNN, DCNN, DCNN-opt) are *defined* here and
-re-exported by :mod:`repro.scnn.config` for compatibility; the sparsity
+the paper's Tables II and IV (SCNN, DCNN, DCNN-opt) are *defined* here, and
+every simulator, model and experiment imports them from here; the sparsity
 ablations (SCNN-SparseW / SCNN-SparseA) and the Section VI-C granularity
 variants ride along as further registry entries.
 

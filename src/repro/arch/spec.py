@@ -5,9 +5,8 @@ accelerator:
 
 * :class:`AcceleratorConfig` — the hardware parameterization (PE geometry,
   multiplier array shape, accumulator banking, buffer sizes, dataflow).
-  Historically this lived in :mod:`repro.scnn.config`, which still re-exports
-  it; the definition moved here so architecture descriptions are owned by the
-  architecture subsystem rather than by one simulator.
+  Architecture descriptions are owned by the architecture subsystem rather
+  than by one simulator.
 * :class:`ArchitectureSpec` — one *registered architecture*: a config bound
   to a simulator adapter (by name, see :mod:`repro.arch.adapters`) plus the
   provenance metadata (paper table/figure, baseline it is compared against)

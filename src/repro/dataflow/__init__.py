@@ -9,10 +9,8 @@ from repro.dataflow.dataflows import (
 from repro.dataflow.loopnest import LoopNest, execute_loop_nest
 from repro.dataflow.tiling import (
     TilingPlan,
-    activation_tile_nonzeros,
     pe_grid_for,
     plan_layer,
-    weight_group_nonzeros,
 )
 
 __all__ = [
@@ -22,9 +20,7 @@ __all__ = [
     "PT_IS_CP_SPARSE",
     "PT_IS_DP_DENSE",
     "TilingPlan",
-    "activation_tile_nonzeros",
     "execute_loop_nest",
     "pe_grid_for",
     "plan_layer",
-    "weight_group_nonzeros",
 ]

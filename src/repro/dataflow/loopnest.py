@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -122,16 +122,3 @@ def execute_loop_nest(
             activations[in_channel, in_y, in_x] * weights[k, c, s, r]
         )
     return output
-
-
-def blocked_output_channels(out_channels: int, group_size: int) -> Iterable[Tuple[int, int]]:
-    """Yield ``(k_lo, k_hi)`` bounds of each output-channel group.
-
-    Factoring ``K`` into ``K/Kc`` outer iterations over groups of ``Kc``
-    channels is the blocking step of PT-IS-CP (Section III-A): only one
-    group's weights and partial sums live in the PE buffers at a time.
-    """
-    if group_size <= 0:
-        raise ValueError("group size must be positive")
-    for k_lo in range(0, out_channels, group_size):
-        yield k_lo, min(out_channels, k_lo + group_size)

@@ -253,8 +253,8 @@ def activation_phase_nonzeros(
     filter columns ``r`` satisfying ``(x + pad - r) % stride == 0``, so the
     activation stream of each (PE, channel) block is split into
     ``stride * stride`` phase sub-streams that each pair with exactly one
-    weight phase sub-stream.  For ``stride == 1`` there is a single phase and
-    this reduces to :func:`activation_tile_nonzeros`.
+    weight phase sub-stream.  For ``stride == 1`` there is a single phase,
+    whose counts are the plain non-zeros per (PE, input channel).
 
     All PEs are counted at once from a per-phase integral image, so the cost
     is independent of the PE-array size.  ``integrals`` are the images of
@@ -327,19 +327,6 @@ def weight_phase_nonzeros(
     return counts
 
 
-def weight_group_nonzeros(weights: np.ndarray, group_size: int) -> np.ndarray:
-    """Non-zero weight count per (output-channel group, input channel).
-
-    Args:
-        weights: dense weights of shape ``(K, C', S, R)``.
-        group_size: output-channel group size ``Kc``.
-
-    Returns:
-        Integer array of shape ``(num_groups, C')``.
-    """
-    return weight_phase_nonzeros(weights, group_size, stride=1)[:, :, 0]
-
-
 def _group_sums(values: np.ndarray, group_size: int) -> np.ndarray:
     """Sum a ``(K, ...)`` array over output-channel groups: ``(ceil(K/Kc), ...)``.
 
@@ -354,27 +341,3 @@ def _group_sums(values: np.ndarray, group_size: int) -> np.ndarray:
         values = np.pad(values, widths)
     grouped = values.reshape((num_groups, group_size) + values.shape[1:])
     return grouped.sum(axis=1, dtype=np.int64)
-
-
-def activation_tile_nonzeros(
-    activations: np.ndarray, plan: TilingPlan
-) -> np.ndarray:
-    """Non-zero activation count per (PE, input channel).
-
-    Args:
-        activations: dense input activations of shape ``(C, H, W)``.
-        plan: tiling plan whose input tiles define the per-PE regions.
-
-    Returns:
-        Integer array of shape ``(num_pes, C)``.
-    """
-    return activation_phase_nonzeros(activations, plan, stride=1)[:, :, 0]
-
-
-def activation_tile_totals(activations: np.ndarray, plan: TilingPlan) -> np.ndarray:
-    """Dense element count per (PE, input channel) — the denominator of density."""
-    num_c = np.asarray(activations).shape[0]
-    totals = np.zeros((plan.num_pes, num_c), dtype=np.int64)
-    for pe_index, tile in enumerate(plan.input_tiles):
-        totals[pe_index] = tile.size
-    return totals

@@ -37,6 +37,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
+from repro.arch.registry import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG
+from repro.arch.spec import AcceleratorConfig
 from repro.engine.cache import ResultCache, default_cache_dir, describe, fingerprint
 from repro.engine.parallel import parallel_map
 from repro.engine.workloads import WorkloadHandle
@@ -44,12 +46,6 @@ from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import LayerWorkload, activation_nonzeros
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
-from repro.scnn.config import (
-    AcceleratorConfig,
-    DCNN_CONFIG,
-    DCNN_OPT_CONFIG,
-    SCNN_CONFIG,
-)
 from repro.scnn.simulator import LayerSimulation, NetworkSimulation, simulate_layer
 from repro.timeloop.dse import DesignPoint, evaluate_configs, sweep_densities
 from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable

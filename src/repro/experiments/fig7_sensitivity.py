@@ -21,13 +21,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
+from repro.arch.registry import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG
+from repro.arch.spec import AcceleratorConfig
 from repro.experiments.common import cached_network
-from repro.scnn.config import (
-    AcceleratorConfig,
-    DCNN_CONFIG,
-    DCNN_OPT_CONFIG,
-    SCNN_CONFIG,
-)
 from repro.timeloop.energy import DEFAULT_ENERGY_TABLE
 
 DEFAULT_DENSITIES: Tuple[float, ...] = (

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.analysis.reporting import format_table
+from repro.arch.registry import SCNN_CONFIG
 from repro.arch.spec import ArchitectureSpec
 from repro.engine import default_engine
 from repro.experiments.common import cached_simulation
-from repro.scnn.config import scnn_with_pe_count
 
 DEFAULT_PE_COUNTS = (64, 16, 4)
 
@@ -42,7 +42,7 @@ def run(
     """Simulate the network at each PE count, reusing one set of workloads."""
     engine = default_engine()
     simulation = cached_simulation(network_name, seed, engine)
-    configs = [scnn_with_pe_count(num_pes) for num_pes in pe_counts]
+    configs = [SCNN_CONFIG.with_pe_count(num_pes) for num_pes in pe_counts]
     grid = engine.run_architectures(
         [layer.workload for layer in simulation.layers],
         [

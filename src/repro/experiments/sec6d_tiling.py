@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from repro.analysis.reporting import format_table
+from repro.arch.registry import SCNN_CONFIG
 from repro.experiments.common import EVALUATED_NETWORKS, cached_simulation
-from repro.scnn.config import SCNN_CONFIG
 from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, layer_energy_from_densities
 
 # Compressed storage overhead: one 4-bit index per 16-bit value plus run-length

@@ -1,6 +1,6 @@
 """Table II: SCNN design parameters.
 
-Checks that the default :data:`repro.scnn.config.SCNN_CONFIG` instance
+Checks that the default :data:`repro.arch.registry.SCNN_CONFIG` instance
 matches the design point of the paper's Table II (per-PE parameters and
 chip-level totals).
 """
@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.analysis.reporting import format_table
-from repro.scnn.config import SCNN_CONFIG, AcceleratorConfig
+from repro.arch.registry import SCNN_CONFIG
+from repro.arch.spec import AcceleratorConfig
 
 
 def run(config: AcceleratorConfig = SCNN_CONFIG) -> Dict[str, Tuple[object, object]]:

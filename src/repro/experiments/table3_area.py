@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.analysis.reporting import format_table
-from repro.scnn.config import SCNN_CONFIG
+from repro.arch.registry import SCNN_CONFIG
 from repro.timeloop.area import (
     PE_AREA_BREAKDOWN,
     accelerator_area_mm2,

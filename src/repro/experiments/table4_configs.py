@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.reporting import format_table
-from repro.arch.registry import resolve_config
 from repro.timeloop.area import ConfigurationRow, table_iv_configurations
 
 PAPER_TABLE_IV = {
@@ -24,33 +23,6 @@ PAPER_TABLE_IV = {
 def run() -> List[ConfigurationRow]:
     """The Table IV rows, sourced from the architecture registry."""
     return table_iv_configurations()
-
-
-def density_grid(
-    densities=(0.1, 0.25, 0.5, 0.75, 1.0),
-    network_name: str = "googlenet",
-):
-    """The Table IV configurations swept across a whole density grid.
-
-    Complements the static area rows of :func:`run` with a dynamic view:
-    every ``table4``-tagged architecture is evaluated on ``network_name``
-    at every density in one grid pass
-    (:class:`repro.grid.GridResult`), cached by the shared engine under a
-    grid-level key.  Weight and activation densities sweep together, the
-    Figure 7 convention.
-    """
-    from repro.engine import default_engine
-    from repro.experiments.common import cached_network
-
-    network = cached_network(network_name)
-    names = [row.name for row in table_iv_configurations()]
-    return default_engine().evaluate_grid(
-        list(network.layers),
-        [resolve_config(name) for name in names],
-        weight_density=list(densities),
-        activation_density=list(densities),
-        model="auto",
-    )
 
 
 def main() -> str:

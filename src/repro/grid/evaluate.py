@@ -26,10 +26,10 @@ import numpy as np
 
 from repro import obs
 from repro.arch.registry import resolve_config
+from repro.arch.spec import AcceleratorConfig
 from repro.grid.binomial import expected_vector_counts
 from repro.grid.stack import config_layer_stack
 from repro.nn.layers import ConvLayerSpec
-from repro.scnn.config import AcceleratorConfig
 from repro.scnn.dcnn import dense_cycle_metrics
 from repro.timeloop.energy import (
     DEFAULT_ENERGY_TABLE,

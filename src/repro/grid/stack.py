@@ -25,10 +25,10 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.arch.spec import AcceleratorConfig
 from repro.dataflow.tiling import plan_layer
 from repro.nn.layers import ConvLayerSpec
 from repro.scnn.accumulator import expected_conflict_cycles
-from repro.scnn.config import AcceleratorConfig
 from repro.scnn.dcnn import dense_busy_cycles
 
 

@@ -29,28 +29,14 @@ from repro.nn.networks import (
     vggnet,
 )
 from repro.nn.pruning import generate_dense_weights, prune_to_density
-from repro.nn.quantization import (
-    ACCUMULATOR_FORMAT,
-    ACTIVATION_FORMAT,
-    WEIGHT_FORMAT,
-    FixedPointFormat,
-    accumulator_headroom,
-    quantize,
-    quantize_workload,
-)
 from repro.nn.reference import conv2d_dense, max_pool2d, relu
 
 __all__ = [
-    "ACCUMULATOR_FORMAT",
-    "ACTIVATION_FORMAT",
     "ConvLayerSpec",
-    "FixedPointFormat",
     "LayerShapeError",
     "LayerSparsity",
     "LayerWorkload",
     "Network",
-    "WEIGHT_FORMAT",
-    "accumulator_headroom",
     "alexnet",
     "available_networks",
     "build_layer_workload",
@@ -63,8 +49,6 @@ __all__ = [
     "max_pool2d",
     "network_sparsity",
     "prune_to_density",
-    "quantize",
-    "quantize_workload",
     "relu",
     "run_forward",
     "sparsity_for_layer",

@@ -83,11 +83,3 @@ def generate_pruned_weights(
     rng = rng or np.random.default_rng()
     # The dense draw is ours alone, so it is pruned where it lies.
     return _prune_in_place(generate_dense_weights(spec, rng), density, rng)
-
-
-def measured_density(tensor: np.ndarray) -> float:
-    """Fraction of non-zero elements of ``tensor``."""
-    tensor = np.asarray(tensor)
-    if tensor.size == 0:
-        return 0.0
-    return float(np.count_nonzero(tensor)) / tensor.size

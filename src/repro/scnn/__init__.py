@@ -1,13 +1,14 @@
-"""SCNN core: architecture configuration, functional and cycle-level models.
+"""SCNN core: functional and cycle-level models.
 
-This package implements the paper's primary contribution:
+This package implements the paper's primary contribution (the SCNN / DCNN /
+DCNN-opt configurations of Tables II and IV it runs on live in
+:mod:`repro.arch.registry`):
 
-* :mod:`repro.scnn.config` — the SCNN / DCNN / DCNN-opt configurations of
-  Tables II and IV.
 * :mod:`repro.scnn.functional` — an element-exact functional simulator of the
   PT-IS-CP-sparse dataflow (Cartesian-product multiplier array, coordinate
-  computation, scatter into banked accumulators, halo handling, PPU),
-  validated against the dense reference convolution.
+  computation, scatter into banked accumulators, halo handling, and the PPU
+  drain: ReLU, then re-compression into the OARAM), validated against the
+  dense reference convolution.
 * :mod:`repro.scnn.cycles` — the vectorised cycle-level performance model
   used for the per-layer results (Figures 8 and 9).
 * :mod:`repro.scnn.dcnn` — the dense DCNN / DCNN-opt baseline performance
@@ -17,18 +18,10 @@ This package implements the paper's primary contribution:
   the above into the result records the experiments consume.
 """
 
-from repro.scnn.config import (
-    DCNN_CONFIG,
-    DCNN_OPT_CONFIG,
-    SCNN_CONFIG,
-    AcceleratorConfig,
-    scnn_with_pe_count,
-)
 from repro.scnn.cycles import LayerCycleResult, simulate_layer_cycles
 from repro.scnn.dcnn import simulate_dcnn_layer
 from repro.scnn.functional import FunctionalResult, run_functional_layer
 from repro.scnn.oracle import oracle_cycles
-from repro.scnn.ppu import PPUResult, apply_ppu
 from repro.scnn.simulator import (
     LayerSimulation,
     NetworkSimulation,
@@ -37,19 +30,12 @@ from repro.scnn.simulator import (
 )
 
 __all__ = [
-    "AcceleratorConfig",
-    "DCNN_CONFIG",
-    "DCNN_OPT_CONFIG",
     "FunctionalResult",
     "LayerCycleResult",
     "LayerSimulation",
     "NetworkSimulation",
-    "PPUResult",
-    "SCNN_CONFIG",
-    "apply_ppu",
     "oracle_cycles",
     "run_functional_layer",
-    "scnn_with_pe_count",
     "simulate_dcnn_layer",
     "simulate_layer",
     "simulate_layer_cycles",

@@ -29,6 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.arch.registry import SCNN_CONFIG
+from repro.arch.spec import AcceleratorConfig
 from repro.dataflow.tiling import (
     TilingPlan,
     activation_phase_nonzeros,
@@ -37,7 +39,6 @@ from repro.dataflow.tiling import (
 )
 from repro.nn.layers import ConvLayerSpec
 from repro.scnn.accumulator import expected_conflict_cycles
-from repro.scnn.config import AcceleratorConfig, SCNN_CONFIG
 
 
 @dataclass

@@ -20,10 +20,10 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.arch.registry import resolve_config
+from repro.arch.registry import DCNN_CONFIG, resolve_config
+from repro.arch.spec import AcceleratorConfig
 from repro.dataflow.tiling import TilingPlan, plan_layer
 from repro.nn.layers import ConvLayerSpec
-from repro.scnn.config import AcceleratorConfig, DCNN_CONFIG
 
 
 @dataclass

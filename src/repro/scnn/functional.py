@@ -26,14 +26,15 @@ reproduces its cycle counts without touching individual elements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.arch.registry import SCNN_CONFIG
+from repro.arch.spec import AcceleratorConfig
 from repro.dataflow.tiling import TilingPlan, plan_layer
 from repro.nn.layers import ConvLayerSpec
 from repro.scnn.accumulator import BankedAccumulator, ConflictStatistics
-from repro.scnn.config import AcceleratorConfig, SCNN_CONFIG
 from repro.tensor.coordinates import output_coordinate
 from repro.tensor.formats import CompressedActivations
 

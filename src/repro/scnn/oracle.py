@@ -24,9 +24,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.arch.registry import SCNN_CONFIG
+from repro.arch.spec import AcceleratorConfig
 from repro.dataflow.tiling import _rectangle_counts, phase_integral_images
 from repro.nn.layers import ConvLayerSpec
-from repro.scnn.config import AcceleratorConfig, SCNN_CONFIG
 
 
 def nonzero_multiplies(

@@ -22,20 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.arch.registry import get_architecture, resolve_config
+from repro.arch.registry import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG, resolve_config
 from repro.arch.spec import AcceleratorConfig
 from repro.dataflow.tiling import phase_integral_images
 from repro.nn.inference import LayerWorkload, build_network_workloads
 from repro.nn.networks import Network
-
-# The canonical trio, consumed from the architecture registry — the same
-# objects `repro.scnn.config` re-exports, so fingerprints and results are
-# unchanged.
-SCNN_CONFIG = get_architecture("SCNN").config
-DCNN_CONFIG = get_architecture("DCNN").config
-DCNN_OPT_CONFIG = get_architecture("DCNN-opt").config
 from repro.scnn.cycles import LayerCycleResult, simulate_layer_cycles
 from repro.scnn.dcnn import DenseLayerResult, simulate_dcnn_layer
 from repro.scnn.oracle import nonzero_multiplies, oracle_cycles

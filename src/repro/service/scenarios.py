@@ -37,10 +37,10 @@ from repro.analysis.serialization import (
     simulation_payload,
     to_jsonable,
 )
+from repro.arch.registry import SCNN_CONFIG
 from repro.engine import SimulationEngine
 from repro.engine.workloads import WorkloadHandle
 from repro.nn.networks import available_networks, get_network
-from repro.scnn.config import SCNN_CONFIG
 from repro.timeloop.dse import default_candidates
 
 

@@ -15,7 +15,6 @@ from repro.tensor.compressed import (
     CompressedBlock,
     RunLengthIndex,
     compress_block,
-    decompress_block,
 )
 from repro.tensor.coordinates import (
     delinearize,
@@ -37,7 +36,6 @@ __all__ = [
     "RunLengthIndex",
     "WeightGroupBlock",
     "compress_block",
-    "decompress_block",
     "delinearize",
     "linearize",
     "output_coordinate",

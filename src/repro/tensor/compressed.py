@@ -12,7 +12,7 @@ costs essentially nothing for realistic densities).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -205,11 +205,6 @@ def compress_block(
         index=RunLengthIndex(tuple(runs), index_bits=index_bits),
         value_bits=value_bits,
     )
-
-
-def decompress_block(block: CompressedBlock) -> np.ndarray:
-    """Convenience wrapper mirroring :func:`compress_block`."""
-    return block.decode()
 
 
 @dataclass

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Union
 
-from repro.arch.registry import default_registry, resolve_config
-from repro.scnn.config import AcceleratorConfig, SCNN_CONFIG
+from repro.arch.registry import SCNN_CONFIG, default_registry, resolve_config
+from repro.arch.spec import AcceleratorConfig
 
 # Table III: SCNN PE area breakdown (mm^2, TSMC 16nm).
 PE_AREA_BREAKDOWN: Dict[str, float] = {

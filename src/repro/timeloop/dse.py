@@ -3,7 +3,7 @@
 The paper motivates its design point (8x8 PEs of 4x4 multipliers, 32
 accumulator banks, Kc = 8) with individual sensitivity arguments.  This
 module packages that style of study into a reusable API: define a set of
-candidate :class:`repro.scnn.config.AcceleratorConfig` instances, evaluate
+candidate :class:`repro.arch.spec.AcceleratorConfig` instances, evaluate
 each on a workload suite with the analytical cycle/energy/area models, and
 extract the Pareto frontier over (latency, energy, area).
 
@@ -20,9 +20,10 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.arch.registry import SCNN_CONFIG
+from repro.arch.spec import AcceleratorConfig
 from repro.nn.densities import network_sparsity
 from repro.nn.networks import Network
-from repro.scnn.config import SCNN_CONFIG, AcceleratorConfig
 from repro.timeloop.area import accelerator_area_mm2
 from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
 

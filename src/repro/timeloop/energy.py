@@ -19,8 +19,8 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.arch.registry import resolve_config
+from repro.arch.spec import AcceleratorConfig
 from repro.nn.layers import ConvLayerSpec
-from repro.scnn.config import AcceleratorConfig, SCNN_CONFIG
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.arch.registry import resolve_config
+from repro.arch.registry import DCNN_CONFIG, SCNN_CONFIG, resolve_config
+from repro.arch.spec import AcceleratorConfig
 from repro.nn.layers import ConvLayerSpec
-from repro.scnn.config import AcceleratorConfig, DCNN_CONFIG, SCNN_CONFIG
 from repro.scnn.dcnn import simulate_dcnn_layer
 
 
@@ -88,16 +88,3 @@ def estimate_dense_layer(
         multiplier_utilization=result.multiplier_utilization,
         idle_fraction=result.idle_fraction,
     )
-
-
-def estimate_oracle_cycles(
-    spec: ConvLayerSpec,
-    *,
-    weight_density: float,
-    activation_density: float,
-    config: Union[AcceleratorConfig, str] = SCNN_CONFIG,
-) -> float:
-    """Oracle cycles at the given densities (work / peak throughput)."""
-    config = resolve_config(config)
-    products = spec.multiplies * weight_density * activation_density
-    return max(1.0, products / config.total_multipliers)

@@ -19,7 +19,7 @@ Public surface:
   (see :mod:`repro.workloads.spec`).
 * :class:`DensityProfile` / :func:`get_profile` / :func:`register_profile` /
   :func:`available_profiles` / :func:`uniform_profile` /
-  :func:`decay_profile` / :func:`sweep_profiles` — sparsity as data
+  :func:`decay_profile` — sparsity as data
   (see :mod:`repro.workloads.profiles`).
 * :func:`plain_cnn` / :func:`resnet_style` / :func:`wide_shallow` /
   :func:`bottleneck_stack` — the synthetic generators
@@ -39,7 +39,6 @@ from repro.workloads.profiles import (
     get_profile,
     measured_profile,
     register_profile,
-    sweep_profiles,
     uniform_profile,
 )
 from repro.workloads.registry import (
@@ -77,7 +76,6 @@ __all__ = [
     "resnet_style",
     "resolve_network",
     "resolve_workload",
-    "sweep_profiles",
     "uniform_profile",
     "wide_shallow",
 ]

@@ -17,10 +17,10 @@ Built-in profiles:
 * ``decay-90-30`` — densities decaying linearly with depth from 0.9 to 0.3,
   the shape pruning typically produces on deep networks.
 
-Parametric constructors (:func:`uniform_profile`, :func:`decay_profile`,
-:func:`sweep_profiles`) mint further profiles at any density, and
-:func:`register_profile` publishes them so scenario validation, ``repro
-workloads --profiles`` and workload specs can resolve them by name.
+Parametric constructors (:func:`uniform_profile`, :func:`decay_profile`)
+mint further profiles at any density, and :func:`register_profile`
+publishes them so scenario validation, ``repro workloads --profiles`` and
+workload specs can resolve them by name.
 """
 
 from __future__ import annotations
@@ -165,34 +165,6 @@ def decay_profile(
         description=f"Densities decaying linearly with depth from "
         f"{start:.2f} to {end:.2f}.",
     )
-
-
-def sweep_profiles(
-    start: float = 0.9, stop: float = 0.1, steps: int = 9
-) -> List[DensityProfile]:
-    """A grid of uniform profiles from ``start`` down to ``stop``.
-
-    The parametric generalisation of the Figure 7 density sweep.  Hand the
-    profiles' tables straight to the engine (``engine.run_network(network,
-    sparsity=profile.table(network))``), or publish the grid points the
-    built-in catalogue does not already carry::
-
-        for profile in sweep_profiles():
-            if profile.name not in available_profiles():
-                register_profile(profile)
-
-    (The default grid includes ``uniform-50`` and ``uniform-10``, which are
-    built in — blanket registration would collide with them.)
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if steps == 1:
-        return [uniform_profile(clamp_density(start))]
-    stride = (stop - start) / (steps - 1)
-    return [
-        uniform_profile(clamp_density(start + stride * index))
-        for index in range(steps)
-    ]
 
 
 # -- the process-wide profile registry --------------------------------------------

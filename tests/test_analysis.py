@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.aggregate import geometric_mean, harmonic_mean, weighted_mean
+from repro.analysis.aggregate import geometric_mean
 from repro.analysis.metrics import (
     average_work_reduction,
     density_table,
@@ -68,16 +68,6 @@ class TestAggregate:
         assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
         assert geometric_mean([]) == 0.0
         assert geometric_mean([0.0, -1.0]) == 0.0
-
-    def test_weighted_mean(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 1.0]) == pytest.approx(2.0)
-        assert weighted_mean([1.0, 3.0], [3.0, 1.0]) == pytest.approx(1.5)
-        assert weighted_mean([], []) == 0.0
-
-    def test_harmonic_mean(self):
-        assert harmonic_mean([2.0, 2.0]) == pytest.approx(2.0)
-        assert harmonic_mean([1.0, 3.0]) == pytest.approx(1.5)
-        assert harmonic_mean([]) == 0.0
 
 
 class TestReporting:

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro.arch import (
+    DCNN_CONFIG,
+    SCNN_CONFIG,
     ArchitectureRegistry,
     ArchitectureSpec,
     available_architectures,
@@ -28,7 +30,6 @@ from repro.arch.adapters import (
 )
 from repro.engine import SimulationEngine
 from repro.nn.layers import ConvLayerSpec
-from repro.scnn.config import DCNN_CONFIG, SCNN_CONFIG
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.dcnn import simulate_dcnn_layer
 
@@ -58,7 +59,7 @@ class TestRegistry:
         assert {"SCNN-16PE", "SCNN-4PE"} <= set(names)
 
     def test_canonical_configs_are_the_registry_objects(self):
-        """scnn.config re-exports the very objects the registry serves."""
+        """The module constants are the very objects the registry serves."""
         assert get_architecture("SCNN").config is SCNN_CONFIG
         assert get_architecture("DCNN").config is DCNN_CONFIG
 

@@ -9,7 +9,6 @@ from repro.tensor.compressed import (
     CompressedBlock,
     RunLengthIndex,
     compress_block,
-    decompress_block,
 )
 
 
@@ -175,7 +174,7 @@ sparse_arrays = st.integers(min_value=1, max_value=60).flatmap(
 def test_roundtrip_is_lossless(values, index_bits):
     dense = np.array(values)
     block = compress_block(dense, index_bits=index_bits)
-    np.testing.assert_array_equal(decompress_block(block), dense)
+    np.testing.assert_array_equal(block.decode(), dense)
 
 
 @given(sparse_arrays)

@@ -1,16 +1,10 @@
-"""Tests for the accelerator configurations (repro.scnn.config)."""
+"""Tests for the accelerator configurations of Tables II and IV (repro.arch)."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.scnn.config import (
-    DCNN_CONFIG,
-    DCNN_OPT_CONFIG,
-    SCNN_CONFIG,
-    AcceleratorConfig,
-    scnn_with_pe_count,
-)
+from repro.arch import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG
 
 
 class TestTableIIParameters:
@@ -78,18 +72,18 @@ class TestValidation:
 class TestPeCountRescaling:
     @pytest.mark.parametrize("num_pes", [64, 16, 4])
     def test_total_multipliers_preserved(self, num_pes):
-        config = scnn_with_pe_count(num_pes)
+        config = SCNN_CONFIG.with_pe_count(num_pes)
         assert config.total_multipliers == 1024
         assert config.num_pes == num_pes
 
     def test_four_pe_configuration(self):
-        config = scnn_with_pe_count(4)
+        config = SCNN_CONFIG.with_pe_count(4)
         assert config.multipliers_per_pe == 256
         assert config.accumulator_banks == 512
         assert config.pe_grid == (2, 2)
 
     def test_aspect_ratio_biased_towards_f(self):
-        config = scnn_with_pe_count(8)
+        config = SCNN_CONFIG.with_pe_count(8)
         assert config.multipliers_f >= config.multipliers_i
 
     def test_uneven_split_rejected(self):
@@ -97,4 +91,4 @@ class TestPeCountRescaling:
             SCNN_CONFIG.with_pe_count(3)
 
     def test_name_reflects_pe_count(self):
-        assert "16PE" in scnn_with_pe_count(16).name
+        assert "16PE" in SCNN_CONFIG.with_pe_count(16).name

@@ -10,10 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.arch import SCNN_CONFIG
 from repro.nn.inference import generate_activations
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.pruning import generate_pruned_weights
-from repro.scnn.config import SCNN_CONFIG, scnn_with_pe_count
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.functional import run_functional_layer
 
@@ -51,7 +51,7 @@ class TestAgreementWithFunctionalSimulator:
 
     @pytest.mark.parametrize("num_pes", [4, 16])
     def test_other_pe_counts(self, small_spec, num_pes):
-        config = scnn_with_pe_count(num_pes)
+        config = SCNN_CONFIG.with_pe_count(num_pes)
         fast, exact = cycle_and_functional(small_spec, config=config)
         assert fast.cycles == exact.cycles
 

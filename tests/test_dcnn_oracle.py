@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.arch import DCNN_CONFIG, SCNN_CONFIG
 from repro.nn.layers import ConvLayerSpec
-from repro.scnn.config import DCNN_CONFIG, SCNN_CONFIG
 from repro.scnn.dcnn import simulate_dcnn_layer
 from repro.scnn.oracle import nonzero_multiplies, oracle_cycles
 

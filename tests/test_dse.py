@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.arch import SCNN_CONFIG
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
-from repro.scnn.config import SCNN_CONFIG, scnn_with_pe_count
 from repro.timeloop.dse import (
     DesignPoint,
     default_candidates,
@@ -50,7 +50,7 @@ class TestEvaluateConfig:
 
     def test_name_comes_from_config(self, small_network, small_sparsity):
         [point] = evaluate_configs(
-            [scnn_with_pe_count(16)], small_network, sparsity=small_sparsity
+            [SCNN_CONFIG.with_pe_count(16)], small_network, sparsity=small_sparsity
         )
         assert "16PE" in point.name
 
@@ -87,7 +87,7 @@ class TestSweepAndPareto:
         assert not better.dominates(equal)
 
     def test_summarize_normalises_to_first_point(self, small_network, small_sparsity):
-        points = sweep([SCNN_CONFIG, scnn_with_pe_count(4)], small_network)
+        points = sweep([SCNN_CONFIG, SCNN_CONFIG.with_pe_count(4)], small_network)
         rows = summarize(points)
         assert rows[0][1:] == (1.0, 1.0, 1.0)
         assert len(rows) == 2

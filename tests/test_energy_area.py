@@ -2,13 +2,8 @@
 
 import pytest
 
+from repro.arch import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG
 from repro.nn.layers import ConvLayerSpec
-from repro.scnn.config import (
-    DCNN_CONFIG,
-    DCNN_OPT_CONFIG,
-    SCNN_CONFIG,
-    scnn_with_pe_count,
-)
 from repro.timeloop.area import (
     PE_AREA_BREAKDOWN,
     accelerator_area_mm2,
@@ -204,5 +199,5 @@ class TestAreaModel:
         assert rows["DCNN"].sram_bytes == 2 * 1024 * 1024
 
     def test_area_scales_with_pe_resources(self):
-        bigger_pe = scnn_with_pe_count(16)  # 64 multipliers per PE
+        bigger_pe = SCNN_CONFIG.with_pe_count(16)  # 64 multipliers per PE
         assert pe_area_mm2(bigger_pe) > pe_area_mm2(SCNN_CONFIG)

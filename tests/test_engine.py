@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.engine
+from repro.arch import SCNN_CONFIG
 from repro.engine import (
     ResultCache,
     SimulationEngine,
@@ -29,7 +30,6 @@ from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import build_network_workloads
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
-from repro.scnn.config import SCNN_CONFIG, scnn_with_pe_count
 from repro.scnn.simulator import simulate_network
 from repro.timeloop.dse import default_candidates, sweep
 
@@ -134,7 +134,7 @@ class TestFingerprint:
         assert base != fingerprint("net", network=tiny_network, seed=1,
                                    sparsity=sparsity, config=SCNN_CONFIG)
         assert base != fingerprint("net", network=tiny_network, seed=0,
-                                   sparsity=sparsity, config=scnn_with_pe_count(16))
+                                   sparsity=sparsity, config=SCNN_CONFIG.with_pe_count(16))
         assert base != fingerprint("other", network=tiny_network, seed=0,
                                    sparsity=sparsity, config=SCNN_CONFIG)
 

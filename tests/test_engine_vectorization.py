@@ -22,10 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataflow.tiling import (
     activation_phase_nonzeros,
-    activation_tile_nonzeros,
     phase_integral_images,
     plan_layer,
-    weight_group_nonzeros,
     weight_phase_nonzeros,
 )
 from repro.engine.workloads import WorkloadHandle
@@ -146,7 +144,7 @@ class TestTileCountEquivalence:
     def test_activation_tile_counts(self, shape):
         _, plan, workload = self._workload_and_plan(shape)
         assert np.array_equal(
-            activation_tile_nonzeros(workload.activations, plan),
+            activation_phase_nonzeros(workload.activations, plan, stride=1)[:, :, 0],
             scalar_tile_nonzeros(workload.activations, plan),
         )
 
@@ -163,7 +161,7 @@ class TestTileCountEquivalence:
         spec, _, workload = self._workload_and_plan(shape)
         for group_size in (3, 8, 16):
             assert np.array_equal(
-                weight_group_nonzeros(workload.weights, group_size),
+                weight_phase_nonzeros(workload.weights, group_size, stride=1)[:, :, 0],
                 scalar_group_nonzeros(workload.weights, group_size),
             )
 
@@ -192,7 +190,7 @@ class TestTileCountEquivalence:
         )
         assert np.array_equal(
             phased.sum(axis=2),
-            activation_tile_nonzeros(workload.activations, plan),
+            activation_phase_nonzeros(workload.activations, plan, stride=1)[:, :, 0],
         )
 
 
@@ -361,9 +359,7 @@ class TestIntegralImages:
         workload = make_workload(spec, 0.4, 0.5, seed=3)
         for counts in (
             activation_phase_nonzeros(workload.activations, plan, stride, pad),
-            activation_tile_nonzeros(workload.activations, plan),
             weight_phase_nonzeros(workload.weights, 8, stride, pad),
-            weight_group_nonzeros(workload.weights, 8),
         ):
             assert counts.dtype == np.int64
 

@@ -75,13 +75,21 @@ class TestExamples:
         assert "DSE sweep via the service" in output
         assert "cache hit-rate" in output
 
-    def test_compare_architectures(self, capsys):
-        load_example("compare_architectures").main()
+    def test_compare_architectures(self, capsys, monkeypatch):
+        import repro.arch.registry
+        from repro.arch import default_registry
+
+        # The example registers SCNN-A64; give it a throwaway catalogue so the
+        # process-wide one the later tests see keeps its seven built-ins.
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.arch.registry, "_default_registry", None)
+            load_example("compare_architectures").main()
         output = capsys.readouterr().out
         assert "Architecture registry catalogue" in output
         assert "SCNN-SparseW" in output
         assert "SCNN-A64" in output
         assert "one registration" in output
+        assert "SCNN-A64" not in default_registry()
 
     def test_workload_zoo(self, capsys):
         from repro.workloads import default_registry

@@ -166,14 +166,3 @@ class TestSectionVID:
         stats = sec6d_tiling.summary(rows)
         assert stats["spilled_layers"] == 0.0
         assert stats["mean_penalty"] == 0.0
-
-
-class TestTable4DensityGrid:
-    def test_covers_every_table4_config_and_density(self):
-        densities = (0.25, 1.0)
-        grid = table4_configs.density_grid(densities, network_name="alexnet")
-        names = [config.name for config in grid.configs]
-        assert names == [row.name for row in table4_configs.run()]
-        assert grid.cycles.shape == (len(names), len(grid.specs), len(densities))
-        assert (grid.cycles > 0).all()
-        assert (grid.energy > 0).all()

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch import SCNN_CONFIG
 from repro.nn.inference import generate_activations
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.pruning import generate_pruned_weights
 from repro.nn.reference import conv2d_layer, relu
-from repro.scnn.config import SCNN_CONFIG, scnn_with_pe_count
 from repro.scnn.functional import run_functional_layer
 from repro.scnn.oracle import nonzero_multiplies
+from repro.tensor.formats import CompressedActivations
 
 from _helpers import make_workload
 
@@ -90,7 +91,7 @@ class TestEquivalenceAcrossConfigurations:
     def test_pe_count_does_not_change_results(self, small_spec, num_pes):
         workload = make_workload(small_spec)
         reference = relu(conv2d_layer(workload.activations, workload.weights, small_spec))
-        config = scnn_with_pe_count(num_pes)
+        config = SCNN_CONFIG.with_pe_count(num_pes)
         result = run_functional_layer(
             small_spec, workload.weights, workload.activations, config
         )
@@ -147,6 +148,20 @@ class TestFunctionalStatistics:
         )
         expected = np.count_nonzero(result.output) / result.output.size
         assert result.output_density == pytest.approx(expected)
+
+    def test_drain_applies_relu_and_compresses_into_oaram(self, small_workload):
+        """The PPU drain: ReLU, then run-length re-compression into the OARAM."""
+        result = run_functional_layer(
+            small_workload.spec, small_workload.weights, small_workload.activations
+        )
+        assert np.array_equal(
+            result.output, np.maximum(result.output_pre_activation, 0.0)
+        )
+        compressed = CompressedActivations(
+            result.output, index_bits=max(SCNN_CONFIG.index_bits, 1)
+        )
+        assert result.oaram_bits == compressed.storage_bits()
+        assert result.oaram_bits < result.output.size * 16
 
     def test_shape_validation(self, small_spec, rng):
         with pytest.raises(ValueError):

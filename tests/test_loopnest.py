@@ -8,7 +8,6 @@ from repro.dataflow.loopnest import (
     LOOP_VARIABLES,
     REFERENCE_NEST,
     LoopNest,
-    blocked_output_channels,
     execute_loop_nest,
     loop_bounds,
 )
@@ -22,6 +21,9 @@ def tiny_spec():
 
 
 class TestLoopNest:
+    def test_loop_variables_constant(self):
+        assert LOOP_VARIABLES == ("N", "K", "C", "W", "H", "R", "S")
+
     def test_reference_order_matches_paper_figure_3(self):
         assert REFERENCE_NEST.order == ("N", "K", "C", "W", "H", "R", "S")
 
@@ -91,18 +93,3 @@ class TestExecuteLoopNest:
             conv2d_layer(activations, weights, spec),
             atol=1e-10,
         )
-
-
-class TestBlockedOutputChannels:
-    def test_even_split(self):
-        assert list(blocked_output_channels(16, 8)) == [(0, 8), (8, 16)]
-
-    def test_ragged_final_group(self):
-        assert list(blocked_output_channels(20, 8)) == [(0, 8), (8, 16), (16, 20)]
-
-    def test_invalid_group_size(self):
-        with pytest.raises(ValueError):
-            list(blocked_output_channels(16, 0))
-
-    def test_loop_variables_constant(self):
-        assert LOOP_VARIABLES == ("N", "K", "C", "W", "H", "R", "S")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch import SCNN_CONFIG
 from repro.dataflow.tiling import (
     activation_phase_nonzeros,
     plan_layer,
@@ -18,7 +19,6 @@ from repro.dataflow.tiling import (
 from repro.nn.inference import generate_activations
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.pruning import generate_pruned_weights
-from repro.scnn.config import SCNN_CONFIG
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.dcnn import simulate_dcnn_layer
 from repro.scnn.oracle import nonzero_multiplies, oracle_cycles

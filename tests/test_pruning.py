@@ -8,7 +8,6 @@ from repro.nn.layers import ConvLayerSpec
 from repro.nn.pruning import (
     generate_dense_weights,
     generate_pruned_weights,
-    measured_density,
     prune_to_density,
 )
 
@@ -93,13 +92,11 @@ class TestZeroDensityAndDegenerateShapes:
         pruned = prune_to_density(weights, 0.25, rng)
         assert pruned.shape == weights.shape
         assert np.count_nonzero(pruned) == 0
-        assert measured_density(pruned) == 0.0
 
     def test_empty_tensor_round_trips(self, rng):
         weights = np.zeros((0,))
         pruned = prune_to_density(weights, 0.5, rng)
         assert pruned.size == 0
-        assert measured_density(pruned) == 0.0
 
     def test_one_by_one_filter_layer(self, rng):
         """A 1x1x1 filter is the degenerate tile shape: one weight total."""
@@ -126,7 +123,7 @@ class TestGeneratePrunedWeights:
     def test_density_and_shape(self, spec, rng):
         weights = generate_pruned_weights(spec, 0.35, rng)
         assert weights.shape == spec.weight_shape
-        assert measured_density(weights) == pytest.approx(0.35, abs=0.01)
+        assert np.count_nonzero(weights) / weights.size == pytest.approx(0.35, abs=0.01)
 
     def test_in_place_pruning_matches_the_copying_prune(self, spec):
         """Pruning the fresh dense draw in place gives prune_to_density's bits."""
@@ -137,13 +134,6 @@ class TestGeneratePrunedWeights:
         copied = prune_to_density(dense, 0.35, rng)
         assert in_place.tobytes() == copied.tobytes()
         assert dense.tobytes() == original.tobytes()  # the input is untouched
-
-
-class TestMeasuredDensity:
-    def test_known_values(self):
-        assert measured_density(np.array([0.0, 1.0, 0.0, 2.0])) == 0.5
-        assert measured_density(np.zeros(4)) == 0.0
-        assert measured_density(np.array([])) == 0.0
 
 
 @given(

@@ -1,5 +1,8 @@
 """The public API surface advertised in ``repro.__all__`` must exist and work."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -15,13 +18,12 @@ class TestPublicApi:
         assert major.isdigit()
 
     def test_subpackage_alls_resolve(self):
-        import repro.dataflow
-        import repro.nn
-        import repro.scnn
-        import repro.tensor
-        import repro.timeloop
-
-        for module in (repro.nn, repro.scnn, repro.tensor, repro.dataflow, repro.timeloop):
+        packages = [
+            info.name for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+        ]
+        assert {"analysis", "arch", "devtools", "engine", "workloads"} <= set(packages)
+        for package in packages:
+            module = importlib.import_module(f"repro.{package}")
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 

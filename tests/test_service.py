@@ -25,9 +25,9 @@ import time
 import pytest
 
 from repro.analysis.serialization import design_points_payload, simulation_payload
+from repro.arch import SCNN_CONFIG
 from repro.engine import SimulationEngine
 from repro.nn.networks import get_network
-from repro.scnn.config import SCNN_CONFIG
 from repro.scnn.simulator import simulate_network
 from repro.service import (
     JobFailedError,

@@ -6,11 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataflow.tiling import (
     activation_phase_nonzeros,
-    activation_tile_nonzeros,
-    activation_tile_totals,
     pe_grid_for,
     plan_layer,
-    weight_group_nonzeros,
     weight_phase_nonzeros,
 )
 from repro.nn.layers import ConvLayerSpec
@@ -85,7 +82,7 @@ class TestPlanLayer:
 class TestWeightCounts:
     def test_counts_match_dense(self):
         weights = sparse((16, 8, 3, 3), 0.4, seed=1)
-        counts = weight_group_nonzeros(weights, 8)
+        counts = weight_phase_nonzeros(weights, 8, stride=1)[:, :, 0]
         assert counts.shape == (2, 8)
         assert counts.sum() == np.count_nonzero(weights)
         for group in range(2):
@@ -96,15 +93,15 @@ class TestWeightCounts:
 
     def test_ragged_group(self):
         weights = sparse((10, 4, 3, 3), 0.5, seed=2)
-        counts = weight_group_nonzeros(weights, 8)
+        counts = weight_phase_nonzeros(weights, 8, stride=1)[:, :, 0]
         assert counts.shape == (2, 4)
         assert counts.sum() == np.count_nonzero(weights)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            weight_group_nonzeros(np.zeros((4, 4, 3)), 8)
+            weight_phase_nonzeros(np.zeros((4, 4, 3)), 8, stride=1)
         with pytest.raises(ValueError):
-            weight_group_nonzeros(np.zeros((4, 4, 3, 3)), 0)
+            weight_phase_nonzeros(np.zeros((4, 4, 3, 3)), 0, stride=1)
 
 
 class TestPhaseCounts:
@@ -113,9 +110,12 @@ class TestPhaseCounts:
         plan = plan_layer(spec, num_pes=4, group_size=8)
         activations = sparse(spec.input_shape, 0.5, seed=3)
         phases = activation_phase_nonzeros(activations, plan, stride=1)
-        flat = activation_tile_nonzeros(activations, plan)
         assert phases.shape == (4, 4, 1)
-        np.testing.assert_array_equal(phases[:, :, 0], flat)
+        for pe, tile in enumerate(plan.input_tiles):
+            for c in range(spec.in_channels):
+                assert phases[pe, c, 0] == np.count_nonzero(
+                    activations[c, tile.y_lo : tile.y_hi, tile.x_lo : tile.x_hi]
+                )
 
     def test_phases_partition_the_nonzeros(self):
         spec = ConvLayerSpec("s", 3, 8, 23, 23, 5, 5, stride=2)
@@ -124,7 +124,7 @@ class TestPhaseCounts:
         phases = activation_phase_nonzeros(activations, plan, stride=2)
         assert phases.shape == (16, 3, 4)
         assert phases.sum() == np.count_nonzero(activations)
-        flat = activation_tile_nonzeros(activations, plan)
+        flat = activation_phase_nonzeros(activations, plan, stride=1)[:, :, 0]
         np.testing.assert_array_equal(phases.sum(axis=2), flat)
 
     def test_weight_phases_partition_the_nonzeros(self):
@@ -132,7 +132,7 @@ class TestPhaseCounts:
         phases = weight_phase_nonzeros(weights, group_size=8, stride=2, padding=0)
         assert phases.shape == (1, 3, 4)
         assert phases.sum() == np.count_nonzero(weights)
-        flat = weight_group_nonzeros(weights, 8)
+        flat = weight_phase_nonzeros(weights, 8, stride=1)[:, :, 0]
         np.testing.assert_array_equal(phases.sum(axis=2), flat)
 
     def test_phase_matching_consistent_with_output_coordinate(self):
@@ -151,12 +151,6 @@ class TestPhaseCounts:
                     px + 2 * stride, py + 2 * stride, r, s, stride=stride, pad=pad
                 )
                 assert coords is not None, act_phase
-
-    def test_totals(self):
-        spec = ConvLayerSpec("l", 4, 8, 12, 12, 3, 3, padding=1)
-        plan = plan_layer(spec, num_pes=4, group_size=8)
-        totals = activation_tile_totals(np.zeros(spec.input_shape), plan)
-        assert totals.sum() == 4 * 12 * 12
 
 
 @given(

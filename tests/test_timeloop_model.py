@@ -2,13 +2,12 @@
 
 import pytest
 
+from repro.arch import DCNN_CONFIG, SCNN_CONFIG
 from repro.nn.layers import ConvLayerSpec
-from repro.scnn.config import DCNN_CONFIG, SCNN_CONFIG, scnn_with_pe_count
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.dcnn import simulate_dcnn_layer
 from repro.timeloop.model import (
     estimate_dense_layer,
-    estimate_oracle_cycles,
     estimate_scnn_layer,
 )
 
@@ -81,11 +80,11 @@ class TestAnalyticalScnnEstimate:
         spec = ConvLayerSpec("IC/1x1", 480, 192, 14, 14, 1, 1)
         many = estimate_scnn_layer(
             spec, weight_density=0.35, activation_density=0.45,
-            config=scnn_with_pe_count(64),
+            config=SCNN_CONFIG.with_pe_count(64),
         )
         few = estimate_scnn_layer(
             spec, weight_density=0.35, activation_density=0.45,
-            config=scnn_with_pe_count(4),
+            config=SCNN_CONFIG.with_pe_count(4),
         )
         assert many.cycles < few.cycles
         assert many.multiplier_utilization > few.multiplier_utilization
@@ -103,24 +102,6 @@ class TestAnalyticalDenseEstimate:
             estimate_dense_layer(inception_spec).cycles
             == estimate_dense_layer(inception_spec).cycles
         )
-
-
-class TestOracleEstimate:
-    def test_matches_work_over_throughput(self, inception_spec):
-        cycles = estimate_oracle_cycles(
-            inception_spec, weight_density=0.5, activation_density=0.5
-        )
-        expected = inception_spec.multiplies * 0.25 / SCNN_CONFIG.total_multipliers
-        assert cycles == pytest.approx(expected, rel=1e-6)
-
-    def test_oracle_below_scnn_estimate(self, inception_spec):
-        oracle = estimate_oracle_cycles(
-            inception_spec, weight_density=0.4, activation_density=0.4
-        )
-        scnn = estimate_scnn_layer(
-            inception_spec, weight_density=0.4, activation_density=0.4
-        ).cycles
-        assert oracle <= scnn
 
 
 class TestPaperLandmarks:

@@ -11,11 +11,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.arch import SCNN_CONFIG
 from repro.engine import SimulationEngine
 from repro.nn.densities import LayerSparsity
 from repro.nn.inference import build_layer_workload
 from repro.nn.networks import available_networks, get_network
-from repro.scnn.config import SCNN_CONFIG
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.workloads import (
     DensityProfile,
@@ -32,7 +32,6 @@ from repro.workloads import (
     register_profile,
     resnet_style,
     resolve_network,
-    sweep_profiles,
     uniform_profile,
     wide_shallow,
 )
@@ -258,15 +257,6 @@ class TestDensityProfiles:
         assert densities[0] == 0.5
         assert densities[-1] == MIN_DENSITY
         assert densities == sorted(densities, reverse=True)
-
-    def test_sweep_profiles_grid(self):
-        grid = sweep_profiles(0.9, 0.1, steps=5)
-        names = [profile.name for profile in grid]
-        assert names == [
-            "uniform-90", "uniform-70", "uniform-50", "uniform-30", "uniform-10",
-        ]
-        with pytest.raises(ValueError, match="steps"):
-            sweep_profiles(steps=0)
 
     def test_profile_must_cover_every_layer(self):
         profile = DensityProfile(
