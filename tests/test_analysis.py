@@ -1,5 +1,8 @@
 """Tests for analysis helpers: metrics, aggregation and reporting."""
 
+import json
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from repro.analysis.metrics import (
     network_characteristics,
 )
 from repro.analysis.reporting import format_table, format_value
+from repro.analysis.serialization import design_point_payload, to_jsonable
+from repro.arch import SCNN_CONFIG
 from repro.nn.networks import alexnet, googlenet, vggnet
 
 
@@ -68,6 +73,52 @@ class TestAggregate:
         assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
         assert geometric_mean([]) == 0.0
         assert geometric_mean([0.0, -1.0]) == 0.0
+
+
+@dataclass
+class _Record:
+    name: str
+    counts: np.ndarray
+    scale: np.float64
+    _tensors: object = None
+
+
+class TestSerialization:
+    def test_to_jsonable_reduces_numpy_and_dataclasses(self):
+        value = {
+            "record": _Record("r", np.array([[1, 2], [3, 4]]), np.float64(0.5), object()),
+            3: (np.int64(7), None, True, [np.float32(0.25)]),
+        }
+        reduced = to_jsonable(value)
+        # In-process fields (leading underscore) are dropped; keys become strings.
+        assert reduced == {
+            "record": {"name": "r", "counts": [[1, 2], [3, 4]], "scale": 0.5},
+            "3": [7, None, True, [0.25]],
+        }
+        assert type(reduced["3"][0]) is int
+        assert json.loads(json.dumps(reduced)) == reduced
+
+    def test_to_jsonable_rejects_unknown_types(self):
+        with pytest.raises(TypeError, match="set"):
+            to_jsonable({"values": {1, 2}})
+
+    def test_design_point_payload(self):
+        from repro.timeloop.dse import DesignPoint
+
+        point = DesignPoint(
+            config=SCNN_CONFIG, cycles=1234.0, energy=5.5e6, area_mm2=7.9
+        )
+        payload = design_point_payload(point)
+        assert payload == {
+            "name": "SCNN",
+            "config": to_jsonable(SCNN_CONFIG),
+            "cycles": 1234.0,
+            "energy": 5.5e6,
+            "area_mm2": 7.9,
+            "energy_delay_product": 1234.0 * 5.5e6,
+        }
+        assert payload["config"]["dataflow"]["name"] == "PT-IS-CP-sparse"
+        assert json.loads(json.dumps(payload)) == payload
 
 
 class TestReporting:

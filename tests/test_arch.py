@@ -28,6 +28,7 @@ from repro.arch.adapters import (
     effective_densities,
     get_adapter,
 )
+from repro.arch.compare import ArchLayerMetrics, NetworkComparison
 from repro.engine import SimulationEngine
 from repro.nn.layers import ConvLayerSpec
 from repro.scnn.cycles import simulate_layer_cycles
@@ -221,6 +222,60 @@ class TestEngineArchitectureGrid:
         second = warm.run_architectures([workload], ["SCNN-SparseW"])
         assert warm.disk_cache.hits == 1
         assert first.column("SCNN-SparseW")[0] == second.column("SCNN-SparseW")[0]
+
+
+def _metrics(architecture, layer, module, cycles, energy):
+    return ArchLayerMetrics(
+        architecture, layer, module, cycles, operations=0,
+        multiplier_utilization=0.0, idle_fraction=0.0, energy_total=energy,
+    )
+
+
+@pytest.fixture
+def toy_comparison():
+    """Three layers in two modules; the back module's baseline energy is zero."""
+    return NetworkComparison(
+        network="toy",
+        seed=0,
+        baseline="DCNN",
+        architectures=["DCNN", "SCNN"],
+        layers={
+            "DCNN": [
+                _metrics("DCNN", "a", "front", 100, 10.0),
+                _metrics("DCNN", "b", "front", 50, 5.0),
+                _metrics("DCNN", "c", "back", 30, 0.0),
+            ],
+            "SCNN": [
+                _metrics("SCNN", "a", "front", 40, 4.0),
+                _metrics("SCNN", "b", "front", 10, 2.0),
+                _metrics("SCNN", "c", "back", 0, 3.0),
+            ],
+        },
+        oracle_cycles=[20, 5, 1],
+    )
+
+
+class TestComparisonModules:
+    def test_module_cycles_sum_the_modules_layers(self, toy_comparison):
+        assert toy_comparison.modules() == ["front", "back"]
+        assert toy_comparison.module_cycles("front", "DCNN") == 150
+        assert toy_comparison.module_cycles("front", "SCNN") == 50
+        assert toy_comparison.module_cycles("back", "SCNN") == 0
+        for name in ("DCNN", "SCNN"):
+            assert sum(
+                toy_comparison.module_cycles(module, name)
+                for module in toy_comparison.modules()
+            ) == toy_comparison.total_cycles(name)
+        assert toy_comparison.module_speedup("front", "SCNN") == 3.0
+        assert toy_comparison.module_speedup("back", "SCNN") == float("inf")
+
+    def test_module_energy_ratio(self, toy_comparison):
+        assert toy_comparison.module_energy_ratio("front", "SCNN") == 6.0 / 15.0
+        assert toy_comparison.module_energy_ratio("front", "DCNN") == 1.0
+        # A zero-energy baseline module reports 0.0, the Figure 10 guard.
+        assert toy_comparison.module_energy_ratio("back", "SCNN") == 0.0
+        with pytest.raises(KeyError, match="this comparison evaluated: 'DCNN', 'SCNN'"):
+            toy_comparison.module_energy_ratio("front", "DCNN-opt")
 
 
 class TestCompareValidation:

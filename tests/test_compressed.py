@@ -93,6 +93,22 @@ class TestCompressBlock:
         expected = set(zip(*np.nonzero(dense)))
         assert decoded_positions == expected
 
+    def test_flat_offsets_locate_stored_elements(self):
+        dense = np.zeros(40)
+        dense[[2, 3, 36]] = [1.0, 2.0, 3.0]
+        block = compress_block(dense, index_bits=4)
+        # Runs 2, 0, then 32 zeros: two placeholders at offsets 19 and 35.
+        np.testing.assert_array_equal(block.flat_offsets(), [2, 3, 19, 35, 36])
+        np.testing.assert_array_equal(
+            dense[block.flat_offsets()], block.values
+        )
+        assert compress_block(np.zeros(8)).flat_offsets().size == 0
+
+    def test_dense_size_is_the_block_volume(self):
+        assert compress_block(np.ones((3, 4, 5))).dense_size == 60
+        assert compress_block(np.zeros((7,))).dense_size == 7
+        assert compress_block(np.zeros((0, 4))).dense_size == 0
+
     def test_iter_nonzeros_values(self):
         dense = sparse_block((6, 6), 0.4, seed=2)
         block = compress_block(dense)

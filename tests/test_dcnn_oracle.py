@@ -1,11 +1,14 @@
 """Tests for the dense DCNN baseline and the SCNN(oracle) bound."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.arch import DCNN_CONFIG, SCNN_CONFIG
+from repro.dataflow.tiling import plan_layer
 from repro.nn.layers import ConvLayerSpec
-from repro.scnn.dcnn import simulate_dcnn_layer
+from repro.scnn.dcnn import dense_busy_cycles, dense_cycle_metrics, simulate_dcnn_layer
 from repro.scnn.oracle import nonzero_multiplies, oracle_cycles
 
 from _helpers import make_workload
@@ -42,6 +45,79 @@ class TestDcnnBaseline:
 
     def test_config_name_recorded(self, small_spec):
         assert simulate_dcnn_layer(small_spec).config_name == "DCNN"
+
+
+# Odd K: a PE's output count is not a multiple of the I lanes, so its last
+# dot-product step is partial.
+ODD_CHANNELS = ConvLayerSpec("odd_k", 3, 5, 9, 9, 3, 3, padding=1)
+
+
+def dcnn_plan(spec):
+    rows, cols = DCNN_CONFIG.pe_grid
+    return plan_layer(
+        spec,
+        num_pes=DCNN_CONFIG.num_pes,
+        group_size=DCNN_CONFIG.output_channel_group,
+        pe_rows=rows,
+        pe_cols=cols,
+    )
+
+
+class TestDenseKernels:
+    @pytest.mark.parametrize(
+        "shape",
+        ["small_spec", "strided_spec", "grouped_spec", "pointwise_spec", ODD_CHANNELS],
+        ids=lambda shape: getattr(shape, "name", shape),
+    )
+    def test_busy_cycles_formula(self, request, shape):
+        """Each PE streams ceil(P * K * ceil(C' * R * S / F) / I) cycles."""
+        spec = request.getfixturevalue(shape) if isinstance(shape, str) else shape
+        plan = dcnn_plan(spec)
+        busy = dense_busy_cycles(spec, plan, DCNN_CONFIG)
+        taps = spec.in_channels // spec.groups * spec.filter_height * spec.filter_width
+        steps = math.ceil(taps / DCNN_CONFIG.multipliers_f)
+        expected = [
+            math.ceil(tile.size * spec.out_channels * steps / DCNN_CONFIG.multipliers_i)
+            for tile in plan.output_tiles
+        ]
+        assert busy.dtype == np.int64
+        assert busy.tolist() == expected
+
+    def test_pes_without_a_tile_stay_idle(self):
+        spec = ConvLayerSpec("tiny", 8, 16, 4, 4, 3, 3, padding=1)
+        plan = dcnn_plan(spec)
+        busy = dense_busy_cycles(spec, plan, DCNN_CONFIG)
+        sizes = np.array([tile.size for tile in plan.output_tiles])
+        assert (busy[sizes == 0] == 0).all()
+        assert (busy[sizes > 0] > 0).all()
+        assert np.count_nonzero(busy) == 16
+
+    def test_metrics_of_a_stack_are_the_metrics_of_each_layer(
+        self, small_spec, pointwise_spec
+    ):
+        specs = [small_spec, pointwise_spec]
+        busy = np.stack([dense_busy_cycles(s, dcnn_plan(s), DCNN_CONFIG) for s in specs])
+        multiplies = np.array([s.multiplies for s in specs])
+        stacked = dense_cycle_metrics(
+            busy, multiplies, DCNN_CONFIG.num_pes, DCNN_CONFIG.multipliers_per_pe
+        )
+        for row, spec in enumerate(specs):
+            single = dense_cycle_metrics(
+                busy[row], spec.multiplies, DCNN_CONFIG.num_pes,
+                DCNN_CONFIG.multipliers_per_pe,
+            )
+            for stacked_metric, single_metric in zip(stacked, single):
+                assert stacked_metric[row] == single_metric
+            layer = simulate_dcnn_layer(spec)
+            assert stacked[0][row] == layer.cycles
+            assert stacked[1][row] == layer.multiplier_utilization
+            assert stacked[2][row] == layer.idle_fraction
+
+    def test_an_idle_layer_reports_zero(self):
+        cycles, utilization, idle = dense_cycle_metrics(
+            np.zeros(64, dtype=np.int64), 0, 64, 16
+        )
+        assert (cycles, utilization, idle) == (0, 0.0, 0.0)
 
 
 class TestOracle:

@@ -1,10 +1,12 @@
 """Tests for the design-space exploration helpers (repro.timeloop.dse)."""
 
+import numpy as np
 import pytest
 
 from repro.arch import SCNN_CONFIG
+from repro.nn.densities import network_sparsity
 from repro.nn.layers import ConvLayerSpec
-from repro.nn.networks import Network
+from repro.nn.networks import Network, get_network
 from repro.timeloop.dse import (
     DesignPoint,
     default_candidates,
@@ -12,6 +14,7 @@ from repro.timeloop.dse import (
     pareto_frontier,
     summarize,
     sweep,
+    sweep_densities,
 )
 
 
@@ -92,6 +95,26 @@ class TestSweepAndPareto:
         assert rows[0][1:] == (1.0, 1.0, 1.0)
         assert len(rows) == 2
         assert summarize([]) == []
+
+
+class TestSweepDensities:
+    def test_override_columns(self, small_network, small_sparsity):
+        weight, activation, output = sweep_densities(small_network, small_sparsity)
+        np.testing.assert_array_equal(weight, [[0.4], [0.35], [0.3]])
+        np.testing.assert_array_equal(activation, [[0.5], [0.45], [0.4]])
+        # Each layer's outputs are its successor's inputs; the last gets 0.55.
+        np.testing.assert_array_equal(output, [[0.45], [0.4], [0.55]])
+
+    def test_default_is_the_measured_calibration(self):
+        network = get_network("alexnet")
+        default = sweep_densities(network)
+        calibrated = sweep_densities(network, network_sparsity(network))
+        for column, expected in zip(default, calibrated):
+            assert column.shape == (len(network.layers), 1)
+            np.testing.assert_array_equal(column, expected)
+        _, activation, output = default
+        np.testing.assert_array_equal(output[:-1], activation[1:])
+        assert output[-1, 0] == 0.55
 
 
 class TestGridSweep:

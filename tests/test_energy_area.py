@@ -1,5 +1,6 @@
 """Tests for the energy and area models (repro.timeloop.energy / area)."""
 
+import numpy as np
 import pytest
 
 from repro.arch import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG
@@ -13,8 +14,12 @@ from repro.timeloop.area import (
 )
 from repro.timeloop.energy import (
     DEFAULT_ENERGY_TABLE,
+    ENERGY_COMPONENTS,
     EnergyTable,
+    EventCounts,
     count_layer_events,
+    energy_components,
+    event_counts,
     layer_energy,
     layer_energy_from_densities,
 )
@@ -106,6 +111,84 @@ class TestEventCounts:
             cycles=100000,
         )
         assert opt.dram_values < dcnn.dram_values
+
+
+class TestEventCountKernel:
+    """The one event-count body, fed a layers x points grid of arrays."""
+
+    @pytest.mark.parametrize("config", [SCNN_CONFIG, DCNN_CONFIG, DCNN_OPT_CONFIG])
+    def test_array_counts_match_one_layer_at_a_time(
+        self, config, googlenet_like_spec, vgg_like_spec
+    ):
+        specs = [
+            googlenet_like_spec,
+            vgg_like_spec,
+            ConvLayerSpec("vgg_conv1_2", 64, 64, 224, 224, 3, 3, padding=1),
+        ]
+        weight = np.array([[0.1, 0.4, 0.9]])
+        activation = np.array([[0.2, 0.5, 1.0]])
+        output = np.array([[0.3, 0.55, 0.7]])
+        cycles = np.array([[1000], [25000], [400000]])
+
+        def column(attribute):
+            return np.array([[getattr(spec, attribute)] for spec in specs])
+
+        grid = event_counts(
+            config,
+            dense_macs=column("multiplies"),
+            weight_values=column("weight_count"),
+            input_values=column("input_activation_count"),
+            output_values=column("output_activation_count"),
+            num_groups=np.array(
+                [[-(-spec.out_channels // config.output_channel_group)] for spec in specs]
+            ),
+            in_channels=column("in_channels"),
+            weight_density=weight,
+            activation_density=activation,
+            output_density=output,
+            cycles=cycles,
+        )
+        for row, spec in enumerate(specs):
+            for point in range(weight.shape[1]):
+                layer = count_layer_events(
+                    spec,
+                    config,
+                    weight_density=float(weight[0, point]),
+                    activation_density=float(activation[0, point]),
+                    output_density=float(output[0, point]),
+                    cycles=int(cycles[row, 0]),
+                )
+                for name, value in vars(layer).items():
+                    # Counts that depend on neither axis come back as scalars.
+                    counts = np.broadcast_to(getattr(grid, name), (len(specs), 3))
+                    assert counts[row, point] == value, (spec.name, point, name)
+
+    def test_energy_components_price_each_event(self):
+        events = EventCounts(
+            multiplies=11, gated_multiplies=5, accumulator_updates=13,
+            crossbar_products=17, iaram_reads=19, oaram_writes=23,
+            dense_sram_reads=29, dense_sram_writes=31, weight_buffer_reads=37,
+            index_accesses=41, halo_transfers=43, dram_values=47, pe_cycles=53,
+        )
+        table = DEFAULT_ENERGY_TABLE.scaled(multiply=2.0, dram=100.0)
+        components = energy_components(events, table)
+        assert tuple(components) == ENERGY_COMPONENTS
+        assert components == {
+            "multiplier": 11 * 2.0,
+            "accumulator": 13 * table.accumulator_update,
+            "scatter crossbar": 17 * table.crossbar,
+            "activation RAM": (
+                19 * table.iaram_read
+                + 23 * table.oaram_write
+                + 29 * table.dense_sram_read
+                + 31 * table.dense_sram_write
+            ),
+            "weight buffer": 37 * table.weight_buffer_read,
+            "index handling": 41 * table.index_access,
+            "halo exchange": 43 * table.halo_transfer,
+            "DRAM": 47 * 100.0,
+            "static / control": 53 * table.pe_cycle,
+        }
 
 
 class TestEnergyRelationships:

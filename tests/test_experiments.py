@@ -5,6 +5,9 @@ only — it is the smallest catalogue network — so the whole test suite stays
 fast; the full three-network runs are exercised by the benchmark harness.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -20,6 +23,8 @@ from repro.experiments import (
     table3_area,
     table4_configs,
 )
+from repro.grid import evaluate_grid
+from repro.nn.networks import get_network
 
 
 class TestTableExperiments:
@@ -120,6 +125,17 @@ class TestFigures8To10OnAlexNet:
         for row in speedups["AlexNet"].rows:
             assert row.oracle >= row.scnn * 0.999
 
+    def test_average_speedup_is_the_geometric_mean(self, speedups):
+        report = speedups["AlexNet"]
+        pair = {
+            "slow": replace(report, network_speedup=1.0),
+            "fast": replace(report, network_speedup=4.0),
+        }
+        assert fig8_performance.average_speedup(pair) == pytest.approx(2.0)
+        assert fig8_performance.average_speedup(speedups) == pytest.approx(
+            report.network_speedup
+        )
+
     def test_utilization_report(self):
         reports = fig9_utilization.run(networks=("alexnet",))
         report = reports["AlexNet"]
@@ -166,3 +182,26 @@ class TestSectionVID:
         stats = sec6d_tiling.summary(rows)
         assert stats["spilled_layers"] == 0.0
         assert stats["mean_penalty"] == 0.0
+
+
+class TestTable4DensityGrid:
+    def test_covers_every_table4_config_and_density(self):
+        """Table IV's configurations over a density axis in one grid pass."""
+        densities = (0.25, 1.0)
+        names = [row.name for row in table4_configs.run()]
+        layers = list(get_network("alexnet").layers)
+        grid = evaluate_grid(
+            layers, names, weight_density=densities, activation_density=densities
+        )
+        assert [config.name for config in grid.configs] == names
+        assert grid.cycles.shape == (len(names), len(layers), len(densities))
+        assert grid.cells == len(names) * len(layers) * len(densities)
+        assert (grid.cycles > 0).all()
+        assert (grid.energy > 0).all()
+        for index, config in enumerate(grid.configs):
+            sparse, dense = grid.cycles[index, :, 0], grid.cycles[index, :, 1]
+            if config.is_sparse:
+                assert (sparse < dense).all()
+            else:
+                # The dense baselines' cycles depend on the layer shape only.
+                np.testing.assert_array_equal(sparse, dense)

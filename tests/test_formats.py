@@ -82,6 +82,19 @@ class TestCompressedWeights:
                 assert counts[group, c] == expected
         assert counts.sum() == np.count_nonzero(weights)
 
+    def test_stored_counts_include_placeholders(self):
+        weights = np.zeros((8, 2, 3, 3))
+        weights[0, 0, 0, 0] = 1.0
+        weights[7, 0, 2, 2] = 2.0  # 70 zeros apart in the (8, 3, 3) block
+        weights[1, 1, 1, 1] = 3.0
+        compressed = CompressedWeights(weights, group_size=8, index_bits=4)
+        np.testing.assert_array_equal(compressed.nonzero_counts(), [[2, 1]])
+        np.testing.assert_array_equal(compressed.stored_counts(), [[6, 1]])
+        for c in range(2):
+            assert compressed.stored_counts()[0, c] == (
+                compressed.block(0, c).block.stored_elements
+            )
+
     def test_density_and_storage(self):
         weights = sparse_tensor((8, 8, 3, 3), 0.25, seed=4)
         compressed = CompressedWeights(weights, group_size=8)
@@ -118,6 +131,16 @@ class TestActivationTileSet:
         counts = tiles.nonzero_counts()
         assert counts.shape == (9, 5)
         assert counts.sum() == np.count_nonzero(activations)
+
+    def test_stored_counts_and_channels(self):
+        activations = np.zeros((2, 8, 40))
+        activations[0, 0, 0] = 1.0
+        activations[0, 7, 39] = 2.0
+        tiles = ActivationTileSet(activations, 1, 1, index_bits=4)
+        assert tiles.num_channels == 2
+        np.testing.assert_array_equal(tiles.nonzero_counts(), [[2, 0]])
+        # A 318-zero run needs 19 placeholders in 4-bit runs (16 zeros each).
+        np.testing.assert_array_equal(tiles.stored_counts(), [[21, 0]])
 
     def test_tile_extents_accessible(self):
         activations = sparse_tensor((2, 8, 8), 1.0, seed=8)

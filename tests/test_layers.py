@@ -38,6 +38,11 @@ class TestFootprints:
         assert spec.output_activation_count == 8 * 10 * 12
         assert spec.input_activation_bytes == 2 * spec.input_activation_count
 
+    def test_output_activation_bytes(self):
+        spec = ConvLayerSpec("x", 4, 8, 11, 11, 3, 3, stride=2)
+        assert spec.output_shape == (8, 5, 5)
+        assert spec.output_activation_bytes == 8 * 5 * 5 * BYTES_PER_VALUE
+
 
 class TestValidation:
     def test_negative_dimension_rejected(self):

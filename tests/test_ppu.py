@@ -1,83 +1,92 @@
-"""Tests for the post-processing unit model (repro.scnn.ppu)."""
+"""Tests for the post-processing unit (paper Sec. IV): the functional drain.
+
+At the end of each output-channel group the PPU takes the drained, halo-summed
+accumulators, applies ReLU and re-compresses the activations into the OARAM.
+:func:`repro.scnn.functional.run_functional_layer` models that drain; these
+tests pin what it reports on every fixture shape: the activated output, its
+density and the run-length OARAM bits.
+"""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.scnn.config import SCNN_CONFIG
-from repro.scnn.ppu import apply_ppu
+from repro.arch import SCNN_CONFIG
+from repro.scnn.functional import run_functional_layer
+from repro.tensor.formats import CompressedActivations
 
 
-@pytest.fixture
-def pre_activation(rng):
-    """A plausible accumulated output: zero-mean, so ReLU clamps about half."""
-    return rng.normal(size=(16, 14, 14))
+@pytest.fixture(
+    params=["small_workload", "strided_workload", "grouped_workload", "pointwise_workload"]
+)
+def workload(request):
+    return request.getfixturevalue(request.param)
 
 
-class TestApplyPpu:
-    def test_relu_applied(self, pre_activation):
-        result = apply_ppu(pre_activation)
+def drain(workload, weights=None, config=SCNN_CONFIG, **kwargs):
+    """Run the workload's layer through the functional simulator."""
+    return run_functional_layer(
+        workload.spec,
+        workload.weights if weights is None else weights,
+        workload.activations,
+        config,
+        **kwargs,
+    )
+
+
+class TestDrain:
+    def test_relu_applied(self, workload):
+        result = drain(workload)
         assert (result.output >= 0).all()
-        np.testing.assert_allclose(result.output, np.maximum(pre_activation, 0.0))
-
-    def test_relu_can_be_disabled(self, pre_activation):
-        result = apply_ppu(pre_activation, apply_relu=False)
-        np.testing.assert_allclose(result.output, pre_activation)
-        assert result.output_density > 0.99
-
-    def test_relu_creates_sparsity(self, pre_activation):
-        result = apply_ppu(pre_activation)
-        assert 0.3 < result.output_density < 0.7
-
-    def test_pooling_shrinks_plane(self, pre_activation):
-        result = apply_ppu(pre_activation, pool_window=2, pool_stride=2)
-        assert result.output.shape == (16, 7, 7)
-
-    def test_pooling_raises_density(self, pre_activation):
-        unpooled = apply_ppu(pre_activation)
-        pooled = apply_ppu(pre_activation, pool_window=2, pool_stride=2)
-        assert pooled.output_density >= unpooled.output_density
-
-    def test_dropout_scales_values(self, pre_activation):
-        base = apply_ppu(pre_activation)
-        scaled = apply_ppu(pre_activation, dropout_keep=0.5)
-        np.testing.assert_allclose(scaled.output, base.output * 0.5)
-        assert scaled.output_density == pytest.approx(base.output_density)
-
-    def test_compression_accounting(self, pre_activation):
-        result = apply_ppu(pre_activation)
-        assert result.compressed_bits < result.dense_bits
-        assert result.compression_ratio > 1.0
-        assert result.oaram_values_written >= np.count_nonzero(result.output)
-
-    def test_drain_cycles_scale_with_throughput(self, pre_activation):
-        slow = apply_ppu(pre_activation, values_per_cycle=1)
-        fast = apply_ppu(pre_activation, values_per_cycle=8)
-        assert slow.drain_cycles > fast.drain_cycles
-
-    def test_small_output_fits_in_oaram(self, pre_activation):
-        result = apply_ppu(pre_activation)
-        assert result.fits_in_oaram
-
-    def test_huge_output_does_not_fit(self, rng):
-        huge = rng.normal(size=(64, 224, 224))
-        result = apply_ppu(huge, config=SCNN_CONFIG)
-        assert not result.fits_in_oaram
-
-    def test_invalid_inputs_rejected(self, pre_activation):
-        with pytest.raises(ValueError):
-            apply_ppu(np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            apply_ppu(pre_activation, dropout_keep=0.0)
-        with pytest.raises(ValueError):
-            apply_ppu(pre_activation, values_per_cycle=0)
-
-    def test_matches_functional_simulator_output(self, small_workload):
-        """PPU(ReLU) over the pre-activation output equals the simulator's output."""
-        from repro.scnn.functional import run_functional_layer
-
-        sim = run_functional_layer(
-            small_workload.spec, small_workload.weights, small_workload.activations
+        np.testing.assert_array_equal(
+            result.output, np.maximum(result.output_pre_activation, 0.0)
         )
-        result = apply_ppu(sim.output_pre_activation)
-        np.testing.assert_allclose(result.output, sim.output, atol=1e-12)
-        assert result.output_density == pytest.approx(sim.output_density)
+
+    def test_relu_can_be_disabled(self, workload):
+        result = drain(workload, apply_relu=False)
+        np.testing.assert_array_equal(result.output, result.output_pre_activation)
+        assert result.output_density == (
+            np.count_nonzero(result.output_pre_activation) / result.output.size
+        )
+
+    def test_relu_creates_sparsity(self, workload):
+        """Zero-mean weights on non-negative inputs: ReLU clamps about half."""
+        result = drain(workload)
+        unactivated = drain(workload, apply_relu=False)
+        assert 0.3 < result.output_density < 0.7
+        assert result.output_density < unactivated.output_density
+
+    def test_oaram_bits_are_the_compressed_output(self, workload):
+        result = drain(workload)
+        compressed = CompressedActivations(
+            result.output, index_bits=SCNN_CONFIG.index_bits
+        )
+        assert result.oaram_bits == compressed.storage_bits()
+        assert result.oaram_bits < result.output.size * 16
+
+    def test_negative_outputs_drain_to_nothing(self, small_workload):
+        """All-negative pre-activations: ReLU zeroes the plane, the OARAM stays empty."""
+        result = drain(small_workload, weights=-np.abs(small_workload.weights))
+        assert (result.output_pre_activation < 0).all()
+        assert not result.output.any()
+        assert result.output_density == 0.0
+        assert result.oaram_bits == 0
+
+    def test_dense_output_pays_the_index_overhead(self, small_workload):
+        """All-positive pre-activations pass ReLU untouched; every value carries an index."""
+        result = drain(small_workload, weights=np.abs(small_workload.weights))
+        np.testing.assert_array_equal(result.output, result.output_pre_activation)
+        assert result.output_density == 1.0
+        assert result.oaram_bits == result.output.size * (16 + SCNN_CONFIG.index_bits)
+
+    def test_oaram_bits_follow_the_index_width(self, small_workload):
+        narrow = replace(SCNN_CONFIG, index_bits=2)
+        base = drain(small_workload)
+        result = drain(small_workload, config=narrow)
+        np.testing.assert_array_equal(result.output, base.output)
+        assert result.cycles == base.cycles
+        assert result.oaram_bits == (
+            CompressedActivations(result.output, index_bits=2).storage_bits()
+        )
+        assert result.oaram_bits != base.oaram_bits

@@ -225,6 +225,22 @@ class TestScenarios:
         with pytest.raises(ScenarioError, match="must be an integer"):
             scenario.validate({"seed": True})
 
+    def test_equivalent_spellings_share_one_payload_key(self):
+        """Coalescing keys on the normalised parameters, not on their spelling."""
+        from repro.service.coalesce import payload_key
+
+        scenario = default_registry().get("network")
+        spellings = [
+            {},
+            {"network": "AlexNet"},
+            {"seed": 0.0, "network": "alexnet"},
+            {"density_profile": "", "seed": 0},
+        ]
+        keys = {payload_key("network", scenario.validate(p)) for p in spellings}
+        assert len(keys) == 1
+        assert payload_key("network", scenario.validate({"seed": 1})) not in keys
+        assert payload_key("compare", scenario.validate({})) not in keys
+
     def test_network_choices_match_case_insensitively(self):
         """Display-cased names canonicalise to the registered spelling."""
         scenario = default_registry().get("network")

@@ -73,6 +73,18 @@ class TestPlanLayer:
         assert plan.num_groups == 3
         assert plan.group_channels(2) == (16, 17, 18, 19)
 
+    @pytest.mark.parametrize("out_channels", [16, 20, 5])
+    def test_groups_partition_the_output_channels(self, out_channels):
+        """Kc-wide output-channel groups, the last one ragged, cover K once."""
+        spec = ConvLayerSpec("l", 4, out_channels, 8, 8, 3, 3, padding=1)
+        plan = plan_layer(spec, num_pes=4, group_size=8)
+        groups = [plan.group_channels(group) for group in range(plan.num_groups)]
+        assert [channel for group in groups for channel in group] == list(
+            range(out_channels)
+        )
+        assert all(len(group) == 8 for group in groups[:-1])
+        assert 0 < len(groups[-1]) <= 8
+
     def test_accumulator_entries_positive(self):
         spec = ConvLayerSpec("l", 16, 32, 28, 28, 3, 3, padding=1)
         plan = plan_layer(spec, num_pes=64, group_size=8)
@@ -151,6 +163,15 @@ class TestPhaseCounts:
                     px + 2 * stride, py + 2 * stride, r, s, stride=stride, pad=pad
                 )
                 assert coords is not None, act_phase
+
+    def test_totals(self):
+        """On a plane with no zeros each PE counts its whole tile, per channel."""
+        spec = ConvLayerSpec("l", 4, 8, 12, 12, 3, 3, padding=1)
+        plan = plan_layer(spec, num_pes=4, group_size=8)
+        totals = activation_phase_nonzeros(np.ones(spec.input_shape), plan, stride=1)
+        assert totals.sum() == 4 * 12 * 12
+        for pe, tile in enumerate(plan.input_tiles):
+            assert (totals[pe, :, 0] == tile.size).all()
 
 
 @given(

@@ -13,7 +13,7 @@ import pytest
 
 from repro.arch import SCNN_CONFIG
 from repro.engine import SimulationEngine
-from repro.nn.densities import LayerSparsity
+from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import build_layer_workload
 from repro.nn.networks import available_networks, get_network
 from repro.scnn.cycles import simulate_layer_cycles
@@ -28,6 +28,7 @@ from repro.workloads import (
     default_registry,
     get_profile,
     get_workload,
+    measured_profile,
     plain_cnn,
     register_profile,
     resnet_style,
@@ -35,7 +36,7 @@ from repro.workloads import (
     uniform_profile,
     wide_shallow,
 )
-from repro.workloads.profiles import MIN_DENSITY, unregister_profile
+from repro.workloads.profiles import MIN_DENSITY, clamp_density, unregister_profile
 
 
 def tiny_spec(name="tiny"):
@@ -247,6 +248,29 @@ class TestDensityProfiles:
         assert all(
             entry == LayerSparsity(0.4, 0.8) for entry in table.values()
         )
+
+    def test_uniform_profile_names(self):
+        names = [uniform_profile(d).name for d in (0.9, 0.7, 0.5, 0.3, 0.1)]
+        assert names == [
+            "uniform-90", "uniform-70", "uniform-50", "uniform-30", "uniform-10",
+        ]
+        assert uniform_profile(0.3, activation_density=0.6).name == "uniform-w30-a60"
+        assert uniform_profile(0.3, name="custom").name == "custom"
+
+    def test_clamp_density_band(self):
+        assert clamp_density(0.0) == MIN_DENSITY
+        assert clamp_density(-1.0) == MIN_DENSITY
+        assert clamp_density(0.37) == 0.37
+        assert clamp_density(1.0) == 1.0
+        assert clamp_density(2.5) == 1.0
+
+    def test_measured_profile_is_the_calibration(self):
+        profile = measured_profile()
+        assert profile.name == "measured"
+        assert get_profile("measured") == profile
+        for name in ("alexnet", "googlenet", "vggnet"):
+            network = get_network(name)
+            assert profile.table(network) == network_sparsity(network)
 
     def test_decay_profile_clamps_zero_to_floor(self):
         """A zero-density endpoint degrades to the representable floor."""
