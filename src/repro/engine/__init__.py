@@ -6,9 +6,10 @@ Public surface:
   simulations (what the figure experiments consume), ``run_architectures``
   for workload x architecture grids evaluated through the registry's
   simulator adapters (what the ``compare`` sweeps, the Section VI-C study
-  and the service's ``layer`` scenario consume), and ``sweep`` /
-  ``evaluate_grid`` for cached design-space exploration.  The pool size is
-  the engine's ``parallel``, fixed when it is built.
+  and the service's ``layer`` scenario consume), and ``sweep`` for cached
+  design-space exploration (one entry per design point; the misses are
+  evaluated in one grid pass).  The pool size is the engine's
+  ``parallel``, fixed when it is built.
 * :func:`default_engine` / :func:`configure_default_engine` — the shared
   engine instance the experiment layer and CLI route through.  Unlike a
   :class:`SimulationEngine` built directly (serial unless told otherwise),

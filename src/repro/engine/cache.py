@@ -1,12 +1,13 @@
 """Content-addressed on-disk result cache for the simulation engine.
 
-Every cacheable unit of work (a layer simulation, a network simulation, a
-DSE design point) is described by a *fingerprint*: a canonical JSON document
-covering everything the result depends on — layer shapes, operand content
-(either the generative coordinates of a synthetic workload or a digest of
-the raw tensors), the full accelerator configuration, the energy table, and
-a schema version bumped whenever the models change meaning.  The SHA-256 of
-that document addresses a pickle file under the cache root, so
+Every cacheable unit of work (a network simulation, one workload on one
+architecture, a DSE design point) is described by a *fingerprint*: a
+canonical JSON document covering everything the result depends on — layer
+shapes, operand content (either the generative coordinates of a synthetic
+workload or a digest of the raw tensors), the full accelerator
+configuration, the energy table, and a schema version bumped whenever the
+models change meaning.  The SHA-256 of that document addresses a pickle
+file under the cache root, so
 
 * two logically identical requests always share one entry, regardless of
   which entry point produced them;
@@ -34,6 +35,7 @@ spool growing without bound.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -41,7 +43,7 @@ import pickle
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -78,6 +80,23 @@ def default_cache_dir() -> Optional[Path]:
     return Path(raw).expanduser()
 
 
+@functools.lru_cache(maxsize=None)
+def _identity_fields(kind: type) -> Optional[Tuple[str, ...]]:
+    """Field names of dataclass type ``kind`` that :func:`describe` keeps.
+
+    ``None`` for any other type.  Underscore-prefixed fields are in-process
+    state (e.g. a workload handle's materialised tensors), not part of the
+    result's identity.
+    """
+    if not dataclasses.is_dataclass(kind):
+        return None
+    return tuple(
+        field.name
+        for field in dataclasses.fields(kind)
+        if not field.name.startswith("_")
+    )
+
+
 def describe(value: Any) -> Any:
     """Reduce ``value`` to a canonical JSON-compatible description.
 
@@ -86,16 +105,12 @@ def describe(value: Any) -> Any:
     of the raw bytes) so large tensors are fingerprinted without being
     embedded in the key document.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # Underscore-prefixed fields are in-process state (e.g. a workload
-        # handle's materialised tensors), not part of the result's identity.
+    kind = type(value)
+    names = _identity_fields(kind)
+    if names is not None:
         return {
-            "__dataclass__": type(value).__name__,
-            "fields": {
-                field.name: describe(getattr(value, field.name))
-                for field in dataclasses.fields(value)
-                if not field.name.startswith("_")
-            },
+            "__dataclass__": kind.__name__,
+            "fields": {name: describe(getattr(value, name)) for name in names},
         }
     if isinstance(value, np.ndarray):
         return {
@@ -117,18 +132,48 @@ def describe(value: Any) -> Any:
         return repr(value)
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    raise TypeError(f"cannot fingerprint value of type {type(value).__name__}")
+    raise TypeError(f"cannot fingerprint value of type {kind.__name__}")
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+class Canonical:
+    """One key part rendered once, to pass to many :func:`fingerprint` calls.
+
+    Only a top-level part may be pre-rendered: :func:`describe` rejects a
+    ``Canonical`` nested inside a part, so it is never hashed as a string.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def canonical(value: Any) -> Canonical:
+    """``value``'s description as the compact sorted JSON a key embeds."""
+    return Canonical(_ENCODER.encode(describe(value)))
 
 
 def fingerprint(kind: str, **parts: Any) -> str:
-    """SHA-256 key of one cacheable unit of work."""
-    document = {
-        "schema": SCHEMA_VERSION,
-        "kind": kind,
-        "parts": describe(parts),
-    }
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """SHA-256 key of one cacheable unit of work.
+
+    The hashed document is ``{"kind", "parts": describe(parts), "schema"}``
+    as compact sorted JSON, assembled from each part's rendering; a part
+    already rendered by :func:`canonical` is not rendered again.
+    """
+    rendered = []
+    for name in sorted(parts):
+        part = parts[name]
+        if not isinstance(part, Canonical):
+            part = canonical(part)
+        rendered.append(f"{_ENCODER.encode(name)}:{part.text}")
+    document = (
+        f'{{"kind":{_ENCODER.encode(kind)},"parts":{{{",".join(rendered)}}},'
+        f'"schema":{SCHEMA_VERSION}}}'
+    )
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
 class ResultCache:

@@ -34,12 +34,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro import obs
 from repro.arch.registry import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG
 from repro.arch.spec import AcceleratorConfig
-from repro.engine.cache import ResultCache, default_cache_dir, describe, fingerprint
+from repro.engine.cache import ResultCache, canonical, default_cache_dir, fingerprint
 from repro.engine.parallel import parallel_map
 from repro.engine.workloads import WorkloadHandle
 from repro.nn.densities import LayerSparsity, network_sparsity
@@ -47,7 +45,7 @@ from repro.nn.inference import LayerWorkload, activation_nonzeros
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.scnn.simulator import LayerSimulation, NetworkSimulation, simulate_layer
-from repro.timeloop.dse import DesignPoint, evaluate_configs, sweep_densities
+from repro.timeloop.dse import DesignPoint, evaluate_configs
 from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
 
 AnyWorkload = Union[LayerWorkload, WorkloadHandle]
@@ -494,14 +492,13 @@ class SimulationEngine:
             spec if isinstance(spec, ArchitectureSpec) else get_architecture(spec)
             for spec in architectures
         ]
-        # Describe each workload and spec once up front — a raw workload's
-        # description digests its tensors, which must not be repeated per
-        # grid cell.  describe() output is canonical JSON data, so feeding it
-        # back through fingerprint() is idempotent.
-        spec_parts = [describe(spec) for spec in specs]
+        # Render each workload and spec once up front: a raw workload's
+        # rendering digests its tensors, which must not be repeated per grid
+        # cell, and each cell's key then only joins two rendered parts.
+        spec_parts = [canonical(spec) for spec in specs]
         keys = [
             fingerprint("architecture-layer", workload=workload_part, architecture=part)
-            for workload_part in map(describe, workloads)
+            for workload_part in map(canonical, workloads)
             for part in spec_parts
         ]
         width = len(specs)
@@ -538,99 +535,30 @@ class SimulationEngine:
     ) -> List[DesignPoint]:
         """Evaluate candidate configurations on ``network``, cached.
 
-        The cached counterpart of :func:`repro.timeloop.dse.sweep`: the
-        candidates that miss the cache are evaluated in one whole-grid pass
-        in this process (itself cached under a grid-level key via
-        :meth:`evaluate_grid`), and finished design points stay individually
-        content-addressed.  ``network`` accepts any registered workload name
-        (whose density profile supplies ``sparsity`` unless overridden), like
+        The cached counterpart of :func:`repro.timeloop.dse.sweep`: each
+        design point is content-addressed on its own, and the candidates that
+        miss the cache are evaluated in one whole-grid pass in this process
+        (:func:`repro.timeloop.dse.evaluate_configs`).  The network, sparsity
+        and energy parts that every candidate's key shares are rendered once
+        per call.  ``network`` accepts any registered workload name (whose
+        density profile supplies ``sparsity`` unless overridden), like
         :meth:`run_network`.
         """
         network, sparsity = _resolve_network_and_sparsity(network, sparsity)
         configs = list(configs)
-        keys = [
-            fingerprint(
-                "design-point",
-                config=config,
-                network=network,
-                sparsity=sparsity,
-                energy=energy_table,
-            )
-            for config in configs
-        ]
+        shared = {
+            "network": canonical(network),
+            "sparsity": canonical(sparsity),
+            "energy": canonical(energy_table),
+        }
+        keys = [fingerprint("design-point", config=config, **shared) for config in configs]
 
         def evaluate(missing: List[int]) -> List[DesignPoint]:
-            pending = [configs[index] for index in missing]
-            weight, activation, output = sweep_densities(network, sparsity)
-            grid = self.evaluate_grid(
-                list(network.layers),
-                pending,
-                weight_density=weight,
-                activation_density=activation,
-                output_density=output,
-                energy_table=energy_table,
-                model="scnn",
-            )
             return evaluate_configs(
-                pending,
+                [configs[index] for index in missing],
                 network,
                 sparsity=sparsity,
                 energy_table=energy_table,
-                grid=grid,
             )
 
         return self._cached(keys, evaluate)
-
-    # -- whole-grid analytical evaluation -----------------------------------------
-
-    @_instrumented("evaluate_grid")
-    def evaluate_grid(
-        self,
-        specs: Sequence[object],
-        configs: Sequence[AcceleratorConfig],
-        *,
-        weight_density,
-        activation_density,
-        output_density=None,
-        energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
-        model: str = "auto",
-    ):
-        """Cached front end to :func:`repro.grid.evaluate_grid`.
-
-        The whole configs x layers x densities result
-        (:class:`repro.grid.GridResult`) is content-addressed under one
-        grid-level key, so a repeated sweep over the same axes is one cache
-        hit instead of configs x layers x points model evaluations.
-        """
-        from repro.grid import evaluate_grid as grid_evaluate
-
-        specs = list(specs)
-        configs = list(configs)
-        key = fingerprint(
-            "analytical-grid",
-            specs=specs,
-            configs=configs,
-            weight_density=np.asarray(weight_density, dtype=np.float64),
-            activation_density=np.asarray(activation_density, dtype=np.float64),
-            output_density=(
-                None
-                if output_density is None
-                else np.asarray(output_density, dtype=np.float64)
-            ),
-            energy=energy_table,
-            model=model,
-        )
-        return self._cached(
-            [key],
-            lambda _missing: [
-                grid_evaluate(
-                    specs,
-                    configs,
-                    weight_density=weight_density,
-                    activation_density=activation_density,
-                    output_density=output_density,
-                    energy_table=energy_table,
-                    model=model,
-                )
-            ],
-        )[0]

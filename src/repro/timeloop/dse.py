@@ -96,7 +96,6 @@ def evaluate_configs(
     *,
     sparsity=None,
     energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
-    grid=None,
 ) -> List[DesignPoint]:
     """Evaluate every candidate on a whole network in one grid pass.
 
@@ -104,25 +103,24 @@ def evaluate_configs(
     :func:`repro.grid.evaluate_grid` with the analytical SCNN model for
     every candidate, at the densities of :func:`sweep_densities`; a design
     point's cycles and energy are its layers' totals, summed in layer order.
-    ``grid`` injects an already-evaluated :class:`repro.grid.GridResult`
-    covering ``configs`` in order (the engine passes its cached one).
+    This is the pass :func:`sweep` runs and the one
+    :meth:`repro.engine.SimulationEngine.sweep` runs on its cache misses.
     """
+    from repro.grid import evaluate_grid
+
     configs = list(configs)
     if not configs:
         return []
-    if grid is None:
-        from repro.grid import evaluate_grid
-
-        weight, activation, output = sweep_densities(network, sparsity)
-        grid = evaluate_grid(
-            list(network.layers),
-            configs,
-            weight_density=weight,
-            activation_density=activation,
-            output_density=output,
-            energy_table=energy_table,
-            model="scnn",
-        )
+    weight, activation, output = sweep_densities(network, sparsity)
+    grid = evaluate_grid(
+        list(network.layers),
+        configs,
+        weight_density=weight,
+        activation_density=activation,
+        output_density=output,
+        energy_table=energy_table,
+        model="scnn",
+    )
     return [
         DesignPoint(
             config=config,

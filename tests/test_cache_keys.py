@@ -10,7 +10,8 @@ the next one, so the bytes of every key are part of the contract:
   synthetic :class:`WorkloadHandle` and one raw :class:`LayerWorkload` on
   every architecture registered when it was written;
 * a property test holds :func:`fingerprint` to the one-document reference
-  below, for generated parts.
+  below, for generated parts passed raw and pre-rendered by
+  :func:`canonical`.
 
 Regenerate the golden only when a change is meant to orphan every cache
 entry (a :data:`SCHEMA_VERSION` bump)::
@@ -36,7 +37,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.arch.registry import SCNN_CONFIG, available_architectures
 from repro.engine import SCHEMA_VERSION, SimulationEngine, WorkloadHandle
-from repro.engine.cache import describe, fingerprint
+from repro.engine.cache import canonical, describe, fingerprint
 from repro.timeloop.dse import default_candidates
 from repro.workloads.profiles import get_profile
 from repro.workloads.registry import resolve_network, resolve_workload
@@ -188,9 +189,36 @@ PART_NAMES = st.text(min_size=1, max_size=8).filter(lambda name: name != "kind")
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.text(max_size=12), parts=st.dictionaries(PART_NAMES, VALUES, max_size=5))
+@given(
+    kind=st.text(max_size=12),
+    parts=st.dictionaries(PART_NAMES, st.tuples(VALUES, st.booleans()), max_size=5),
+)
 def test_fingerprint_matches_the_one_document_reference(kind, parts):
-    assert fingerprint(kind, **parts) == reference_fingerprint(kind, **parts)
+    raw = {name: value for name, (value, _) in parts.items()}
+    mixed = {
+        name: canonical(value) if rendered else value
+        for name, (value, rendered) in parts.items()
+    }
+    expected = reference_fingerprint(kind, **raw)
+    assert fingerprint(kind, **raw) == expected
+    assert fingerprint(kind, **mixed) == expected
+
+
+@pytest.mark.parametrize(
+    "nested",
+    [
+        lambda part: [part],
+        lambda part: {"inner": part},
+        lambda part: Pair(part, 1),
+    ],
+    ids=["list", "dict", "dataclass"],
+)
+def test_only_top_level_parts_may_be_pre_rendered(nested):
+    part = canonical({"layers": [1, 2]})
+    with pytest.raises(TypeError):
+        fingerprint("unit", value=nested(part))
+    with pytest.raises(TypeError):
+        canonical(nested(part))
 
 
 if __name__ == "__main__":

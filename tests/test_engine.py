@@ -437,9 +437,12 @@ class TestEngineSweep:
             assert ours.area_mm2 == theirs.area_mm2
 
     def test_sweep_cached(self, tiny_network, tmp_path):
+        """One entry per candidate in each tier, and nothing else."""
         candidates = default_candidates()[:2]
         engine = SimulationEngine(cache_dir=tmp_path)
         engine.sweep(candidates, tiny_network)
+        assert len(engine.disk_cache) == len(candidates)
+        assert engine.stats()["memory_entries"] == len(candidates)
         fresh = SimulationEngine(cache_dir=tmp_path)
         fresh.sweep(candidates, tiny_network)
         assert fresh.disk_cache.hits == 2
@@ -525,19 +528,3 @@ class TestDefaultEngine:
         assert SimulationEngine(cache_dir=False).parallel is None
         service = SimulationService(num_workers=1, observability=False)
         assert service.engine.parallel is None
-
-
-class TestEngineGridPaths:
-    def test_evaluate_grid_cached_across_engines(self, tiny_network, tmp_path):
-        engine = SimulationEngine(cache_dir=tmp_path)
-        specs = list(tiny_network.layers)
-        first = engine.evaluate_grid(
-            specs, [SCNN_CONFIG], weight_density=0.4, activation_density=0.5
-        )
-        fresh = SimulationEngine(cache_dir=tmp_path)
-        second = fresh.evaluate_grid(
-            specs, [SCNN_CONFIG], weight_density=0.4, activation_density=0.5
-        )
-        assert fresh.disk_cache.hits == 1
-        assert (first.cycles == second.cycles).all()
-        assert (first.energy == second.energy).all()
