@@ -150,6 +150,42 @@ class Pair:
     _memo: object = field(default=None, compare=False)
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (0.1, "0.1"),
+        (-0.0, "-0.0"),
+        (math.inf, "inf"),
+        (np.float64(0.1), 0.1),
+        (np.int64(-3), -3),
+        (np.bool_(True), True),
+        (np.str_("ü"), "ü"),
+        (None, None),
+        (7, 7),
+        ("ü", "ü"),
+        ((1, [2.5]), [1, ["2.5"]]),
+        ({2: "b", 1: 0.5}, {"1": "0.5", "2": "b"}),
+        (Pair(1, "a", _memo=object()), {
+            "__dataclass__": "Pair", "fields": {"left": 1, "right": "a"},
+        }),
+        (np.arange(3, dtype=np.int64), {
+            "__ndarray__": hashlib.sha256(np.arange(3, dtype=np.int64).tobytes()).hexdigest(),
+            "shape": [3],
+            "dtype": "int64",
+        }),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_describe_maps_each_kind_of_value(value, expected):
+    assert describe(value) == expected
+
+
+@pytest.mark.parametrize("value", [Pair, object(), b"bytes", 1j])
+def test_describe_rejects_what_it_cannot_fingerprint(value):
+    with pytest.raises(TypeError):
+        describe(value)
+
+
 SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
 FLOATS = st.floats() | SPECIAL_FLOATS | st.just(1e-300)
 NUMPY_SCALARS = st.one_of(
