@@ -119,6 +119,19 @@ def plan_layer(
 
 
 @lru_cache(maxsize=4096)
+def _plane_tiles(
+    height: int, width: int, rows: int, cols: int
+) -> Tuple[TileExtent, ...]:
+    """The tiles of one plane on one grid: one tuple, shared by every plan.
+
+    Layers repeat a few plane sizes, and plans that differ only in group size
+    have the same grid, so per-plan copies of these frozen tiles would hold
+    ≈6 MB over a DSE sweep of every registered workload.
+    """
+    return tuple(partition_plane(height, width, rows, cols))
+
+
+@lru_cache(maxsize=4096)
 def _plan_layer_cached(
     spec: ConvLayerSpec, num_pes: int, group_size: int, pe_rows: int, pe_cols: int
 ) -> TilingPlan:
@@ -127,14 +140,14 @@ def _plan_layer_cached(
     # Keep the grid size constant (idle PEs get empty tiles) so barrier and
     # utilization statistics are computed over the physical array.
     input_tiles = _padded_tiles(
-        partition_plane(spec.input_height, spec.input_width, rows, cols),
+        _plane_tiles(spec.input_height, spec.input_width, rows, cols),
         pe_rows,
         pe_cols,
         rows,
         cols,
     )
     output_tiles = _padded_tiles(
-        partition_plane(spec.output_height, spec.output_width, rows, cols),
+        _plane_tiles(spec.output_height, spec.output_width, rows, cols),
         pe_rows,
         pe_cols,
         rows,
@@ -153,12 +166,12 @@ def _plan_layer_cached(
 
 
 def _padded_tiles(
-    tiles: List[TileExtent],
+    tiles: Sequence[TileExtent],
     pe_rows: int,
     pe_cols: int,
     used_rows: int,
     used_cols: int,
-) -> List[TileExtent]:
+) -> Sequence[TileExtent]:
     """Expand a ``used_rows x used_cols`` tile list to the full PE grid.
 
     PEs outside the used sub-grid receive empty tiles so every per-PE array

@@ -49,8 +49,9 @@ def clear_caches() -> None:
     solved-triple memo and the log-factorial tables so a subsequent
     evaluation times the true cold path.
     """
-    from repro.dataflow.tiling import _plan_layer_cached
+    from repro.dataflow.tiling import _plan_layer_cached, _plane_tiles
 
     clear_stack_cache()
     clear_solved_triples()
     _plan_layer_cached.cache_clear()
+    _plane_tiles.cache_clear()

@@ -54,6 +54,19 @@ class TestPlanLayer:
             spec.output_height * spec.output_width
         )
 
+    def test_plans_with_one_plane_share_its_tiles(self):
+        """Plans differing in group size or channels hold one tile tuple."""
+        spec = ConvLayerSpec("l", 16, 32, 28, 28, 3, 3, padding=1)
+        wider = ConvLayerSpec("w", 64, 48, 28, 28, 3, 3, padding=1)
+        plan = plan_layer(spec, num_pes=64, group_size=8)
+        for other in (
+            plan_layer(spec, num_pes=64, group_size=4),
+            plan_layer(wider, num_pes=64, group_size=8),
+        ):
+            assert other is not plan
+            assert other.input_tiles is plan.input_tiles
+            assert other.output_tiles is plan.output_tiles
+
     def test_halo_widths(self):
         spec = ConvLayerSpec("l", 16, 32, 28, 28, 3, 3, padding=1)
         plan = plan_layer(spec, num_pes=64, group_size=8)
