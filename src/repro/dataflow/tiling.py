@@ -125,8 +125,9 @@ def _plane_tiles(
     """The tiles of one plane on one grid: one tuple, shared by every plan.
 
     Layers repeat a few plane sizes, and plans that differ only in group size
-    have the same grid, so per-plan copies of these frozen tiles would hold
-    ≈6 MB over a DSE sweep of every registered workload.
+    have the same grid, so per-plan copies of these frozen tiles were the
+    largest block of memory a warm DSE sweep over every registered workload
+    retained.
     """
     return tuple(partition_plane(height, width, rows, cols))
 
