@@ -171,6 +171,12 @@ class RequestCoalescer:
         with self._lock:
             return key in self._leader_by_key
 
+    def key_of(self, leader_id: str) -> Optional[str]:
+        """The key of the group ``leader_id`` leads, or ``None``."""
+        with self._lock:
+            group = self._group_by_leader.get(leader_id)
+            return group[0] if group is not None else None
+
     def settle(self, leader_id: str) -> Tuple[Optional[str], List[str]]:
         """Close the group led by ``leader_id``; returns (key, followers).
 
@@ -248,9 +254,10 @@ class CoalescingSink:
 
     def mark_done(self, job_id: str, result: Any):
         """Record the result and fan it out to every coalesced follower."""
-        key, followers = self.coalescer.settle(job_id)
+        key = self.coalescer.key_of(job_id)
         if key is not None and self.payloads is not None:
             self.payloads.put(key, result)
+        _, followers = self.coalescer.settle(job_id)
         job = self.queue.mark_done(job_id, result)
         for follower in followers:
             # Cancelled followers stay cancelled (mark_done guards terminal

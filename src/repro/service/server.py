@@ -237,7 +237,9 @@ class SimulationService:
            attaches as a follower and receives the leader's payload;
         3. **enqueue** — a genuinely new request: claimable by workers,
            subject to the ``max_queue_depth`` bound
-           (:class:`QueueFullError` beyond it).
+           (:class:`QueueFullError` beyond it).  With the fast path on, an
+           identical leader that finished during admission is caught by a
+           second look at the payload store instead of running again.
         """
         trace_id = obs.new_trace_id()
         admission_start = time.monotonic()
@@ -275,11 +277,16 @@ class SimulationService:
             scenario, normalised, priority=priority, hold=True, trace_id=trace_id
         )
         leader = self.coalescer.attach(key, job.id)
-        if leader is None:
+        if leader is not None:
+            tier = "coalesced"
+        elif self.fast_path and (payload := self.payloads.get(key)) is not None:
+            # An identical leader finished between the fast-path check and
+            # attach; the sink stores its payload before the group settles.
+            self.sink.mark_done(job.id, payload)
+            tier = "fast_path"
+        else:
             self.queue.enqueue(job.id)
             tier = "enqueued"
-        else:
-            tier = "coalesced"
         _SUBMISSIONS.inc(tier=tier)
         self._record_admission(job, admission_start, tier=tier)
         return job

@@ -32,8 +32,11 @@ import pytest
 from repro.engine import SimulationEngine
 from repro.service import (
     BackpressureError,
+    CoalescingSink,
     JobQueue,
     Parameter,
+    PayloadStore,
+    RequestCoalescer,
     Scenario,
     ScenarioRegistry,
     ServiceClient,
@@ -351,6 +354,47 @@ class TestCoalescedGroups:
             record = client.wait(job_id, timeout=30)
             assert record["state"] == "failed"
         assert "leader exploded" in (service.job(follower).error or "")
+
+    def test_payload_is_stored_before_its_group_settles(self):
+        """A duplicate that misses the group must find the payload."""
+        queue, coalescer = JobQueue(), RequestCoalescer()
+        in_flight_at_put = []
+
+        class RecordingStore(PayloadStore):
+            def put(self, key, payload):
+                in_flight_at_put.append(coalescer.leading(key))
+                super().put(key, payload)
+
+        sink = CoalescingSink(queue, coalescer, RecordingStore())
+        leader = queue.submit("echo", {"tag": "x"}, hold=True)
+        assert coalescer.attach("key", leader.id) is None
+        sink.mark_done(leader.id, {"tag": "x"})
+        assert in_flight_at_put == [True]
+        assert not coalescer.leading("key")
+
+    def test_leader_finishing_during_admission_answers_the_duplicate(self):
+        """The leader completes between the fast-path check and attach."""
+        service = SimulationService(
+            engine=SimulationEngine(cache_dir=False),
+            registry=_controllable_registry(threading.Event(), threading.Event()),
+            num_workers=1,
+            observability=False,
+        )  # workers never start: the leader stays in flight until marked
+        leader = service.submit("echo", {"tag": "race"})
+        payload = {"tag": "race"}
+        lookup = service.payloads.get
+
+        def leader_finishes_after_the_check(key):
+            found = lookup(key)
+            if service.job(leader.id).state != "done":
+                service.sink.mark_done(leader.id, payload)
+            return found
+
+        service.payloads.get = leader_finishes_after_the_check
+        duplicate = service.submit("echo", {"tag": "race"})
+        assert duplicate.state == "done"
+        assert duplicate.result is payload
+        assert service.queue.depth() == 0  # no second run for a worker
 
 
 class TestPoolStopNeverStrandsJobs:
