@@ -1,13 +1,12 @@
 """Content-addressed on-disk result cache for the simulation engine.
 
-Every cacheable unit of work (a network simulation, one workload on one
-architecture, a DSE design point) is described by a *fingerprint*: a
-canonical JSON document covering everything the result depends on — layer
-shapes, operand content (either the generative coordinates of a synthetic
-workload or a digest of the raw tensors), the full accelerator
-configuration, the energy table, and a schema version bumped whenever the
-models change meaning.  The SHA-256 of that document addresses a pickle
-file under the cache root, so
+Every cacheable unit of work (a network simulation, a workload on an
+architecture, a DSE design point) is described by a *fingerprint*: a canonical
+JSON document covering everything the result depends on — layer shapes,
+operand content (either the generative coordinates of a synthetic workload or
+a digest of the raw tensors), the full accelerator configuration, the energy
+table, and a schema version bumped whenever the models change meaning.  The
+SHA-256 of that document addresses a pickle file under the cache root, so
 
 * two logically identical requests always share one entry, regardless of
   which entry point produced them;

@@ -177,23 +177,23 @@ class RequestCoalescer:
             group = self._group_by_leader.get(leader_id)
             return group[0] if group is not None else None
 
-    def settle(self, leader_id: str) -> Tuple[Optional[str], List[str]]:
-        """Close the group led by ``leader_id``; returns (key, followers).
+    def settle(self, leader_id: str) -> List[str]:
+        """Close the group led by ``leader_id``; returns its followers.
 
         Called exactly when the leader's result (or failure) is recorded.
-        Returns ``(None, [])`` when the job led no group — e.g. it was a
-        follower, or its group was already settled.
+        Returns ``[]`` when the job led no group — e.g. it was a follower,
+        or its group was already settled.
         """
         with self._lock:
             group = self._group_by_leader.pop(leader_id, None)
             if group is None:
-                return None, []
+                return []
             key, followers = group
             self._leader_by_key.pop(key, None)
             for follower in followers:
                 self._leader_by_follower.pop(follower, None)
             self.fanouts += len(followers)
-            return key, followers
+            return followers
 
     def detach(self, job_id: str) -> Optional[str]:
         """Remove a cancelled job from its group.
@@ -257,7 +257,7 @@ class CoalescingSink:
         key = self.coalescer.key_of(job_id)
         if key is not None and self.payloads is not None:
             self.payloads.put(key, result)
-        _, followers = self.coalescer.settle(job_id)
+        followers = self.coalescer.settle(job_id)
         job = self.queue.mark_done(job_id, result)
         for follower in followers:
             # Cancelled followers stay cancelled (mark_done guards terminal
@@ -267,7 +267,7 @@ class CoalescingSink:
 
     def mark_failed(self, job_id: str, error: str):
         """Record the failure and propagate it to every coalesced follower."""
-        _, followers = self.coalescer.settle(job_id)
+        followers = self.coalescer.settle(job_id)
         job = self.queue.mark_failed(job_id, error)
         for follower in followers:
             self.queue.mark_failed(follower, error)

@@ -280,8 +280,6 @@ class SimulationService:
         if leader is not None:
             tier = "coalesced"
         elif self.fast_path and (payload := self.payloads.get(key)) is not None:
-            # An identical leader finished between the fast-path check and
-            # attach; the sink stores its payload before the group settles.
             self.sink.mark_done(job.id, payload)
             tier = "fast_path"
         else:

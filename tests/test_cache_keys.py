@@ -140,7 +140,7 @@ class Leaf:
     name: str
     value: object
     # Unfingerprintable on purpose: a key that walked it would raise.
-    _scratch: object = field(default_factory=object)
+    _state: object = field(default_factory=object)
 
 
 @dataclass(frozen=True)
