@@ -3,11 +3,10 @@
 :func:`compare_network` evaluates one network on any set of registered
 architectures and returns a :class:`NetworkComparison` — per-layer cycles and
 energy for every architecture, with per-module and network-wide speedup /
-energy-ratio aggregations relative to a baseline (DCNN by default, any
-registered name via ``baseline=``; a spec's ``baseline`` field is provenance
-metadata, not a sweep default).  The paper's headline comparisons are thin views over this:
-Figure 8 is the speedup column, Figure 10 the energy column, Table IV the
-configuration metadata.
+energy-ratio aggregations relative to DCNN (:data:`BASELINE`; a spec's
+``baseline`` field is provenance metadata, not a sweep default).  The paper's
+headline comparisons are thin views over this: Figure 8 is the speedup
+column, Figure 10 the energy column, Table IV the configuration metadata.
 
 Two evaluation paths feed one comparison, both through the shared
 :class:`~repro.engine.SimulationEngine` (cached, parallel):
@@ -33,14 +32,14 @@ from repro.arch.adapters import effective_densities
 from repro.arch.registry import get_architecture
 from repro.arch.spec import ArchitectureSpec
 from repro.nn.networks import Network
-from repro.timeloop.energy import (
-    DEFAULT_ENERGY_TABLE,
-    EnergyTable,
-    layer_energy_from_densities,
-)
+from repro.timeloop.energy import layer_energy_from_densities
 
 #: The paper's headline comparison (Figures 8 and 10).
 DEFAULT_COMPARISON = ("DCNN", "DCNN-opt", "SCNN")
+
+#: The architecture every speedup and energy ratio divides by (Figures 8
+#: and 10).
+BASELINE = "DCNN"
 
 #: Architectures whose metrics are views over the canonical network
 #: simulation rather than separate adapter runs.
@@ -210,10 +209,7 @@ def _core_layer_metrics(name: str, simulation) -> List[ArchLayerMetrics]:
 
 
 def _variant_layer_metrics(
-    spec: ArchitectureSpec,
-    results,
-    simulation,
-    energy_table: EnergyTable,
+    spec: ArchitectureSpec, results, simulation
 ) -> List[ArchLayerMetrics]:
     """Adapter results plus effective-density energy for one variant."""
     metrics = []
@@ -239,7 +235,6 @@ def _variant_layer_metrics(
             cycles=result.cycles,
             products=result.operations,
             weight_buffer_reads=weight_buffer_reads,
-            table=energy_table,
         )
         metrics.append(
             ArchLayerMetrics(
@@ -261,10 +256,8 @@ def compare_network(
     architectures: Optional[Sequence[str]] = None,
     *,
     seed: int = 0,
-    baseline: str = "DCNN",
     density_profile: Optional[str] = None,
     engine=None,
-    energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
 ) -> NetworkComparison:
     """Evaluate ``network`` on every requested architecture.
 
@@ -272,11 +265,12 @@ def compare_network(
     the synthetic zoo, or anything registered at runtime (see
     :mod:`repro.workloads`) — or a :class:`Network` object.
     ``architectures`` defaults to the paper's headline trio
-    (:data:`DEFAULT_COMPARISON`); any registered name is accepted, and the
-    baseline is always evaluated even when not listed.  ``density_profile``
-    names a registered :class:`~repro.workloads.profiles.DensityProfile`
-    that overrides the workload's own densities — the hook that makes
-    sparsity a swept axis of the comparison.  ``engine`` overrides the
+    (:data:`DEFAULT_COMPARISON`); any registered name is accepted, and
+    :data:`BASELINE` is always evaluated even when not listed.
+    ``density_profile`` names a registered
+    :class:`~repro.workloads.profiles.DensityProfile` that overrides the
+    workload's own densities — the hook that makes sparsity a swept axis of
+    the comparison.  ``engine`` overrides the
     shared default :class:`~repro.engine.SimulationEngine` (the service's
     ``compare`` scenario passes its own warm engine).
     """
@@ -285,8 +279,8 @@ def compare_network(
     if engine is None:
         engine = default_engine()
     names = list(architectures) if architectures else list(DEFAULT_COMPARISON)
-    if baseline not in names:
-        names.insert(0, baseline)
+    if BASELINE not in names:
+        names.insert(0, BASELINE)
     # Fail fast (with the registry's catalogue-listing error) before any
     # simulation work starts.
     specs = {name: get_architecture(name) for name in names}
@@ -298,9 +292,7 @@ def compare_network(
 
         network = resolve_network(network)
         sparsity = get_profile(density_profile).table(network)
-    simulation = engine.run_network(
-        network, seed=seed, sparsity=sparsity, energy_table=energy_table
-    )
+    simulation = engine.run_network(network, seed=seed, sparsity=sparsity)
     variant_names = [name for name in names if name not in _CORE]
     variant_runs = {}
     if variant_names:
@@ -316,12 +308,12 @@ def compare_network(
             layers[name] = _core_layer_metrics(name, simulation)
         else:
             layers[name] = _variant_layer_metrics(
-                specs[name], variant_runs[name], simulation, energy_table
+                specs[name], variant_runs[name], simulation
             )
     return NetworkComparison(
         network=simulation.network.name,
         seed=seed,
-        baseline=baseline,
+        baseline=BASELINE,
         architectures=names,
         layers=layers,
         oracle_cycles=[int(layer.oracle_cycles) for layer in simulation.layers],
@@ -333,10 +325,8 @@ def compare_networks(
     architectures: Optional[Sequence[str]] = None,
     *,
     seed: int = 0,
-    baseline: str = "DCNN",
     density_profile: Optional[str] = None,
     engine=None,
-    energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
 ) -> Dict[str, NetworkComparison]:
     """Run :func:`compare_network` over several networks, keyed by name.
 
@@ -362,10 +352,8 @@ def compare_networks(
             network,
             architectures,
             seed=seed,
-            baseline=baseline,
             density_profile=density_profile,
             engine=engine,
-            energy_table=energy_table,
         )
         existing = comparisons.get(comparison.network)
         if existing is not None:

@@ -46,7 +46,7 @@ from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.scnn.simulator import LayerSimulation, NetworkSimulation, simulate_layer
 from repro.timeloop.dse import DesignPoint, evaluate_configs
-from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
+from repro.timeloop.energy import DEFAULT_ENERGY_TABLE
 
 AnyWorkload = Union[LayerWorkload, WorkloadHandle]
 
@@ -93,33 +93,12 @@ def _instrumented(method_name: str):
 
 
 def _simulate_layer_task(
-    task: Tuple[
-        str,
-        int,
-        int,
-        ConvLayerSpec,
-        LayerSparsity,
-        Optional[float],
-        AcceleratorConfig,
-        AcceleratorConfig,
-        AcceleratorConfig,
-        EnergyTable,
-    ]
+    task: Tuple[str, int, int, ConvLayerSpec, LayerSparsity, Optional[float]]
 ) -> LayerSimulation:
     """Synthesise one network layer, simulate it, and release its tensors."""
-    (
-        network_name, seed, index, spec, target, output_density,
-        scnn_config, dcnn_config, dcnn_opt_config, table,
-    ) = task
+    network_name, seed, index, spec, target, output_density = task
     handle = WorkloadHandle.build(network_name, seed, index, spec, target)
-    simulation = simulate_layer(
-        handle,
-        scnn_config=scnn_config,
-        dcnn_config=dcnn_config,
-        dcnn_opt_config=dcnn_opt_config,
-        energy_table=table,
-        output_density=output_density,
-    )
+    simulation = simulate_layer(handle, output_density=output_density)
     # The result keeps the slim handle: neither the memo table nor a pool or
     # disk-cache pickle holds the tensors, which rematerialise on demand.
     handle.release()
@@ -391,10 +370,6 @@ class SimulationEngine:
         seed: int = 0,
         *,
         sparsity: Optional[Dict[str, LayerSparsity]] = None,
-        scnn_config: AcceleratorConfig = SCNN_CONFIG,
-        dcnn_config: AcceleratorConfig = DCNN_CONFIG,
-        dcnn_opt_config: AcceleratorConfig = DCNN_OPT_CONFIG,
-        energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
     ) -> NetworkSimulation:
         """Simulate every layer of ``network`` (SCNN + DCNN + oracle + energy).
 
@@ -411,6 +386,9 @@ class SimulationEngine:
         density profile) or a :class:`Network` object (measured Figure 1
         calibration).  ``sparsity`` overrides the per-layer density table
         either way — the hook the density-profile sweeps use.
+
+        The key names the trio configurations and the energy table, which
+        are constants, so editing one in source re-keys every entry.
         """
         network, sparsity = _resolve_network_and_sparsity(network, sparsity)
         key = fingerprint(
@@ -418,10 +396,10 @@ class SimulationEngine:
             network=network,
             seed=seed,
             sparsity=sparsity,
-            scnn=scnn_config,
-            dcnn=dcnn_config,
-            dcnn_opt=dcnn_opt_config,
-            energy=energy_table,
+            scnn=SCNN_CONFIG,
+            dcnn=DCNN_CONFIG,
+            dcnn_opt=DCNN_OPT_CONFIG,
+            energy=DEFAULT_ENERGY_TABLE,
         )
 
         def simulate(_missing: List[int]) -> List[NetworkSimulation]:
@@ -447,10 +425,6 @@ class SimulationEngine:
                         spec,
                         sparsity[spec.name],
                         output_density,
-                        scnn_config,
-                        dcnn_config,
-                        dcnn_opt_config,
-                        energy_table,
                     )
                 )
             layers = parallel_map(
@@ -531,7 +505,6 @@ class SimulationEngine:
         network: Union[str, Network],
         *,
         sparsity: Optional[Dict[str, LayerSparsity]] = None,
-        energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
     ) -> List[DesignPoint]:
         """Evaluate candidate configurations on ``network``, cached.
 
@@ -549,16 +522,13 @@ class SimulationEngine:
         shared = {
             "network": canonical(network),
             "sparsity": canonical(sparsity),
-            "energy": canonical(energy_table),
+            "energy": canonical(DEFAULT_ENERGY_TABLE),
         }
         keys = [fingerprint("design-point", config=config, **shared) for config in configs]
 
         def evaluate(missing: List[int]) -> List[DesignPoint]:
             return evaluate_configs(
-                [configs[index] for index in missing],
-                network,
-                sparsity=sparsity,
-                energy_table=energy_table,
+                [configs[index] for index in missing], network, sparsity=sparsity
             )
 
         return self._cached(keys, evaluate)

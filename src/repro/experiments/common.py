@@ -20,8 +20,8 @@ from repro.scnn.simulator import NetworkSimulation
 
 EVALUATED_NETWORKS: Tuple[str, ...] = ("alexnet", "googlenet", "vggnet")
 
-# Paper-reported headline numbers, used by EXPERIMENTS.md and by the
-# benchmark harness to report "paper vs measured" side by side.
+# Paper-reported headline numbers, which the Figure 8 and Figure 10
+# experiments (fig8_performance, fig10_energy) print beside the measured ones.
 PAPER_NETWORK_SPEEDUP = {"AlexNet": 2.37, "GoogLeNet": 2.19, "VGGNet": 3.52}
 PAPER_AVERAGE_SPEEDUP = 2.7
 PAPER_AVERAGE_ENERGY_REDUCTION = 2.3

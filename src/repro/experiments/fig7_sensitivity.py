@@ -22,9 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
 from repro.arch.registry import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG
-from repro.arch.spec import AcceleratorConfig
 from repro.experiments.common import cached_network
-from repro.timeloop.energy import DEFAULT_ENERGY_TABLE
 
 DEFAULT_DENSITIES: Tuple[float, ...] = (
     0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
@@ -57,31 +55,16 @@ class SweepPoint:
 def run(
     densities: Sequence[float] = DEFAULT_DENSITIES,
     network_name: str = "googlenet",
-    *,
-    scnn_config: AcceleratorConfig = SCNN_CONFIG,
-    dcnn_config: AcceleratorConfig = DCNN_CONFIG,
-    dcnn_opt_config: AcceleratorConfig = DCNN_OPT_CONFIG,
 ) -> List[SweepPoint]:
     """Run the density sweep with the analytical model.
 
     The whole layers x densities grid is one pass through :mod:`repro.grid`.
     """
-    return _run_batched(
-        densities,
-        network_name,
-        scnn_config=scnn_config,
-        dcnn_config=dcnn_config,
-        dcnn_opt_config=dcnn_opt_config,
-    )
+    return _run_batched(densities, network_name)
 
 
 def _run_batched(
-    densities: Sequence[float],
-    network_name: str,
-    *,
-    scnn_config: AcceleratorConfig,
-    dcnn_config: AcceleratorConfig,
-    dcnn_opt_config: AcceleratorConfig,
+    densities: Sequence[float], network_name: str
 ) -> List[SweepPoint]:
     """One grid pass over the whole layers x densities sweep, then its totals.
 
@@ -101,8 +84,8 @@ def _run_batched(
     grid = np.broadcast_to(
         density_axis[None, :], (len(specs), len(density_axis))
     )
-    scnn = scnn_cycle_grid(specs, scnn_config, grid, grid)
-    dense = dense_cycle_grid(specs, dcnn_config)
+    scnn = scnn_cycle_grid(specs, SCNN_CONFIG, grid, grid)
+    dense = dense_cycle_grid(specs, DCNN_CONFIG)
     output_density = np.minimum(1.0, grid)
     scnn_energy_cycles = scnn.cycles.astype(np.int64)
     dense_energy_cycles = np.broadcast_to(
@@ -116,12 +99,11 @@ def _run_batched(
             activation_density=grid,
             output_density=output_density,
             cycles=cycles,
-            table=DEFAULT_ENERGY_TABLE,
         )["total"]
         for config, cycles in (
-            (scnn_config, scnn_energy_cycles),
-            (dcnn_config, dense_energy_cycles),
-            (dcnn_opt_config, dense_energy_cycles),
+            (SCNN_CONFIG, scnn_energy_cycles),
+            (DCNN_CONFIG, dense_energy_cycles),
+            (DCNN_OPT_CONFIG, dense_energy_cycles),
         )
     }
     points: List[SweepPoint] = []

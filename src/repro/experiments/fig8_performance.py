@@ -22,7 +22,11 @@ from typing import Dict, List
 from repro.analysis.aggregate import geometric_mean
 from repro.analysis.reporting import format_table
 from repro.arch.compare import NetworkComparison, compare_network
-from repro.experiments.common import EVALUATED_NETWORKS, PAPER_NETWORK_SPEEDUP
+from repro.experiments.common import (
+    EVALUATED_NETWORKS,
+    PAPER_AVERAGE_SPEEDUP,
+    PAPER_NETWORK_SPEEDUP,
+)
 
 
 @dataclass
@@ -115,7 +119,9 @@ def main() -> str:
             f"(paper: {report.paper_speedup:.2f}x)"
         )
     overall = average_speedup(reports)
-    sections.append(f"Average network speedup: {overall:.2f}x (paper: 2.7x)")
+    sections.append(
+        f"Average network speedup: {overall:.2f}x (paper: {PAPER_AVERAGE_SPEEDUP:.1f}x)"
+    )
     output = "\n\n".join(sections)
     print(output)
     return output

@@ -17,7 +17,7 @@ from typing import Dict, List
 from repro.analysis.reporting import format_table
 from repro.arch.registry import SCNN_CONFIG
 from repro.experiments.common import EVALUATED_NETWORKS, cached_simulation
-from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, layer_energy_from_densities
+from repro.timeloop.energy import layer_energy_from_densities
 
 # Compressed storage overhead: one 4-bit index per 16-bit value plus run-length
 # padding, matching the provisioning ratio of Table II.
@@ -62,7 +62,6 @@ def run(networks: tuple = EVALUATED_NETWORKS, seed: int = 0) -> List[TilingRow]:
                     output_density=layer.output_density,
                     cycles=layer.scnn.cycles,
                     products=layer.scnn.products,
-                    table=DEFAULT_ENERGY_TABLE,
                 ).total
                 without_dram = layer_energy_from_densities(
                     spec,
@@ -72,7 +71,6 @@ def run(networks: tuple = EVALUATED_NETWORKS, seed: int = 0) -> List[TilingRow]:
                     output_density=layer.output_density,
                     cycles=layer.scnn.cycles,
                     products=layer.scnn.products,
-                    table=DEFAULT_ENERGY_TABLE,
                 ).total
                 penalty = with_dram / without_dram - 1.0
             rows.append(

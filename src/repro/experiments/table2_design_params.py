@@ -11,11 +11,11 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.reporting import format_table
 from repro.arch.registry import SCNN_CONFIG
-from repro.arch.spec import AcceleratorConfig
 
 
-def run(config: AcceleratorConfig = SCNN_CONFIG) -> Dict[str, Tuple[object, object]]:
+def run() -> Dict[str, Tuple[object, object]]:
     """Return ``parameter -> (modelled value, paper value)`` for Table II."""
+    config = SCNN_CONFIG
     return {
         "Multiplier width (bits)": (config.multiplier_bits, 16),
         "Accumulator width (bits)": (config.accumulator_bits, 24),
@@ -41,7 +41,7 @@ def run(config: AcceleratorConfig = SCNN_CONFIG) -> Dict[str, Tuple[object, obje
     }
 
 
-def payload(config: AcceleratorConfig = SCNN_CONFIG) -> Dict[str, object]:
+def payload() -> Dict[str, object]:
     """Table II as a JSON-serializable payload (the service's ``table2``).
 
     ``rows`` maps each parameter to ``{"modelled": ..., "paper": ...}``;
@@ -49,10 +49,10 @@ def payload(config: AcceleratorConfig = SCNN_CONFIG) -> Dict[str, object]:
     """
     rows = {
         name: {"modelled": modelled, "paper": paper}
-        for name, (modelled, paper) in run(config).items()
+        for name, (modelled, paper) in run().items()
     }
     return {
-        "config": config.name,
+        "config": SCNN_CONFIG.name,
         "rows": rows,
         "matches": all(cell["modelled"] == cell["paper"] for cell in rows.values()),
     }

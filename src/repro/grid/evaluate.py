@@ -20,7 +20,7 @@ fixture ``tests/golden/analytical_models.json`` pins their outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from repro.timeloop.energy import (
     DEFAULT_ENERGY_TABLE,
     ENERGY_COMPONENTS,
     EnergyBreakdown,
-    EnergyTable,
     energy_components,
     event_counts,
 )
@@ -195,13 +194,12 @@ def energy_grid(
     activation_density: np.ndarray,
     output_density: np.ndarray,
     cycles: np.ndarray,
-    products: Optional[np.ndarray] = None,
-    weight_buffer_reads: Optional[np.ndarray] = None,
-    table: EnergyTable = DEFAULT_ENERGY_TABLE,
 ) -> Dict[str, np.ndarray]:
     """The event-count energy model over a ``(layers, points)`` grid.
 
-    All array arguments are ``(layers, points)`` grids (``cycles`` integer).
+    All array arguments are ``(layers, points)`` grids (``cycles`` integer);
+    products and weight-buffer reads are estimated from the densities, and
+    events are priced from :data:`~repro.timeloop.energy.DEFAULT_ENERGY_TABLE`.
     Returns the component arrays keyed as ``layer_energy`` keys them, plus a
     ``"total"`` entry summed in the same term order, so each cell equals
     :func:`~repro.timeloop.energy.layer_energy_from_densities` of its layer.
@@ -225,10 +223,8 @@ def energy_grid(
         activation_density=ad,
         output_density=od,
         cycles=cycles,
-        products=products,
-        weight_buffer_reads=weight_buffer_reads,
     )
-    components = energy_components(events, table)
+    components = energy_components(events, DEFAULT_ENERGY_TABLE)
     total = None
     for name in ENERGY_COMPONENTS:
         term = components[name]
@@ -348,7 +344,6 @@ def evaluate_grid(
     weight_density,
     activation_density,
     output_density=None,
-    energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
     model: str = "auto",
 ) -> GridResult:
     """Evaluate the whole arch x workload x density grid in one call.
@@ -400,14 +395,10 @@ def evaluate_grid(
     with obs.span(
         "grid.evaluate", configs=len(resolved), layers=layers, points=points
     ):
-        return _evaluate_grid_arrays(
-            specs, resolved, wd, ad, od, energy_table, model, shape
-        )
+        return _evaluate_grid_arrays(specs, resolved, wd, ad, od, model, shape)
 
 
-def _evaluate_grid_arrays(
-    specs, resolved, wd, ad, od, energy_table, model, shape
-) -> GridResult:
+def _evaluate_grid_arrays(specs, resolved, wd, ad, od, model, shape) -> GridResult:
     layers, points = shape[1], shape[2]
     cycles = np.zeros(shape)
     products = np.zeros(shape)
@@ -441,7 +432,6 @@ def _evaluate_grid_arrays(
             activation_density=ad,
             output_density=od,
             cycles=energy_cycles,
-            table=energy_table,
         )
         energy[c] = breakdown["total"]
         for name in ENERGY_COMPONENTS:

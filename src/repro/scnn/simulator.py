@@ -6,12 +6,12 @@ dense DCNN baseline, the oracle bound and the energy model;
 aggregates the per-layer results the way the paper's figures do (per layer,
 per inception module, and network-wide).
 
-Both functions are pure: the same workload and configuration always yield
-the same metrics, with no hidden state.  That is what lets the batched
-simulation engine (:mod:`repro.engine`) shard ``simulate_layer`` calls
-across a process pool and cache finished :class:`LayerSimulation` /
-:class:`NetworkSimulation` objects content-addressed on disk — parallel,
-cached runs are bitwise-identical to calling ``simulate_network`` directly.
+Both functions are pure: the same workload always yields the same metrics,
+with no hidden state.  That is what lets the batched simulation engine
+(:mod:`repro.engine`) shard ``simulate_layer`` calls across a process pool
+and cache finished :class:`LayerSimulation` / :class:`NetworkSimulation`
+objects content-addressed on disk — parallel, cached runs are
+bitwise-identical to calling ``simulate_network`` directly.
 Experiments should prefer ``SimulationEngine.run_network`` over calling
 ``simulate_network`` in a loop; this module stays the serial reference
 implementation the engine is validated against.
@@ -22,20 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.arch.registry import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG, resolve_config
-from repro.arch.spec import AcceleratorConfig
+from repro.arch.registry import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG
 from repro.dataflow.tiling import phase_integral_images
 from repro.nn.inference import LayerWorkload, build_network_workloads
 from repro.nn.networks import Network
 from repro.scnn.cycles import LayerCycleResult, simulate_layer_cycles
 from repro.scnn.dcnn import DenseLayerResult, simulate_dcnn_layer
 from repro.scnn.oracle import nonzero_multiplies, oracle_cycles
-from repro.timeloop.energy import (
-    DEFAULT_ENERGY_TABLE,
-    EnergyBreakdown,
-    EnergyTable,
-    layer_energy_from_densities,
-)
+from repro.timeloop.energy import EnergyBreakdown, layer_energy_from_densities
 
 # Post-ReLU output density assumed when the caller provides no measurement
 # and no next-layer calibration is available (roughly half the outputs of a
@@ -166,22 +160,15 @@ class NetworkSimulation:
 def simulate_layer(
     workload: LayerWorkload,
     *,
-    scnn_config: AcceleratorConfig = SCNN_CONFIG,
-    dcnn_config: AcceleratorConfig = DCNN_CONFIG,
-    dcnn_opt_config: AcceleratorConfig = DCNN_OPT_CONFIG,
-    energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
     output_density: Optional[float] = None,
-    include_oracle: bool = True,
 ) -> LayerSimulation:
-    """Simulate one layer on SCNN, DCNN and DCNN-opt.
+    """Simulate one layer on the paper's trio: SCNN, DCNN and DCNN-opt.
 
-    The three ``*_config`` parameters also accept registered architecture
-    names (resolved through :mod:`repro.arch.registry`), so callers can say
-    ``scnn_config="SCNN-SparseA"`` without touching config objects.
+    The trio is fixed to the paper's Table IV configurations and energy is
+    priced from :data:`~repro.timeloop.energy.DEFAULT_ENERGY_TABLE`.  Other
+    registered architectures are evaluated through
+    :meth:`repro.engine.SimulationEngine.run_architectures`.
     """
-    scnn_config = resolve_config(scnn_config, parameter="scnn_config")
-    dcnn_config = resolve_config(dcnn_config, parameter="dcnn_config")
-    dcnn_opt_config = resolve_config(dcnn_opt_config, parameter="dcnn_opt_config")
     spec = workload.spec
     # The cycle model and the oracle read only the operands' non-zero
     # structure: each mask, and the activation mask's per-stride-phase
@@ -190,17 +177,14 @@ def simulate_layer(
     activation_mask = workload.activations != 0
     integrals = phase_integral_images(activation_mask, spec.stride)
     scnn = simulate_layer_cycles(
-        spec, weight_mask, activation_mask, scnn_config, integrals=integrals
+        spec, weight_mask, activation_mask, SCNN_CONFIG, integrals=integrals
     )
-    dcnn = simulate_dcnn_layer(spec, dcnn_config)
-    if include_oracle:
-        products = nonzero_multiplies(
-            spec, weight_mask, activation_mask, integrals=integrals
-        )
-    else:
-        products = scnn.products
+    dcnn = simulate_dcnn_layer(spec, DCNN_CONFIG)
+    products = nonzero_multiplies(
+        spec, weight_mask, activation_mask, integrals=integrals
+    )
     oracle = oracle_cycles(
-        spec, weight_mask, activation_mask, scnn_config, products=products
+        spec, weight_mask, activation_mask, SCNN_CONFIG, products=products
     )
     if output_density is None:
         output_density = DEFAULT_OUTPUT_DENSITY
@@ -209,9 +193,9 @@ def simulate_layer(
     activation_density = workload.activation_density
     energy: Dict[str, EnergyBreakdown] = {}
     for config, cycles in (
-        (scnn_config, scnn.cycles),
-        (dcnn_config, dcnn.cycles),
-        (dcnn_opt_config, dcnn.cycles),
+        (SCNN_CONFIG, scnn.cycles),
+        (DCNN_CONFIG, dcnn.cycles),
+        (DCNN_OPT_CONFIG, dcnn.cycles),
     ):
         energy[config.name] = layer_energy_from_densities(
             spec,
@@ -222,11 +206,10 @@ def simulate_layer(
             cycles=cycles,
             products=products,
             weight_buffer_reads=(
-                scnn.weight_vector_fetches * scnn_config.multipliers_f
+                scnn.weight_vector_fetches * SCNN_CONFIG.multipliers_f
                 if config.is_sparse
                 else None
             ),
-            table=energy_table,
         )
     return LayerSimulation(
         workload=workload,
@@ -243,11 +226,6 @@ def simulate_network(
     *,
     workloads: Optional[Sequence[LayerWorkload]] = None,
     seed: int = 0,
-    scnn_config: AcceleratorConfig = SCNN_CONFIG,
-    dcnn_config: AcceleratorConfig = DCNN_CONFIG,
-    dcnn_opt_config: AcceleratorConfig = DCNN_OPT_CONFIG,
-    energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
-    include_oracle: bool = True,
 ) -> NetworkSimulation:
     """Simulate every layer of ``network`` at its calibrated densities.
 
@@ -266,15 +244,5 @@ def simulate_network(
         output_density = None
         if index + 1 < len(workloads):
             output_density = workloads[index + 1].activation_density
-        simulations.append(
-            simulate_layer(
-                workload,
-                scnn_config=scnn_config,
-                dcnn_config=dcnn_config,
-                dcnn_opt_config=dcnn_opt_config,
-                energy_table=energy_table,
-                output_density=output_density,
-                include_oracle=include_oracle,
-            )
-        )
+        simulations.append(simulate_layer(workload, output_density=output_density))
     return NetworkSimulation(network=network, layers=list(simulations))

@@ -80,7 +80,6 @@ class PayloadStore:
         self._memory: Dict[str, Any] = {}
         self._lock = threading.Lock()
         self.hits = 0
-        self.misses = 0
 
     def get(self, key: str) -> Optional[Any]:
         """The stored payload for ``key``, or ``None`` on a miss."""
@@ -100,8 +99,6 @@ class PayloadStore:
                     self.hits += 1
                 _FAST_PATH_HITS.inc()
                 return value
-        with self._lock:
-            self.misses += 1
         return None
 
     def put(self, key: str, payload: Any) -> None:
@@ -117,16 +114,6 @@ class PayloadStore:
         self._memory[key] = payload
         while len(self._memory) > self.memory_max_entries:
             del self._memory[next(iter(self._memory))]
-
-    def stats(self) -> Dict[str, Any]:
-        """Hit/miss counters and tier sizes, as one JSON-able dict."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "memory_entries": len(self._memory),
-                "disk": self.disk is not None,
-            }
 
 
 class RequestCoalescer:
@@ -144,7 +131,6 @@ class RequestCoalescer:
         self._group_by_leader: Dict[str, Tuple[str, List[str]]] = {}
         self._leader_by_follower: Dict[str, str] = {}
         self.coalesced = 0  # followers ever attached
-        self.fanouts = 0  # results fanned out to followers
 
     def attach(self, key: str, job_id: str) -> Optional[str]:
         """Attach ``job_id`` to the in-flight group for ``key``.
@@ -192,7 +178,6 @@ class RequestCoalescer:
             self._leader_by_key.pop(key, None)
             for follower in followers:
                 self._leader_by_follower.pop(follower, None)
-            self.fanouts += len(followers)
             return followers
 
     def detach(self, job_id: str) -> Optional[str]:

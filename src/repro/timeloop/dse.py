@@ -25,7 +25,6 @@ from repro.arch.spec import AcceleratorConfig
 from repro.nn.densities import network_sparsity
 from repro.nn.networks import Network
 from repro.timeloop.area import accelerator_area_mm2
-from repro.timeloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,6 @@ def evaluate_configs(
     network: Network,
     *,
     sparsity=None,
-    energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
 ) -> List[DesignPoint]:
     """Evaluate every candidate on a whole network in one grid pass.
 
@@ -118,7 +116,6 @@ def evaluate_configs(
         weight_density=weight,
         activation_density=activation,
         output_density=output,
-        energy_table=energy_table,
         model="scnn",
     )
     return [
@@ -133,17 +130,14 @@ def evaluate_configs(
 
 
 def sweep(
-    configs: Iterable[AcceleratorConfig],
-    network: Network,
-    *,
-    energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
+    configs: Iterable[AcceleratorConfig], network: Network
 ) -> List[DesignPoint]:
     """Evaluate every candidate configuration on ``network``.
 
     One whole-grid pass (:func:`evaluate_configs`) at the network's
     measured densities, in the calling process.
     """
-    return evaluate_configs(list(configs), network, energy_table=energy_table)
+    return evaluate_configs(list(configs), network)
 
 
 def pareto_frontier(points: Sequence[DesignPoint]) -> List[DesignPoint]:

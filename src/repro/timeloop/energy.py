@@ -289,9 +289,8 @@ def layer_energy_from_densities(
     cycles: int,
     products: Optional[int] = None,
     weight_buffer_reads: Optional[int] = None,
-    table: EnergyTable = DEFAULT_ENERGY_TABLE,
 ) -> EnergyBreakdown:
-    """Convenience wrapper: count events then convert to energy."""
+    """Count events, then price them from :data:`DEFAULT_ENERGY_TABLE`."""
     events = count_layer_events(
         spec,
         config,
@@ -302,4 +301,4 @@ def layer_energy_from_densities(
         products=products,
         weight_buffer_reads=weight_buffer_reads,
     )
-    return layer_energy(events, config, table)
+    return layer_energy(events, config)

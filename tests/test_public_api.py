@@ -1,6 +1,7 @@
 """The public API surface advertised in ``repro.__all__`` must exist and work."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -54,3 +55,50 @@ class TestPublicApi:
         assert "measured" in repro.available_profiles()
         assert repro.get_profile("dense").name == "dense"
         assert isinstance(repro.get_workload("vggnet"), repro.WorkloadSpec)
+
+    def test_paper_constant_surfaces_take_no_trio_or_energy_parameters(self):
+        """The trio configs, the energy table and the baseline are constants.
+
+        Each surface's parameters are listed in full (48 besides ``self``),
+        so a knob added back later shows up as a reviewed change to this list.
+        """
+        from repro.arch import compare
+        from repro.engine import SimulationEngine
+        from repro.experiments import fig7_sensitivity, table2_design_params
+        from repro.grid import energy_grid, evaluate_grid
+        from repro.scnn import simulator
+        from repro.timeloop import dse
+        from repro.timeloop.energy import layer_energy_from_densities
+
+        expected = {
+            SimulationEngine.run_network: ["self", "network", "seed", "sparsity"],
+            SimulationEngine.sweep: ["self", "configs", "network", "sparsity"],
+            simulator.simulate_layer: ["workload", "output_density"],
+            simulator.simulate_network: ["network", "workloads", "seed"],
+            compare.compare_network: [
+                "network", "architectures", "seed", "density_profile", "engine",
+            ],
+            compare.compare_networks: [
+                "networks", "architectures", "seed", "density_profile", "engine",
+            ],
+            dse.evaluate_configs: ["configs", "network", "sparsity"],
+            dse.sweep: ["configs", "network"],
+            evaluate_grid: [
+                "specs", "configs", "weight_density", "activation_density",
+                "output_density", "model",
+            ],
+            energy_grid: [
+                "specs", "config", "weight_density", "activation_density",
+                "output_density", "cycles",
+            ],
+            layer_energy_from_densities: [
+                "spec", "config", "weight_density", "activation_density",
+                "output_density", "cycles", "products", "weight_buffer_reads",
+            ],
+            fig7_sensitivity.run: ["densities", "network_name"],
+            table2_design_params.run: [],
+            table2_design_params.payload: [],
+        }
+        for surface, names in expected.items():
+            assert list(inspect.signature(surface).parameters) == names, surface
+        assert compare.BASELINE == "DCNN"

@@ -68,10 +68,6 @@ class TestSimulateLayer:
         sim = simulate_layer(small_workload, output_density=0.25)
         assert sim.output_density == 0.25
 
-    def test_without_oracle_uses_cycle_model_products(self, small_workload):
-        sim = simulate_layer(small_workload, include_oracle=False)
-        assert sim.oracle_cycles >= 1
-
 
 class TestSimulateNetwork:
     def test_one_simulation_per_layer(self, tiny_simulation, tiny_network):
