@@ -5,15 +5,17 @@ architecture, a DSE design point) is described by a *fingerprint*: a canonical
 JSON document covering everything the result depends on — layer shapes,
 operand content (either the generative coordinates of a synthetic workload or
 a digest of the raw tensors), the full accelerator configuration, the energy
-table, and a schema version bumped whenever the models change meaning.  The
-SHA-256 of that document addresses a pickle file under the cache root, so
+table, the installed numpy's version, and a schema version bumped whenever
+the models change meaning.  The SHA-256 of that document addresses a pickle
+file under the cache root, so
 
 * two logically identical requests always share one entry, regardless of
   which entry point produced them;
 * any change to an input produces a different key — there is no staleness
   to manage and never a need to "invalidate" entries by hand;
 * bumping :data:`SCHEMA_VERSION` orphans (but does not delete) entries from
-  older model revisions; ``ResultCache.clear()`` removes everything.
+  older model revisions, and so does installing another numpy;
+  ``ResultCache.clear()`` removes everything.
 
 The cache is safe for concurrent writers — including writers in *different
 processes* (the service's process-mode worker tier points every forked
@@ -50,6 +52,11 @@ from repro import obs
 
 # Bump when a model change alters what any cached metric means.
 SCHEMA_VERSION = 2
+
+#: Named in every key: synthesis draws from numpy's ``Generator`` streams and
+#: relies on ``partition``'s tie order, which NumPy does not promise to keep
+#: from one release to the next (NEP 19).
+NUMPY_VERSION = np.__version__
 
 _log = obs.get_logger("repro.engine.cache")
 
@@ -158,9 +165,10 @@ def canonical(value: Any) -> Canonical:
 def fingerprint(kind: str, **parts: Any) -> str:
     """SHA-256 key of one cacheable unit of work.
 
-    The hashed document is ``{"kind", "parts": describe(parts), "schema"}``
-    as compact sorted JSON, assembled from each part's rendering; a part
-    already rendered by :func:`canonical` is not rendered again.
+    The hashed document is ``{"kind", "numpy", "parts": describe(parts),
+    "schema"}`` as compact sorted JSON, assembled from each part's
+    rendering; a part already rendered by :func:`canonical` is not rendered
+    again.
     """
     rendered = []
     for name in sorted(parts):
@@ -169,8 +177,8 @@ def fingerprint(kind: str, **parts: Any) -> str:
             part = canonical(part)
         rendered.append(f"{_ENCODER.encode(name)}:{part.text}")
     document = (
-        f'{{"kind":{_ENCODER.encode(kind)},"parts":{{{",".join(rendered)}}},'
-        f'"schema":{SCHEMA_VERSION}}}'
+        f'{{"kind":{_ENCODER.encode(kind)},"numpy":{_ENCODER.encode(NUMPY_VERSION)},'
+        f'"parts":{{{",".join(rendered)}}},"schema":{SCHEMA_VERSION}}}'
     )
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 

@@ -19,10 +19,12 @@ The pieces (each its own module, composable without the HTTP layer):
   parameter-validated request shapes covering the repo's catalogue (single
   layer, full network, DSE sweep, paper-figure regeneration).
 * :mod:`repro.service.coalesce` — the duplicate-suppression tier:
-  :class:`PayloadStore` (the fast path answering repeat submissions
-  without a worker), :class:`RequestCoalescer` (identical in-flight
-  requests collapse to one simulation) and :class:`CoalescingSink` (fans
-  the one result out to every coalesced follower).
+  :class:`PayloadStore` (the fast path: an in-memory store answering a
+  repeat of a request this process already finished, without a worker),
+  :class:`RequestCoalescer` (identical in-flight requests collapse to one
+  simulation) and :class:`CoalescingSink` (fans the one result out to
+  every coalesced follower).  Across restarts, repeats are answered by a
+  worker from the engine's content-addressed cache.
 * :mod:`repro.service.worker` — the worker tier: :class:`WorkerPool`
   (threads on one warm engine, the equivalence oracle) and
   :class:`ProcessWorkerPool` (forked engine processes sharing the on-disk

@@ -56,11 +56,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(default: unbounded)",
     )
     parser.add_argument(
-        "--no-fast-path", action="store_true",
-        help="disable the HTTP-layer payload cache (repeat submissions "
-        "re-enter the queue instead of answering instantly)",
-    )
-    parser.add_argument(
         "--parallel", type=int, default=None, metavar="N",
         help="engine process-pool size per simulation in thread mode "
         "(-1 = one per usable CPU; default: serial)",
@@ -134,7 +129,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         journal_dir=args.journal_dir,
         mode=args.mode,
         max_queue_depth=args.max_queue_depth,
-        fast_path=not args.no_fast_path,
         verbose=args.verbose,
         observability=not args.no_obs,
     )

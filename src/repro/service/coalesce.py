@@ -15,23 +15,25 @@ one key):
   :class:`CoalescingSink` fans the one result out to every follower — all
   of them receive the bitwise-identical payload.
 
-The store keeps a small in-memory LRU tier and, when the service has an
-on-disk cache root, a :class:`~repro.engine.cache.ResultCache` under
-``<root>/payloads`` — a sibling namespace of the engine's own entries, so
-payload warmth survives restarts and is shared by every worker process.
+The store holds only payloads this process computed, in memory.  A payload
+key names a scenario by its name and parameters, not by the model code and
+constants behind it, so a payload kept across a restart could answer for a
+model that has since changed.  A restarted service answers a repeat through
+a worker instead, from the engine's content-addressed cache, whose keys name
+every model input.
 """
 
 from __future__ import annotations
 
 import threading
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.engine.cache import ResultCache, fingerprint
+from repro.engine.cache import fingerprint
 from repro.service.jobs import JobQueue
 
-PAYLOAD_SUBDIR = "payloads"
+#: Finished payloads the fast path keeps; the least recently used go first.
+PAYLOAD_STORE_ENTRIES = 256
 
 _FAST_PATH_HITS = obs.counter(
     "repro_fast_path_hits_total",
@@ -55,28 +57,14 @@ def payload_key(scenario: str, params: Dict[str, Any]) -> str:
 
 
 class PayloadStore:
-    """Finished scenario payloads, keyed by :func:`payload_key`.
+    """This process's finished scenario payloads, keyed by :func:`payload_key`.
 
-    A two-tier cache mirroring the engine's own: a bounded in-memory LRU
-    dict in front of an optional on-disk :class:`ResultCache` (under
-    ``<cache_root>/payloads``).  ``hits`` counts fast-path answers — every
-    ``get`` that returned a payload — which the service reports as
-    ``fast_path_hits``.
+    A bounded in-memory LRU dict of :data:`PAYLOAD_STORE_ENTRIES` entries.
+    ``hits`` counts fast-path answers — every ``get`` that returned a
+    payload — which the service reports as ``fast_path_hits``.
     """
 
-    def __init__(
-        self,
-        disk_root: Union[None, str, Path] = None,
-        memory_max_entries: int = 256,
-    ) -> None:
-        if memory_max_entries < 1:
-            raise ValueError("memory_max_entries must be positive")
-        self.disk: Optional[ResultCache] = (
-            ResultCache(Path(disk_root) / PAYLOAD_SUBDIR)
-            if disk_root is not None
-            else None
-        )
-        self.memory_max_entries = memory_max_entries
+    def __init__(self) -> None:
         self._memory: Dict[str, Any] = {}
         self._lock = threading.Lock()
         self.hits = 0
@@ -84,36 +72,22 @@ class PayloadStore:
     def get(self, key: str) -> Optional[Any]:
         """The stored payload for ``key``, or ``None`` on a miss."""
         with self._lock:
-            if key in self._memory:
-                # Reinsert so the hit entry becomes most recently used.
-                value = self._memory.pop(key)
-                self._memory[key] = value
-                self.hits += 1
-                _FAST_PATH_HITS.inc()
-                return value
-        if self.disk is not None:
-            value = self.disk.get(key)
-            if value is not None:
-                with self._lock:
-                    self._remember(key, value)
-                    self.hits += 1
-                _FAST_PATH_HITS.inc()
-                return value
-        return None
+            if key not in self._memory:
+                return None
+            # Reinsert so the hit entry becomes most recently used.
+            value = self._memory.pop(key)
+            self._memory[key] = value
+            self.hits += 1
+            _FAST_PATH_HITS.inc()
+            return value
 
     def put(self, key: str, payload: Any) -> None:
-        """Store a finished payload under ``key`` (memory and disk tiers)."""
+        """Store a finished payload under ``key``, evicting LRU entries."""
         with self._lock:
-            self._remember(key, payload)
-        if self.disk is not None:
-            self.disk.put(key, payload)
-
-    def _remember(self, key: str, payload: Any) -> None:
-        """Insert into the memory tier, evicting LRU entries.  Lock held."""
-        self._memory.pop(key, None)
-        self._memory[key] = payload
-        while len(self._memory) > self.memory_max_entries:
-            del self._memory[next(iter(self._memory))]
+            self._memory.pop(key, None)
+            self._memory[key] = payload
+            while len(self._memory) > PAYLOAD_STORE_ENTRIES:
+                del self._memory[next(iter(self._memory))]
 
 
 class RequestCoalescer:
@@ -231,7 +205,7 @@ class CoalescingSink:
         self,
         queue: JobQueue,
         coalescer: RequestCoalescer,
-        payloads: Optional[PayloadStore] = None,
+        payloads: PayloadStore,
     ) -> None:
         self.queue = queue
         self.coalescer = coalescer
@@ -240,7 +214,7 @@ class CoalescingSink:
     def mark_done(self, job_id: str, result: Any):
         """Record the result and fan it out to every coalesced follower."""
         key = self.coalescer.key_of(job_id)
-        if key is not None and self.payloads is not None:
+        if key is not None:
             self.payloads.put(key, result)
         followers = self.coalescer.settle(job_id)
         job = self.queue.mark_done(job_id, result)

@@ -134,8 +134,6 @@ class SimulationService:
             layer turns that into 429 + ``Retry-After``).  Fast-path and
             coalesced submissions never count against the bound — they
             consume no worker.  ``None`` disables backpressure.
-        fast_path: answer repeat submissions straight from the payload
-            store (job records born ``done``) without touching the queue.
         observability: turn on the process-wide metrics registry and
             tracer (:func:`repro.obs.enable`) so ``/metrics`` and
             ``/jobs/<id>/trace`` have something to report.  ``False``
@@ -150,7 +148,6 @@ class SimulationService:
         journal_dir: Union[None, str, Path] = None,
         mode: str = "thread",
         max_queue_depth: Optional[int] = None,
-        fast_path: bool = True,
         observability: bool = True,
     ) -> None:
         if mode not in SERVICE_MODES:
@@ -167,17 +164,11 @@ class SimulationService:
         self.registry = registry if registry is not None else default_registry()
         self.mode = mode
         self.max_queue_depth = max_queue_depth
-        self.fast_path = fast_path
         self.queue = (
             JobQueue.load(journal_dir) if journal_dir is not None else JobQueue()
         )
         self.coalescer = RequestCoalescer()
-        cache_root = (
-            self.engine.disk_cache.root
-            if self.engine.disk_cache is not None
-            else None
-        )
-        self.payloads = PayloadStore(disk_root=cache_root)
+        self.payloads = PayloadStore()
         self.sink = CoalescingSink(self.queue, self.coalescer, self.payloads)
         if mode == "process":
             self.workers: Any = ProcessWorkerPool(
@@ -237,27 +228,26 @@ class SimulationService:
            attaches as a follower and receives the leader's payload;
         3. **enqueue** — a genuinely new request: claimable by workers,
            subject to the ``max_queue_depth`` bound
-           (:class:`QueueFullError` beyond it).  With the fast path on, an
-           identical leader that finished during admission is caught by a
-           second look at the payload store instead of running again.
+           (:class:`QueueFullError` beyond it).  An identical leader that
+           finished during admission is caught by a second look at the
+           payload store instead of running again.
         """
         trace_id = obs.new_trace_id()
         admission_start = time.monotonic()
         normalised = self.registry.get(scenario).validate(params)
         key = payload_key(scenario, normalised)
-        if self.fast_path:
-            payload = self.payloads.get(key)
-            if payload is not None:
-                job = self.queue.submit_done(
-                    scenario,
-                    normalised,
-                    priority=priority,
-                    result=payload,
-                    trace_id=trace_id,
-                )
-                _SUBMISSIONS.inc(tier="fast_path")
-                self._record_admission(job, admission_start, tier="fast_path")
-                return job
+        payload = self.payloads.get(key)
+        if payload is not None:
+            job = self.queue.submit_done(
+                scenario,
+                normalised,
+                priority=priority,
+                result=payload,
+                trace_id=trace_id,
+            )
+            _SUBMISSIONS.inc(tier="fast_path")
+            self._record_admission(job, admission_start, tier="fast_path")
+            return job
         will_coalesce = self.coalescer.leading(key)
         if (
             not will_coalesce
@@ -279,7 +269,7 @@ class SimulationService:
         leader = self.coalescer.attach(key, job.id)
         if leader is not None:
             tier = "coalesced"
-        elif self.fast_path and (payload := self.payloads.get(key)) is not None:
+        elif (payload := self.payloads.get(key)) is not None:
             self.sink.mark_done(job.id, payload)
             tier = "fast_path"
         else:
@@ -715,7 +705,6 @@ def create_server(
     journal_dir: Union[None, str, Path] = None,
     mode: str = "thread",
     max_queue_depth: Optional[int] = None,
-    fast_path: bool = True,
     verbose: bool = False,
     observability: bool = True,
 ) -> ServiceServer:
@@ -727,7 +716,6 @@ def create_server(
         journal_dir=journal_dir,
         mode=mode,
         max_queue_depth=max_queue_depth,
-        fast_path=fast_path,
         observability=observability,
     )
     return ServiceServer(service, host=host, port=port, verbose=verbose)

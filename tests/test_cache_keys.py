@@ -1,20 +1,23 @@
 """Cache keys are pinned byte for byte.
 
 A cache directory written by one version of the engine must keep answering
-the next one, so the bytes of every key are part of the contract:
+the next one under the same numpy, so the bytes of every key are part of
+the contract:
 
 * the golden (``tests/golden/cache_keys.json``) holds the ``network-simulation``
   key of each trio network at seed 0 and of one synthetic workload under a
   density profile, the ``design-point`` keys of ``[SCNN] + default_candidates()``
   on AlexNet and GoogLeNet, and the ``architecture-layer`` keys of one
   synthetic :class:`WorkloadHandle` and one raw :class:`LayerWorkload` on
-  every architecture registered when it was written;
+  every architecture registered when it was written.  It records the numpy
+  version it was written under, and every test here computes keys with that
+  version in place of the installed one, so the golden holds under any numpy;
 * a property test holds :func:`fingerprint` to the one-document reference
   below, for generated parts passed raw and pre-rendered by
   :func:`canonical`.
 
 Regenerate the golden only when a change is meant to orphan every cache
-entry (a :data:`SCHEMA_VERSION` bump)::
+entry (a :data:`SCHEMA_VERSION` bump, or a new field in the key document)::
 
     PYTHONPATH=src python tests/test_cache_keys.py --write
 """
@@ -36,7 +39,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.arch.registry import SCNN_CONFIG, available_architectures
-from repro.engine import SCHEMA_VERSION, SimulationEngine, WorkloadHandle
+from repro.engine import SCHEMA_VERSION, SimulationEngine, WorkloadHandle, cache
 from repro.engine.cache import canonical, describe, fingerprint
 from repro.timeloop.dse import default_candidates
 from repro.workloads.profiles import get_profile
@@ -54,6 +57,12 @@ LAYER = ("plain-cnn-8", 1)
 @lru_cache(maxsize=None)
 def _golden() -> Dict:
     return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(autouse=True)
+def recorded_numpy(monkeypatch):
+    """Key everything under the numpy version the golden was written with."""
+    monkeypatch.setattr(cache, "NUMPY_VERSION", _golden()["numpy"])
 
 
 class KeyRecorder(SimulationEngine):
@@ -130,7 +139,12 @@ def test_architecture_layer_keys():
 
 def reference_fingerprint(kind: str, **parts) -> str:
     """The key as one JSON document: the definition part-wise assembly keeps."""
-    document = {"schema": SCHEMA_VERSION, "kind": kind, "parts": describe(parts)}
+    document = {
+        "schema": SCHEMA_VERSION,
+        "numpy": cache.NUMPY_VERSION,
+        "kind": kind,
+        "parts": describe(parts),
+    }
     text = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -240,6 +254,14 @@ def test_fingerprint_matches_the_one_document_reference(kind, parts):
     assert fingerprint(kind, **mixed) == expected
 
 
+def test_two_numpy_versions_give_two_keys(monkeypatch):
+    parts = {"network": "alexnet", "seed": 0}
+    monkeypatch.setattr(cache, "NUMPY_VERSION", "2.4.6")
+    before = fingerprint("network-simulation", **parts)
+    monkeypatch.setattr(cache, "NUMPY_VERSION", "2.5.0")
+    assert fingerprint("network-simulation", **parts) != before
+
+
 @pytest.mark.parametrize(
     "nested",
     [
@@ -263,6 +285,7 @@ if __name__ == "__main__":
     architectures = available_architectures()
     document = {
         "schema": SCHEMA_VERSION,
+        "numpy": cache.NUMPY_VERSION,
         "network-simulation": network_simulation_keys(),
         "design-point": {name: design_point_keys(name) for name in DSE_NETWORKS},
         "architecture-layer": {

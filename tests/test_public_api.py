@@ -102,3 +102,35 @@ class TestPublicApi:
         for surface, names in expected.items():
             assert list(inspect.signature(surface).parameters) == names, surface
         assert compare.BASELINE == "DCNN"
+
+    def test_service_composition_surfaces(self):
+        """The service's composition surfaces, parameter by parameter.
+
+        The payload store is memory-only and the fast path always on, so a
+        store root or a fast-path switch added back later shows up as a
+        reviewed change to this list.
+        """
+        from repro.service import (
+            CoalescingSink,
+            PayloadStore,
+            SimulationService,
+            create_server,
+        )
+
+        expected = {
+            SimulationService.__init__: [
+                "self", "engine", "registry", "num_workers", "journal_dir",
+                "mode", "max_queue_depth", "observability",
+            ],
+            create_server: [
+                "host", "port", "engine", "registry", "num_workers",
+                "journal_dir", "mode", "max_queue_depth", "verbose",
+                "observability",
+            ],
+            PayloadStore.__init__: ["self"],
+            CoalescingSink.__init__: ["self", "queue", "coalescer", "payloads"],
+        }
+        for surface, names in expected.items():
+            assert list(inspect.signature(surface).parameters) == names, surface
+        payloads = inspect.signature(CoalescingSink.__init__).parameters["payloads"]
+        assert payloads.default is inspect.Parameter.empty  # the store is required

@@ -477,29 +477,31 @@ class TestServiceEndToEnd:
         ) == len(submissions)
 
     def test_warm_cache_across_service_restarts(self, tmp_path):
-        # fast_path=False so the repeat travels queue -> worker -> engine and
-        # exercises the *engine's* disk cache (the payload store's own
-        # across-restart warmth is covered in test_service_concurrency.py).
+        # The payload store lives in memory only, so the restarted service's
+        # repeat travels queue -> worker -> engine and is answered from the
+        # engine's disk cache without a new simulation.
         cache_dir = tmp_path / "shared-cache"
         payloads = []
-        disk_hits = []
+        stats = []
         for _ in range(2):
             engine = SimulationEngine(cache_dir=cache_dir)
-            server = create_server(
-                port=0, engine=engine, num_workers=2, fast_path=False
-            )
+            server = create_server(port=0, engine=engine, num_workers=2)
             server.start()
             try:
                 client = ServiceClient(server.url)
                 payloads.append(client.run("network", {"network": "alexnet"}))
-                disk_hits.append(client.stats()["engine"]["disk_hits"])
+                stats.append(client.stats())
             finally:
                 server.stop()
         assert json.dumps(payloads[0], sort_keys=True) == json.dumps(
             payloads[1], sort_keys=True
         )
-        assert disk_hits[0] == 0  # cold
-        assert disk_hits[1] > 0  # warm: the second service never recomputed
+        assert stats[0]["engine"]["disk_hits"] == 0  # cold
+        warm = stats[1]
+        assert warm["service"]["fast_path_hits"] == 0
+        assert warm["workers"]["jobs_completed"] == 1
+        assert warm["engine"]["misses"] == 0  # nothing was simulated again
+        assert warm["engine"]["disk_hits"] >= 1
 
     def test_unknown_scenario_and_bad_params_rejected_at_submit(
         self, service_client

@@ -8,8 +8,9 @@ Three concerns:
   two modes agree bitwise, and the ``/stats`` counters account for every
   submission (``jobs_completed + coalesced + fast_path_hits`` equals the
   burst size — nothing double-served, nothing lost);
-* **payload-store warmth** — a repeat submission against a *restarted*
-  service is answered from the on-disk payload store without a worker;
+* **restarts** — a service restarted on the same cache directory answers
+  with the scenario it now has, never with a payload the previous boot
+  computed;
 * **property-style queue invariants** — random operation interleavings
   (single-threaded with a reference model, and genuinely multi-threaded)
   never drive a :class:`JobQueue` job through an illegal state transition.
@@ -137,36 +138,40 @@ class TestConcurrentBurstAcrossModes:
         assert thread_payloads == process_payloads
 
 
-class TestPayloadStoreWarmth:
-    def test_fast_path_survives_a_restart_via_the_disk_store(self, tmp_path):
+def _scaled_registry(scale):
+    """A ``compute`` scenario whose definition depends on ``scale``."""
+    registry = ScenarioRegistry()
+    registry.register(
+        Scenario(
+            "compute", "value times a scale fixed at registration",
+            lambda engine, params: {"value": params["value"] * scale},
+            (Parameter("value", "int"),),
+        )
+    )
+    return registry
+
+
+class TestRestart:
+    def test_a_restart_answers_with_the_scenario_it_now_has(self, tmp_path):
+        """Two boots on one cache directory register ``compute`` with
+        different definitions (a stand-in for a model edit between them);
+        the second boot must answer with its own definition's value."""
         cache_dir = tmp_path / "cache"
-        for boot in range(2):
+        answers = []
+        for scale in (2, 3):
             server = create_server(
                 port=0,
                 engine=SimulationEngine(cache_dir=cache_dir),
-                registry=_compute_registry(),
+                registry=_scaled_registry(scale),
                 num_workers=1,
             )
             server.start()
             try:
                 client = ServiceClient(server.url)
-                job_id = client.submit("compute", {"value": 3})
-                record = client.wait(job_id, timeout=30)
-                assert record["state"] == "done"
-                payload = client.result(job_id)
-                stats = client.stats()
-                if boot == 0:
-                    first_payload = payload
-                    assert stats["workers"]["jobs_completed"] == 1
-                else:
-                    # The restarted service answered from the on-disk
-                    # payload store: born done, no worker involved.
-                    assert payload == first_payload
-                    assert record["started_at"] is None
-                    assert stats["service"]["fast_path_hits"] == 1
-                    assert stats["workers"]["jobs_completed"] == 0
+                answers.append(client.run("compute", {"value": 5}, timeout=30))
             finally:
                 server.stop()
+        assert answers == [{"value": 10}, {"value": 15}]
 
 
 # -- property-style queue invariants ---------------------------------------------
