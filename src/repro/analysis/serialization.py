@@ -62,7 +62,7 @@ def layer_payload(layer: LayerSimulation) -> Dict[str, Any]:
         "scnn_cycles": int(layer.scnn.cycles),
         "dcnn_cycles": int(layer.dcnn.cycles),
         "oracle_cycles": int(layer.oracle_cycles),
-        "products": int(layer.scnn.products),
+        "products": int(layer.scnn.operations),
         "scnn_speedup": layer.scnn_speedup,
         "oracle_speedup": layer.oracle_speedup,
         "multiplier_utilization": layer.scnn.multiplier_utilization,

@@ -5,52 +5,59 @@ repository's performance models; a spec names its adapter
 (:attr:`~repro.arch.spec.ArchitectureSpec.adapter`) and the registry resolves
 it at simulation time.  Every adapter exposes the same
 ``simulate_layer(spec, config, operands) -> ArchLayerResult`` surface, so the
-engine's comparison sweeps (and anything else that iterates architectures)
-never branch on accelerator family.
+engine's layer task — the paper's trio included — never branches on
+accelerator family.
 
-Adapters read operand *masks*, never operand tensors: the engine synthesises
-a layer at most once, forms its :class:`LayerOperands`, and hands the same
-masks to every architecture it evaluates on that layer.  Two adapters cover
+Adapters read operand *masks*, never operand tensors: :func:`evaluate_layer`
+forms a layer's :class:`LayerOperands` at most once and hands the same masks
+to every architecture it evaluates on that layer.  Each architecture sees
+the real mask of an operand its dataflow skips or gates, and an all-True
+mask otherwise (the models consume only non-zero *structure*, so an
+all-True mask models an uncompressed stream exactly).  Two adapters cover
 the paper's catalogue:
 
 * ``cartesian-sparse`` — the vectorised PT-IS-CP cycle model
-  (:func:`repro.scnn.cycles.simulate_layer_cycles`).  The dataflow's
-  ``skips_zero_weights`` / ``skips_zero_activations`` flags decide which
-  operands the architecture observes compressed: an operand the dataflow
-  cannot skip is observed as an all-True mask (the cycle model consumes
-  only the non-zero *structure* of its operands, so an all-True mask models
-  an uncompressed stream exactly).  This one adapter therefore covers SCNN
-  and both single-operand ablations.
+  (:func:`repro.scnn.cycles.simulate_layer_cycles`): SCNN, its granularity
+  variants and both single-operand ablations.
 * ``dot-product-dense`` — the dense PT-IS-DP baseline model
-  (:func:`repro.scnn.dcnn.simulate_dcnn_layer`); only the layer shape
-  matters, so it reads no operands and a layer evaluated only on dense
-  architectures is never synthesised.
+  (:func:`repro.scnn.dcnn.simulate_dcnn_layer`), whose cycles read the layer
+  shape alone; it reads operands only to count what a zero-gating design
+  (DCNN-opt) multiplies, so a layer evaluated only on DCNN is never
+  synthesised.
+
+:func:`price_energy` is every architecture's one energy accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.spec import AcceleratorConfig
+from repro.arch.spec import AcceleratorConfig, ArchitectureSpec
+from repro.dataflow.dataflows import Dataflow
 from repro.dataflow.tiling import phase_integral_images
 from repro.nn.layers import ConvLayerSpec
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.dcnn import simulate_dcnn_layer
+from repro.scnn.oracle import nonzero_multiplies
+from repro.timeloop.energy import EnergyBreakdown, layer_energy_from_densities
 
 
 @dataclass(frozen=True)
 class ArchLayerResult:
     """One layer evaluated on one architecture, adapter-independent.
 
-    ``operations`` counts the multiplier slots the layer actually occupied —
-    non-zero products for a sparse architecture, all multiplies for a dense
-    one.  ``weight_vector_fetches`` is only reported by the sparse adapter
-    (the energy model turns it into weight-buffer reads); dense adapters
-    leave it ``None``.
+    ``operations`` counts the multiplier slots the layer occupied: the cycle
+    model's Cartesian products for a sparse architecture (including those
+    that fall off the output plane), every multiply for a dense one.
+    ``valid_products`` counts the products that land in the output, over
+    the masks the multiplier sees: what the energy model charges and the
+    oracle divides.  It is ``None`` when the adapter read no operands.
+    ``weight_vector_fetches`` is only reported by the sparse adapter (the
+    energy model turns it into weight-buffer reads).
     """
 
     architecture: str
@@ -60,15 +67,17 @@ class ArchLayerResult:
     multiplier_utilization: float
     idle_fraction: float
     weight_vector_fetches: Optional[int] = None
+    valid_products: Optional[int] = None
+    conflict_stall_cycles: int = 0
 
 
 class LayerOperands:
     """One layer's operand non-zero structure, shared across architectures.
 
     ``weights`` and ``activations`` are the operands' bool masks.  The
-    activation mask's phase integral images, and the all-True stand-ins (with
-    their integral images) of operands a dataflow cannot skip, are each
-    built on first use and then reused by every later architecture.
+    activation mask's phase integral images, the all-True stand-ins (with
+    their integral images) and each mask pair's valid-product count are
+    built on first use and reused by every later architecture.
     """
 
     def __init__(
@@ -77,6 +86,7 @@ class LayerOperands:
         self.spec = spec
         self.weights = weights
         self.activations = activations
+        self._valid_products: Dict[Tuple[bool, bool], int] = {}
 
     @cached_property
     def integrals(self) -> Tuple[np.ndarray, ...]:
@@ -98,14 +108,40 @@ class LayerOperands:
         """Phase integral images of :attr:`dense_activations`."""
         return phase_integral_images(self.dense_activations, self.spec.stride)
 
+    def seen_by(
+        self, dataflow: Dataflow
+    ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+        """Weight mask, activation mask and its integral images as
+        ``dataflow``'s multipliers see them: real where it skips or gates."""
+        gates = dataflow.gates_zero_operands
+        weights = (
+            self.weights if gates or dataflow.skips_zero_weights else self.dense_weights
+        )
+        if gates or dataflow.skips_zero_activations:
+            return weights, self.activations, self.integrals
+        return weights, self.dense_activations, self.dense_integrals
+
+    def valid_products(self, dataflow: Dataflow) -> int:
+        """Valid products over the masks ``dataflow``'s multipliers see,
+        counted once per mask pair."""
+        weights, activations, integrals = self.seen_by(dataflow)
+        key = (weights is self.weights, activations is self.activations)
+        if key not in self._valid_products:
+            self._valid_products[key] = nonzero_multiplies(
+                self.spec, weights, activations, integrals=integrals
+            )
+        return self._valid_products[key]
+
 
 class SimulatorAdapter:
     """Common interface every architecture family implements."""
 
     #: Registry key (the value a spec's ``adapter`` field names).
     name: str = ""
-    #: Whether :meth:`simulate_layer` reads the layer's operand masks.
-    reads_operands: bool = True
+
+    def reads_operands(self, config: AcceleratorConfig) -> bool:
+        """Whether :meth:`simulate_layer` reads the layer's masks on ``config``."""
+        return True
 
     def simulate_layer(
         self,
@@ -115,16 +151,14 @@ class SimulatorAdapter:
     ) -> ArchLayerResult:
         """Evaluate one layer on ``config``.
 
-        ``operands`` carries the layer's masks.  It is ``None`` when the
-        engine skipped synthesis because no architecture evaluated on the
-        layer reads operands, so only an adapter with
-        ``reads_operands = False`` can receive ``None``.
+        ``operands`` carries the layer's masks; it is ``None`` only when no
+        architecture evaluated on the layer :meth:`reads_operands`.
         """
         raise NotImplementedError
 
 
 class CartesianSparseAdapter(SimulatorAdapter):
-    """PT-IS-CP architectures: SCNN and its single-operand ablations."""
+    """PT-IS-CP architectures: SCNN, its variants and its ablations."""
 
     name = "cartesian-sparse"
 
@@ -134,17 +168,8 @@ class CartesianSparseAdapter(SimulatorAdapter):
         config: AcceleratorConfig,
         operands: Optional[LayerOperands],
     ) -> ArchLayerResult:
-        """Run the vectorised sparse cycle model on the masks ``config`` observes."""
-        dataflow = config.dataflow
-        if dataflow.skips_zero_weights:
-            weights = operands.weights
-        else:
-            weights = operands.dense_weights
-        if dataflow.skips_zero_activations:
-            activations, integrals = operands.activations, operands.integrals
-        else:
-            activations = operands.dense_activations
-            integrals = operands.dense_integrals
+        """Run the vectorised sparse cycle model on the masks ``config`` sees."""
+        weights, activations, integrals = operands.seen_by(config.dataflow)
         result = simulate_layer_cycles(
             spec, weights, activations, config, integrals=integrals
         )
@@ -156,6 +181,8 @@ class CartesianSparseAdapter(SimulatorAdapter):
             multiplier_utilization=result.multiplier_utilization,
             idle_fraction=result.idle_fraction,
             weight_vector_fetches=int(result.weight_vector_fetches),
+            valid_products=operands.valid_products(config.dataflow),
+            conflict_stall_cycles=int(result.conflict_stall_cycles),
         )
 
 
@@ -163,7 +190,10 @@ class DotProductDenseAdapter(SimulatorAdapter):
     """PT-IS-DP architectures: the DCNN / DCNN-opt dense baselines."""
 
     name = "dot-product-dense"
-    reads_operands = False
+
+    def reads_operands(self, config: AcceleratorConfig) -> bool:
+        """Only a zero-gating design needs its valid products counted."""
+        return config.dataflow.gates_zero_operands
 
     def simulate_layer(
         self,
@@ -171,8 +201,11 @@ class DotProductDenseAdapter(SimulatorAdapter):
         config: AcceleratorConfig,
         operands: Optional[LayerOperands],
     ) -> ArchLayerResult:
-        """Run the dense baseline model (layer shape only, no operands)."""
+        """Run the dense baseline model (its cycles read the layer shape only)."""
         result = simulate_dcnn_layer(spec, config)
+        valid_products = None
+        if self.reads_operands(config):
+            valid_products = operands.valid_products(config.dataflow)
         return ArchLayerResult(
             architecture=config.name,
             layer=spec.name,
@@ -180,7 +213,7 @@ class DotProductDenseAdapter(SimulatorAdapter):
             operations=int(result.multiplies),
             multiplier_utilization=result.multiplier_utilization,
             idle_fraction=result.idle_fraction,
-            weight_vector_fetches=None,
+            valid_products=valid_products,
         )
 
 
@@ -206,22 +239,81 @@ def get_adapter(name: str) -> SimulatorAdapter:
         ) from None
 
 
+def evaluate_layer(
+    workload, specs: Sequence[ArchitectureSpec]
+) -> List[ArchLayerResult]:
+    """Evaluate one layer workload on each of ``specs``, in order.
+
+    The masks are formed once, and the layer is not synthesised at all when
+    no spec's adapter reads operands.  A lazy
+    :class:`~repro.engine.workloads.WorkloadHandle` that arrived without
+    tensors drops them again as soon as the masks exist.
+    """
+    adapters = [get_adapter(spec.adapter) for spec in specs]
+    operands = None
+    pairs = list(zip(adapters, specs))
+    if any(adapter.reads_operands(spec.config) for adapter, spec in pairs):
+        lazy = not getattr(workload, "materialized", True)
+        operands = LayerOperands(
+            workload.spec, workload.weights != 0, workload.activations != 0
+        )
+        if lazy:
+            workload.release()
+    return [
+        adapter.simulate_layer(workload.spec, spec.config, operands)
+        for adapter, spec in pairs
+    ]
+
+
 def effective_densities(
     config: AcceleratorConfig,
     weight_density: float,
     activation_density: float,
     output_density: float,
 ) -> Tuple[float, float, float]:
-    """Densities as observed by ``config``'s dataflow.
+    """Densities as the energy model should observe them on ``config``.
 
-    An operand the dataflow cannot skip is observed fully dense (density
-    1.0); output activations follow the activation operand, since one layer's
-    outputs are the next layer's input activations.  The energy model is fed
-    these *effective* densities so a single-operand ablation is charged for
-    the dense stream it actually moves.
+    A dense dataflow keeps the real densities: the event-count model charges
+    its zero-gating and DRAM compression itself.  A sparse dataflow moves an
+    operand it cannot skip uncompressed, so that operand is observed fully
+    dense (density 1.0); output activations follow the activation operand,
+    since one layer's outputs are the next layer's input activations.
     """
     dataflow = config.dataflow
+    if not dataflow.is_sparse:
+        return weight_density, activation_density, output_density
     effective_weight = weight_density if dataflow.skips_zero_weights else 1.0
     if dataflow.skips_zero_activations:
         return effective_weight, activation_density, output_density
     return effective_weight, 1.0, 1.0
+
+
+def price_energy(
+    config: AcceleratorConfig,
+    result: ArchLayerResult,
+    workload,
+    output_density: float,
+) -> EnergyBreakdown:
+    """Energy of one layer on ``config``: every architecture's one accounting.
+
+    Events are counted at :func:`effective_densities` from ``result``'s
+    cycles and valid products; a sparse design's weight-buffer reads are
+    its weight-vector fetches times F.  ``workload`` supplies the layer
+    shape and measured densities.
+    """
+    weight_density, activation_density, output_density = effective_densities(
+        config, workload.weight_density, workload.activation_density, output_density
+    )
+    weight_buffer_reads = None
+    if config.is_sparse:
+        weight_buffer_reads = result.weight_vector_fetches * config.multipliers_f
+    return layer_energy_from_densities(
+        workload.spec,
+        config,
+        weight_density=weight_density,
+        activation_density=activation_density,
+        output_density=output_density,
+        cycles=result.cycles,
+        products=result.valid_products,
+        weight_buffer_reads=weight_buffer_reads,
+    )

@@ -8,19 +8,18 @@ energy-ratio aggregations relative to DCNN (:data:`BASELINE`; a spec's
 headline comparisons are thin views over this: Figure 8 is the speedup
 column, Figure 10 the energy column, Table IV the configuration metadata.
 
-Two evaluation paths feed one comparison, both through the shared
-:class:`~repro.engine.SimulationEngine` (cached, parallel):
-
-* the canonical trio (SCNN, DCNN, DCNN-opt) is *derived from the very same*
-  ``engine.run_network`` simulation the figure experiments consume, so a
-  comparison's SCNN/DCNN/DCNN-opt numbers are bitwise-identical to the
-  pre-existing Figure 8 / Figure 10 paths (pinned by
-  ``tests/test_compare_equivalence.py``);
-* every other registered architecture (the sparsity ablations, granularity
-  variants, anything a user registers) is evaluated through
-  ``engine.run_architectures`` — the registry's simulator adapters, one task
-  per layer that synthesises it once for all of them — with energy
-  accounted at the *effective* densities its dataflow observes.
+Every architecture is an ordinary row of the same evaluation, through the
+shared :class:`~repro.engine.SimulationEngine` (cached, parallel): each
+layer's registry adapter gives its cycles and valid products, and
+:func:`~repro.arch.adapters.price_energy` prices its energy, one accounting
+for all.  The canonical trio (SCNN, DCNN, DCNN-opt) is read from the very
+same ``engine.run_network`` simulation the figure experiments consume, so
+a comparison's trio numbers are bitwise-identical to the Figure 8 / Figure
+10 paths; every other registered architecture (the sparsity ablations,
+granularity variants, anything a user registers) comes from
+``engine.run_architectures`` on that simulation's layers.  A renamed copy
+of a trio architecture therefore reproduces its original's rows exactly
+(pinned by ``tests/test_compare_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.arch.adapters import effective_densities
+from repro.arch.adapters import ArchLayerResult, price_energy
 from repro.arch.registry import get_architecture
 from repro.arch.spec import ArchitectureSpec
 from repro.nn.networks import Network
-from repro.timeloop.energy import layer_energy_from_densities
+from repro.scnn.simulator import TRIO, NetworkSimulation
 
 #: The paper's headline comparison (Figures 8 and 10).
 DEFAULT_COMPARISON = ("DCNN", "DCNN-opt", "SCNN")
@@ -40,10 +39,6 @@ DEFAULT_COMPARISON = ("DCNN", "DCNN-opt", "SCNN")
 #: The architecture every speedup and energy ratio divides by (Figures 8
 #: and 10).
 BASELINE = "DCNN"
-
-#: Architectures whose metrics are views over the canonical network
-#: simulation rather than separate adapter runs.
-_CORE = ("SCNN", "DCNN", "DCNN-opt")
 
 
 @dataclass(frozen=True)
@@ -179,64 +174,22 @@ class NetworkComparison:
         return total / baseline
 
 
-def _core_layer_metrics(name: str, simulation) -> List[ArchLayerMetrics]:
-    """Trio metrics as views over one canonical network simulation."""
-    metrics = []
-    for layer in simulation.layers:
-        if name == "SCNN":
-            cycles = int(layer.scnn.cycles)
-            operations = int(layer.scnn.products)
-            utilization = layer.scnn.multiplier_utilization
-            idle = layer.scnn.idle_fraction
-        else:  # DCNN and DCNN-opt share the dense performance model.
-            cycles = int(layer.dcnn.cycles)
-            operations = int(layer.dcnn.multiplies)
-            utilization = layer.dcnn.multiplier_utilization
-            idle = layer.dcnn.idle_fraction
-        metrics.append(
-            ArchLayerMetrics(
-                architecture=name,
-                layer=layer.layer_name,
-                module=layer.module,
-                cycles=cycles,
-                operations=operations,
-                multiplier_utilization=utilization,
-                idle_fraction=idle,
-                energy_total=layer.energy[name].total,
-            )
-        )
-    return metrics
-
-
-def _variant_layer_metrics(
-    spec: ArchitectureSpec, results, simulation
+def _architecture_rows(
+    spec: ArchitectureSpec,
+    results: Sequence[ArchLayerResult],
+    simulation: NetworkSimulation,
 ) -> List[ArchLayerMetrics]:
-    """Adapter results plus effective-density energy for one variant."""
-    metrics = []
-    for index, (layer, result) in enumerate(zip(simulation.layers, results)):
-        workload = layer.workload
-        weight_density, activation_density, output_density = effective_densities(
-            spec.config,
-            workload.weight_density,
-            workload.activation_density,
-            layer.output_density,
+    """Every layer's row of one architecture, from its adapter results.
+
+    Energy is the one accounting, :func:`~repro.arch.adapters.price_energy`;
+    a trio architecture's was priced when the network was simulated.
+    """
+    rows = []
+    for layer, result in zip(simulation.layers, results):
+        energy = layer.energy.get(spec.name) or price_energy(
+            spec.config, result, layer.workload, layer.output_density
         )
-        weight_buffer_reads = None
-        if spec.config.is_sparse and result.weight_vector_fetches is not None:
-            weight_buffer_reads = (
-                result.weight_vector_fetches * spec.config.multipliers_f
-            )
-        energy = layer_energy_from_densities(
-            workload.spec,
-            spec.config,
-            weight_density=weight_density,
-            activation_density=activation_density,
-            output_density=output_density,
-            cycles=result.cycles,
-            products=result.operations,
-            weight_buffer_reads=weight_buffer_reads,
-        )
-        metrics.append(
+        rows.append(
             ArchLayerMetrics(
                 architecture=spec.name,
                 layer=layer.layer_name,
@@ -248,7 +201,7 @@ def _variant_layer_metrics(
                 energy_total=energy.total,
             )
         )
-    return metrics
+    return rows
 
 
 def compare_network(
@@ -293,23 +246,20 @@ def compare_network(
         network = resolve_network(network)
         sparsity = get_profile(density_profile).table(network)
     simulation = engine.run_network(network, seed=seed, sparsity=sparsity)
-    variant_names = [name for name in names if name not in _CORE]
-    variant_runs = {}
-    if variant_names:
+    columns = {
+        name: [layer.results[name] for layer in simulation.layers]
+        for name in names
+        if name in TRIO
+    }
+    others = [specs[name] for name in names if name not in columns]
+    if others:
         workloads = [layer.workload for layer in simulation.layers]
-        grid = engine.run_architectures(
-            workloads, [specs[name] for name in variant_names]
-        )
-        variant_runs = {name: grid.column(name) for name in variant_names}
-
-    layers: Dict[str, List[ArchLayerMetrics]] = {}
-    for name in names:
-        if name in _CORE:
-            layers[name] = _core_layer_metrics(name, simulation)
-        else:
-            layers[name] = _variant_layer_metrics(
-                specs[name], variant_runs[name], simulation
-            )
+        grid = engine.run_architectures(workloads, others)
+        columns.update((spec.name, grid.column(spec.name)) for spec in others)
+    layers = {
+        name: _architecture_rows(specs[name], columns[name], simulation)
+        for name in names
+    }
     return NetworkComparison(
         network=simulation.network.name,
         seed=seed,

@@ -215,7 +215,7 @@ def phase_integral_images(mask: np.ndarray, stride: int) -> Tuple[np.ndarray, ..
     Entry ``py * stride + px`` covers rows ``py::stride`` and columns
     ``px::stride``, the phase order of :func:`activation_phase_nonzeros`.
     The cycle model's tile counts and the oracle's windows both read these
-    images, so :func:`repro.scnn.simulator.simulate_layer` builds them once
+    images, so :class:`repro.arch.adapters.LayerOperands` builds them once
     per layer and passes them to both.
     """
     mask = np.asarray(mask, dtype=bool)

@@ -51,7 +51,7 @@ import numpy as np
 from repro import obs
 
 # Bump when a model change alters what any cached metric means.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Named in every key: synthesis draws from numpy's ``Generator`` streams and
 #: relies on ``partition``'s tie order, which NumPy does not promise to keep

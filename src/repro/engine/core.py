@@ -17,12 +17,13 @@ network simulations and design-space sweeps.  It composes three layers:
 Workloads move between processes and cache entries as lazy
 :class:`~repro.engine.workloads.WorkloadHandle` recipes, so neither the pool
 nor the cache ever ships multi-megabyte activation tensors.  A network
-simulation is one build-and-simulate task per layer, and a workload x
-architecture grid is one task per layer with an uncached cell: each task
-synthesises its layer's operands at most once, evaluates them and releases
-them, so the operand tensors never outlive their layer, in the parent
-process or in the memo table.  Every entry point reads and writes the cache
-through one helper, :meth:`SimulationEngine._cached`.
+simulation is one :func:`_layer_task` per layer evaluating the trio, and a
+workload x architecture grid one per layer with an uncached cell: each task
+synthesises its layer's operands at most once, evaluates every architecture
+through the registry's adapters and releases them, so the operand tensors
+never outlive their layer, in the parent process or in the memo table.
+Every entry point reads and writes the cache through one helper,
+:meth:`SimulationEngine._cached`.
 """
 
 from __future__ import annotations
@@ -35,16 +36,17 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.arch.registry import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG
-from repro.arch.spec import AcceleratorConfig
+from repro.arch.adapters import ArchLayerResult, evaluate_layer
+from repro.arch.registry import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG, get_architecture
+from repro.arch.spec import AcceleratorConfig, ArchitectureSpec
 from repro.engine.cache import ResultCache, canonical, default_cache_dir, fingerprint
 from repro.engine.parallel import parallel_map
 from repro.engine.workloads import WorkloadHandle
 from repro.nn.densities import LayerSparsity, network_sparsity
-from repro.nn.inference import LayerWorkload, activation_nonzeros
+from repro.nn.inference import LayerWorkload
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
-from repro.scnn.simulator import LayerSimulation, NetworkSimulation, simulate_layer
+from repro.scnn.simulator import TRIO, NetworkSimulation, network_simulation
 from repro.timeloop.dse import DesignPoint, evaluate_configs
 from repro.timeloop.energy import DEFAULT_ENERGY_TABLE
 
@@ -92,51 +94,24 @@ def _instrumented(method_name: str):
 # -- them by reference) --------------------------------------------------------
 
 
-def _simulate_layer_task(
-    task: Tuple[str, int, int, ConvLayerSpec, LayerSparsity, Optional[float]]
-) -> LayerSimulation:
-    """Synthesise one network layer, simulate it, and release its tensors."""
-    network_name, seed, index, spec, target, output_density = task
-    handle = WorkloadHandle.build(network_name, seed, index, spec, target)
-    simulation = simulate_layer(handle, output_density=output_density)
-    # The result keeps the slim handle: neither the memo table nor a pool or
-    # disk-cache pickle holds the tensors, which rematerialise on demand.
-    handle.release()
-    return simulation
-
-
 def _operand_footprint(spec: ConvLayerSpec) -> int:
     """Operand elements a synthesis of layer ``spec`` draws."""
     return spec.weight_count + spec.input_activation_count
 
 
-def _architecture_row_task(task: Tuple[AnyWorkload, List[object]]) -> List[object]:
-    """Evaluate one workload on each of its uncached architectures.
+def _layer_task(
+    task: Tuple[AnyWorkload, List[ArchitectureSpec]]
+) -> Tuple[Optional[WorkloadHandle], List[ArchLayerResult]]:
+    """Evaluate one workload on each of its architectures
+    (:func:`~repro.arch.adapters.evaluate_layer`): the one layer task of
+    both ``run_network`` and ``run_architectures``.
 
-    The layer is synthesised at most once, and not at all when no
-    architecture's adapter reads operands; every architecture then reads the
-    same bool masks.  A handle that arrived without tensors leaves without
-    them.
+    A handle comes back, tensorless, with the densities its synthesis
+    measured; a raw workload, whose tensors the caller holds, does not.
     """
-    # Imported here: repro.arch.adapters pulls the simulators in, and the
-    # engine must stay importable from the low layers that the architecture
-    # registry itself feeds (see repro.arch.__init__).
-    from repro.arch.adapters import LayerOperands, get_adapter
-
     workload, specs = task
-    adapters = [get_adapter(spec.adapter) for spec in specs]
-    operands = None
-    if any(adapter.reads_operands for adapter in adapters):
-        lazy = isinstance(workload, WorkloadHandle) and not workload.materialized
-        operands = LayerOperands(
-            workload.spec, workload.weights != 0, workload.activations != 0
-        )
-        if lazy:
-            workload.release()
-    return [
-        adapter.simulate_layer(workload.spec, spec.config, operands)
-        for adapter, spec in zip(adapters, specs)
-    ]
+    results = evaluate_layer(workload, specs)
+    return (workload if isinstance(workload, WorkloadHandle) else None), results
 
 
 def _resolve_network_and_sparsity(
@@ -375,9 +350,10 @@ class SimulationEngine:
 
         Equivalent to :func:`repro.scnn.simulator.simulate_network` — the
         metrics are bitwise-identical — but cached and shardable: each layer
-        is one task that synthesises and simulates it, the tasks fan out
-        across the process pool largest first, and a repeated request is
-        served from the cache.  The returned layers hold slim
+        is one :func:`_layer_task` that synthesises it and evaluates the trio
+        through the registry's adapters, the tasks fan out across the
+        process pool largest first, and a repeated request is served from
+        the cache.  The returned layers hold slim
         :class:`WorkloadHandle` workloads whose tensors rematerialise on
         demand.
 
@@ -403,37 +379,19 @@ class SimulationEngine:
         )
 
         def simulate(_missing: List[int]) -> List[NetworkSimulation]:
-            specs = network.layers
-            tasks = []
-            for index, spec in enumerate(specs):
-                # Layer i's output is layer i+1's input, whose non-zero count
-                # the synthesis fixes exactly, so no task waits for another.
-                output_density = None
-                if index + 1 < len(specs):
-                    following = specs[index + 1]
-                    output_density = (
-                        activation_nonzeros(
-                            following, sparsity[following.name].activation_density
-                        )
-                        / following.input_activation_count
-                    )
-                tasks.append(
-                    (
-                        network.name,
-                        seed,
-                        index,
-                        spec,
-                        sparsity[spec.name],
-                        output_density,
-                    )
-                )
-            layers = parallel_map(
-                _simulate_layer_task,
-                tasks,
+            trio = [get_architecture(name) for name in TRIO]
+            # Recipes only: each task synthesises its own layer.
+            handles = [
+                WorkloadHandle(network.name, seed, index, spec, sparsity[spec.name])
+                for index, spec in enumerate(network.layers)
+            ]
+            evaluated = parallel_map(
+                _layer_task,
+                [(handle, trio) for handle in handles],
                 self.parallel,
-                cost=lambda task: _operand_footprint(task[3]),
+                cost=lambda task: _operand_footprint(task[0].spec),
             )
-            return [NetworkSimulation(network=network, layers=layers)]
+            return [network_simulation(network, evaluated)]
 
         return self._cached([key], simulate)[0]
 
@@ -482,12 +440,12 @@ class SimulationEngine:
             for index in missing:
                 rows.setdefault(index // width, []).append(specs[index % width])
             results = parallel_map(
-                _architecture_row_task,
+                _layer_task,
                 [(workloads[row], row_specs) for row, row_specs in rows.items()],
                 self.parallel,
                 cost=lambda task: _operand_footprint(task[0].spec),
             )
-            return [cell for row in results for cell in row]
+            return [cell for _, row in results for cell in row]
 
         cells = self._cached(keys, evaluate)
         return ArchitectureRun(

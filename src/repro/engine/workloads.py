@@ -36,7 +36,9 @@ class WorkloadHandle:
     Duck-type compatible with ``LayerWorkload`` for every attribute the
     simulators, experiments and benchmarks read (``spec``, ``target``,
     ``weights``, ``activations``, ``weight_density``, ``activation_density``,
-    ``dense_multiplies``).
+    ``dense_multiplies``).  The densities are measured on the first
+    synthesis; a handle built from its recipe alone holds ``None`` until
+    then.
     """
 
     network_name: str
@@ -44,8 +46,8 @@ class WorkloadHandle:
     index: int
     spec: ConvLayerSpec
     target: LayerSparsity
-    weight_density: float
-    activation_density: float
+    weight_density: Optional[float] = None
+    activation_density: Optional[float] = None
     _materialized: Optional[LayerWorkload] = field(
         default=None, repr=False, compare=False
     )
@@ -71,28 +73,22 @@ class WorkloadHandle:
         cls, network_name: str, seed: int, index: int, spec: ConvLayerSpec,
         target: LayerSparsity,
     ) -> "WorkloadHandle":
-        """Generate the workload now and wrap it (workers use this form)."""
-        handle = cls(
-            network_name=network_name,
-            seed=seed,
-            index=index,
-            spec=spec,
-            target=target,
-            weight_density=0.0,
-            activation_density=0.0,
-        )
-        workload = handle.materialize()
-        handle.weight_density = workload.weight_density
-        handle.activation_density = workload.activation_density
+        """Generate the workload now and wrap it."""
+        handle = cls(network_name, seed, index, spec, target)
+        handle.materialize()
         return handle
 
     def materialize(self) -> LayerWorkload:
         """The full workload, regenerating the tensors if necessary."""
         if self._materialized is None:
             rng = np.random.default_rng([self.seed, self.index])
-            self._materialized = build_layer_workload(
+            workload = build_layer_workload(
                 self.network_name, self.spec, self.target, rng
             )
+            if self.weight_density is None:
+                self.weight_density = workload.weight_density
+                self.activation_density = workload.activation_density
+            self._materialized = workload
         return self._materialized
 
     def release(self) -> None:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from repro.analysis.reporting import format_table
+from repro.arch.adapters import price_energy
 from repro.arch.registry import SCNN_CONFIG
 from repro.experiments.common import EVALUATED_NETWORKS, cached_simulation
-from repro.timeloop.energy import layer_energy_from_densities
 
 # Compressed storage overhead: one 4-bit index per 16-bit value plus run-length
 # padding, matching the provisioning ratio of Table II.
@@ -54,25 +54,12 @@ def run(networks: tuple = EVALUATED_NETWORKS, seed: int = 0) -> List[TilingRow]:
             fits = compressed_bytes <= capacity
             penalty = 0.0
             if not fits:
-                with_dram = layer_energy_from_densities(
-                    spec,
-                    SCNN_CONFIG,
-                    weight_density=workload.weight_density,
-                    activation_density=workload.activation_density,
-                    output_density=layer.output_density,
-                    cycles=layer.scnn.cycles,
-                    products=layer.scnn.products,
-                ).total
-                without_dram = layer_energy_from_densities(
-                    spec,
-                    roomy_config,
-                    weight_density=workload.weight_density,
-                    activation_density=workload.activation_density,
-                    output_density=layer.output_density,
-                    cycles=layer.scnn.cycles,
-                    products=layer.scnn.products,
-                ).total
-                penalty = with_dram / without_dram - 1.0
+                # The layer's own SCNN energy over the same events priced on
+                # a config whose activation RAM holds every layer.
+                without_dram = price_energy(
+                    roomy_config, layer.scnn, workload, layer.output_density
+                )
+                penalty = layer.energy["SCNN"].total / without_dram.total - 1.0
             rows.append(
                 TilingRow(
                     network=simulation.network.name,

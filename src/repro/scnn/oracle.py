@@ -64,10 +64,12 @@ def nonzero_multiplies(
     first_col = np.arange(filt_w) - spec.padding
     row_phase, col_phase = first_row % stride, first_col % stride
     total = 0
-    for py in np.unique(row_phase):
+    # sorted(set(...)) rather than np.unique, which imports numpy.ma in
+    # numpy 2.x: a fresh pool worker would pay that import on its first layer.
+    for py in sorted(set(row_phase.tolist())):
         rows = np.flatnonzero(row_phase == py)[:, None]
         y_lo = first_row[rows] // stride
-        for px in np.unique(col_phase):
+        for px in sorted(set(col_phase.tolist())):
             cols = np.flatnonzero(col_phase == px)[None, :]
             x_lo = first_col[cols] // stride
             integral = integrals[py * stride + px]
@@ -85,15 +87,7 @@ def nonzero_multiplies(
     return total
 
 
-def oracle_cycles(
-    spec: ConvLayerSpec,
-    weights: np.ndarray,
-    activations: np.ndarray,
-    config: AcceleratorConfig = SCNN_CONFIG,
-    *,
-    products: int | None = None,
-) -> int:
-    """Cycles an oracular SCNN would need for one layer."""
-    if products is None:
-        products = nonzero_multiplies(spec, weights, activations)
+def oracle_cycles(products: int, config: AcceleratorConfig = SCNN_CONFIG) -> int:
+    """Cycles an oracular SCNN would need for a layer of ``products`` valid
+    products (:func:`nonzero_multiplies`)."""
     return max(1, -(-products // config.total_multipliers))

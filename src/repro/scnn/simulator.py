@@ -1,35 +1,39 @@
 """Layer- and network-level simulation drivers.
 
-``simulate_layer`` runs one layer workload through the SCNN cycle model, the
-dense DCNN baseline, the oracle bound and the energy model;
+``simulate_layer`` evaluates one layer workload on the paper's trio (SCNN,
+DCNN and DCNN-opt) through the architecture registry's adapters — the same
+:func:`repro.arch.adapters.evaluate_layer` every other architecture goes
+through — and assembles the oracle bound and the energy of each;
 ``simulate_network`` does so for every layer of a catalogue network and
 aggregates the per-layer results the way the paper's figures do (per layer,
 per inception module, and network-wide).
 
 Both functions are pure: the same workload always yields the same metrics,
-with no hidden state.  That is what lets the batched simulation engine
-(:mod:`repro.engine`) shard ``simulate_layer`` calls across a process pool
-and cache finished :class:`LayerSimulation` / :class:`NetworkSimulation`
-objects content-addressed on disk — parallel, cached runs are
+with no hidden state.  The batched simulation engine (:mod:`repro.engine`)
+runs the same layer evaluation in its pool tasks and assembles the results
+with :func:`network_simulation`, so parallel, cached runs are
 bitwise-identical to calling ``simulate_network`` directly.
 Experiments should prefer ``SimulationEngine.run_network`` over calling
-``simulate_network`` in a loop; this module stays the serial reference
-implementation the engine is validated against.
+``simulate_network`` in a loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.registry import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG
-from repro.dataflow.tiling import phase_integral_images
+# The module, not its names: repro.arch.adapters imports the models of this
+# package, whose init imports this module, so either may load first.
+from repro.arch import adapters
+from repro.arch.registry import get_architecture
 from repro.nn.inference import LayerWorkload, build_network_workloads
 from repro.nn.networks import Network
-from repro.scnn.cycles import LayerCycleResult, simulate_layer_cycles
-from repro.scnn.dcnn import DenseLayerResult, simulate_dcnn_layer
-from repro.scnn.oracle import nonzero_multiplies, oracle_cycles
-from repro.timeloop.energy import EnergyBreakdown, layer_energy_from_densities
+from repro.scnn.oracle import oracle_cycles
+from repro.timeloop.energy import EnergyBreakdown
+
+#: The paper's trio: the registered architectures every layer simulation
+#: evaluates, in the order their energy is reported.
+TRIO = ("SCNN", "DCNN", "DCNN-opt")
 
 # Post-ReLU output density assumed when the caller provides no measurement
 # and no next-layer calibration is available (roughly half the outputs of a
@@ -39,14 +43,26 @@ DEFAULT_OUTPUT_DENSITY = 0.55
 
 @dataclass
 class LayerSimulation:
-    """All simulation results of one layer."""
+    """All simulation results of one layer.
+
+    ``results`` holds each trio architecture's adapter result and ``energy``
+    its :func:`~repro.arch.adapters.price_energy` breakdown, both keyed by
+    architecture name in :data:`TRIO` order.
+    """
 
     workload: LayerWorkload
-    scnn: LayerCycleResult
-    dcnn: DenseLayerResult
+    results: Dict[str, adapters.ArchLayerResult]
     oracle_cycles: int
     output_density: float
-    energy: Dict[str, EnergyBreakdown] = field(default_factory=dict)
+    energy: Dict[str, EnergyBreakdown]
+
+    @property
+    def scnn(self) -> adapters.ArchLayerResult:
+        return self.results["SCNN"]
+
+    @property
+    def dcnn(self) -> adapters.ArchLayerResult:
+        return self.results["DCNN"]
 
     @property
     def layer_name(self) -> str:
@@ -92,13 +108,10 @@ class NetworkSimulation:
     # -- aggregation -----------------------------------------------------------
 
     def total_cycles(self, which: str) -> int:
-        if which == "SCNN":
-            return sum(sim.scnn.cycles for sim in self.layers)
-        if which in ("DCNN", "DCNN-opt"):
-            return sum(sim.dcnn.cycles for sim in self.layers)
+        """Summed cycles of a trio architecture, or of the oracle."""
         if which == "oracle":
             return sum(sim.oracle_cycles for sim in self.layers)
-        raise KeyError(f"unknown accelerator {which!r}")
+        return sum(sim.results[which].cycles for sim in self.layers)
 
     @property
     def network_speedup(self) -> float:
@@ -157,6 +170,56 @@ class NetworkSimulation:
         }
 
 
+def layer_simulation(
+    workload: LayerWorkload,
+    results: Sequence[adapters.ArchLayerResult],
+    output_density: Optional[float] = None,
+) -> LayerSimulation:
+    """Assemble one layer's simulation from its trio adapter results.
+
+    The oracle divides SCNN's valid products by the multiplier count, and
+    every architecture's energy is priced by the one accounting,
+    :func:`~repro.arch.adapters.price_energy`.
+    """
+    if output_density is None:
+        output_density = DEFAULT_OUTPUT_DENSITY
+    by_name = {result.architecture: result for result in results}
+    return LayerSimulation(
+        workload=workload,
+        results=by_name,
+        oracle_cycles=oracle_cycles(by_name["SCNN"].valid_products),
+        output_density=output_density,
+        energy={
+            name: adapters.price_energy(
+                get_architecture(name).config, result, workload, output_density
+            )
+            for name, result in by_name.items()
+        },
+    )
+
+
+def network_simulation(
+    network: Network,
+    evaluated: Sequence[Tuple[LayerWorkload, Sequence[adapters.ArchLayerResult]]],
+) -> NetworkSimulation:
+    """Assemble a network simulation from each layer's workload and trio results.
+
+    A layer's output activations are the next layer's input activations, so
+    each layer's output density is its successor workload's measured input
+    activation density (the last layer falls back to the default post-ReLU
+    estimate).  This is how activation sparsity propagates between layers
+    in the paper's flow: the compressed output of one layer is the next
+    layer's input.
+    """
+    layers = []
+    for index, (workload, results) in enumerate(evaluated):
+        output_density = None
+        if index + 1 < len(evaluated):
+            output_density = evaluated[index + 1][0].activation_density
+        layers.append(layer_simulation(workload, results, output_density))
+    return NetworkSimulation(network=network, layers=layers)
+
+
 def simulate_layer(
     workload: LayerWorkload,
     *,
@@ -169,56 +232,9 @@ def simulate_layer(
     registered architectures are evaluated through
     :meth:`repro.engine.SimulationEngine.run_architectures`.
     """
-    spec = workload.spec
-    # The cycle model and the oracle read only the operands' non-zero
-    # structure: each mask, and the activation mask's per-stride-phase
-    # integral images, are formed once and shared.
-    weight_mask = workload.weights != 0
-    activation_mask = workload.activations != 0
-    integrals = phase_integral_images(activation_mask, spec.stride)
-    scnn = simulate_layer_cycles(
-        spec, weight_mask, activation_mask, SCNN_CONFIG, integrals=integrals
-    )
-    dcnn = simulate_dcnn_layer(spec, DCNN_CONFIG)
-    products = nonzero_multiplies(
-        spec, weight_mask, activation_mask, integrals=integrals
-    )
-    oracle = oracle_cycles(
-        spec, weight_mask, activation_mask, SCNN_CONFIG, products=products
-    )
-    if output_density is None:
-        output_density = DEFAULT_OUTPUT_DENSITY
-
-    weight_density = workload.weight_density
-    activation_density = workload.activation_density
-    energy: Dict[str, EnergyBreakdown] = {}
-    for config, cycles in (
-        (SCNN_CONFIG, scnn.cycles),
-        (DCNN_CONFIG, dcnn.cycles),
-        (DCNN_OPT_CONFIG, dcnn.cycles),
-    ):
-        energy[config.name] = layer_energy_from_densities(
-            spec,
-            config,
-            weight_density=weight_density,
-            activation_density=activation_density,
-            output_density=output_density,
-            cycles=cycles,
-            products=products,
-            weight_buffer_reads=(
-                scnn.weight_vector_fetches * SCNN_CONFIG.multipliers_f
-                if config.is_sparse
-                else None
-            ),
-        )
-    return LayerSimulation(
-        workload=workload,
-        scnn=scnn,
-        dcnn=dcnn,
-        oracle_cycles=oracle,
-        output_density=output_density,
-        energy=energy,
-    )
+    trio = [get_architecture(name) for name in TRIO]
+    results = adapters.evaluate_layer(workload, trio)
+    return layer_simulation(workload, results, output_density)
 
 
 def simulate_network(
@@ -227,22 +243,12 @@ def simulate_network(
     workloads: Optional[Sequence[LayerWorkload]] = None,
     seed: int = 0,
 ) -> NetworkSimulation:
-    """Simulate every layer of ``network`` at its calibrated densities.
-
-    A layer's output activations are the next layer's input activations, so
-    each layer's output density is taken from its successor workload's
-    measured input activation density (the last layer falls back to the
-    default post-ReLU estimate).  This is how activation sparsity propagates
-    between layers in the paper's flow: the compressed output of one layer is
-    the next layer's input.
-    """
+    """Simulate every layer of ``network`` at its calibrated densities
+    (see :func:`network_simulation` for how output densities propagate)."""
     if workloads is None:
         workloads = build_network_workloads(network, seed=seed)
-    workloads = list(workloads)
-    simulations = []
-    for index, workload in enumerate(workloads):
-        output_density = None
-        if index + 1 < len(workloads):
-            output_density = workloads[index + 1].activation_density
-        simulations.append(simulate_layer(workload, output_density=output_density))
-    return NetworkSimulation(network=network, layers=list(simulations))
+    trio = [get_architecture(name) for name in TRIO]
+    return network_simulation(
+        network,
+        [(workload, adapters.evaluate_layer(workload, trio)) for workload in workloads],
+    )

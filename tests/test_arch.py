@@ -33,6 +33,7 @@ from repro.engine import SimulationEngine
 from repro.nn.layers import ConvLayerSpec
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.dcnn import simulate_dcnn_layer
+from repro.scnn.oracle import nonzero_multiplies
 
 from _helpers import make_workload
 
@@ -148,17 +149,36 @@ class TestAdapters:
         assert result.cycles == reference.cycles
         assert result.operations == reference.products
         assert result.weight_vector_fetches == reference.weight_vector_fetches
+        assert result.conflict_stall_cycles == reference.conflict_stall_cycles
+        assert result.valid_products == nonzero_multiplies(
+            workload.spec, workload.weights, workload.activations
+        )
 
     def test_dense_adapter_matches_dcnn_model(self, workload):
-        """The dense adapter reads no operands, so it needs no masks."""
-        assert not get_adapter("dot-product-dense").reads_operands
-        result = get_adapter("dot-product-dense").simulate_layer(
-            workload.spec, DCNN_CONFIG, None
-        )
+        """A dense design that gates nothing reads no operands, so it
+        needs no masks and counts no valid products."""
+        adapter = get_adapter("dot-product-dense")
+        assert not adapter.reads_operands(DCNN_CONFIG)
+        result = adapter.simulate_layer(workload.spec, DCNN_CONFIG, None)
         reference = simulate_dcnn_layer(workload.spec, DCNN_CONFIG)
         assert result.cycles == reference.cycles
         assert result.operations == reference.multiplies
         assert result.weight_vector_fetches is None
+        assert result.valid_products is None
+
+    def test_gating_dense_adapter_counts_valid_products(self, workload, operands):
+        """DCNN-opt gates zero operands: it reads the real masks and shares
+        SCNN's count, while its cycles stay DCNN's."""
+        adapter = get_adapter("dot-product-dense")
+        config = get_architecture("DCNN-opt").config
+        assert adapter.reads_operands(config)
+        result = adapter.simulate_layer(workload.spec, config, operands)
+        scnn = get_adapter("cartesian-sparse").simulate_layer(
+            workload.spec, SCNN_CONFIG, operands
+        )
+        assert result.valid_products == scnn.valid_products
+        assert result.cycles == simulate_dcnn_layer(workload.spec, DCNN_CONFIG).cycles
+        assert "dense_activations" not in vars(operands)
 
     def test_single_operand_ablations_bracketed_by_scnn_and_dense(
         self, workload, operands
@@ -179,18 +199,25 @@ class TestAdapters:
             config = get_architecture(name).config
             ablation = adapter.simulate_layer(workload.spec, config, operands)
             reference = simulate_layer_cycles(workload.spec, weights, activations, config)
-            assert (ablation.cycles, ablation.operations) == (
+            assert (ablation.cycles, ablation.operations, ablation.valid_products) == (
                 reference.cycles,
                 reference.products,
+                nonzero_multiplies(workload.spec, weights, activations),
             )
             assert scnn.cycles <= ablation.cycles <= dense_equivalent.cycles
 
     def test_effective_densities_follow_dataflow_flags(self):
+        """A sparse dataflow observes an operand it cannot skip fully dense;
+        a dense dataflow keeps the real densities, whose gating and DRAM
+        compression the event-count model charges itself."""
         assert effective_densities(SCNN_CONFIG, 0.3, 0.4, 0.5) == (0.3, 0.4, 0.5)
         sparse_w = get_architecture("SCNN-SparseW").config
         assert effective_densities(sparse_w, 0.3, 0.4, 0.5) == (0.3, 1.0, 1.0)
         sparse_a = get_architecture("SCNN-SparseA").config
         assert effective_densities(sparse_a, 0.3, 0.4, 0.5) == (1.0, 0.4, 0.5)
+        for name in ("DCNN", "DCNN-opt"):
+            config = get_architecture(name).config
+            assert effective_densities(config, 0.3, 0.4, 0.5) == (0.3, 0.4, 0.5)
 
 
 class TestEngineArchitectureGrid:

@@ -116,7 +116,7 @@ def architecture_layer_keys(architectures: List[str]) -> Dict[str, List[str]]:
 
 
 def test_schema_version():
-    assert SCHEMA_VERSION == _golden()["schema"] == 2
+    assert SCHEMA_VERSION == _golden()["schema"] == 3
 
 
 def test_network_simulation_keys():

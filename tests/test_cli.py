@@ -194,3 +194,24 @@ def test_cli_import_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_network_simulation_loads_no_numpy_ma():
+    """A layer task imports nothing beyond its models: numpy 2.x's
+    ``np.unique`` imports ``numpy.ma``, which a fresh pool worker would pay
+    for on its first layer."""
+    code = (
+        "import sys\n"
+        "from repro.engine import SimulationEngine\n"
+        "SimulationEngine(cache_dir=False).run_network('alexnet')\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -6,17 +6,26 @@ numbers the serial reference simulator produces — same integers, bitwise
 equal floats, no tolerance.  This is the contract that lets the registry
 refactor touch the model/engine/experiment layers without moving a single
 reported result.
+
+Every architecture has one accounting, so a renamed copy of a trio
+architecture, evaluated like any other registered variant, must reproduce
+its original's rows exactly.
 """
+
+from dataclasses import replace
 
 import pytest
 
+import repro.arch.registry
 from repro.arch.compare import compare_network
+from repro.arch.registry import default_registry
 from repro.engine import SimulationEngine
 from repro.experiments import fig8_performance, fig10_energy
 from repro.nn.networks import get_network
 from repro.scnn.simulator import simulate_network
 
 NETWORK = "alexnet"
+TRIO = ("SCNN", "DCNN", "DCNN-opt")
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +49,7 @@ class TestComparisonMatchesSerialReference:
     def test_per_layer_cycles_identical(self, comparison, reference):
         for metrics, layer in zip(comparison.layers["SCNN"], reference.layers):
             assert metrics.cycles == layer.scnn.cycles
-            assert metrics.operations == layer.scnn.products
+            assert metrics.operations == layer.scnn.operations
         for metrics, layer in zip(comparison.layers["DCNN"], reference.layers):
             assert metrics.cycles == layer.dcnn.cycles
 
@@ -114,3 +123,34 @@ class TestFigureDriversAreThinViews:
         for name in ("DCNN", "DCNN-opt", "SCNN"):
             assert parallel.layers[name] == comparison.layers[name]
         assert parallel.oracle_cycles == comparison.oracle_cycles
+
+
+@pytest.fixture(scope="module")
+def trio_copies():
+    """``original -> copy`` names of renamed trio copies, registered in a
+    fresh default registry for this module only."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.arch.registry, "_default_registry", None)
+        registry = default_registry()
+        copies = {}
+        for name in TRIO:
+            spec = registry.get(name)
+            copy = f"{name}-copy"
+            registry.register(
+                replace(spec, name=copy, config=replace(spec.config, name=copy))
+            )
+            copies[name] = copy
+        yield copies
+
+
+@pytest.mark.parametrize("parallel", [None, 2], ids=["serial", "parallel2"])
+def test_renamed_trio_copies_reproduce_the_trio_rows(trio_copies, parallel):
+    """A copy goes through ``run_architectures`` and prices its own energy;
+    its rows equal the original's in every field but ``architecture``."""
+    engine = SimulationEngine(cache_dir=False, parallel=parallel)
+    comparison = compare_network(
+        NETWORK, [*TRIO, *trio_copies.values()], seed=0, engine=engine
+    )
+    for name, copy in trio_copies.items():
+        rows = [replace(row, architecture=name) for row in comparison.layers[copy]]
+        assert rows == comparison.layers[name]

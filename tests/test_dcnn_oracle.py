@@ -150,22 +150,19 @@ class TestOracle:
     def test_oracle_cycles_formula(self, small_spec):
         workload = make_workload(small_spec)
         products = nonzero_multiplies(small_spec, workload.weights, workload.activations)
-        cycles = oracle_cycles(small_spec, workload.weights, workload.activations)
+        cycles = oracle_cycles(products)
         assert cycles == max(1, -(-products // SCNN_CONFIG.total_multipliers))
 
-    def test_oracle_cycles_accepts_precomputed_products(self, small_spec):
-        workload = make_workload(small_spec)
-        assert oracle_cycles(
-            small_spec, workload.weights, workload.activations, products=2048
-        ) == 2
+    def test_oracle_cycles_accepts_precomputed_products(self):
+        assert oracle_cycles(2048) == 2
+        assert oracle_cycles(0) == 1
 
     def test_oracle_never_slower_than_cycle_model(self, small_workload):
         from repro.scnn.cycles import simulate_layer_cycles
 
-        result = simulate_layer_cycles(
-            small_workload.spec, small_workload.weights, small_workload.activations
-        )
+        weights, activations = small_workload.weights, small_workload.activations
+        result = simulate_layer_cycles(small_workload.spec, weights, activations)
         oracle = oracle_cycles(
-            small_workload.spec, small_workload.weights, small_workload.activations
+            nonzero_multiplies(small_workload.spec, weights, activations)
         )
         assert oracle <= result.cycles

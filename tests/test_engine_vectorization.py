@@ -13,13 +13,14 @@ against the implementations they replaced, kept below as references, and
 their peak memory is bounded on the largest activation tensor of the trio.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch.adapters import ArchLayerResult
+from repro.arch.registry import SCNN_CONFIG
 from repro.dataflow.tiling import (
     activation_phase_nonzeros,
     phase_integral_images,
@@ -34,7 +35,7 @@ from repro.nn.networks import get_network
 from repro.scnn.accumulator import expected_conflict_cycles
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.oracle import nonzero_multiplies, oracle_cycles
-from repro.scnn.simulator import SCNN_CONFIG, simulate_layer
+from repro.scnn.simulator import simulate_layer
 
 from _helpers import make_workload
 
@@ -386,22 +387,26 @@ def test_simulate_layer_on_shared_masks_matches_float_models(shape):
     reference = simulate_layer_cycles(
         spec, workload.weights, workload.activations, SCNN_CONFIG
     )
-    for field in dataclasses.fields(reference):
-        ours, theirs = getattr(simulation.scnn, field.name), getattr(reference, field.name)
-        if isinstance(theirs, np.ndarray):
-            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), field.name
-        else:
-            assert ours == theirs, field.name
+    products = nonzero_multiplies(spec, workload.weights, workload.activations)
+    assert simulation.scnn == ArchLayerResult(
+        architecture="SCNN",
+        layer=spec.name,
+        cycles=reference.cycles,
+        operations=reference.products,
+        multiplier_utilization=reference.multiplier_utilization,
+        idle_fraction=reference.idle_fraction,
+        weight_vector_fetches=reference.weight_vector_fetches,
+        valid_products=products,
+        conflict_stall_cycles=reference.conflict_stall_cycles,
+    )
     weight_mask, activation_mask = workload.weights != 0, workload.activations != 0
     assert nonzero_multiplies(
         spec,
         weight_mask,
         activation_mask,
         integrals=phase_integral_images(activation_mask, stride),
-    ) == nonzero_multiplies(spec, workload.weights, workload.activations)
-    assert simulation.oracle_cycles == oracle_cycles(
-        spec, workload.weights, workload.activations, SCNN_CONFIG
-    )
+    ) == products
+    assert simulation.oracle_cycles == oracle_cycles(products, SCNN_CONFIG)
 
 
 # -- peak memory on the trio's largest activation tensor ----------------------

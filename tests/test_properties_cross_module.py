@@ -92,7 +92,7 @@ def test_cycle_model_invariants(spec, wd, ad, seed):
     assert 0.0 <= result.idle_fraction <= 1.0
 
     # The oracle is a true lower bound.
-    assert oracle_cycles(spec, weights, activations, products=exact) <= max(
+    assert oracle_cycles(exact) <= max(
         result.cycles, 1
     )
 
