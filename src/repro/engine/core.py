@@ -151,10 +151,10 @@ class ArchitectureRun:
     """
 
     workloads: List[AnyWorkload]
-    architectures: List[object]  # List[repro.arch.spec.ArchitectureSpec]
-    results: List[List[object]]
+    architectures: List[ArchitectureSpec]
+    results: List[List[ArchLayerResult]]
 
-    def column(self, architecture: str) -> List[object]:
+    def column(self, architecture: str) -> List[ArchLayerResult]:
         """All per-workload results of the named architecture."""
         for j, spec in enumerate(self.architectures):
             if spec.name == architecture:
@@ -416,9 +416,6 @@ class SimulationEngine:
         task, which synthesises the layer once; the tasks shard across the
         process pool, largest layer first.
         """
-        from repro.arch.registry import get_architecture
-        from repro.arch.spec import ArchitectureSpec
-
         workloads = list(workloads)
         specs = [
             spec if isinstance(spec, ArchitectureSpec) else get_architecture(spec)
