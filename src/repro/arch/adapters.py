@@ -39,6 +39,7 @@ import numpy as np
 from repro.arch.spec import AcceleratorConfig, ArchitectureSpec
 from repro.dataflow.dataflows import Dataflow
 from repro.dataflow.tiling import phase_integral_images
+from repro.nn.inference import LayerWorkload
 from repro.nn.layers import ConvLayerSpec
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.dcnn import simulate_dcnn_layer
@@ -240,7 +241,7 @@ def get_adapter(name: str) -> SimulatorAdapter:
 
 
 def evaluate_layer(
-    workload, specs: Sequence[ArchitectureSpec]
+    workload: LayerWorkload, specs: Sequence[ArchitectureSpec]
 ) -> List[ArchLayerResult]:
     """Evaluate one layer workload on each of ``specs``, in order.
 
@@ -291,7 +292,7 @@ def effective_densities(
 def price_energy(
     config: AcceleratorConfig,
     result: ArchLayerResult,
-    workload,
+    workload: LayerWorkload,
     output_density: float,
 ) -> EnergyBreakdown:
     """Energy of one layer on ``config``: every architecture's one accounting.
