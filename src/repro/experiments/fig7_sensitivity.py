@@ -68,63 +68,33 @@ def _run_batched(
 ) -> List[SweepPoint]:
     """One grid pass over the whole layers x densities sweep, then its totals.
 
-    The SCNN cycle grid feeds SCNN's energy cycles, while *both* dense
-    configs are charged the DCNN config's dense cycles (DCNN-opt's
-    optimisations do not change the cycle count).  The sweep scales the
-    *input* densities; output activations keep the input density (they feed
-    the next swept layer).  Per-point totals accumulate in layer order.
+    :func:`~repro.grid.evaluate_grid` evaluates the trio with the Figure 7
+    convention: SCNN on its cycle model, the dense configs on the dense
+    baseline's (DCNN-opt's optimisations do not change the cycle count),
+    and output activations at the input density (they feed the next swept
+    layer).  Per-point totals accumulate in layer order.
     """
-    import numpy as np
+    from repro.grid import evaluate_grid
 
-    from repro.grid import dense_cycle_grid, energy_grid, scnn_cycle_grid
-
-    network = cached_network(network_name)
-    specs = list(network.layers)
-    density_axis = np.asarray(list(densities), dtype=np.float64)
-    grid = np.broadcast_to(
-        density_axis[None, :], (len(specs), len(density_axis))
+    specs = cached_network(network_name).layers
+    grid = evaluate_grid(
+        specs,
+        (SCNN_CONFIG, DCNN_CONFIG, DCNN_OPT_CONFIG),
+        weight_density=densities,
+        activation_density=densities,
     )
-    scnn = scnn_cycle_grid(specs, SCNN_CONFIG, grid, grid)
-    dense = dense_cycle_grid(specs, DCNN_CONFIG)
-    output_density = np.minimum(1.0, grid)
-    scnn_energy_cycles = scnn.cycles.astype(np.int64)
-    dense_energy_cycles = np.broadcast_to(
-        dense.cycles[:, None], grid.shape
-    )
-    energy_grids = {
-        config.name: energy_grid(
-            specs,
-            config,
-            weight_density=grid,
-            activation_density=grid,
-            output_density=output_density,
-            cycles=cycles,
-        )["total"]
-        for config, cycles in (
-            (SCNN_CONFIG, scnn_energy_cycles),
-            (DCNN_CONFIG, dense_energy_cycles),
-            (DCNN_OPT_CONFIG, dense_energy_cycles),
+    return [
+        SweepPoint(
+            density=density,
+            scnn_cycles=grid.total_cycles(SCNN_CONFIG.name, point),
+            dcnn_cycles=grid.total_cycles(DCNN_CONFIG.name, point),
+            energy={
+                config.name: grid.total_energy(config.name, point)
+                for config in grid.configs
+            },
         )
-    }
-    points: List[SweepPoint] = []
-    for d, density in enumerate(densities):
-        scnn_total = 0.0
-        dcnn_total = 0.0
-        energy = {name: 0.0 for name in energy_grids}
-        for s in range(len(specs)):
-            scnn_total += scnn.cycles[s, d]
-            dcnn_total += float(dense.cycles[s])
-            for name, totals in energy_grids.items():
-                energy[name] += totals[s, d]
-        points.append(
-            SweepPoint(
-                density=density,
-                scnn_cycles=float(scnn_total),
-                dcnn_cycles=float(dcnn_total),
-                energy={name: float(value) for name, value in energy.items()},
-            )
-        )
-    return points
+        for point, density in enumerate(densities)
+    ]
 
 
 def _interpolated_crossover(
