@@ -7,22 +7,24 @@ element-exact functional simulation take.
 
 import numpy as np
 
+from repro.arch.compare import network_comparison
+from repro.engine import SimulationEngine
 from repro.nn.inference import generate_activations
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import alexnet
 from repro.nn.pruning import generate_pruned_weights
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.functional import run_functional_layer
-from repro.scnn.simulator import simulate_network
 
 
 def test_alexnet_cycle_level_simulation(benchmark):
-    """Full AlexNet workload generation + SCNN/DCNN/oracle/energy simulation."""
+    """Full AlexNet workload generation + SCNN/DCNN/oracle/energy simulation
+    on a serial engine without a cache."""
     result = benchmark.pedantic(
-        lambda: simulate_network(alexnet(), seed=1),
+        lambda: SimulationEngine(cache_dir=False).run_network(alexnet(), seed=1),
         rounds=1, iterations=1, warmup_rounds=0,
     )
-    assert result.network_speedup > 1.5
+    assert network_comparison(result, seed=1).speedup("SCNN") > 1.5
 
 
 def test_single_layer_cycle_model(benchmark):

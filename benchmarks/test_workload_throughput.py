@@ -10,6 +10,7 @@ synthetic workload are served from the memo table at interactive speed.
 
 import time
 
+from repro.arch.compare import network_comparison
 from repro.engine import SimulationEngine
 from repro.workloads import default_registry, get_workload
 
@@ -49,7 +50,7 @@ def test_warm_synthetic_rerun_throughput(benchmark):
     engine.run_network("bottleneck-stack-4")  # warm the memo table
 
     simulation = benchmark(lambda: engine.run_network("bottleneck-stack-4"))
-    assert simulation.total_cycles("SCNN") > 0
+    assert network_comparison(simulation).total_cycles("SCNN") > 0
     assert engine.memory_hits > 0
 
 
@@ -66,7 +67,7 @@ def test_density_profile_column_scales_with_profile(benchmark):
         for profile_name in ("dense", "uniform-50", "uniform-10"):
             table = get_profile(profile_name).table(network)
             simulation = engine.run_network(network, sparsity=table)
-            totals[profile_name] = simulation.total_cycles("SCNN")
+            totals[profile_name] = network_comparison(simulation).total_cycles("SCNN")
         return totals
 
     totals = benchmark(sweep_profiles_over_network)

@@ -19,11 +19,10 @@ Run with::
 
 import numpy as np
 
-from repro import get_network
+from repro import SimulationEngine, get_network
 from repro.analysis.reporting import format_table
+from repro.arch.compare import network_comparison
 from repro.nn.densities import LayerSparsity, network_sparsity
-from repro.nn.inference import build_network_workloads
-from repro.scnn.simulator import simulate_network
 
 PRUNING_LEVELS = (1.0, 0.8, 0.6, 0.4, 0.2, 0.1)
 
@@ -31,6 +30,7 @@ PRUNING_LEVELS = (1.0, 0.8, 0.6, 0.4, 0.2, 0.1)
 def main() -> None:
     network = get_network("alexnet")
     baseline = network_sparsity(network)
+    engine = SimulationEngine(cache_dir=False)
 
     rows = []
     for weight_density in PRUNING_LEVELS:
@@ -40,16 +40,17 @@ def main() -> None:
             name: LayerSparsity(weight_density, sparsity.activation_density)
             for name, sparsity in baseline.items()
         }
-        workloads = build_network_workloads(network, calibration, seed=3)
-        simulation = simulate_network(network, workloads=workloads)
+        simulation = engine.run_network(network, seed=3, sparsity=calibration)
+        comparison = network_comparison(simulation, seed=3)
+        densities = [layer.workload.activation_density for layer in simulation.layers]
         rows.append(
             (
                 f"{weight_density:.0%}",
-                f"{np.mean([w.activation_density for w in workloads]):.2f}",
-                f"{simulation.network_speedup:.2f}x",
-                f"{simulation.oracle_network_speedup:.2f}x",
-                f"{simulation.network_energy_ratio('SCNN'):.2f}",
-                f"{simulation.network_energy_ratio('DCNN-opt'):.2f}",
+                f"{np.mean(densities):.2f}",
+                f"{comparison.speedup('SCNN'):.2f}x",
+                f"{comparison.oracle_speedup:.2f}x",
+                f"{comparison.energy_ratio('SCNN'):.2f}",
+                f"{comparison.energy_ratio('DCNN-opt'):.2f}",
             )
         )
 

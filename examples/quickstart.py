@@ -13,8 +13,9 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import get_network, simulate_network
+from repro import SimulationEngine, get_network
 from repro.analysis.reporting import format_table
+from repro.arch.compare import network_comparison
 
 
 def main() -> None:
@@ -23,7 +24,7 @@ def main() -> None:
     for spec in network:
         print(f"  {spec.describe()}")
 
-    simulation = simulate_network(network, seed=0)
+    simulation = SimulationEngine(cache_dir=False).run_network(network, seed=0)
 
     rows = []
     for layer in simulation.layers:
@@ -57,13 +58,14 @@ def main() -> None:
         )
     )
 
+    comparison = network_comparison(simulation)
     print()
-    print(f"Network speedup over DCNN:        {simulation.network_speedup:.2f}x")
-    print(f"Oracle (upper bound) speedup:     {simulation.oracle_network_speedup:.2f}x")
+    print(f"Network speedup over DCNN:        {comparison.speedup('SCNN'):.2f}x")
+    print(f"Oracle (upper bound) speedup:     {comparison.oracle_speedup:.2f}x")
     print(
         "Energy relative to DCNN:          "
-        f"SCNN {simulation.network_energy_ratio('SCNN'):.2f}, "
-        f"DCNN-opt {simulation.network_energy_ratio('DCNN-opt'):.2f}"
+        f"SCNN {comparison.energy_ratio('SCNN'):.2f}, "
+        f"DCNN-opt {comparison.energy_ratio('DCNN-opt'):.2f}"
     )
 
 

@@ -52,14 +52,12 @@ def main() -> None:
     print(f"\nRegistered {CUSTOM_WORKLOAD!r} with profile {CUSTOM_PROFILE!r}")
 
     engine = SimulationEngine(cache_dir=False)
-    simulation = engine.run_network(CUSTOM_WORKLOAD)
-    print(
-        f"{simulation.network.name}: SCNN {simulation.total_cycles('SCNN'):,} "
-        f"cycles, speedup over DCNN {simulation.network_speedup:.2f}x"
-    )
-
     comparison = compare_network(
         CUSTOM_WORKLOAD, ["DCNN", "SCNN", "SCNN-SparseW"], engine=engine
+    )
+    print(
+        f"{comparison.network}: SCNN {comparison.total_cycles('SCNN'):,} "
+        f"cycles, speedup over DCNN {comparison.speedup('SCNN'):.2f}x"
     )
     print("\nCross-architecture comparison:")
     for name in comparison.architectures:

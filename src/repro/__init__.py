@@ -24,11 +24,11 @@ The public API exposes, in dependency order:
 
 Quickstart::
 
-    from repro import get_network, build_network_workloads, simulate_network
+    from repro import SimulationEngine, compare_network
 
-    network = get_network("alexnet")
-    result = simulate_network(network, seed=0)
-    print(f"SCNN speedup over DCNN: {result.network_speedup:.2f}x")
+    engine = SimulationEngine(cache_dir=False)
+    comparison = compare_network("alexnet", engine=engine)
+    print(f"SCNN speedup over DCNN: {comparison.speedup('SCNN'):.2f}x")
 """
 
 from repro.arch import (
@@ -58,7 +58,6 @@ from repro.scnn import (
     run_functional_layer,
     simulate_layer,
     simulate_layer_cycles,
-    simulate_network,
 )
 from repro.timeloop import (
     accelerator_area_mm2,
@@ -118,6 +117,5 @@ __all__ = [
     "run_functional_layer",
     "simulate_layer",
     "simulate_layer_cycles",
-    "simulate_network",
     "vggnet",
 ]

@@ -23,6 +23,7 @@ from typing import Any, Dict, Sequence
 
 import numpy as np
 
+from repro.arch.compare import NetworkComparison, network_comparison
 from repro.scnn.simulator import LayerSimulation, NetworkSimulation
 from repro.timeloop.dse import DesignPoint, pareto_frontier
 
@@ -82,26 +83,26 @@ def layer_payload(layer: LayerSimulation) -> Dict[str, Any]:
 
 
 def simulation_payload(simulation: NetworkSimulation) -> Dict[str, Any]:
-    """The transport form of one full network simulation."""
-    energy_names = sorted(
-        {name for layer in simulation.layers for name in layer.energy}
-    )
+    """The transport form of one full network simulation.
+
+    The network-level fields are read from the trio's comparison
+    (:func:`repro.arch.compare.network_comparison`).
+    """
+    comparison = network_comparison(simulation)
+    names = comparison.architectures
     return {
-        "network": simulation.network.name,
+        "network": comparison.network,
         "layers": [layer_payload(layer) for layer in simulation.layers],
-        "modules": simulation.modules(),
+        "modules": comparison.modules(),
         "total_cycles": {
-            which: int(simulation.total_cycles(which))
-            for which in ("SCNN", "DCNN", "oracle")
+            "SCNN": int(comparison.total_cycles("SCNN")),
+            "DCNN": int(comparison.total_cycles("DCNN")),
+            "oracle": int(comparison.oracle_total_cycles),
         },
-        "network_speedup": simulation.network_speedup,
-        "oracle_network_speedup": simulation.oracle_network_speedup,
-        "total_energy": {
-            name: simulation.total_energy(name) for name in energy_names
-        },
-        "energy_ratio": {
-            name: simulation.network_energy_ratio(name) for name in energy_names
-        },
+        "network_speedup": comparison.speedup("SCNN"),
+        "oracle_network_speedup": comparison.oracle_speedup,
+        "total_energy": {name: comparison.total_energy(name) for name in names},
+        "energy_ratio": {name: comparison.energy_ratio(name) for name in names},
     }
 
 
@@ -125,11 +126,10 @@ def design_points_payload(points: Sequence[DesignPoint]) -> Dict[str, Any]:
     }
 
 
-def comparison_payload(comparison: Any) -> Dict[str, Any]:
+def comparison_payload(comparison: NetworkComparison) -> Dict[str, Any]:
     """The transport form of one cross-architecture comparison.
 
-    ``comparison`` is a :class:`repro.arch.compare.NetworkComparison`; the
-    payload carries per-architecture totals and ratios, the per-module
+    The payload carries per-architecture totals and ratios, the per-module
     speedup/energy breakdown, and the per-layer metric rows.
     """
     names = list(comparison.architectures)

@@ -19,7 +19,9 @@ Public surface:
   ``simulate_layer`` evaluation interface (see :mod:`repro.arch.adapters`).
 * :func:`compare_network` / :func:`compare_networks` /
   :class:`NetworkComparison` — cross-architecture comparison sweeps through
-  the cached, parallel simulation engine (see :mod:`repro.arch.compare`).
+  the cached, parallel simulation engine, and :func:`network_comparison`,
+  the same view of a simulation already in hand (see
+  :mod:`repro.arch.compare`).
 
 The adapter and comparison modules import the simulators and the engine, so
 they load lazily (PEP 562) — the simulators and the analytical models take
@@ -55,6 +57,7 @@ _LAZY = {
     "NetworkComparison": "repro.arch.compare",
     "compare_network": "repro.arch.compare",
     "compare_networks": "repro.arch.compare",
+    "network_comparison": "repro.arch.compare",
 }
 
 __all__ = [

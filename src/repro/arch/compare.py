@@ -3,29 +3,31 @@
 :func:`compare_network` evaluates one network on any set of registered
 architectures and returns a :class:`NetworkComparison` — per-layer cycles and
 energy for every architecture, with per-module and network-wide speedup /
-energy-ratio aggregations relative to DCNN (:data:`BASELINE`; a spec's
-``baseline`` field is provenance metadata, not a sweep default).  The paper's
-headline comparisons are thin views over this: Figure 8 is the speedup
-column, Figure 10 the energy column, Table IV the configuration metadata.
+energy-ratio / utilization aggregations relative to DCNN (:data:`BASELINE`;
+a spec's ``baseline`` field is provenance metadata, not a sweep default).
+:class:`NetworkComparison` is the only network-level view of a simulation:
+Figure 8 is its speedup column, Figure 9 its utilization column, Figure 10
+its energy column, and the service's ``network`` payload reads its totals.
 
 Every architecture is an ordinary row of the same evaluation, through the
 shared :class:`~repro.engine.SimulationEngine` (cached, parallel): each
 layer's registry adapter gives its cycles and valid products, and
 :func:`~repro.arch.adapters.price_energy` prices its energy, one accounting
-for all.  The canonical trio (SCNN, DCNN, DCNN-opt) is read from the very
-same ``engine.run_network`` simulation the figure experiments consume, so
-a comparison's trio numbers are bitwise-identical to the Figure 8 / Figure
-10 paths; every other registered architecture (the sparsity ablations,
-granularity variants, anything a user registers) comes from
-``engine.run_architectures`` on that simulation's layers.  A renamed copy
-of a trio architecture therefore reproduces its original's rows exactly
-(pinned by ``tests/test_compare_equivalence.py``).
+for all.  The canonical trio (SCNN, DCNN, DCNN-opt) is read from the
+``engine.run_network`` simulation itself; every other registered
+architecture (the sparsity ablations, granularity variants, anything a user
+registers) comes from ``engine.run_architectures`` on that simulation's
+layers.  :func:`network_comparison` does the assembly with no engine call,
+so a simulation already in hand (an example's, a service payload's) is
+aggregated by the same code.  A renamed copy of a trio architecture
+reproduces its original's rows exactly (pinned by
+``tests/test_compare_equivalence.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.arch.adapters import ArchLayerResult, price_energy
 from repro.arch.registry import get_architecture
@@ -59,10 +61,9 @@ class ArchLayerMetrics:
 class NetworkComparison:
     """Per-layer, per-module and network-wide cross-architecture metrics.
 
-    Aggregations deliberately mirror the arithmetic of
-    :class:`repro.scnn.simulator.NetworkSimulation` and of the Figure 8 / 10
-    drivers (same member ordering, same summation order, same guards), so a
-    comparison reproduces those figures bitwise.
+    Every network-level number the figures, the service payloads and the
+    examples report is one of these aggregations: each sums its layers in
+    layer order, so its bits depend only on the per-layer results.
     """
 
     network: str
@@ -173,6 +174,29 @@ class NetworkComparison:
         )
         return total / baseline
 
+    def module_utilization(self, module: str, architecture: str) -> Dict[str, float]:
+        """Cycle-weighted multiplier utilization and idle fraction of a module
+        (Figure 9's bars); both are 0.0 when the module ran no cycles."""
+        members = self._module_members(architecture, module)
+        total = sum(m.cycles for m in members)
+        if total == 0:
+            return {"multiplier_utilization": 0.0, "idle_fraction": 0.0}
+        util = sum(m.multiplier_utilization * m.cycles for m in members)
+        idle = sum(m.idle_fraction * m.cycles for m in members)
+        return {
+            "multiplier_utilization": util / total,
+            "idle_fraction": idle / total,
+        }
+
+
+def _compared(architectures: Optional[Sequence[str]]) -> List[str]:
+    """The requested names (the trio by default), with the baseline first
+    when it was not listed."""
+    names = list(architectures) if architectures else list(DEFAULT_COMPARISON)
+    if BASELINE not in names:
+        names.insert(0, BASELINE)
+    return names
+
 
 def _architecture_rows(
     spec: ArchitectureSpec,
@@ -231,12 +255,10 @@ def compare_network(
 
     if engine is None:
         engine = default_engine()
-    names = list(architectures) if architectures else list(DEFAULT_COMPARISON)
-    if BASELINE not in names:
-        names.insert(0, BASELINE)
+    names = _compared(architectures)
     # Fail fast (with the registry's catalogue-listing error) before any
     # simulation work starts.
-    specs = {name: get_architecture(name) for name in names}
+    others = [get_architecture(name) for name in names if name not in TRIO]
 
     sparsity = None
     if density_profile is not None:
@@ -246,26 +268,44 @@ def compare_network(
         network = resolve_network(network)
         sparsity = get_profile(density_profile).table(network)
     simulation = engine.run_network(network, seed=seed, sparsity=sparsity)
-    columns = {
-        name: [layer.results[name] for layer in simulation.layers]
-        for name in names
-        if name in TRIO
-    }
-    others = [specs[name] for name in names if name not in columns]
+    columns = {}
     if others:
         workloads = [layer.workload for layer in simulation.layers]
         grid = engine.run_architectures(workloads, others)
-        columns.update((spec.name, grid.column(spec.name)) for spec in others)
-    layers = {
-        name: _architecture_rows(specs[name], columns[name], simulation)
-        for name in names
-    }
+        columns = {spec.name: grid.column(spec.name) for spec in others}
+    return network_comparison(simulation, names, seed=seed, columns=columns)
+
+
+def network_comparison(
+    simulation: NetworkSimulation,
+    architectures: Optional[Sequence[str]] = None,
+    *,
+    seed: int = 0,
+    columns: Optional[Mapping[str, Sequence[ArchLayerResult]]] = None,
+) -> NetworkComparison:
+    """The comparison of an existing simulation, with no engine call.
+
+    A trio architecture's rows come from each layer's ``results``; every
+    other architecture's column (one adapter result per layer, in layer
+    order) is read from ``columns``.  ``architectures`` defaults to the
+    paper's trio and :data:`BASELINE` is always compared.  ``seed`` labels
+    the comparison: a simulation does not record the seed it was drawn at.
+    """
+    names = _compared(architectures)
+    columns = columns or {}
+    rows = {}
+    for name in names:
+        if name in TRIO:
+            results = [layer.results[name] for layer in simulation.layers]
+        else:
+            results = columns[name]
+        rows[name] = _architecture_rows(get_architecture(name), results, simulation)
     return NetworkComparison(
         network=simulation.network.name,
         seed=seed,
         baseline=BASELINE,
         architectures=names,
-        layers=layers,
+        layers=rows,
         oracle_cycles=[int(layer.oracle_cycles) for layer in simulation.layers],
     )
 

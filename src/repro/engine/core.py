@@ -348,14 +348,15 @@ class SimulationEngine:
     ) -> NetworkSimulation:
         """Simulate every layer of ``network`` (SCNN + DCNN + oracle + energy).
 
-        Equivalent to :func:`repro.scnn.simulator.simulate_network` — the
-        metrics are bitwise-identical — but cached and shardable: each layer
-        is one :func:`_layer_task` that synthesises it and evaluates the trio
+        The only way a network is simulated: each layer is one
+        :func:`_layer_task` that synthesises it and evaluates the trio
         through the registry's adapters, the tasks fan out across the
         process pool largest first, and a repeated request is served from
-        the cache.  The returned layers hold slim
-        :class:`WorkloadHandle` workloads whose tensors rematerialise on
-        demand.
+        the cache; serial, pooled and cached results are bitwise identical.
+        The returned layers hold slim :class:`WorkloadHandle` workloads
+        whose tensors rematerialise on demand.  Network-level totals and
+        ratios are read from
+        :func:`repro.arch.compare.network_comparison` of the result.
 
         ``network`` accepts any registered workload name (resolved through
         :mod:`repro.workloads.registry`, which also supplies the workload's

@@ -4,6 +4,10 @@ Per layer (per inception module for GoogLeNet), report the average
 multiplier-array utilization of SCNN and the fraction of cycles PEs spend
 idle at the output-channel-group barrier.
 
+This driver is a thin view over the cross-architecture comparison sweep
+(:func:`repro.arch.compare.compare_network`): it selects the SCNN
+utilization column of the default DCNN-baselined comparison.
+
 Paper landmarks: utilization drops in the later, smaller layers (below 20%
 for GoogLeNet's last inception modules) and the barrier idle fraction grows,
 because small per-PE working sets cannot fill the 4x4 multiplier array.
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.reporting import format_table
-from repro.experiments.common import EVALUATED_NETWORKS, cached_simulation
+from repro.arch.compare import compare_network
+from repro.experiments.common import EVALUATED_NETWORKS
 
 
 @dataclass
@@ -38,10 +43,10 @@ class UtilizationReport:
 def run(networks: tuple = EVALUATED_NETWORKS, seed: int = 0) -> Dict[str, UtilizationReport]:
     reports: Dict[str, UtilizationReport] = {}
     for name in networks:
-        simulation = cached_simulation(name, seed)
+        comparison = compare_network(name, seed=seed)
         rows = []
-        for module in simulation.modules():
-            stats = simulation.module_utilization(module)
+        for module in comparison.modules():
+            stats = comparison.module_utilization(module, "SCNN")
             rows.append(
                 UtilizationRow(
                     label=module,
@@ -49,26 +54,18 @@ def run(networks: tuple = EVALUATED_NETWORKS, seed: int = 0) -> Dict[str, Utiliz
                     idle_fraction=stats["idle_fraction"],
                 )
             )
-        total_cycles = sum(layer.scnn.cycles for layer in simulation.layers)
+        scnn = comparison.layers["SCNN"]
+        total_cycles = sum(row.cycles for row in scnn)
         avg_util = 0.0
         avg_idle = 0.0
         if total_cycles:
             avg_util = (
-                sum(
-                    layer.scnn.multiplier_utilization * layer.scnn.cycles
-                    for layer in simulation.layers
-                )
+                sum(row.multiplier_utilization * row.cycles for row in scnn)
                 / total_cycles
             )
-            avg_idle = (
-                sum(
-                    layer.scnn.idle_fraction * layer.scnn.cycles
-                    for layer in simulation.layers
-                )
-                / total_cycles
-            )
-        reports[simulation.network.name] = UtilizationReport(
-            network=simulation.network.name,
+            avg_idle = sum(row.idle_fraction * row.cycles for row in scnn) / total_cycles
+        reports[comparison.network] = UtilizationReport(
+            network=comparison.network,
             rows=rows,
             average_utilization=avg_util,
             average_idle=avg_idle,

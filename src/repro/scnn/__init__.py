@@ -14,8 +14,8 @@ DCNN-opt configurations of Tables II and IV it runs on live in
 * :mod:`repro.scnn.dcnn` — the dense DCNN / DCNN-opt baseline performance
   model (PT-IS-DP-dense).
 * :mod:`repro.scnn.oracle` — the SCNN(oracle) upper bound.
-* :mod:`repro.scnn.simulator` — layer- and network-level drivers combining
-  the above into the result records the experiments consume.
+* :mod:`repro.scnn.simulator` — the layer- and network-level result records
+  the engine assembles from the above and the experiments consume.
 """
 
 from repro.scnn.cycles import LayerCycleResult, simulate_layer_cycles
@@ -26,7 +26,6 @@ from repro.scnn.simulator import (
     LayerSimulation,
     NetworkSimulation,
     simulate_layer,
-    simulate_network,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "simulate_dcnn_layer",
     "simulate_layer",
     "simulate_layer_cycles",
-    "simulate_network",
 ]

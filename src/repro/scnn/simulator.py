@@ -1,20 +1,15 @@
-"""Layer- and network-level simulation drivers.
+"""Layer- and network-level simulation records.
 
 ``simulate_layer`` evaluates one layer workload on the paper's trio (SCNN,
 DCNN and DCNN-opt) through the architecture registry's adapters — the same
 :func:`repro.arch.adapters.evaluate_layer` every other architecture goes
-through — and assembles the oracle bound and the energy of each;
-``simulate_network`` does so for every layer of a catalogue network and
-aggregates the per-layer results the way the paper's figures do (per layer,
-per inception module, and network-wide).
-
-Both functions are pure: the same workload always yields the same metrics,
-with no hidden state.  The batched simulation engine (:mod:`repro.engine`)
-runs the same layer evaluation in its pool tasks and assembles the results
-with :func:`network_simulation`, so parallel, cached runs are
-bitwise-identical to calling ``simulate_network`` directly.
-Experiments should prefer ``SimulationEngine.run_network`` over calling
-``simulate_network`` in a loop.
+through — and assembles the oracle bound and the energy of each.
+:func:`network_simulation` assembles a network's per-layer results; the
+batched simulation engine (:meth:`repro.engine.SimulationEngine.run_network`)
+is the only way a network is simulated, serially, on a process pool or from
+its cache, bit for bit alike.  Network-level totals, speedups, energy ratios
+and module aggregates are read from a
+:class:`repro.arch.compare.NetworkComparison` built from the simulation.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 # package, whose init imports this module, so either may load first.
 from repro.arch import adapters
 from repro.arch.registry import get_architecture
-from repro.nn.inference import LayerWorkload, build_network_workloads
+from repro.nn.inference import LayerWorkload
 from repro.nn.networks import Network
 from repro.scnn.oracle import oracle_cycles
 from repro.timeloop.energy import EnergyBreakdown
@@ -94,7 +89,10 @@ class LayerSimulation:
 
 @dataclass
 class NetworkSimulation:
-    """Per-layer and aggregated results of one network."""
+    """Per-layer results of one network, in layer order.
+
+    :func:`repro.arch.compare.network_comparison` aggregates them.
+    """
 
     network: Network
     layers: List[LayerSimulation]
@@ -104,70 +102,6 @@ class NetworkSimulation:
             if sim.layer_name == name:
                 return sim
         raise KeyError(f"no simulated layer named {name!r}")
-
-    # -- aggregation -----------------------------------------------------------
-
-    def total_cycles(self, which: str) -> int:
-        """Summed cycles of a trio architecture, or of the oracle."""
-        if which == "oracle":
-            return sum(sim.oracle_cycles for sim in self.layers)
-        return sum(sim.results[which].cycles for sim in self.layers)
-
-    @property
-    def network_speedup(self) -> float:
-        scnn = self.total_cycles("SCNN")
-        if scnn == 0:
-            return float("inf")
-        return self.total_cycles("DCNN") / scnn
-
-    @property
-    def oracle_network_speedup(self) -> float:
-        oracle = self.total_cycles("oracle")
-        if oracle == 0:
-            return float("inf")
-        return self.total_cycles("DCNN") / oracle
-
-    def total_energy(self, which: str) -> float:
-        return sum(sim.energy[which].total for sim in self.layers)
-
-    def network_energy_ratio(self, which: str) -> float:
-        """Energy of ``which`` relative to DCNN (lower is better)."""
-        baseline = self.total_energy("DCNN")
-        if baseline == 0:
-            return float("inf")
-        return self.total_energy(which) / baseline
-
-    def modules(self) -> List[str]:
-        seen: List[str] = []
-        for sim in self.layers:
-            if sim.module not in seen:
-                seen.append(sim.module)
-        return seen
-
-    def module_speedup(self, module: str) -> Dict[str, float]:
-        """Aggregate speedups of one module (used for GoogLeNet's IC_xx bars)."""
-        members = [sim for sim in self.layers if sim.module == module]
-        dcnn = sum(sim.dcnn.cycles for sim in members)
-        scnn = sum(sim.scnn.cycles for sim in members)
-        oracle = sum(sim.oracle_cycles for sim in members)
-        return {
-            "DCNN": 1.0,
-            "SCNN": dcnn / scnn if scnn else float("inf"),
-            "SCNN (oracle)": dcnn / oracle if oracle else float("inf"),
-        }
-
-    def module_utilization(self, module: str) -> Dict[str, float]:
-        """Cycle-weighted multiplier utilization and idle fraction of a module."""
-        members = [sim for sim in self.layers if sim.module == module]
-        total = sum(sim.scnn.cycles for sim in members)
-        if total == 0:
-            return {"multiplier_utilization": 0.0, "idle_fraction": 0.0}
-        util = sum(sim.scnn.multiplier_utilization * sim.scnn.cycles for sim in members)
-        idle = sum(sim.scnn.idle_fraction * sim.scnn.cycles for sim in members)
-        return {
-            "multiplier_utilization": util / total,
-            "idle_fraction": idle / total,
-        }
 
 
 def layer_simulation(
@@ -235,20 +169,3 @@ def simulate_layer(
     trio = [get_architecture(name) for name in TRIO]
     results = adapters.evaluate_layer(workload, trio)
     return layer_simulation(workload, results, output_density)
-
-
-def simulate_network(
-    network: Network,
-    *,
-    workloads: Optional[Sequence[LayerWorkload]] = None,
-    seed: int = 0,
-) -> NetworkSimulation:
-    """Simulate every layer of ``network`` at its calibrated densities
-    (see :func:`network_simulation` for how output densities propagate)."""
-    if workloads is None:
-        workloads = build_network_workloads(network, seed=seed)
-    trio = [get_architecture(name) for name in TRIO]
-    return network_simulation(
-        network,
-        [(workload, adapters.evaluate_layer(workload, trio)) for workload in workloads],
-    )

@@ -1,11 +1,16 @@
-"""Pinned equivalence: the compare path reproduces Fig 8 / Fig 10 bitwise.
+"""Pinned equivalence: the comparison is the one network-level view.
 
-The cross-architecture comparison sweep (``repro.arch.compare``) and the
-figure drivers that are now thin views over it must produce *exactly* the
-numbers the serial reference simulator produces — same integers, bitwise
-equal floats, no tolerance.  This is the contract that lets the registry
-refactor touch the model/engine/experiment layers without moving a single
-reported result.
+A :class:`~repro.arch.compare.NetworkComparison` is the only place a
+simulation's per-layer results are aggregated: Figures 8, 9 and 10 are thin
+views over it, and the service's ``network`` payload reads its totals.  Its
+rows must be the engine simulation's per-layer results, the same integers
+and bitwise equal floats, whether :func:`compare_network` runs the engine or
+:func:`network_comparison` reads a simulation already in hand.  The
+network-level numbers themselves are pinned by goldens:
+``tests/golden/architecture_paths.json`` (every row and total),
+``tests/golden/trio_payloads.json`` (the ``network``, ``fig8`` and
+``fig10`` payloads) and the Figure 8, 9 and 10 tables
+(``tests/test_experiments.py``).
 
 Every architecture has one accounting, so a renamed copy of a trio
 architecture, evaluated like any other registered variant, must reproduce
@@ -17,12 +22,17 @@ from dataclasses import replace
 import pytest
 
 import repro.arch.registry
-from repro.arch.compare import compare_network
+import repro.engine.core
+import repro.engine.workloads
+from repro.arch.compare import (
+    ArchLayerMetrics,
+    NetworkComparison,
+    compare_network,
+    network_comparison,
+)
 from repro.arch.registry import default_registry
 from repro.engine import SimulationEngine
-from repro.experiments import fig8_performance, fig10_energy
-from repro.nn.networks import get_network
-from repro.scnn.simulator import simulate_network
+from repro.experiments import fig10_energy
 
 NETWORK = "alexnet"
 TRIO = ("SCNN", "DCNN", "DCNN-opt")
@@ -35,9 +45,9 @@ def engine():
 
 
 @pytest.fixture(scope="module")
-def reference():
-    """The serial reference simulation (pre-refactor ground truth)."""
-    return simulate_network(get_network(NETWORK), seed=0)
+def simulation(engine):
+    """The engine's simulation every comparison below is read from."""
+    return engine.run_network(NETWORK, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -45,71 +55,126 @@ def comparison(engine):
     return compare_network(NETWORK, seed=0, engine=engine)
 
 
-class TestComparisonMatchesSerialReference:
-    def test_per_layer_cycles_identical(self, comparison, reference):
-        for metrics, layer in zip(comparison.layers["SCNN"], reference.layers):
+class TestComparisonRowsAreTheSimulation:
+    def test_per_layer_cycles_identical(self, comparison, simulation):
+        for metrics, layer in zip(comparison.layers["SCNN"], simulation.layers):
             assert metrics.cycles == layer.scnn.cycles
             assert metrics.operations == layer.scnn.operations
-        for metrics, layer in zip(comparison.layers["DCNN"], reference.layers):
+        for metrics, layer in zip(comparison.layers["DCNN"], simulation.layers):
             assert metrics.cycles == layer.dcnn.cycles
+        assert comparison.oracle_cycles == [
+            layer.oracle_cycles for layer in simulation.layers
+        ]
 
-    def test_per_layer_energy_identical(self, comparison, reference):
-        for name in ("SCNN", "DCNN", "DCNN-opt"):
-            for metrics, layer in zip(comparison.layers[name], reference.layers):
+    def test_per_layer_energy_identical(self, comparison, simulation):
+        for name in TRIO:
+            for metrics, layer in zip(comparison.layers[name], simulation.layers):
                 assert metrics.energy_total == layer.energy[name].total
 
-    def test_network_speedups_bitwise_equal(self, comparison, reference):
-        assert comparison.speedup("SCNN") == reference.network_speedup
-        assert comparison.oracle_speedup == reference.oracle_network_speedup
-        assert comparison.total_cycles("SCNN") == reference.total_cycles("SCNN")
-        assert comparison.total_cycles("DCNN") == reference.total_cycles("DCNN")
-        assert comparison.oracle_total_cycles == reference.total_cycles("oracle")
 
-    def test_energy_ratios_bitwise_equal(self, comparison, reference):
-        for name in ("SCNN", "DCNN-opt"):
-            assert comparison.energy_ratio(name) == reference.network_energy_ratio(
-                name
-            )
-            assert comparison.total_energy(name) == reference.total_energy(name)
+class TestComparisonOfASimulation:
+    """:func:`network_comparison` is ``compare_network`` without the engine."""
 
-    def test_module_aggregations_bitwise_equal(self, comparison, reference):
-        assert comparison.modules() == reference.modules()
-        for module in reference.modules():
-            speedups = reference.module_speedup(module)
-            assert comparison.module_speedup(module, "SCNN") == speedups["SCNN"]
-            assert (
-                comparison.module_oracle_speedup(module)
-                == speedups["SCNN (oracle)"]
+    def test_equals_compare_network_and_makes_no_engine_call(
+        self, simulation, comparison, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a comparison of a simulation ran the engine")
+
+        monkeypatch.setattr(repro.engine.core, "parallel_map", forbidden)
+        monkeypatch.setattr(repro.engine.workloads, "build_layer_workload", forbidden)
+        assert network_comparison(simulation) == comparison
+
+    def test_other_columns_are_passed_in(self, engine, simulation):
+        names = ["SCNN", "SCNN-16PE"]
+        expected = compare_network(NETWORK, names, seed=0, engine=engine)
+        workloads = [layer.workload for layer in simulation.layers]
+        grid = engine.run_architectures(workloads, ["SCNN-16PE"])
+        built = network_comparison(
+            simulation, names, columns={"SCNN-16PE": grid.column("SCNN-16PE")}
+        )
+        assert built == expected
+        assert built.architectures == ["DCNN", "SCNN", "SCNN-16PE"]
+        with pytest.raises(KeyError, match="SCNN-16PE"):
+            network_comparison(simulation, names)
+
+    def test_seed_labels_the_comparison(self, simulation):
+        assert network_comparison(simulation).seed == 0
+        assert network_comparison(simulation, seed=3).seed == 3
+
+
+class TestModuleUtilization:
+    """Figure 9's statistic: cycle-weighted over each module's SCNN layers."""
+
+    @pytest.mark.parametrize("network", ["alexnet", "googlenet"])
+    def test_matches_the_cycle_weighted_formula(self, engine, network):
+        simulation = engine.run_network(network, seed=0)
+        comparison = network_comparison(simulation)
+        modules = comparison.modules()
+        assert modules == list(dict.fromkeys(layer.module for layer in simulation.layers))
+        for module in modules:
+            members = [layer.scnn for layer in simulation.layers if layer.module == module]
+            cycles = sum(result.cycles for result in members)
+            expected = {
+                "multiplier_utilization": sum(
+                    result.multiplier_utilization * result.cycles for result in members
+                ) / cycles,
+                "idle_fraction": sum(
+                    result.idle_fraction * result.cycles for result in members
+                ) / cycles,
+            }
+            assert comparison.module_utilization(module, "SCNN") == expected
+
+    def test_zero_cycle_module_reads_zero(self):
+        def row(architecture, cycles):
+            return ArchLayerMetrics(
+                architecture=architecture,
+                layer="idle",
+                module="m",
+                cycles=cycles,
+                operations=0,
+                multiplier_utilization=0.5,
+                idle_fraction=0.5,
+                energy_total=1.0,
             )
+
+        comparison = NetworkComparison(
+            network="Idle",
+            seed=0,
+            baseline="DCNN",
+            architectures=["DCNN", "SCNN"],
+            layers={"DCNN": [row("DCNN", 10)], "SCNN": [row("SCNN", 0)]},
+            oracle_cycles=[0],
+        )
+        assert comparison.module_utilization("m", "SCNN") == {
+            "multiplier_utilization": 0.0,
+            "idle_fraction": 0.0,
+        }
+        assert comparison.module_utilization("m", "DCNN") == {
+            "multiplier_utilization": 0.5,
+            "idle_fraction": 0.5,
+        }
 
 
 class TestFigureDriversAreThinViews:
-    """Fig 8 / Fig 10 route through compare and still match the reference."""
+    """Fig. 10 routes through the comparison and matches the layer sums."""
 
-    def test_fig8_report_bitwise_equal_to_reference(self, engine, reference):
-        report = fig8_performance.run(networks=(NETWORK,), engine=engine)["AlexNet"]
-        assert report.network_speedup == reference.network_speedup
-        assert report.oracle_speedup == reference.oracle_network_speedup
-        labels = [row.label for row in report.rows]
-        assert labels == reference.modules() + ["all"]
-        for row in report.rows[:-1]:
-            speedups = reference.module_speedup(row.label)
-            assert row.scnn == speedups["SCNN"]
-            assert row.oracle == speedups["SCNN (oracle)"]
-
-    def test_fig10_report_bitwise_equal_to_reference(self, engine, reference):
+    def test_fig10_report_bitwise_equal_to_layer_sums(self, engine, simulation):
         report = fig10_energy.run(networks=(NETWORK,), engine=engine)["AlexNet"]
-        assert report.network_scnn == reference.network_energy_ratio("SCNN")
-        assert report.network_dcnn_opt == reference.network_energy_ratio("DCNN-opt")
+
+        def ratio(name, layers):
+            dcnn = sum(layer.energy["DCNN"].total for layer in layers)
+            total = sum(layer.energy[name].total for layer in layers)
+            return total / dcnn if dcnn else 0.0
+
+        assert report.network_scnn == ratio("SCNN", simulation.layers)
+        assert report.network_dcnn_opt == ratio("DCNN-opt", simulation.layers)
         for row in report.rows[:-1]:
             members = [
-                layer for layer in reference.layers if layer.module == row.label
+                layer for layer in simulation.layers if layer.module == row.label
             ]
-            dcnn = sum(layer.energy["DCNN"].total for layer in members)
-            dcnn_opt = sum(layer.energy["DCNN-opt"].total for layer in members)
-            scnn = sum(layer.energy["SCNN"].total for layer in members)
-            assert row.dcnn_opt == (dcnn_opt / dcnn if dcnn else 0.0)
-            assert row.scnn == (scnn / dcnn if dcnn else 0.0)
+            assert row.dcnn_opt == ratio("DCNN-opt", members)
+            assert row.scnn == ratio("SCNN", members)
 
     def test_parallel_compare_identical_to_serial(self, comparison):
         """The sharded path returns the same objects, bit for bit."""

@@ -3,9 +3,12 @@
 For every conv layer of AlexNet, GoogLeNet and VGGNet the fixture pins the
 SHA-256 of the pruned weights and of the synthesised activations, the
 oracle's non-zero product count and cycles, the SCNN cycle count, and the
-exact ``repr`` of the SCNN / DCNN / DCNN-opt energy totals.  Fig. 8 prints
-speedups to two decimals, so a different pruned set or an oracle count off
-by a few products would still reproduce the figure; this pin catches both.
+exact ``repr`` of the SCNN / DCNN / DCNN-opt energy totals, as a serial
+:class:`~repro.engine.SimulationEngine` without a disk cache computes them.
+Fig. 8 prints speedups to two decimals, so a different pruned set or an
+oracle count off by a few products would still reproduce the figure; this
+pin catches both.  ``tests/test_engine.py`` checks that a process pool and
+a cache restore give the serial engine's bits.
 
 Regenerate the fixture only when a model change is meant to move results::
 
@@ -23,9 +26,9 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
+from repro.engine import SimulationEngine
 from repro.nn.networks import get_network
 from repro.scnn.oracle import nonzero_multiplies
-from repro.scnn.simulator import simulate_network
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "trio_pipeline_seed0.json"
 TRIO = ("alexnet", "googlenet", "vggnet")
@@ -39,7 +42,8 @@ def _sha256(array: np.ndarray) -> str:
 def pipeline_records(name: str) -> List[Dict]:
     """One record per conv layer of ``name`` simulated at seed 0."""
     records = []
-    for layer in simulate_network(get_network(name), seed=0).layers:
+    simulation = SimulationEngine(cache_dir=False).run_network(get_network(name), seed=0)
+    for layer in simulation.layers:
         workload = layer.workload
         records.append(
             {

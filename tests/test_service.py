@@ -6,8 +6,8 @@ Three layers of coverage:
   the scenario registry (validation, defaults, catalogue);
 * end-to-end tests that boot the HTTP server on an ephemeral port, drive it
   through :class:`ServiceClient`, and assert that results delivered over
-  the wire are **bitwise-identical** to the serial ``simulate_network`` /
-  ``dse.sweep`` reference paths — cold cache and warm;
+  the wire are **bitwise-identical** to a serial in-process engine's
+  payloads and the ``dse.sweep`` reference path — cold cache and warm;
 * service behaviour under concurrency: overlapping jobs, repeat submissions
   served without a worker (coalesced or payload fast path — ``/stats``
   counters must account for every submission), job failure isolation, and
@@ -28,7 +28,6 @@ from repro.analysis.serialization import design_points_payload, simulation_paylo
 from repro.arch import SCNN_CONFIG
 from repro.engine import SimulationEngine
 from repro.nn.networks import get_network
-from repro.scnn.simulator import simulate_network
 from repro.service import (
     JobFailedError,
     JobQueue,
@@ -444,7 +443,9 @@ class TestServiceEndToEnd:
 
         # Reference payloads from the serial, in-process paths.
         reference_network = {
-            name: simulation_payload(simulate_network(get_network(name), seed=0))
+            name: simulation_payload(
+                SimulationEngine(cache_dir=False).run_network(get_network(name), seed=0)
+            )
             for name in ("alexnet", "googlenet")
         }
         candidates = [SCNN_CONFIG] + default_candidates()

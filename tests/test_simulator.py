@@ -1,16 +1,17 @@
-"""Tests for the layer/network simulation drivers (repro.scnn.simulator)."""
+"""Tests for the layer/network simulation records (repro.scnn.simulator).
+
+Networks are simulated by the engine (the only way a network is simulated)
+and aggregated by :func:`repro.arch.compare.network_comparison`.
+"""
 
 import pytest
 
+from repro.arch.compare import network_comparison
+from repro.engine import SimulationEngine
 from repro.nn.densities import LayerSparsity
-from repro.nn.inference import build_network_workloads
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network, alexnet
-from repro.scnn.simulator import (
-    DEFAULT_OUTPUT_DENSITY,
-    simulate_layer,
-    simulate_network,
-)
+from repro.scnn.simulator import DEFAULT_OUTPUT_DENSITY, simulate_layer
 
 from _helpers import make_workload
 
@@ -41,8 +42,13 @@ def tiny_sparsity():
 
 @pytest.fixture(scope="module")
 def tiny_simulation(tiny_network, tiny_sparsity):
-    workloads = build_network_workloads(tiny_network, tiny_sparsity, seed=5)
-    return simulate_network(tiny_network, workloads=workloads)
+    engine = SimulationEngine(cache_dir=False)
+    return engine.run_network(tiny_network, seed=5, sparsity=tiny_sparsity)
+
+
+@pytest.fixture(scope="module")
+def tiny_comparison(tiny_simulation):
+    return network_comparison(tiny_simulation, seed=5)
 
 
 class TestSimulateLayer:
@@ -80,48 +86,45 @@ class TestSimulateNetwork:
         with pytest.raises(KeyError):
             tiny_simulation.layer("missing")
 
-    def test_totals_are_sums(self, tiny_simulation):
-        assert tiny_simulation.total_cycles("SCNN") == sum(
+    def test_totals_are_sums(self, tiny_simulation, tiny_comparison):
+        assert tiny_comparison.total_cycles("SCNN") == sum(
             sim.scnn.cycles for sim in tiny_simulation.layers
         )
-        assert tiny_simulation.total_cycles("DCNN") == sum(
+        assert tiny_comparison.total_cycles("DCNN") == sum(
             sim.dcnn.cycles for sim in tiny_simulation.layers
         )
-        assert tiny_simulation.total_cycles("oracle") == sum(
+        assert tiny_comparison.oracle_total_cycles == sum(
             sim.oracle_cycles for sim in tiny_simulation.layers
         )
         with pytest.raises(KeyError):
-            tiny_simulation.total_cycles("TPU")
+            tiny_comparison.total_cycles("TPU")
 
-    def test_network_speedup_consistent(self, tiny_simulation):
-        expected = tiny_simulation.total_cycles("DCNN") / tiny_simulation.total_cycles("SCNN")
-        assert tiny_simulation.network_speedup == pytest.approx(expected)
-        assert tiny_simulation.oracle_network_speedup >= tiny_simulation.network_speedup
+    def test_network_speedup_consistent(self, tiny_comparison):
+        expected = tiny_comparison.total_cycles("DCNN") / tiny_comparison.total_cycles("SCNN")
+        assert tiny_comparison.speedup("SCNN") == pytest.approx(expected)
+        assert tiny_comparison.oracle_speedup >= tiny_comparison.speedup("SCNN")
 
-    def test_energy_ratios(self, tiny_simulation):
-        assert tiny_simulation.network_energy_ratio("DCNN") == pytest.approx(1.0)
-        assert 0.0 < tiny_simulation.network_energy_ratio("SCNN") < 1.5
-        assert 0.0 < tiny_simulation.network_energy_ratio("DCNN-opt") <= 1.0
+    def test_energy_ratios(self, tiny_comparison):
+        assert tiny_comparison.energy_ratio("DCNN") == pytest.approx(1.0)
+        assert 0.0 < tiny_comparison.energy_ratio("SCNN") < 1.5
+        assert 0.0 < tiny_comparison.energy_ratio("DCNN-opt") <= 1.0
 
-    def test_module_aggregation(self, tiny_simulation):
-        assert tiny_simulation.modules() == ["front", "back"]
-        speedups = tiny_simulation.module_speedup("front")
-        assert speedups["DCNN"] == 1.0
-        assert speedups["SCNN"] > 0.0
-        assert speedups["SCNN (oracle)"] >= speedups["SCNN"]
-        utilization = tiny_simulation.module_utilization("back")
+    def test_module_aggregation(self, tiny_comparison):
+        assert tiny_comparison.modules() == ["front", "back"]
+        assert tiny_comparison.module_speedup("front", "DCNN") == 1.0
+        scnn = tiny_comparison.module_speedup("front", "SCNN")
+        assert scnn > 0.0
+        assert tiny_comparison.module_oracle_speedup("front") >= scnn
+        utilization = tiny_comparison.module_utilization("back", "SCNN")
         assert 0.0 < utilization["multiplier_utilization"] <= 1.0
         assert 0.0 <= utilization["idle_fraction"] < 1.0
 
-    def test_output_density_propagates_from_successor(self, tiny_network, tiny_sparsity):
-        workloads = build_network_workloads(tiny_network, tiny_sparsity, seed=5)
-        simulation = simulate_network(tiny_network, workloads=workloads)
+    def test_output_density_propagates_from_successor(self, tiny_simulation):
+        layers = tiny_simulation.layers
         # conv1's output density is conv2's measured input activation density.
-        assert simulation.layers[0].output_density == pytest.approx(
-            workloads[1].activation_density
-        )
+        assert layers[0].output_density == layers[1].workload.activation_density
         # The last layer has no successor and falls back to the default.
-        assert simulation.layers[-1].output_density == DEFAULT_OUTPUT_DENSITY
+        assert layers[-1].output_density == DEFAULT_OUTPUT_DENSITY
 
 
 class TestAlexNetEndToEnd:
@@ -130,21 +133,22 @@ class TestAlexNetEndToEnd:
 
     @pytest.fixture(scope="class")
     def alexnet_simulation(self):
-        return simulate_network(alexnet(), seed=0)
+        return SimulationEngine(cache_dir=False).run_network(alexnet(), seed=0)
 
-    def test_speedup_in_paper_regime(self, alexnet_simulation):
+    @pytest.fixture(scope="class")
+    def alexnet_comparison(self, alexnet_simulation):
+        return network_comparison(alexnet_simulation)
+
+    def test_speedup_in_paper_regime(self, alexnet_comparison):
         # Paper: 2.37x; the reproduction lands in the same band.
-        assert 1.8 < alexnet_simulation.network_speedup < 3.8
+        assert 1.8 < alexnet_comparison.speedup("SCNN") < 3.8
 
-    def test_oracle_bounds_scnn(self, alexnet_simulation):
-        assert (
-            alexnet_simulation.oracle_network_speedup
-            > alexnet_simulation.network_speedup
-        )
+    def test_oracle_bounds_scnn(self, alexnet_comparison):
+        assert alexnet_comparison.oracle_speedup > alexnet_comparison.speedup("SCNN")
 
-    def test_energy_improvements_in_paper_regime(self, alexnet_simulation):
-        scnn_ratio = alexnet_simulation.network_energy_ratio("SCNN")
-        opt_ratio = alexnet_simulation.network_energy_ratio("DCNN-opt")
+    def test_energy_improvements_in_paper_regime(self, alexnet_comparison):
+        scnn_ratio = alexnet_comparison.energy_ratio("SCNN")
+        opt_ratio = alexnet_comparison.energy_ratio("DCNN-opt")
         assert 0.25 < scnn_ratio < 0.7    # paper: ~1/2.3
         assert 0.35 < opt_ratio < 0.75    # paper: ~1/2.0
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.arch import SCNN_CONFIG
+from repro.arch.compare import network_comparison
 from repro.engine import SimulationEngine
 from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import build_layer_workload
@@ -221,7 +222,7 @@ class TestSyntheticGenerators:
         simulation = engine.run_network(
             network, sparsity={s.name: LayerSparsity(1.0, 1.0) for s in network}
         )
-        assert simulation.total_cycles("SCNN") > 0
+        assert network_comparison(simulation).total_cycles("SCNN") > 0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError, match="depth must be positive"):
@@ -366,7 +367,10 @@ class TestWorkloadsThroughTheEngine:
         dense_table = {s.name: LayerSparsity(1.0, 1.0) for s in network.layers}
         base = engine.run_network("plain-cnn-8")
         dense = engine.run_network("plain-cnn-8", sparsity=dense_table)
-        assert dense.total_cycles("SCNN") > base.total_cycles("SCNN")
+        assert (
+            network_comparison(dense).total_cycles("SCNN")
+            > network_comparison(base).total_cycles("SCNN")
+        )
 
     def test_dse_sweep_accepts_workload_names(self):
         engine = SimulationEngine(cache_dir=False)
@@ -385,6 +389,8 @@ class TestWorkloadsThroughTheEngine:
         engine = SimulationEngine(cache_dir=False)
         reports = fig8_performance.run(networks=("plain-cnn-8",), engine=engine)
         direct = engine.run_network("plain-cnn-8")
-        assert reports["PlainCNN-8"].network_speedup == direct.network_speedup
+        assert reports["PlainCNN-8"].network_speedup == (
+            network_comparison(direct).speedup("SCNN")
+        )
         for layer in direct.layers:
             assert layer.workload.target == LayerSparsity(0.5, 0.5)
