@@ -24,7 +24,7 @@ def test_alexnet_cycle_level_simulation(benchmark):
         lambda: SimulationEngine(cache_dir=False).run_network(alexnet(), seed=1),
         rounds=1, iterations=1, warmup_rounds=0,
     )
-    assert network_comparison(result, seed=1).speedup("SCNN") > 1.5
+    assert network_comparison(result).speedup("SCNN") > 1.5
 
 
 def test_single_layer_cycle_model(benchmark):

@@ -41,7 +41,7 @@ def main() -> None:
             for name, sparsity in baseline.items()
         }
         simulation = engine.run_network(network, seed=3, sparsity=calibration)
-        comparison = network_comparison(simulation, seed=3)
+        comparison = network_comparison(simulation)
         densities = [layer.workload.activation_density for layer in simulation.layers]
         rows.append(
             (

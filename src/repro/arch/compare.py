@@ -115,6 +115,12 @@ class NetworkComparison:
             return float("inf")
         return self.total_energy(architecture) / baseline
 
+    def utilization(self, architecture: str) -> Dict[str, float]:
+        """Cycle-weighted multiplier utilization and idle fraction over every
+        layer (Figure 9's network averages); both are 0.0 when the
+        architecture ran no cycles."""
+        return _cycle_weighted(self._column(architecture))
+
     @property
     def oracle_total_cycles(self) -> int:
         """Summed oracle-bound cycles across every layer."""
@@ -177,16 +183,21 @@ class NetworkComparison:
     def module_utilization(self, module: str, architecture: str) -> Dict[str, float]:
         """Cycle-weighted multiplier utilization and idle fraction of a module
         (Figure 9's bars); both are 0.0 when the module ran no cycles."""
-        members = self._module_members(architecture, module)
-        total = sum(m.cycles for m in members)
-        if total == 0:
-            return {"multiplier_utilization": 0.0, "idle_fraction": 0.0}
-        util = sum(m.multiplier_utilization * m.cycles for m in members)
-        idle = sum(m.idle_fraction * m.cycles for m in members)
-        return {
-            "multiplier_utilization": util / total,
-            "idle_fraction": idle / total,
-        }
+        return _cycle_weighted(self._module_members(architecture, module))
+
+
+def _cycle_weighted(members: Sequence[ArchLayerMetrics]) -> Dict[str, float]:
+    """Multiplier utilization and idle fraction of ``members``, each layer
+    weighted by its cycles; both are 0.0 when the members ran no cycles."""
+    total = sum(m.cycles for m in members)
+    if total == 0:
+        return {"multiplier_utilization": 0.0, "idle_fraction": 0.0}
+    util = sum(m.multiplier_utilization * m.cycles for m in members)
+    idle = sum(m.idle_fraction * m.cycles for m in members)
+    return {
+        "multiplier_utilization": util / total,
+        "idle_fraction": idle / total,
+    }
 
 
 def _compared(architectures: Optional[Sequence[str]]) -> List[str]:
@@ -273,14 +284,13 @@ def compare_network(
         workloads = [layer.workload for layer in simulation.layers]
         grid = engine.run_architectures(workloads, others)
         columns = {spec.name: grid.column(spec.name) for spec in others}
-    return network_comparison(simulation, names, seed=seed, columns=columns)
+    return network_comparison(simulation, names, columns=columns)
 
 
 def network_comparison(
     simulation: NetworkSimulation,
     architectures: Optional[Sequence[str]] = None,
     *,
-    seed: int = 0,
     columns: Optional[Mapping[str, Sequence[ArchLayerResult]]] = None,
 ) -> NetworkComparison:
     """The comparison of an existing simulation, with no engine call.
@@ -288,9 +298,12 @@ def network_comparison(
     A trio architecture's rows come from each layer's ``results``; every
     other architecture's column (one adapter result per layer, in layer
     order) is read from ``columns``.  ``architectures`` defaults to the
-    paper's trio and :data:`BASELINE` is always compared.  ``seed`` labels
-    the comparison: a simulation does not record the seed it was drawn at.
+    paper's trio and :data:`BASELINE` is always compared.  The comparison's
+    ``seed`` is the one the simulation's workloads were drawn at, which
+    each engine layer's :class:`~repro.engine.workloads.WorkloadHandle`
+    records (a network with no layers drew nothing and reads 0).
     """
+    seed = simulation.layers[0].workload.seed if simulation.layers else 0
     names = _compared(architectures)
     columns = columns or {}
     rows = {}

@@ -54,21 +54,12 @@ def run(networks: tuple = EVALUATED_NETWORKS, seed: int = 0) -> Dict[str, Utiliz
                     idle_fraction=stats["idle_fraction"],
                 )
             )
-        scnn = comparison.layers["SCNN"]
-        total_cycles = sum(row.cycles for row in scnn)
-        avg_util = 0.0
-        avg_idle = 0.0
-        if total_cycles:
-            avg_util = (
-                sum(row.multiplier_utilization * row.cycles for row in scnn)
-                / total_cycles
-            )
-            avg_idle = sum(row.idle_fraction * row.cycles for row in scnn) / total_cycles
+        average = comparison.utilization("SCNN")
         reports[comparison.network] = UtilizationReport(
             network=comparison.network,
             rows=rows,
-            average_utilization=avg_util,
-            average_idle=avg_idle,
+            average_utilization=average["multiplier_utilization"],
+            average_idle=average["idle_fraction"],
         )
     return reports
 

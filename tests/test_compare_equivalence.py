@@ -9,8 +9,9 @@ and bitwise equal floats, whether :func:`compare_network` runs the engine or
 network-level numbers themselves are pinned by goldens:
 ``tests/golden/architecture_paths.json`` (every row and total),
 ``tests/golden/trio_payloads.json`` (the ``network``, ``fig8`` and
-``fig10`` payloads) and the Figure 8, 9 and 10 tables
-(``tests/test_experiments.py``).
+``fig10`` payloads) and the printed Figure 8, 9 and 10 tables
+(``perfbench/golden/fig8_stdout.txt``, ``tests/golden/fig9_stdout.txt`` and
+``tests/golden/fig10_stdout.txt``, which CI's docs job diffs).
 
 Every architecture has one accounting, so a renamed copy of a trio
 architecture, evaluated like any other registered variant, must reproduce
@@ -33,6 +34,7 @@ from repro.arch.compare import (
 from repro.arch.registry import default_registry
 from repro.engine import SimulationEngine
 from repro.experiments import fig10_energy
+from repro.nn.networks import Network
 
 NETWORK = "alexnet"
 TRIO = ("SCNN", "DCNN", "DCNN-opt")
@@ -98,13 +100,31 @@ class TestComparisonOfASimulation:
         with pytest.raises(KeyError, match="SCNN-16PE"):
             network_comparison(simulation, names)
 
-    def test_seed_labels_the_comparison(self, simulation):
+    def test_seed_is_the_one_the_simulation_was_drawn_at(self, engine, simulation):
         assert network_comparison(simulation).seed == 0
-        assert network_comparison(simulation, seed=3).seed == 3
+        assert network_comparison(engine.run_network(NETWORK, seed=3)).seed == 3
+        assert compare_network(NETWORK, seed=3, engine=engine).seed == 3
+        # A network with no layers drew nothing, so there is no seed to read.
+        empty = engine.run_network(Network("Empty", ()), seed=3, sparsity={})
+        assert network_comparison(empty).seed == 0
+
+
+def _weighted(members):
+    """Figure 9's formula: each layer's utilization weighted by its cycles."""
+    cycles = sum(result.cycles for result in members)
+    return {
+        "multiplier_utilization": sum(
+            result.multiplier_utilization * result.cycles for result in members
+        ) / cycles,
+        "idle_fraction": sum(
+            result.idle_fraction * result.cycles for result in members
+        ) / cycles,
+    }
 
 
 class TestModuleUtilization:
-    """Figure 9's statistic: cycle-weighted over each module's SCNN layers."""
+    """Figure 9's statistic: cycle-weighted over each module's SCNN layers,
+    and over every layer for the network average."""
 
     @pytest.mark.parametrize("network", ["alexnet", "googlenet"])
     def test_matches_the_cycle_weighted_formula(self, engine, network):
@@ -114,16 +134,10 @@ class TestModuleUtilization:
         assert modules == list(dict.fromkeys(layer.module for layer in simulation.layers))
         for module in modules:
             members = [layer.scnn for layer in simulation.layers if layer.module == module]
-            cycles = sum(result.cycles for result in members)
-            expected = {
-                "multiplier_utilization": sum(
-                    result.multiplier_utilization * result.cycles for result in members
-                ) / cycles,
-                "idle_fraction": sum(
-                    result.idle_fraction * result.cycles for result in members
-                ) / cycles,
-            }
-            assert comparison.module_utilization(module, "SCNN") == expected
+            assert comparison.module_utilization(module, "SCNN") == _weighted(members)
+        assert comparison.utilization("SCNN") == _weighted(
+            [layer.scnn for layer in simulation.layers]
+        )
 
     def test_zero_cycle_module_reads_zero(self):
         def row(architecture, cycles):
@@ -146,10 +160,9 @@ class TestModuleUtilization:
             layers={"DCNN": [row("DCNN", 10)], "SCNN": [row("SCNN", 0)]},
             oracle_cycles=[0],
         )
-        assert comparison.module_utilization("m", "SCNN") == {
-            "multiplier_utilization": 0.0,
-            "idle_fraction": 0.0,
-        }
+        idle = {"multiplier_utilization": 0.0, "idle_fraction": 0.0}
+        assert comparison.module_utilization("m", "SCNN") == idle
+        assert comparison.utilization("SCNN") == idle
         assert comparison.module_utilization("m", "DCNN") == {
             "multiplier_utilization": 0.5,
             "idle_fraction": 0.5,

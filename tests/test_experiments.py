@@ -2,12 +2,10 @@
 
 The per-layer evaluation experiments (Figures 8-10) are exercised on AlexNet
 only — it is the smallest catalogue network — so the whole test suite stays
-fast; the full three-network runs are exercised by the benchmark harness
-and by the golden tables below, which pin what ``repro <id>`` prints.
+fast; the full three-network runs are exercised by the benchmark harness.
 """
 
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,29 +23,8 @@ from repro.experiments import (
     table3_area,
     table4_configs,
 )
-from repro.experiments.cli import run_experiments
 from repro.grid import evaluate_grid
 from repro.nn.networks import get_network
-
-ROOT = Path(__file__).resolve().parent.parent
-#: The printed tables of ``repro <id>``, without the timing line, by id.
-GOLDEN_TABLES = {
-    "fig8": ROOT / "perfbench" / "golden" / "fig8_stdout.txt",
-    "fig9": ROOT / "tests" / "golden" / "fig9_stdout.txt",
-    "fig10": ROOT / "tests" / "golden" / "fig10_stdout.txt",
-    "sec6d": ROOT / "tests" / "golden" / "sec6d_stdout.txt",
-}
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
-def test_printed_tables_match_golden(name, capsys):
-    """The tables CI's docs job diffs, pinned in the unit suite too."""
-    run_experiments([name])
-    lines = capsys.readouterr().out.splitlines(keepends=True)
-    printed = "".join(
-        line for line in lines if not line.startswith(f"[{name} completed in")
-    )
-    assert printed == GOLDEN_TABLES[name].read_text()
 
 
 class TestTableExperiments:

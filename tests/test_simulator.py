@@ -48,7 +48,7 @@ def tiny_simulation(tiny_network, tiny_sparsity):
 
 @pytest.fixture(scope="module")
 def tiny_comparison(tiny_simulation):
-    return network_comparison(tiny_simulation, seed=5)
+    return network_comparison(tiny_simulation)
 
 
 class TestSimulateLayer:
