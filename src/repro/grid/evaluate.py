@@ -111,6 +111,10 @@ def scnn_cycle_grid(
     phase (strided layers decompose the Cartesian product into stride^2
     phase sub-streams), stretched by the expected accumulator-bank conflict
     stalls; a group takes as long as its slowest PE plus a barrier.
+
+    Planar tiling gives most PEs of a layer the same block size, so the
+    per-PE terms are computed once per distinct size and gathered back onto
+    the PE axis before the reductions over it.
     """
     config = resolve_config(config)
     stack = config_layer_stack(tuple(specs), config)
@@ -125,21 +129,26 @@ def scnn_cycle_grid(
         stack.weight_phase_block[:, None], wd_milli, config.multipliers_f
     )
     weight_nnz = stack.weight_phase_block[:, None] * wd
+    sizes = stack.distinct_phase_sizes[:, None, :]
     act_vectors = expected_vector_counts(
-        stack.phase_sizes[:, None, :], ad_milli[:, :, None], config.multipliers_i
+        sizes, ad_milli[:, :, None], config.multipliers_i
     )
-    act_nnz = stack.phase_sizes[:, None, :] * ad[:, :, None]
+    act_nnz = sizes * ad[:, :, None]
 
     channel_phases = stack.c_connected * stack.phases
     steps = channel_phases[:, None, None] * act_vectors * weight_vectors[:, :, None]
     busy = steps * (1.0 + stack.stall_per_step)
     busy = busy + (steps > 0) * config.drain_overhead_cycles
-    group_cycles = busy.max(axis=2) + config.barrier_overhead_cycles
-    total_cycles = group_cycles * stack.num_groups[:, None]
-
     products_per = (
         channel_phases[:, None, None] * act_nnz * weight_nnz[:, :, None]
     )
+    # Elementwise terms gathered per PE reduce exactly as if computed per PE.
+    pe_index = stack.phase_size_index[:, None, :]
+    busy = np.take_along_axis(busy, pe_index, axis=2)
+    products_per = np.take_along_axis(products_per, pe_index, axis=2)
+
+    group_cycles = busy.max(axis=2) + config.barrier_overhead_cycles
+    total_cycles = group_cycles * stack.num_groups[:, None]
     total_products = products_per.sum(axis=2) * stack.num_groups[:, None]
     busy_total = busy.sum(axis=2) * stack.num_groups[:, None]
 
@@ -205,12 +214,26 @@ def energy_grid(
     :func:`~repro.timeloop.energy.layer_energy_from_densities` of its layer.
     """
     config = resolve_config(config)
-    stack = config_layer_stack(tuple(specs), config)
     wd = np.asarray(weight_density, dtype=np.float64)
     ad = np.asarray(activation_density, dtype=np.float64)
     od = np.asarray(output_density, dtype=np.float64)
     cycles = np.asarray(cycles)
     shape = np.broadcast_shapes(wd.shape, ad.shape, od.shape, cycles.shape)
+    terms = _energy_terms(
+        config_layer_stack(tuple(specs), config), config, wd, ad, od, cycles
+    )
+    return {
+        name: np.broadcast_to(np.asarray(value, dtype=np.float64), shape)
+        for name, value in terms.items()
+    }
+
+
+def _energy_terms(stack, config, wd, ad, od, cycles) -> Dict[str, object]:
+    """Each energy component of the stacked layers, then their ``"total"``.
+
+    The terms keep whatever shape the event-count model gives them (a
+    scalar, ``(layers, 1)`` or the full grid); callers broadcast or assign.
+    """
     events = event_counts(
         config,
         dense_macs=stack.dense_macs[:, None],
@@ -224,17 +247,12 @@ def energy_grid(
         output_density=od,
         cycles=cycles,
     )
-    components = energy_components(events, DEFAULT_ENERGY_TABLE)
+    terms = energy_components(events, DEFAULT_ENERGY_TABLE)
     total = None
     for name in ENERGY_COMPONENTS:
-        term = components[name]
-        total = term if total is None else total + term
-    grids = {
-        name: np.broadcast_to(np.asarray(value, dtype=np.float64), shape)
-        for name, value in components.items()
-    }
-    grids["total"] = np.broadcast_to(np.asarray(total, dtype=np.float64), shape)
-    return grids
+        total = terms[name] if total is None else total + terms[name]
+    terms["total"] = total
+    return terms
 
 
 @dataclass(frozen=True)
@@ -425,17 +443,13 @@ def _evaluate_grid_arrays(specs, resolved, wd, ad, od, model, shape) -> GridResu
             idle[c] = sparse.idle_fraction
             # The energy model counts whole cycles.
             energy_cycles = sparse.cycles.astype(np.int64)
-        breakdown = energy_grid(
-            specs,
-            config,
-            weight_density=wd,
-            activation_density=ad,
-            output_density=od,
-            cycles=energy_cycles,
+        # Each term goes straight into its slice; numpy broadcasts it there.
+        terms = _energy_terms(
+            config_layer_stack(specs, config), config, wd, ad, od, energy_cycles
         )
-        energy[c] = breakdown["total"]
-        for name in ENERGY_COMPONENTS:
-            energy_components[name][c] = breakdown[name]
+        energy[c] = terms.pop("total")
+        for name, term in terms.items():
+            energy_components[name][c] = term
     return GridResult(
         specs=specs,
         configs=resolved,

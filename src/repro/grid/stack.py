@@ -36,9 +36,16 @@ from repro.scnn.dcnn import dense_busy_cycles
 class ConfigLayerStack:
     """Shape-derived constants of every layer under one accelerator config.
 
-    All per-layer attributes are int64 arrays of shape ``(layers,)`` except
-    ``phase_sizes`` and ``dense_busy`` which carry the per-PE axis:
-    ``(layers, num_pes)``.
+    All per-layer attributes are int64 arrays of shape ``(layers,)`` except:
+
+    - ``distinct_phase_sizes``, int64 ``(layers, width)``: each layer's
+      distinct per-PE activation block sizes, ascending, zero-padded to the
+      widest layer's count (planar tiling leaves at most a few per layer);
+    - ``phase_size_index``, ``(layers, num_pes)`` in the smallest unsigned
+      dtype that fits: each PE's column in ``distinct_phase_sizes``;
+    - ``dense_busy``, int64 ``(layers, num_pes)``.
+
+    ``phase_sizes`` gathers the per-PE block sizes back from the two.
     """
 
     config: AcceleratorConfig
@@ -52,8 +59,10 @@ class ConfigLayerStack:
     phases: np.ndarray
     #: Expected weight elements per (group, channel, phase) block.
     weight_phase_block: np.ndarray
-    #: Per-(PE, phase) activation block sizes, ``(layers, num_pes)``.
-    phase_sizes: np.ndarray
+    #: Distinct per-(PE, phase) activation block sizes, ``(layers, width)``.
+    distinct_phase_sizes: np.ndarray
+    #: Each PE's column in ``distinct_phase_sizes``, ``(layers, num_pes)``.
+    phase_size_index: np.ndarray
     #: Dense-baseline busy cycles per PE, ``(layers, num_pes)``.
     dense_busy: np.ndarray
     #: Expected accumulator-conflict stall cycles per issue step.
@@ -69,6 +78,13 @@ class ConfigLayerStack:
     def layer_count(self) -> int:
         """Number of stacked layers."""
         return len(self.specs)
+
+    @property
+    def phase_sizes(self) -> np.ndarray:
+        """Per-(PE, phase) activation block sizes, ``(layers, num_pes)``."""
+        return np.take_along_axis(
+            self.distinct_phase_sizes, self.phase_size_index, axis=1
+        )
 
 
 def config_layer_stack(
@@ -123,6 +139,13 @@ def _config_layer_stack(
         input_values[index] = spec.input_activation_count
         output_values[index] = spec.output_activation_count
         in_channels[index] = spec.in_channels
+    distinct = [sorted(set(row)) for row in phase_sizes.tolist()]
+    width = max(map(len, distinct), default=1)
+    distinct_phase_sizes = np.zeros((count, width), dtype=np.int64)
+    phase_size_index = np.empty((count, num_pes), dtype=np.min_scalar_type(width - 1))
+    for index, sizes in enumerate(distinct):
+        distinct_phase_sizes[index, : len(sizes)] = sizes
+        phase_size_index[index] = np.searchsorted(sizes, phase_sizes[index])
     return ConfigLayerStack(
         config=config,
         specs=tuple(specs),
@@ -131,7 +154,8 @@ def _config_layer_stack(
         c_connected=c_connected,
         phases=phases,
         weight_phase_block=weight_phase_block,
-        phase_sizes=phase_sizes,
+        distinct_phase_sizes=distinct_phase_sizes,
+        phase_size_index=phase_size_index,
         dense_busy=dense_busy,
         stall_per_step=expected_conflict_cycles(
             config.multipliers_f * config.multipliers_i, config.accumulator_banks

@@ -21,7 +21,10 @@ import pytest
 
 from _helpers import random_layer_specs
 from repro.arch.registry import default_registry, resolve_config
+from repro.arch.registry import get_architecture
+from repro.dataflow.tiling import plan_layer
 from repro.grid import (
+    ENERGY_COMPONENTS,
     clear_solved_triples,
     config_layer_stack,
     dense_cycle_grid,
@@ -33,6 +36,7 @@ from repro.grid import (
 )
 from repro.grid.binomial import _log_comb
 from repro.nn.layers import ConvLayerSpec
+from repro.timeloop.dse import default_candidates
 from repro.timeloop.model import estimate_scnn_layer
 from repro.workloads.registry import available_workloads, resolve_network
 
@@ -54,6 +58,13 @@ EVALUATE_WEIGHT_DENSITY = 0.42
 EVALUATE_DENSITIES = np.array([0.0001, 0.35, 0.9, 1.0])
 #: (weight, activation) densities of the forced-SCNN-model check.
 FORCED_DENSITIES = (0.4, 0.35)
+#: (weight, activation, output) densities of the evaluator-energy check:
+#: scalars, 1-D density axes and ``(layers, points)`` grids (seeded below).
+EVALUATOR_ENERGY_DENSITIES = {
+    "scalar": (0.37, 0.52, None),
+    "axis": (0.42, np.array([0.0004, 0.3, 0.75, 1.0]), np.array([0.2, 0.5, 0.9, 1.0])),
+    "grid": None,
+}
 
 
 def vector_count_triples():
@@ -253,6 +264,101 @@ class TestEnergyGridGolden:
                 for s in range(len(specs))
             ]
             assert got == expected, name
+
+
+def _per_pe_phase_sizes(spec, config):
+    """Each PE's per-phase activation block size, straight from the tiling plan."""
+    pe_rows, pe_cols = config.pe_grid
+    plan = plan_layer(
+        spec,
+        num_pes=config.num_pes,
+        group_size=config.output_channel_group,
+        pe_rows=pe_rows,
+        pe_cols=pe_cols,
+    )
+    phases = spec.stride * spec.stride
+    return [max(tile.size // phases, int(tile.size > 0)) for tile in plan.input_tiles]
+
+
+def _registered_stack_configs():
+    """Every registered architecture's config, then the default DSE candidates."""
+    configs = [resolve_config(name) for name in default_registry().names()]
+    return configs + default_candidates(get_architecture("SCNN").config)
+
+
+class TestDistinctBlockSizes:
+    def test_gathered_table_equals_per_pe_sizes_everywhere(self):
+        for workload in available_workloads():
+            specs = tuple(resolve_network(workload).layers)
+            for config in _registered_stack_configs():
+                stack = config_layer_stack(specs, config)
+                table = stack.distinct_phase_sizes
+                index = stack.phase_size_index
+                assert index.dtype == np.min_scalar_type(table.shape[1] - 1)
+                gathered = np.take_along_axis(table, index, axis=1)
+                reference = [_per_pe_phase_sizes(spec, config) for spec in specs]
+                assert gathered.tolist() == reference, (workload, config.name)
+                assert stack.phase_sizes.tolist() == reference, (workload, config.name)
+                for row, sizes in zip(table.tolist(), reference):
+                    distinct = sorted(set(sizes))
+                    assert row == distinct + [0] * (len(row) - len(distinct))
+
+    def test_activation_kernel_sees_distinct_sizes_only(self, monkeypatch):
+        import repro.grid.evaluate as evaluate
+
+        shapes = []
+        kernel = evaluate.expected_vector_counts
+
+        def spy(elements, density_milli, width):
+            shapes.append(np.broadcast(elements, density_milli, width).shape)
+            return kernel(elements, density_milli, width)
+
+        monkeypatch.setattr(evaluate, "expected_vector_counts", spy)
+        specs = tuple(resolve_network("googlenet").layers)
+        config = resolve_config("SCNN")
+        points = 5
+        densities = np.broadcast_to(np.linspace(0.1, 0.9, points), (len(specs), points))
+        scnn_cycle_grid(specs, config, densities, densities)
+        stack = config_layer_stack(specs, config)
+        widest = max(len(set(row)) for row in stack.phase_sizes.tolist())
+        (activation_shape,) = [shape for shape in shapes if len(shape) == 3]
+        assert len(specs) * points * widest < len(specs) * points * stack.num_pes
+        assert math.prod(activation_shape) <= len(specs) * points * widest
+
+
+def _evaluator_energy_densities(case, layers):
+    if case != "grid":
+        return EVALUATOR_ENERGY_DENSITIES[case]
+    rng = np.random.default_rng(31)
+    wd, ad, od = rng.uniform(0.0005, 1.0, size=(3, layers, 3))
+    return wd, ad, od
+
+
+class TestEvaluatorEnergy:
+    @pytest.mark.parametrize("config_name", ["SCNN", "DCNN-opt"])
+    @pytest.mark.parametrize("case", sorted(EVALUATOR_ENERGY_DENSITIES))
+    def test_energy_equals_energy_grid_bitwise(self, config_name, case):
+        specs = random_layer_specs(np.random.default_rng(29))
+        wd, ad, od = _evaluator_energy_densities(case, len(specs))
+        grid = evaluate_grid(
+            specs,
+            [config_name],
+            weight_density=wd,
+            activation_density=ad,
+            output_density=od,
+        )
+        expected = energy_grid(
+            specs,
+            config_name,
+            weight_density=grid.weight_density,
+            activation_density=grid.activation_density,
+            output_density=grid.output_density,
+            cycles=grid.cycles[0].astype(np.int64),
+        )
+        assert list(expected) == [*ENERGY_COMPONENTS, "total"]
+        assert grid.energy[0].tobytes() == expected["total"].tobytes()
+        for name in ENERGY_COMPONENTS:
+            assert grid.energy_components[name][0].tobytes() == expected[name].tobytes(), name
 
 
 class TestEvaluateGrid:
