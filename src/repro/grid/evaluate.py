@@ -417,7 +417,6 @@ def evaluate_grid(
 
 
 def _evaluate_grid_arrays(specs, resolved, wd, ad, od, model, shape) -> GridResult:
-    layers, points = shape[1], shape[2]
     cycles = np.zeros(shape)
     products = np.zeros(shape)
     utilization = np.zeros(shape)
@@ -432,9 +431,7 @@ def _evaluate_grid_arrays(specs, resolved, wd, ad, od, model, shape) -> GridResu
             products[c] = dense.products.astype(np.float64)[:, None]
             utilization[c] = dense.multiplier_utilization[:, None]
             idle[c] = dense.idle_fraction[:, None]
-            energy_cycles = np.broadcast_to(
-                dense.cycles[:, None], (layers, points)
-            )
+            energy_cycles = dense.cycles[:, None]
         else:
             sparse = scnn_cycle_grid(specs, config, wd, ad)
             cycles[c] = sparse.cycles

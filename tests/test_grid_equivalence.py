@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 from _helpers import random_layer_specs
-from repro.arch.registry import default_registry, resolve_config
-from repro.arch.registry import get_architecture
+from repro.arch.registry import default_registry, get_architecture, resolve_config
 from repro.dataflow.tiling import plan_layer
 from repro.grid import (
     ENERGY_COMPONENTS,
@@ -58,12 +57,15 @@ EVALUATE_WEIGHT_DENSITY = 0.42
 EVALUATE_DENSITIES = np.array([0.0001, 0.35, 0.9, 1.0])
 #: (weight, activation) densities of the forced-SCNN-model check.
 FORCED_DENSITIES = (0.4, 0.35)
-#: (weight, activation, output) densities of the evaluator-energy check:
-#: scalars, 1-D density axes and ``(layers, points)`` grids (seeded below).
+#: Layers, then (weight, activation, output) densities, of the evaluator-energy
+#: check: scalars, 1-D density axes and seeded ``(layers, points)`` grids.
+EVALUATOR_ENERGY_LAYERS = 6
 EVALUATOR_ENERGY_DENSITIES = {
     "scalar": (0.37, 0.52, None),
     "axis": (0.42, np.array([0.0004, 0.3, 0.75, 1.0]), np.array([0.2, 0.5, 0.9, 1.0])),
-    "grid": None,
+    "grid": tuple(
+        np.random.default_rng(31).uniform(0.0005, 1.0, (3, EVALUATOR_ENERGY_LAYERS, 3))
+    ),
 }
 
 
@@ -326,20 +328,14 @@ class TestDistinctBlockSizes:
         assert math.prod(activation_shape) <= len(specs) * points * widest
 
 
-def _evaluator_energy_densities(case, layers):
-    if case != "grid":
-        return EVALUATOR_ENERGY_DENSITIES[case]
-    rng = np.random.default_rng(31)
-    wd, ad, od = rng.uniform(0.0005, 1.0, size=(3, layers, 3))
-    return wd, ad, od
-
-
 class TestEvaluatorEnergy:
     @pytest.mark.parametrize("config_name", ["SCNN", "DCNN-opt"])
     @pytest.mark.parametrize("case", sorted(EVALUATOR_ENERGY_DENSITIES))
     def test_energy_equals_energy_grid_bitwise(self, config_name, case):
-        specs = random_layer_specs(np.random.default_rng(29))
-        wd, ad, od = _evaluator_energy_densities(case, len(specs))
+        specs = random_layer_specs(
+            np.random.default_rng(29), count=EVALUATOR_ENERGY_LAYERS
+        )
+        wd, ad, od = EVALUATOR_ENERGY_DENSITIES[case]
         grid = evaluate_grid(
             specs,
             [config_name],
@@ -358,7 +354,8 @@ class TestEvaluatorEnergy:
         assert list(expected) == [*ENERGY_COMPONENTS, "total"]
         assert grid.energy[0].tobytes() == expected["total"].tobytes()
         for name in ENERGY_COMPONENTS:
-            assert grid.energy_components[name][0].tobytes() == expected[name].tobytes(), name
+            got = grid.energy_components[name][0]
+            assert got.tobytes() == expected[name].tobytes(), name
 
 
 class TestEvaluateGrid:
