@@ -245,21 +245,16 @@ def evaluate_layer(
 ) -> List[ArchLayerResult]:
     """Evaluate one layer workload on each of ``specs``, in order.
 
-    The masks are formed once, and the layer is not synthesised at all when
-    no spec's adapter reads operands.  A lazy
-    :class:`~repro.engine.workloads.WorkloadHandle` that arrived without
-    tensors drops them again as soon as the masks exist.
+    The masks are formed once (``workload.masks()``: a lazy
+    :class:`~repro.engine.workloads.WorkloadHandle` without tensors
+    synthesises them from its recipe's draws, no float tensor on the way),
+    and not at all when no spec's adapter reads operands.
     """
     adapters = [get_adapter(spec.adapter) for spec in specs]
     operands = None
     pairs = list(zip(adapters, specs))
     if any(adapter.reads_operands(spec.config) for adapter, spec in pairs):
-        lazy = not getattr(workload, "materialized", True)
-        operands = LayerOperands(
-            workload.spec, workload.weights != 0, workload.activations != 0
-        )
-        if lazy:
-            workload.release()
+        operands = LayerOperands(workload.spec, *workload.masks())
     return [
         adapter.simulate_layer(workload.spec, spec.config, operands)
         for adapter, spec in pairs

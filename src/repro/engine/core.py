@@ -19,9 +19,9 @@ Workloads move between processes and cache entries as lazy
 nor the cache ever ships multi-megabyte activation tensors.  A network
 simulation is one :func:`_layer_task` per layer evaluating the trio, and a
 workload x architecture grid one per layer with an uncached cell: each task
-synthesises its layer's operands at most once, evaluates every architecture
-through the registry's adapters and releases them, so the operand tensors
-never outlive their layer, in the parent process or in the memo table.
+builds its layer's operand masks at most once, straight from the seeded
+draws, and evaluates every architecture through the registry's adapters, so
+no operand outlives its layer, in the parent process or in the memo table.
 Every entry point reads and writes the cache through one helper,
 :meth:`SimulationEngine._cached`.
 """
@@ -101,17 +101,12 @@ def _operand_footprint(spec: ConvLayerSpec) -> int:
 
 def _layer_task(
     task: Tuple[AnyWorkload, List[ArchitectureSpec]]
-) -> Tuple[Optional[WorkloadHandle], List[ArchLayerResult]]:
+) -> List[ArchLayerResult]:
     """Evaluate one workload on each of its architectures
     (:func:`~repro.arch.adapters.evaluate_layer`): the one layer task of
-    both ``run_network`` and ``run_architectures``.
-
-    A handle comes back, tensorless, with the densities its synthesis
-    measured; a raw workload, whose tensors the caller holds, does not.
-    """
+    both ``run_network`` and ``run_architectures``."""
     workload, specs = task
-    results = evaluate_layer(workload, specs)
-    return (workload if isinstance(workload, WorkloadHandle) else None), results
+    return evaluate_layer(workload, specs)
 
 
 def _resolve_network_and_sparsity(
@@ -349,7 +344,7 @@ class SimulationEngine:
         """Simulate every layer of ``network`` (SCNN + DCNN + oracle + energy).
 
         The only way a network is simulated: each layer is one
-        :func:`_layer_task` that synthesises it and evaluates the trio
+        :func:`_layer_task` that synthesises its masks and evaluates the trio
         through the registry's adapters, the tasks fan out across the
         process pool largest first, and a repeated request is served from
         the cache; serial, pooled and cached results are bitwise identical.
@@ -381,18 +376,18 @@ class SimulationEngine:
 
         def simulate(_missing: List[int]) -> List[NetworkSimulation]:
             trio = [get_architecture(name) for name in TRIO]
-            # Recipes only: each task synthesises its own layer.
+            # Recipes only: each task synthesises its own layer's masks.
             handles = [
                 WorkloadHandle(network.name, seed, index, spec, sparsity[spec.name])
                 for index, spec in enumerate(network.layers)
             ]
-            evaluated = parallel_map(
+            results = parallel_map(
                 _layer_task,
                 [(handle, trio) for handle in handles],
                 self.parallel,
                 cost=lambda task: _operand_footprint(task[0].spec),
             )
-            return [network_simulation(network, evaluated)]
+            return [network_simulation(network, list(zip(handles, results)))]
 
         return self._cached([key], simulate)[0]
 
@@ -443,7 +438,7 @@ class SimulationEngine:
                 self.parallel,
                 cost=lambda task: _operand_footprint(task[0].spec),
             )
-            return [cell for _, row in results for cell in row]
+            return [cell for row in results for cell in row]
 
         cells = self._cached(keys, evaluate)
         return ArchitectureRun(

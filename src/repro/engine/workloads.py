@@ -3,30 +3,37 @@
 A :class:`WorkloadHandle` stands in for a :class:`~repro.nn.inference.LayerWorkload`
 everywhere the simulators and experiments read one, but carries only the
 *recipe* for the operand tensors — network name, seed, layer index, spec and
-target densities — plus the measured densities.  The tensors themselves are
-regenerated deterministically on first access (``np.random.default_rng([seed,
-index])``, exactly as :func:`repro.nn.inference.build_network_workloads`
-seeds each layer) and are dropped again when the handle is pickled or
-:meth:`~WorkloadHandle.release`-d.
+target densities — plus the densities that recipe produces, known exactly
+when the handle is built.  Operands are regenerated deterministically on
+demand (``np.random.default_rng([seed, index])``, exactly as
+:func:`repro.nn.inference.build_network_workloads` seeds each layer): the
+simulators read :meth:`~WorkloadHandle.masks`, synthesised straight from the
+seeded draws with no float tensor, and ablations that need the raw tensors
+(``handle.weights`` / ``handle.activations``) get bit-identical arrays,
+which the handle keeps but never pickles.
 
 This is what keeps the process pool, the on-disk cache and the engine's
 memo table cheap: results cross process and disk boundaries, and sit in
 memory, at a few hundred bytes per layer instead of tens of megabytes of
-activation tensors, while ablation studies that do need the raw tensors
-(``handle.weights`` / ``handle.activations``) still get bit-identical
-arrays on demand.
+activation tensors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.nn.densities import LayerSparsity
-from repro.nn.inference import LayerWorkload, build_layer_workload
+from repro.nn.inference import (
+    LayerWorkload,
+    activation_nonzeros,
+    build_layer_masks,
+    build_layer_workload,
+)
 from repro.nn.layers import ConvLayerSpec
+from repro.nn.pruning import kept_count
 
 
 @dataclass
@@ -35,10 +42,10 @@ class WorkloadHandle:
 
     Duck-type compatible with ``LayerWorkload`` for every attribute the
     simulators, experiments and benchmarks read (``spec``, ``target``,
-    ``weights``, ``activations``, ``weight_density``, ``activation_density``,
-    ``dense_multiplies``).  The densities are measured on the first
-    synthesis; a handle built from its recipe alone holds ``None`` until
-    then.
+    ``weights``, ``activations``, ``masks()``, ``weight_density``,
+    ``activation_density``, ``dense_multiplies``).  The densities come from
+    the recipe: synthesis keeps exactly :func:`~repro.nn.pruning.kept_count`
+    weights and :func:`~repro.nn.inference.activation_nonzeros` activations.
     """
 
     network_name: str
@@ -46,59 +53,42 @@ class WorkloadHandle:
     index: int
     spec: ConvLayerSpec
     target: LayerSparsity
-    weight_density: Optional[float] = None
-    activation_density: Optional[float] = None
+    weight_density: float = field(init=False)
+    activation_density: float = field(init=False)
     _materialized: Optional[LayerWorkload] = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
-    @classmethod
-    def wrap(
-        cls, workload: LayerWorkload, network_name: str, seed: int, index: int
-    ) -> "WorkloadHandle":
-        """Wrap an already-built workload, keeping its tensors in memory."""
-        return cls(
-            network_name=network_name,
-            seed=seed,
-            index=index,
-            spec=workload.spec,
-            target=workload.target,
-            weight_density=workload.weight_density,
-            activation_density=workload.activation_density,
-            _materialized=workload,
+    def __post_init__(self) -> None:
+        spec, target = self.spec, self.target
+        self.weight_density = (
+            kept_count(spec.weight_count, target.weight_density) / spec.weight_count
+        )
+        self.activation_density = (
+            activation_nonzeros(spec, target.activation_density)
+            / spec.input_activation_count
         )
 
-    @classmethod
-    def build(
-        cls, network_name: str, seed: int, index: int, spec: ConvLayerSpec,
-        target: LayerSparsity,
-    ) -> "WorkloadHandle":
-        """Generate the workload now and wrap it."""
-        handle = cls(network_name, seed, index, spec, target)
-        handle.materialize()
-        return handle
+    def _rng(self) -> np.random.Generator:
+        return np.random.default_rng([self.seed, self.index])
 
     def materialize(self) -> LayerWorkload:
         """The full workload, regenerating the tensors if necessary."""
         if self._materialized is None:
-            rng = np.random.default_rng([self.seed, self.index])
-            workload = build_layer_workload(
-                self.network_name, self.spec, self.target, rng
+            self._materialized = build_layer_workload(
+                self.network_name, self.spec, self.target, self._rng()
             )
-            if self.weight_density is None:
-                self.weight_density = workload.weight_density
-                self.activation_density = workload.activation_density
-            self._materialized = workload
         return self._materialized
 
-    def release(self) -> None:
-        """Drop the tensors; the next access regenerates them."""
-        self._materialized = None
+    def masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Bool non-zero masks of the weights and the activations.
 
-    @property
-    def materialized(self) -> bool:
-        """Whether the tensors are in memory now."""
-        return self._materialized is not None
+        Read from the tensors when they are in memory, synthesised from the
+        recipe's draws otherwise (the same bits, no float tensor kept).
+        """
+        if self._materialized is not None:
+            return self._materialized.masks()
+        return build_layer_masks(self.spec, self.target, self._rng())
 
     # -- LayerWorkload duck-type surface ---------------------------------------
 

@@ -15,14 +15,14 @@ Two ways of obtaining activation sparsity are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
-from repro.nn.pruning import generate_pruned_weights
+from repro.nn.pruning import generate_pruned_weights, pruned_weight_mask
 from repro.nn.reference import conv2d_layer, max_pool2d, relu
 
 
@@ -53,6 +53,10 @@ class LayerWorkload:
     @property
     def dense_multiplies(self) -> int:
         return self.spec.multiplies
+
+    def masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Bool non-zero masks of the weights and the activations."""
+        return self.weights != 0, self.activations != 0
 
 
 def _smooth(field: np.ndarray, radius: int) -> np.ndarray:
@@ -115,6 +119,40 @@ def activation_nonzeros(spec: ConvLayerSpec, density: float) -> int:
     return int(round(density * spec.input_activation_count))
 
 
+def _activation_mask(
+    spec: ConvLayerSpec,
+    density: float,
+    rng: np.random.Generator,
+    buffer: np.ndarray,
+    correlation_radius: int = 1,
+) -> np.ndarray:
+    """Non-zero pattern of :func:`generate_activations`, drawn after its magnitudes.
+
+    The noise field is drawn into ``buffer`` (a float tensor of the input
+    shape, overwritten), smoothed, thresholded at the density quantile and
+    fixed up to exactly :func:`activation_nonzeros` positions.  Density 1.0
+    draws nothing and is all True.
+    """
+    if density >= 1.0:
+        return np.ones(spec.input_shape, dtype=bool)
+    field = _smooth(rng.standard_normal(out=buffer), correlation_radius)
+    mask = field > _quantile_threshold(field, 1.0 - density)
+    # Quantile ties can leave the density slightly off; fix up by flipping the
+    # minimum number of positions.
+    want = activation_nonzeros(spec, density)
+    have = np.count_nonzero(mask)
+    flat_mask = mask.reshape(-1)
+    if have > want:
+        on_positions = np.flatnonzero(flat_mask)
+        drop = rng.choice(on_positions, size=have - want, replace=False)
+        flat_mask[drop] = False
+    elif have < want:
+        off_positions = np.flatnonzero(~flat_mask)
+        add = rng.choice(off_positions, size=want - have, replace=False)
+        flat_mask[add] = True
+    return mask
+
+
 def generate_activations(
     spec: ConvLayerSpec,
     density: float,
@@ -136,29 +174,15 @@ def generate_activations(
     shape = spec.input_shape
     # ``standard_normal`` is ``normal(0.0, 1.0)`` through numpy's fill kernel:
     # the same draws and generator state, except that ``normal`` turns a
-    # ``-0.0`` into ``+0.0``.  ``abs`` and the strict ``>`` below cannot see
-    # the sign of a zero.
+    # ``-0.0`` into ``+0.0``.  ``abs`` and the strict ``>`` of the mask
+    # cannot see the sign of a zero.
     magnitudes = rng.standard_normal(size=shape)
     np.abs(magnitudes, out=magnitudes)
     magnitudes += 1e-6
-    if density >= 1.0:
-        return magnitudes
-    field = _smooth(rng.standard_normal(size=shape), correlation_radius)
-    mask = field > _quantile_threshold(field, 1.0 - density)
-    # Quantile ties can leave the density slightly off; fix up by flipping the
-    # minimum number of positions.
-    want = activation_nonzeros(spec, density)
-    have = np.count_nonzero(mask)
-    flat_mask = mask.reshape(-1)
-    if have > want:
-        on_positions = np.flatnonzero(flat_mask)
-        drop = rng.choice(on_positions, size=have - want, replace=False)
-        flat_mask[drop] = False
-    elif have < want:
-        off_positions = np.flatnonzero(~flat_mask)
-        add = rng.choice(off_positions, size=want - have, replace=False)
-        flat_mask[add] = True
-    magnitudes *= flat_mask.reshape(shape)
+    if density < 1.0:
+        magnitudes *= _activation_mask(
+            spec, density, rng, np.empty(shape), correlation_radius
+        )
     return magnitudes
 
 
@@ -175,6 +199,21 @@ def build_layer_workload(
     return LayerWorkload(
         spec=spec, weights=weights, activations=activations, target=sparsity
     )
+
+
+def build_layer_masks(
+    spec: ConvLayerSpec, sparsity: LayerSparsity, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``!= 0`` of :func:`build_layer_workload`'s weights and activations.
+
+    The same draws in the same order leave ``rng`` where the workload build
+    would, but no float operand tensor is formed.  Activation magnitudes are
+    positive, so only their draw matters: it lands in the buffer the noise
+    field is then drawn into.
+    """
+    weights = pruned_weight_mask(spec, sparsity.weight_density, rng)
+    buffer = rng.standard_normal(size=spec.input_shape)
+    return weights, _activation_mask(spec, sparsity.activation_density, rng, buffer)
 
 
 def build_network_workloads(

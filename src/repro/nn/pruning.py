@@ -46,31 +46,57 @@ def prune_to_density(
     return _prune_in_place(np.array(weights, dtype=float, order="C"), density, rng)
 
 
+def kept_count(total: int, density: float) -> int:
+    """How many of ``total`` weights a prune to ``density`` keeps (at least one)."""
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+    return min(total, max(1, int(round(total * density))))
+
+
+def _jittered_keys(magnitudes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Pruning keys: the flat ``magnitudes`` (overwritten) plus a tie-breaking jitter.
+
+    Random jitter far below the smallest magnitude gap breaks exact ties
+    (common when many weights share a value) without reordering distinct
+    magnitudes.  ``random`` draws the same bits as ``uniform(0.0, 1.0)``
+    through numpy's fill kernel.
+    """
+    jitter = rng.random(magnitudes.size)
+    jitter *= 1e-12
+    magnitudes += jitter
+    return magnitudes
+
+
+def _pruned_positions(keys: np.ndarray, keep: int) -> np.ndarray:
+    """Bool mask of the ``keys.size - keep`` smallest ``keys``: the pruned set.
+
+    The set is the one ``np.argpartition(keys, drop)[:drop]`` selects.  When
+    no other key ties the order statistic at ``drop``, that set is exactly
+    the keys below it, found by one value partition of a copy and one
+    comparison, with no index array.  Only a tie straddling the threshold
+    falls back to ``argpartition`` itself.
+    """
+    drop = keys.size - keep
+    threshold = np.partition(keys, drop)[drop]
+    pruned = keys < threshold
+    if np.count_nonzero(pruned) != drop:
+        pruned[:] = False
+        pruned[np.argpartition(keys, drop)[:drop]] = True
+    return pruned
+
+
 def _prune_in_place(
     weights: np.ndarray, density: float, rng: Optional[np.random.Generator]
 ) -> np.ndarray:
     """Zero the smallest magnitudes of the C-contiguous ``weights`` in place."""
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must be in (0, 1], got {density}")
-    total = weights.size
-    keep = int(round(total * density))
-    if keep >= total:
+    keep = kept_count(weights.size, density)
+    if keep == weights.size:
         return weights
-    if keep <= 0:
-        keep = 1
-
     rng = rng or np.random.default_rng()
-    # Random jitter far below the smallest magnitude gap breaks exact ties
-    # (common when many weights share a value) without reordering distinct
-    # magnitudes.  The jittered keys are then distinct, so a partition picks
-    # the same smallest set a full sort would, with an exact count that a
-    # value threshold could miss on ties.  ``random`` draws the same bits as
-    # ``uniform(0.0, 1.0)`` through numpy's fill kernel.
-    keys = rng.random(total)
-    keys *= 1e-12
-    keys += np.abs(weights).reshape(-1)
-    drop = np.argpartition(keys, total - keep)[: total - keep]
-    weights.reshape(-1)[drop] = 0.0
+    flat = weights.reshape(-1)
+    pruned = _pruned_positions(_jittered_keys(np.abs(flat), rng), keep)
+    # An index scatter: a third of the time of a masked ``copyto``.
+    flat[np.flatnonzero(pruned)] = 0.0
     return weights
 
 
@@ -83,3 +109,21 @@ def generate_pruned_weights(
     rng = rng or np.random.default_rng()
     # The dense draw is ours alone, so it is pruned where it lies.
     return _prune_in_place(generate_dense_weights(spec, rng), density, rng)
+
+
+def pruned_weight_mask(
+    spec: ConvLayerSpec, density: float, rng: np.random.Generator
+) -> np.ndarray:
+    """``generate_pruned_weights(spec, density, rng) != 0`` from the same draws.
+
+    No float weight tensor is kept beside the keys: the magnitudes of the
+    dense draw become the pruning keys in place.  A weight drawn as exactly
+    0.0 is off in the mask even when kept, as ``!= 0`` of the tensor reads it.
+    """
+    magnitudes = generate_dense_weights(spec, rng).reshape(-1)
+    keep = kept_count(magnitudes.size, density)
+    np.abs(magnitudes, out=magnitudes)
+    mask = magnitudes != 0
+    if keep < magnitudes.size:
+        mask &= ~_pruned_positions(_jittered_keys(magnitudes, rng), keep)
+    return mask.reshape(spec.weight_shape)

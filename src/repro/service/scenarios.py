@@ -316,7 +316,8 @@ def _run_single_layer(engine: SimulationEngine, params: Dict[str, Any]) -> Any:
             f"layers: {', '.join(names)}"
         ) from None
     spec = network.layers[index]
-    handle = WorkloadHandle.build(
+    # A recipe handle: a cache hit draws nothing.
+    handle = WorkloadHandle(
         network.name, params["seed"], index, spec, sparsity[spec.name]
     )
     [result] = engine.run_architectures([handle], ["SCNN"]).column("SCNN")

@@ -101,10 +101,8 @@ def layer_workloads():
     name, index = LAYER
     network, sparsity = resolve_workload(name)
     spec = network.layers[index]
-    handle = WorkloadHandle.build(name, 0, index, spec, sparsity[spec.name])
-    raw = handle.materialize()
-    handle.release()
-    return handle, raw
+    recipe = (name, 0, index, spec, sparsity[spec.name])
+    return WorkloadHandle(*recipe), WorkloadHandle(*recipe).materialize()
 
 
 def architecture_layer_keys(architectures: List[str]) -> Dict[str, List[str]]:

@@ -24,7 +24,7 @@ import pytest
 
 import repro.arch.registry
 import repro.engine.core
-import repro.engine.workloads
+import repro.nn.pruning
 from repro.arch.compare import (
     ArchLayerMetrics,
     NetworkComparison,
@@ -84,7 +84,7 @@ class TestComparisonOfASimulation:
             raise AssertionError("a comparison of a simulation ran the engine")
 
         monkeypatch.setattr(repro.engine.core, "parallel_map", forbidden)
-        monkeypatch.setattr(repro.engine.workloads, "build_layer_workload", forbidden)
+        monkeypatch.setattr(repro.nn.pruning, "generate_dense_weights", forbidden)
         assert network_comparison(simulation) == comparison
 
     def test_other_columns_are_passed_in(self, engine, simulation):

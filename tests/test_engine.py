@@ -31,6 +31,7 @@ from repro.nn.inference import build_network_workloads
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.timeloop.dse import default_candidates, sweep
+from repro.workloads.registry import available_workloads, resolve_workload
 
 from _helpers import make_workload
 
@@ -145,12 +146,11 @@ class TestFingerprint:
     def test_handle_materialization_does_not_change_the_key(self, tiny_network):
         sparsity = network_sparsity(tiny_network)
         spec = tiny_network.layers[0]
-        handle = WorkloadHandle.build("EngineNet", 0, 0, spec, sparsity[spec.name])
+        handle = WorkloadHandle("EngineNet", 0, 0, spec, sparsity[spec.name])
+        handle.materialize()
         slim = WorkloadHandle(
             network_name="EngineNet", seed=0, index=0, spec=spec,
             target=sparsity[spec.name],
-            weight_density=handle.weight_density,
-            activation_density=handle.activation_density,
         )
         assert fingerprint("wl", workload=handle) == fingerprint("wl", workload=slim)
 
@@ -165,18 +165,28 @@ class TestWorkloadHandle:
             handle = WorkloadHandle(
                 network_name=tiny_network.name, seed=0, index=index, spec=spec,
                 target=sparsity[spec.name],
-                weight_density=workload.weight_density,
-                activation_density=workload.activation_density,
             )
             assert np.array_equal(handle.weights, workload.weights)
             assert np.array_equal(handle.activations, workload.activations)
+
+    @pytest.mark.parametrize("name", available_workloads())
+    def test_recipe_densities_are_the_measured_ones(self, name):
+        """Bit for bit, on every registered workload at two seeds."""
+        network, sparsity = resolve_workload(name)
+        for seed in (0, 3):
+            for index, spec in enumerate(network.layers):
+                handle = WorkloadHandle(name, seed, index, spec, sparsity[spec.name])
+                measured = handle.materialize()  # count_nonzero / size
+                assert handle.weight_density == measured.weight_density
+                assert handle.activation_density == measured.activation_density
 
     def test_pickle_drops_tensors_and_survives_round_trip(self, tiny_network):
         import pickle
 
         sparsity = network_sparsity(tiny_network)
         spec = tiny_network.layers[0]
-        handle = WorkloadHandle.build(tiny_network.name, 0, 0, spec, sparsity[spec.name])
+        handle = WorkloadHandle(tiny_network.name, 0, 0, spec, sparsity[spec.name])
+        handle.materialize()
         assert handle._materialized is not None
         restored = pickle.loads(pickle.dumps(handle))
         assert restored._materialized is None
@@ -380,7 +390,7 @@ class TestArchitectureRows:
     def test_dense_only_row_synthesises_nothing(self, tiny_network, monkeypatch):
         """A dense design that gates nothing reads no operands.  (DCNN-opt
         gates zero operands, so it reads the masks to count them.)"""
-        import repro.engine.workloads as workloads_module
+        import repro.nn.pruning as pruning_module
 
         layers = SimulationEngine(cache_dir=False).run_network(tiny_network).layers
         handles = [layer.workload for layer in layers]
@@ -388,12 +398,13 @@ class TestArchitectureRows:
         def no_synthesis(*args, **kwargs):
             raise AssertionError("a dense-only row synthesised its layer")
 
-        monkeypatch.setattr(workloads_module, "build_layer_workload", no_synthesis)
+        # Every synthesis, of tensors or of masks, starts with the weight draw.
+        monkeypatch.setattr(pruning_module, "generate_dense_weights", no_synthesis)
         run = SimulationEngine(cache_dir=False).run_architectures(handles, ["DCNN"])
         assert run.total_cycles("DCNN") == sum(
             layer.dcnn.cycles for layer in layers
         )
-        assert not any(handle.materialized for handle in handles)
+        assert all(handle._materialized is None for handle in handles)
 
 
 class TestTensorsNeverOutliveTheirRow:
@@ -403,7 +414,7 @@ class TestTensorsNeverOutliveTheirRow:
     def _assert_no_tensors(engine, network):
         handles = [layer.workload for layer in engine.run_network(network).layers]
         assert all(isinstance(handle, WorkloadHandle) for handle in handles)
-        assert not any(handle.materialized for handle in handles)
+        assert all(handle._materialized is None for handle in handles)
 
     def test_after_granularity_study(self, monkeypatch):
         from repro.experiments import sec6c_granularity

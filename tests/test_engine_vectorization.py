@@ -20,13 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.adapters import ArchLayerResult
-from repro.arch.registry import SCNN_CONFIG
+from repro.arch.registry import SCNN_CONFIG, get_architecture
 from repro.dataflow.tiling import (
     activation_phase_nonzeros,
     phase_integral_images,
     plan_layer,
     weight_phase_nonzeros,
 )
+from repro.engine.core import _layer_task
 from repro.engine.workloads import WorkloadHandle
 from repro.nn.densities import network_sparsity
 from repro.nn.inference import _quantile_threshold, _smooth, generate_activations
@@ -35,7 +36,7 @@ from repro.nn.networks import get_network
 from repro.scnn.accumulator import expected_conflict_cycles
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.oracle import nonzero_multiplies, oracle_cycles
-from repro.scnn.simulator import simulate_layer
+from repro.scnn.simulator import TRIO, simulate_layer
 
 from _helpers import make_workload
 
@@ -427,9 +428,11 @@ class TestPeakMemory:
     VGG conv1_2's input is a 64 x 224 x 224 float64 tensor (25.7 MB).
     Activation synthesis holds the magnitudes, the noise field written over
     by its box filter, the filter's edge-padded buffer, and then the
-    threshold's partition copy: about three tensors.  ``simulate_layer``
-    holds bool masks and int32 integral images: about two thirds of one.
-    Another float buffer or an int64 image would cross these bounds.
+    threshold's partition copy: about three tensors.  The layer task on a
+    recipe handle draws the magnitudes into the buffer the field then takes,
+    so it holds about two.  ``simulate_layer`` holds bool masks and int32
+    integral images: about two thirds of one.  Another float buffer or an
+    int64 image would cross these bounds.
     """
 
     @pytest.fixture(scope="class")
@@ -455,5 +458,15 @@ class TestPeakMemory:
     def test_simulate_layer_peak(self, conv1_2):
         index, spec, target = conv1_2
         tensor = spec.input_activation_count * 8
-        handle = WorkloadHandle.build("vggnet", 0, index, spec, target)
+        handle = WorkloadHandle("vggnet", 0, index, spec, target)
+        handle.materialize()
         assert _peak_bytes(simulate_layer, handle, output_density=0.5) <= 1.0 * tensor
+
+    def test_layer_task_peak_on_a_recipe_handle(self, conv1_2):
+        """Masks straight from the draws: no float operand tensor is kept."""
+        index, spec, target = conv1_2
+        tensor = spec.input_activation_count * 8
+        handle = WorkloadHandle("vggnet", 0, index, spec, target)
+        trio = [get_architecture(name) for name in TRIO]
+        assert _peak_bytes(_layer_task, (handle, trio)) <= 2.25 * tensor
+        assert handle._materialized is None

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import (
     activation_nonzeros,
+    build_layer_masks,
     build_layer_workload,
     build_network_workloads,
     generate_activations,
@@ -95,6 +96,55 @@ class TestLayerWorkload:
         # 9 positions, weight (0,0) is zero and activation (1,1) is zero ->
         # 9 - 2 = 7 products (they do not overlap).
         assert nonzero_multiplies(tiny, weights, activations) == 7
+
+
+#: 1e-6 clamps the kept weights to one and rounds the activations to none.
+DENSITIES = st.one_of(
+    st.sampled_from([1e-6, 1.0]), st.floats(min_value=0.01, max_value=1.0)
+)
+
+
+@st.composite
+def layer_specs(draw):
+    """Small layers over every shape class: strides, groups, padding, 1x1."""
+    groups = draw(st.sampled_from([1, 2]))
+    size = draw(st.sampled_from([1, 3, 5]))
+    padding = draw(st.integers(min_value=0, max_value=size // 2))
+    extent = st.integers(min_value=max(1, size - 2 * padding), max_value=14)
+    return ConvLayerSpec(
+        "p",
+        groups * draw(st.integers(min_value=1, max_value=4)),
+        groups * draw(st.integers(min_value=1, max_value=4)),
+        draw(extent),
+        draw(extent),
+        size,
+        size,
+        stride=draw(st.sampled_from([1, 2, 4])),
+        padding=padding,
+        groups=groups,
+    )
+
+
+@given(
+    spec=layer_specs(),
+    weight_density=DENSITIES,
+    activation_density=DENSITIES,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_layer_masks_are_the_workload_nonzeros(
+    spec, weight_density, activation_density, seed
+):
+    """The mask synthesis is ``!= 0`` of the tensor synthesis, from the same
+    draws: the generator ends at the same next draw."""
+    sparsity = LayerSparsity(weight_density, activation_density)
+    tensors, masks = np.random.default_rng(seed), np.random.default_rng(seed)
+    workload = build_layer_workload("p", spec, sparsity, tensors)
+    weights, activations = build_layer_masks(spec, sparsity, masks)
+    assert weights.dtype == activations.dtype == bool
+    assert np.array_equal(weights, workload.weights != 0)
+    assert np.array_equal(activations, workload.activations != 0)
+    assert masks.random() == tensors.random()
 
 
 class TestBuildNetworkWorkloads:

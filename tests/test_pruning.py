@@ -9,6 +9,7 @@ from repro.nn.pruning import (
     generate_dense_weights,
     generate_pruned_weights,
     prune_to_density,
+    pruned_weight_mask,
 )
 
 
@@ -153,3 +154,60 @@ def test_pruning_density_property(size, density, seed):
     dropped = np.abs(weights[pruned == 0])
     if kept.size and dropped.size:
         assert dropped.max() <= kept.min() + 1e-9
+
+
+class RepeatingDraws:
+    """A generator stand-in whose draws repeat, so pruning keys tie exactly:
+    ``normal`` tiles ``values`` and the jitter ``random`` draws is constant."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def normal(self, loc, scale, size):
+        return np.resize(self.values, size)
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
+def argpartition_prune(weights, density, rng):
+    """The selection pruning made before its threshold: ``argpartition`` of
+    the jittered keys, whatever the ties."""
+    pruned = np.array(weights, dtype=float)
+    total = pruned.size
+    keep = min(total, max(1, int(round(total * density))))
+    if keep == total:
+        return pruned
+    keys = rng.random(total)
+    keys *= 1e-12
+    keys += np.abs(pruned).reshape(-1)
+    pruned.reshape(-1)[np.argpartition(keys, total - keep)[: total - keep]] = 0.0
+    return pruned
+
+
+class TestTiesAtTheThreshold:
+    """Keys that tie the order statistic keep ``argpartition``'s selection."""
+
+    VALUES = [1.0, -2.0, 2.0, 2.0, 3.0, -1.0, 2.0, 3.0, -2.0, 0.5, 2.0, -3.0]
+
+    # Keeping 6 or 7 of the 12 puts the threshold inside the run of 2.0s.
+    @pytest.mark.parametrize("density", [0.25, 0.5, 0.6, 0.9])
+    def test_float_and_mask_paths_keep_the_argpartition_set(self, density):
+        spec = ConvLayerSpec("ties", 2, 6, 4, 4, 1, 1)
+        draws = RepeatingDraws(self.VALUES)
+        expected = argpartition_prune(
+            draws.normal(0.0, 1.0, spec.weight_shape), density, draws
+        )
+        pruned = generate_pruned_weights(spec, density, draws)
+        assert pruned.tobytes() == expected.tobytes()
+        assert np.array_equal(pruned_weight_mask(spec, density, draws), expected != 0)
+
+    @given(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tie_heavy_magnitudes(self, values, density):
+        rng = RepeatingDraws([])
+        expected = argpartition_prune(values, density, rng)
+        assert prune_to_density(values, density, rng).tobytes() == expected.tobytes()

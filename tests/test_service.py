@@ -295,7 +295,7 @@ class TestScenarios:
     def test_fig8_after_network_job_synthesises_nothing(self, monkeypatch):
         """A fig8 job is served from the entry a network job for the same
         (network, seed) cached."""
-        import repro.engine.workloads as workloads_module
+        import repro.nn.pruning as pruning_module
 
         registry = default_registry()
         engine = SimulationEngine(cache_dir=False)
@@ -305,10 +305,32 @@ class TestScenarios:
         def no_synthesis(*args, **kwargs):
             raise AssertionError("fig8 synthesised a layer the network job cached")
 
-        monkeypatch.setattr(workloads_module, "build_layer_workload", no_synthesis)
+        # Every synthesis, of tensors or of masks, starts with the weight draw.
+        monkeypatch.setattr(pruning_module, "generate_dense_weights", no_synthesis)
         fig8 = registry.get("fig8")
         payload = fig8.run(engine, fig8.validate({"networks": ["alexnet"], "seed": 0}))
         assert payload
+
+    def test_repeated_layer_job_draws_nothing(self, monkeypatch, tmp_path):
+        """The layer scenario keys its cache entry by a recipe handle, so a
+        repeated job on a fresh engine over the same cache draws nothing."""
+        import repro.nn.pruning as pruning_module
+
+        scenario = default_registry().get("layer")
+        params = scenario.validate({"network": "alexnet", "layer": "conv3"})
+        first = scenario.run(SimulationEngine(cache_dir=tmp_path), params)
+        draws = []
+        draw = pruning_module.generate_dense_weights
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(pruning_module, "generate_dense_weights", counted)
+        engine = SimulationEngine(cache_dir=tmp_path)
+        assert scenario.run(engine, params) == first
+        assert draws == []
+        assert engine.disk_cache.hits == 1
 
     def test_unknown_scenario_names_the_catalogue(self):
         with pytest.raises(ScenarioError, match="available: .*network"):
