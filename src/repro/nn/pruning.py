@@ -48,55 +48,56 @@ def prune_to_density(
 
 def kept_count(total: int, density: float) -> int:
     """How many of ``total`` weights a prune to ``density`` keeps (at least one)."""
+    drop = _drop_count(total, density)
+    return total if drop is None else total - drop
+
+
+def _drop_count(total: int, density: float) -> Optional[int]:
+    """How many of ``total`` weights a prune to ``density`` zeroes.
+
+    ``None`` when rounding keeps every weight: the prune then draws nothing.
+    A count that rounds to no weight kept is clamped to keep one only after
+    that test, so a one-weight tensor at density 0.5 or below still draws
+    its jitter value and zeroes nothing.
+    """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
-    return min(total, max(1, int(round(total * density))))
+    keep = int(round(total * density))
+    if keep >= total:
+        return None
+    return total - max(1, keep)
 
 
-def _jittered_keys(magnitudes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Pruning keys: the flat ``magnitudes`` (overwritten) plus a tie-breaking jitter.
+def _pruned_indices(
+    magnitudes: np.ndarray, drop: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Flat indices of the ``drop`` smallest ``magnitudes`` after a jitter.
 
-    Random jitter far below the smallest magnitude gap breaks exact ties
-    (common when many weights share a value) without reordering distinct
-    magnitudes.  ``random`` draws the same bits as ``uniform(0.0, 1.0)``
-    through numpy's fill kernel.
+    The flat ``magnitudes`` are overwritten with the pruning keys.  Random
+    jitter far below the smallest magnitude gap breaks exact ties (common
+    when many weights share a value) without reordering distinct
+    magnitudes.  The jittered keys are then distinct, so a partition picks
+    the same smallest set a full sort would, with an exact count that a
+    value threshold could miss on ties.  ``random`` draws the same bits as
+    ``uniform(0.0, 1.0)`` through numpy's fill kernel.
     """
     jitter = rng.random(magnitudes.size)
     jitter *= 1e-12
     magnitudes += jitter
-    return magnitudes
-
-
-def _pruned_positions(keys: np.ndarray, keep: int) -> np.ndarray:
-    """Bool mask of the ``keys.size - keep`` smallest ``keys``: the pruned set.
-
-    The set is the one ``np.argpartition(keys, drop)[:drop]`` selects.  When
-    no other key ties the order statistic at ``drop``, that set is exactly
-    the keys below it, found by one value partition of a copy and one
-    comparison, with no index array.  Only a tie straddling the threshold
-    falls back to ``argpartition`` itself.
-    """
-    drop = keys.size - keep
-    threshold = np.partition(keys, drop)[drop]
-    pruned = keys < threshold
-    if np.count_nonzero(pruned) != drop:
-        pruned[:] = False
-        pruned[np.argpartition(keys, drop)[:drop]] = True
-    return pruned
+    del jitter
+    return np.argpartition(magnitudes, drop)[:drop]
 
 
 def _prune_in_place(
     weights: np.ndarray, density: float, rng: Optional[np.random.Generator]
 ) -> np.ndarray:
     """Zero the smallest magnitudes of the C-contiguous ``weights`` in place."""
-    keep = kept_count(weights.size, density)
-    if keep == weights.size:
+    drop = _drop_count(weights.size, density)
+    if drop is None:
         return weights
     rng = rng or np.random.default_rng()
     flat = weights.reshape(-1)
-    pruned = _pruned_positions(_jittered_keys(np.abs(flat), rng), keep)
-    # An index scatter: a third of the time of a masked ``copyto``.
-    flat[np.flatnonzero(pruned)] = 0.0
+    flat[_pruned_indices(np.abs(flat), drop, rng)] = 0.0
     return weights
 
 
@@ -121,9 +122,9 @@ def pruned_weight_mask(
     0.0 is off in the mask even when kept, as ``!= 0`` of the tensor reads it.
     """
     magnitudes = generate_dense_weights(spec, rng).reshape(-1)
-    keep = kept_count(magnitudes.size, density)
+    drop = _drop_count(magnitudes.size, density)
     np.abs(magnitudes, out=magnitudes)
     mask = magnitudes != 0
-    if keep < magnitudes.size:
-        mask &= ~_pruned_positions(_jittered_keys(magnitudes, rng), keep)
+    if drop is not None:
+        mask[_pruned_indices(magnitudes, drop, rng)] = False
     return mask.reshape(spec.weight_shape)

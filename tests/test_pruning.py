@@ -170,14 +170,17 @@ class RepeatingDraws:
         return np.full(size, 0.5)
 
 
-def argpartition_prune(weights, density, rng):
-    """The selection pruning made before its threshold: ``argpartition`` of
-    the jittered keys, whatever the ties."""
+def reference_prune(weights, density, rng):
+    """The pruning rule the float API keeps, draw for draw: round the kept
+    count, return untouched (drawing nothing) when every weight is kept,
+    clamp to one, then ``argpartition`` the jittered keys."""
     pruned = np.array(weights, dtype=float)
     total = pruned.size
-    keep = min(total, max(1, int(round(total * density))))
-    if keep == total:
+    keep = int(round(total * density))
+    if keep >= total:
         return pruned
+    if keep <= 0:
+        keep = 1
     keys = rng.random(total)
     keys *= 1e-12
     keys += np.abs(pruned).reshape(-1)
@@ -185,8 +188,23 @@ def argpartition_prune(weights, density, rng):
     return pruned
 
 
+# One input channel is a one-weight layer: at density 0.5 or below its kept
+# count rounds to none, is clamped to one, and the jitter is still drawn.
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.51, 0.9, 1.0])
+def test_float_and_mask_paths_draw_what_the_reference_draws(channels, density):
+    spec = ConvLayerSpec("tiny", channels, 1, 4, 4, 1, 1)
+    reference, floats, masks = (np.random.default_rng(7) for _ in range(3))
+    expected = reference_prune(
+        generate_dense_weights(spec, reference), density, reference
+    )
+    assert generate_pruned_weights(spec, density, floats).tobytes() == expected.tobytes()
+    assert np.array_equal(pruned_weight_mask(spec, density, masks), expected != 0)
+    assert floats.random() == masks.random() == reference.random()
+
+
 class TestTiesAtTheThreshold:
-    """Keys that tie the order statistic keep ``argpartition``'s selection."""
+    """Keys that tie exactly keep the reference's ``argpartition`` selection."""
 
     VALUES = [1.0, -2.0, 2.0, 2.0, 3.0, -1.0, 2.0, 3.0, -2.0, 0.5, 2.0, -3.0]
 
@@ -195,7 +213,7 @@ class TestTiesAtTheThreshold:
     def test_float_and_mask_paths_keep_the_argpartition_set(self, density):
         spec = ConvLayerSpec("ties", 2, 6, 4, 4, 1, 1)
         draws = RepeatingDraws(self.VALUES)
-        expected = argpartition_prune(
+        expected = reference_prune(
             draws.normal(0.0, 1.0, spec.weight_shape), density, draws
         )
         pruned = generate_pruned_weights(spec, density, draws)
@@ -209,5 +227,5 @@ class TestTiesAtTheThreshold:
     @settings(max_examples=100, deadline=None)
     def test_tie_heavy_magnitudes(self, values, density):
         rng = RepeatingDraws([])
-        expected = argpartition_prune(values, density, rng)
+        expected = reference_prune(values, density, rng)
         assert prune_to_density(values, density, rng).tobytes() == expected.tobytes()
