@@ -198,7 +198,8 @@ def test_float_and_mask_paths_draw_what_the_reference_draws(channels, density):
     expected = reference_prune(
         generate_dense_weights(spec, reference), density, reference
     )
-    assert generate_pruned_weights(spec, density, floats).tobytes() == expected.tobytes()
+    pruned = generate_pruned_weights(spec, density, floats)
+    assert pruned.tobytes() == expected.tobytes()
     assert np.array_equal(pruned_weight_mask(spec, density, masks), expected != 0)
     assert floats.random() == masks.random() == reference.random()
 
