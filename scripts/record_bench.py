@@ -45,7 +45,9 @@ pins the observability layer's cost contract on a real engine workload
   must never change results.
 
 ``--smoke`` shrinks any benchmark for CI; the committed records at the
-repo root are full runs.
+repo root are full runs.  Every record ends with the same host envelope
+(``cpu_count``, ``numpy``, ``python``, ``machine``), so each timing is read
+beside the machine that produced it.
 """
 
 from __future__ import annotations
@@ -68,6 +70,16 @@ import repro.grid as grid  # noqa: E402
 from _helpers import ANALYTICAL_GOLDEN, fig7_point_record  # noqa: E402
 from repro.experiments import fig7_sensitivity  # noqa: E402
 from repro.experiments.common import cached_network  # noqa: E402
+
+
+def _envelope() -> dict:
+    """The host fields every record ends with."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
 
 
 def _golden_points_match(points) -> bool:
@@ -116,10 +128,7 @@ def run_benchmark(densities, repeats: int) -> dict:
         "cold_equals_warm": cold_equals_warm,
         "golden_fig7_points_equal": golden,
         "equivalent": cold_equals_warm and golden,
-        "cpu_count": os.cpu_count(),
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **_envelope(),
     }
 
 
@@ -228,7 +237,6 @@ def run_service_benchmark(distinct_jobs: int, identical_jobs: int, workers: int)
         "benchmark": "service_scaleout",
         "scenario": "network (alexnet)",
         "workers": workers,
-        "cpu_count": os.cpu_count(),
         "distinct_jobs": distinct_jobs,
         "thread_distinct_s": round(distinct_s["thread"], 6),
         "process_distinct_s": round(distinct_s["process"], 6),
@@ -250,8 +258,7 @@ def run_service_benchmark(distinct_jobs: int, identical_jobs: int, workers: int)
         "equivalent": (
             coalesce_exact and identical_within_modes and identical_across_modes
         ),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **_envelope(),
     }
 
 
@@ -345,8 +352,7 @@ def run_observability_benchmark(iterations: int, repeats: int) -> dict:
             and inc_ns < 1000.0
             and span_ns < 1000.0
         ),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **_envelope(),
     }
 
 

@@ -9,18 +9,18 @@ a spec's ``baseline`` field is provenance metadata, not a sweep default).
 Figure 8 is its speedup column, Figure 9 its utilization column, Figure 10
 its energy column, and the service's ``network`` payload reads its totals.
 
-Every architecture is an ordinary row of the same evaluation, through the
+Every architecture is an ordinary column of one evaluation, through the
 shared :class:`~repro.engine.SimulationEngine` (cached, parallel): each
 layer's registry adapter gives its cycles and valid products, and
 :func:`~repro.arch.adapters.price_energy` prices its energy, one accounting
-for all.  The canonical trio (SCNN, DCNN, DCNN-opt) is read from the
-``engine.run_network`` simulation itself; every other registered
+for all.  The canonical trio (SCNN, DCNN, DCNN-opt) and every other
 architecture (the sparsity ablations, granularity variants, anything a user
-registers) comes from ``engine.run_architectures`` on that simulation's
-layers.  :func:`network_comparison` does the assembly with no engine call,
-so a simulation already in hand (an example's, a service payload's) is
-aggregated by the same code.  A renamed copy of a trio architecture
-reproduces its original's rows exactly (pinned by
+registers) are columns of one ``engine.run_architectures`` call, so a cold
+comparison synthesises each layer once; the trio's columns assemble the
+network simulation.  :func:`network_comparison` builds the rows with no
+engine call, so a simulation already in hand (an example's, a service
+payload's) is aggregated by the same code.  A renamed copy of a trio
+architecture reproduces its original's rows exactly (pinned by
 ``tests/test_compare_equivalence.py``).
 """
 
@@ -33,7 +33,7 @@ from repro.arch.adapters import ArchLayerResult, price_energy
 from repro.arch.registry import get_architecture
 from repro.arch.spec import ArchitectureSpec
 from repro.nn.networks import Network
-from repro.scnn.simulator import TRIO, NetworkSimulation
+from repro.scnn.simulator import TRIO, NetworkSimulation, network_simulation
 
 #: The paper's headline comparison (Figures 8 and 10).
 DEFAULT_COMPARISON = ("DCNN", "DCNN-opt", "SCNN")
@@ -201,9 +201,9 @@ def _cycle_weighted(members: Sequence[ArchLayerMetrics]) -> Dict[str, float]:
 
 
 def _compared(architectures: Optional[Sequence[str]]) -> List[str]:
-    """The requested names (the trio by default), with the baseline first
-    when it was not listed."""
-    names = list(architectures) if architectures else list(DEFAULT_COMPARISON)
+    """The requested names (the trio by default), each at its first
+    request, with the baseline first when it was not listed."""
+    names = list(dict.fromkeys(architectures or DEFAULT_COMPARISON))
     if BASELINE not in names:
         names.insert(0, BASELINE)
     return names
@@ -253,9 +253,9 @@ def compare_network(
     the synthetic zoo, or anything registered at runtime (see
     :mod:`repro.workloads`) — or a :class:`Network` object.
     ``architectures`` defaults to the paper's headline trio
-    (:data:`DEFAULT_COMPARISON`); any registered name is accepted, and
-    :data:`BASELINE` is always evaluated even when not listed.
-    ``density_profile`` names a registered
+    (:data:`DEFAULT_COMPARISON`); any registered name is accepted, a name
+    listed twice is compared once, and :data:`BASELINE` is always evaluated
+    even when not listed.  ``density_profile`` names a registered
     :class:`~repro.workloads.profiles.DensityProfile` that overrides the
     workload's own densities — the hook that makes sparsity a swept axis of
     the comparison.  ``engine`` overrides the
@@ -263,6 +263,7 @@ def compare_network(
     ``compare`` scenario passes its own warm engine).
     """
     from repro.engine import default_engine
+    from repro.engine.workloads import network_handles
 
     if engine is None:
         engine = default_engine()
@@ -278,12 +279,13 @@ def compare_network(
 
         network = resolve_network(network)
         sparsity = get_profile(density_profile).table(network)
-    simulation = engine.run_network(network, seed=seed, sparsity=sparsity)
-    columns = {}
-    if others:
-        workloads = [layer.workload for layer in simulation.layers]
-        grid = engine.run_architectures(workloads, others)
-        columns = {spec.name: grid.column(spec.name) for spec in others}
+    network, handles = network_handles(network, seed, sparsity=sparsity)
+    grid = engine.run_architectures(handles, [*TRIO, *others])
+    simulation = network_simulation(
+        network,
+        [(handle, row[: len(TRIO)]) for handle, row in zip(handles, grid.results)],
+    )
+    columns = {spec.name: grid.column(spec.name) for spec in others}
     return network_comparison(simulation, names, columns=columns)
 
 

@@ -2,11 +2,12 @@
 
 Public surface:
 
-* :class:`SimulationEngine` — ``run_network`` for full per-network
-  simulations (what the figure experiments consume), ``run_architectures``
-  for workload x architecture grids evaluated through the registry's
-  simulator adapters (what the ``compare`` sweeps, the Section VI-C study
-  and the service's ``layer`` scenario consume), and ``sweep`` for cached
+* :class:`SimulationEngine` — ``run_architectures`` for workload x
+  architecture grids evaluated through the registry's simulator adapters
+  and cached cell by cell (what the ``compare`` sweeps and Figures 8-10,
+  the Section VI-C study and the service's ``layer`` scenario consume),
+  ``run_network`` for full per-network simulations (the trio's cells of
+  ``run_architectures``, assembled), and ``sweep`` for cached
   design-space exploration (one entry per design point; the misses are
   evaluated in one grid pass).  The pool size is the engine's
   ``parallel``, fixed when it is built.

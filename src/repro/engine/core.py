@@ -16,14 +16,14 @@ network simulations and design-space sweeps.  It composes three layers:
 
 Workloads move between processes and cache entries as lazy
 :class:`~repro.engine.workloads.WorkloadHandle` recipes, so neither the pool
-nor the cache ever ships multi-megabyte activation tensors.  A network
-simulation is one :func:`_layer_task` per layer evaluating the trio, and a
-workload x architecture grid one per layer with an uncached cell: each task
-builds its layer's operand masks at most once, straight from the seeded
-draws, and evaluates every architecture through the registry's adapters, so
-no operand outlives its layer, in the parent process or in the memo table.
-Every entry point reads and writes the cache through one helper,
-:meth:`SimulationEngine._cached`.
+nor the cache ever ships multi-megabyte activation tensors.  Every
+architecture, the trio's included, is cached per (layer, architecture) cell,
+and a network simulation is its trio's cells.  Each layer with an uncached
+cell is one :func:`_layer_task`: it builds the layer's operand masks at most
+once, straight from the seeded draws, and evaluates every missing
+architecture through the registry's adapters, so no operand outlives its
+layer, in the parent process or in the memo table.  Every entry point reads
+and writes the cache through one helper, :meth:`SimulationEngine._cached`.
 """
 
 from __future__ import annotations
@@ -37,12 +37,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.arch.adapters import ArchLayerResult, evaluate_layer
-from repro.arch.registry import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG, get_architecture
+from repro.arch.registry import get_architecture
 from repro.arch.spec import AcceleratorConfig, ArchitectureSpec
 from repro.engine.cache import ResultCache, canonical, default_cache_dir, fingerprint
 from repro.engine.parallel import parallel_map
-from repro.engine.workloads import WorkloadHandle
-from repro.nn.densities import LayerSparsity, network_sparsity
+from repro.engine.workloads import (
+    WorkloadHandle,
+    network_handles,
+    resolve_network_sparsity,
+)
+from repro.nn.densities import LayerSparsity
 from repro.nn.inference import LayerWorkload
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
@@ -104,36 +108,9 @@ def _layer_task(
 ) -> List[ArchLayerResult]:
     """Evaluate one workload on each of its architectures
     (:func:`~repro.arch.adapters.evaluate_layer`): the one layer task of
-    both ``run_network`` and ``run_architectures``."""
+    ``run_architectures``, and so of every network simulation."""
     workload, specs = task
     return evaluate_layer(workload, specs)
-
-
-def _resolve_network_and_sparsity(
-    network: Union[str, "Network"],
-    sparsity: Optional[Dict[str, LayerSparsity]],
-) -> Tuple["Network", Dict[str, LayerSparsity]]:
-    """Shared name/sparsity resolution of ``run_network`` and ``sweep``.
-
-    A workload *name* resolves through the registry (the spec's density
-    profile supplies the table unless the caller overrides it); a bare
-    :class:`Network` falls back to the measured Figure 1 calibration.
-    """
-    if isinstance(network, str):
-        from repro.workloads.registry import resolve_network, resolve_workload
-
-        if sparsity is None:
-            return resolve_workload(network)
-        network = resolve_network(network)
-    elif sparsity is None:
-        sparsity = network_sparsity(network)
-    missing = [spec.name for spec in network.layers if spec.name not in sparsity]
-    if missing:
-        raise KeyError(
-            f"sparsity table assigns no density to layer(s) "
-            f"{', '.join(map(repr, missing))} of {network.name}"
-        )
-    return network, sparsity
 
 
 @dataclass
@@ -343,15 +320,14 @@ class SimulationEngine:
     ) -> NetworkSimulation:
         """Simulate every layer of ``network`` (SCNN + DCNN + oracle + energy).
 
-        The only way a network is simulated: each layer is one
-        :func:`_layer_task` that synthesises its masks and evaluates the trio
-        through the registry's adapters, the tasks fan out across the
-        process pool largest first, and a repeated request is served from
-        the cache; serial, pooled and cached results are bitwise identical.
-        The returned layers hold slim :class:`WorkloadHandle` workloads
-        whose tensors rematerialise on demand.  Network-level totals and
-        ratios are read from
-        :func:`repro.arch.compare.network_comparison` of the result.
+        The trio's cells of :meth:`run_architectures` on the network's
+        recipe handles (:func:`~repro.engine.workloads.network_handles`),
+        assembled by :func:`~repro.scnn.simulator.network_simulation`, so
+        serial, pooled and cached results are bitwise identical.  The
+        returned layers hold slim :class:`WorkloadHandle` workloads whose
+        tensors rematerialise on demand.  Network-level totals and ratios
+        are read from :func:`repro.arch.compare.network_comparison` of the
+        result.
 
         ``network`` accepts any registered workload name (resolved through
         :mod:`repro.workloads.registry`, which also supplies the workload's
@@ -359,37 +335,15 @@ class SimulationEngine:
         calibration).  ``sparsity`` overrides the per-layer density table
         either way — the hook the density-profile sweeps use.
 
-        The key names the trio configurations and the energy table, which
-        are constants, so editing one in source re-keys every entry.
+        Each cell's key names its architecture's configuration, so editing
+        a trio configuration in source re-keys that architecture's cells.
+        Energy is priced from the constant energy table when the simulation
+        is assembled and is never cached, so no cached value depends on the
+        table; design points, which hold energy, still name it.
         """
-        network, sparsity = _resolve_network_and_sparsity(network, sparsity)
-        key = fingerprint(
-            "network-simulation",
-            network=network,
-            seed=seed,
-            sparsity=sparsity,
-            scnn=SCNN_CONFIG,
-            dcnn=DCNN_CONFIG,
-            dcnn_opt=DCNN_OPT_CONFIG,
-            energy=DEFAULT_ENERGY_TABLE,
-        )
-
-        def simulate(_missing: List[int]) -> List[NetworkSimulation]:
-            trio = [get_architecture(name) for name in TRIO]
-            # Recipes only: each task synthesises its own layer's masks.
-            handles = [
-                WorkloadHandle(network.name, seed, index, spec, sparsity[spec.name])
-                for index, spec in enumerate(network.layers)
-            ]
-            results = parallel_map(
-                _layer_task,
-                [(handle, trio) for handle in handles],
-                self.parallel,
-                cost=lambda task: _operand_footprint(task[0].spec),
-            )
-            return [network_simulation(network, list(zip(handles, results)))]
-
-        return self._cached([key], simulate)[0]
+        network, handles = network_handles(network, seed, sparsity=sparsity)
+        grid = self.run_architectures(handles, TRIO)
+        return network_simulation(network, list(zip(handles, grid.results)))
 
     # -- workload x architecture grids ------------------------------------------
 
@@ -468,7 +422,7 @@ class SimulationEngine:
         density profile supplies ``sparsity`` unless overridden), like
         :meth:`run_network`.
         """
-        network, sparsity = _resolve_network_and_sparsity(network, sparsity)
+        network, sparsity = resolve_network_sparsity(network, sparsity)
         configs = list(configs)
         shared = {
             "network": canonical(network),

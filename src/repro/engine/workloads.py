@@ -21,11 +21,11 @@ activation tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.nn.densities import LayerSparsity
+from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import (
     LayerWorkload,
     activation_nonzeros,
@@ -33,6 +33,7 @@ from repro.nn.inference import (
     build_layer_workload,
 )
 from repro.nn.layers import ConvLayerSpec
+from repro.nn.networks import Network
 from repro.nn.pruning import kept_count
 
 
@@ -113,3 +114,45 @@ class WorkloadHandle:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+
+
+def resolve_network_sparsity(
+    network: Union[str, Network],
+    sparsity: Optional[Dict[str, LayerSparsity]] = None,
+) -> Tuple[Network, Dict[str, LayerSparsity]]:
+    """The network and its per-layer density table.
+
+    A workload *name* resolves through the registry (the spec's density
+    profile supplies the table unless the caller overrides it); a bare
+    :class:`Network` falls back to the measured Figure 1 calibration.
+    """
+    if isinstance(network, str):
+        from repro.workloads.registry import resolve_network, resolve_workload
+
+        if sparsity is None:
+            return resolve_workload(network)
+        network = resolve_network(network)
+    elif sparsity is None:
+        sparsity = network_sparsity(network)
+    missing = [spec.name for spec in network.layers if spec.name not in sparsity]
+    if missing:
+        raise KeyError(
+            f"sparsity table assigns no density to layer(s) "
+            f"{', '.join(map(repr, missing))} of {network.name}"
+        )
+    return network, sparsity
+
+
+def network_handles(
+    network: Union[str, Network],
+    seed: int = 0,
+    *,
+    sparsity: Optional[Dict[str, LayerSparsity]] = None,
+) -> Tuple[Network, List[WorkloadHandle]]:
+    """The network (see :func:`resolve_network_sparsity`) and one recipe
+    handle per layer, in layer order; nothing is synthesised."""
+    network, sparsity = resolve_network_sparsity(network, sparsity)
+    return network, [
+        WorkloadHandle(network.name, seed, index, spec, sparsity[spec.name])
+        for index, spec in enumerate(network.layers)
+    ]

@@ -1,11 +1,11 @@
 """Shared helpers for the experiment drivers.
 
-Several figures (8, 9, 10) consume the same per-network simulations.  All of
-them route through the shared :class:`~repro.engine.SimulationEngine`, which
-memoises each network's simulation in memory (so one experiment session
-builds it exactly once, as before), shards the per-layer work across a
-process pool when parallelism is configured, and persists finished metrics
-to the content-addressed on-disk cache when ``REPRO_CACHE_DIR`` (or the CLI
+Several figures (8, 9, 10 and Section VI-D) consume the same trio results.
+All of them route through the shared :class:`~repro.engine.SimulationEngine`,
+which memoises each (layer, architecture) cell in memory (so one session
+evaluates a trio layer once), shards the per-layer work across a process
+pool when parallelism is configured, and persists finished cells to the
+content-addressed on-disk cache when ``REPRO_CACHE_DIR`` (or the CLI
 ``--cache-dir`` flag) names a cache root.
 """
 
@@ -40,11 +40,11 @@ def cached_simulation(
     """Full network simulation (workloads + SCNN + DCNN + oracle + energy).
 
     Served by the shared simulation engine: the first request computes (in
-    parallel, if the engine is configured for it), repeats hit the engine's
-    in-memory memo table, and cross-process repeats hit the on-disk cache
-    when one is configured.  ``engine`` overrides the process-wide default —
-    the simulation service passes its own warm engine here so figure
-    regenerations share the service cache.
+    parallel, if the engine is configured for it), repeats are assembled
+    from cells in the engine's in-memory memo table, and cross-process
+    repeats from the on-disk cache when one is configured.  ``engine``
+    overrides the process-wide default — the simulation service passes its
+    own warm engine here so figure regenerations share the service cache.
 
     The *name* is handed to the engine (not a pre-built ``Network``) so the
     workload registry supplies the registered density profile — a synthetic

@@ -2,10 +2,10 @@
 
 The paper instruments pruned Caffe models to measure per-layer weight and
 input-activation density, and plots the ideal remaining work (product of the
-two densities).  Here the densities are *measured back* from the synthetic
-workloads (pruned weights, ReLU-sparse activations) generated at the
-calibrated targets, which doubles as a check that the generators hit their
-targets.
+two densities).  Here the densities are those of the synthetic workloads
+(pruned weights, ReLU-sparse activations) generated at the calibrated
+targets, read from each layer's recipe handle with nothing drawn: they
+equal the counts on the drawn tensors bit for bit (``tests/test_engine.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from typing import Dict, List
 
 from repro.analysis.metrics import DensityRow, average_work_reduction, density_table
 from repro.analysis.reporting import format_table
-from repro.experiments.common import EVALUATED_NETWORKS, cached_network, cached_simulation
+from repro.engine.workloads import network_handles
+from repro.experiments.common import EVALUATED_NETWORKS, cached_network
 
 
 @dataclass
@@ -30,17 +31,15 @@ class DensityReport:
 def run(networks: tuple = EVALUATED_NETWORKS, *, measured: bool = True) -> Dict[str, DensityReport]:
     """Per-layer density rows for every evaluated network.
 
-    With ``measured=True`` (default) the densities are measured from the
-    generated workload tensors; with ``measured=False`` the calibration table
-    itself is reported.
+    With ``measured=True`` (default) the densities are those of the
+    generated workload tensors; with ``measured=False`` the calibration
+    table itself is reported.
     """
     reports: Dict[str, DensityReport] = {}
     for name in networks:
         network = cached_network(name)
         if measured:
-            simulation = cached_simulation(name)
-            workloads = [layer.workload for layer in simulation.layers]
-            rows = density_table(network, workloads)
+            rows = density_table(network, network_handles(name)[1])
         else:
             rows = density_table(network)
         reports[network.name] = DensityReport(

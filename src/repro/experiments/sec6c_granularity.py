@@ -18,7 +18,7 @@ from repro.analysis.reporting import format_table
 from repro.arch.registry import SCNN_CONFIG
 from repro.arch.spec import ArchitectureSpec
 from repro.engine import default_engine
-from repro.experiments.common import cached_simulation
+from repro.engine.workloads import network_handles
 
 DEFAULT_PE_COUNTS = (64, 16, 4)
 
@@ -39,12 +39,10 @@ def run(
     network_name: str = "googlenet",
     seed: int = 0,
 ) -> List[GranularityPoint]:
-    """Simulate the network at each PE count, reusing one set of workloads."""
-    engine = default_engine()
-    simulation = cached_simulation(network_name, seed, engine)
+    """Simulate the network at each PE count, one synthesis per layer."""
     configs = [SCNN_CONFIG.with_pe_count(num_pes) for num_pes in pe_counts]
-    grid = engine.run_architectures(
-        [layer.workload for layer in simulation.layers],
+    grid = default_engine().run_architectures(
+        network_handles(network_name, seed)[1],
         [
             ArchitectureSpec(name=config.name, config=config, adapter="cartesian-sparse")
             for config in configs

@@ -4,11 +4,11 @@
 DCNN and DCNN-opt) through the architecture registry's adapters — the same
 :func:`repro.arch.adapters.evaluate_layer` every other architecture goes
 through — and assembles the oracle bound and the energy of each.
-:func:`network_simulation` assembles a network's per-layer results; the
-batched simulation engine (:meth:`repro.engine.SimulationEngine.run_network`)
-is the only way a network is simulated, serially, on a process pool or from
-its cache, bit for bit alike.  Network-level totals, speedups, energy ratios
-and module aggregates are read from a
+:func:`network_simulation` assembles a network from its trio cells of
+:meth:`repro.engine.SimulationEngine.run_architectures` and prices their
+energy, for ``run_network`` and ``compare_network`` alike: serially, on a
+process pool or from the engine's cache, bit for bit.  Network-level totals,
+speedups, energy ratios and module aggregates are read from a
 :class:`repro.arch.compare.NetworkComparison` built from the simulation.
 """
 

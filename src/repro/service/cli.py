@@ -77,7 +77,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--memory-max-entries", type=int, default=512, metavar="N",
         help="bound the engine's in-memory memo table to N entries, LRU "
         "(0 = unbounded; default: 512 — a long-lived service must not "
-        "grow per distinct request)",
+        "grow per distinct request). An entry is one (layer, architecture) "
+        "cell or design point; a GoogLeNet simulation is 162 cells, so the "
+        "default holds about three",
     )
     parser.add_argument(
         "--journal-dir", default=None, metavar="PATH",

@@ -4,14 +4,16 @@ A cache directory written by one version of the engine must keep answering
 the next one under the same numpy, so the bytes of every key are part of
 the contract:
 
-* the golden (``tests/golden/cache_keys.json``) holds the ``network-simulation``
-  key of each trio network at seed 0 and of one synthetic workload under a
-  density profile, the ``design-point`` keys of ``[SCNN] + default_candidates()``
-  on AlexNet and GoogLeNet, and the ``architecture-layer`` keys of one
-  synthetic :class:`WorkloadHandle` and one raw :class:`LayerWorkload` on
-  every architecture registered when it was written.  It records the numpy
-  version it was written under, and every test here computes keys with that
-  version in place of the installed one, so the golden holds under any numpy;
+* the golden (``tests/golden/cache_keys.json``) holds the ``design-point``
+  keys of ``[SCNN] + default_candidates()`` on AlexNet and GoogLeNet, and the
+  ``architecture-layer`` keys of one synthetic :class:`WorkloadHandle` and
+  one raw :class:`LayerWorkload` on every architecture registered when it
+  was written.  It records the numpy version it was written under, and every
+  test here computes keys with that version in place of the installed one,
+  so the golden holds under any numpy;
+* a network simulation is cached as its trio's ``architecture-layer``
+  cells: ``run_network`` looks up exactly the keys ``run_architectures``
+  looks up for the trio on the network's recipe handles;
 * a property test holds :func:`fingerprint` to the one-document reference
   below, for generated parts passed raw and pre-rendered by
   :func:`canonical`.
@@ -41,14 +43,20 @@ from hypothesis.extra import numpy as hnp
 from repro.arch.registry import SCNN_CONFIG, available_architectures
 from repro.engine import SCHEMA_VERSION, SimulationEngine, WorkloadHandle, cache
 from repro.engine.cache import canonical, describe, fingerprint
+from repro.scnn.simulator import TRIO
 from repro.timeloop.dse import default_candidates
 from repro.workloads.profiles import get_profile
 from repro.workloads.registry import resolve_network, resolve_workload
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cache_keys.json"
-TRIO = ("alexnet", "googlenet", "vggnet")
-#: ``(workload, density profile)`` of the synthetic network-simulation key.
-SYNTHETIC = ("resnet-style-13", "decay-90-30")
+#: ``(workload, density profile or None)`` of each network simulation whose
+#: lookups are checked against its trio cells.
+NETWORKS = (
+    ("alexnet", None),
+    ("googlenet", None),
+    ("vggnet", None),
+    ("resnet-style-13", "decay-90-30"),
+)
 DSE_NETWORKS = ("alexnet", "googlenet")
 #: ``(workload, layer index)`` of the architecture-layer keys.
 LAYER = ("plain-cnn-8", 1)
@@ -78,16 +86,17 @@ class KeyRecorder(SimulationEngine):
         return [None] * len(keys)
 
 
-def network_simulation_keys() -> Dict[str, str]:
-    engine = KeyRecorder()
-    for name in TRIO:
-        engine.run_network(name, seed=0)
-    name, profile = SYNTHETIC
-    engine.run_network(
-        name, seed=0, sparsity=get_profile(profile).table(resolve_network(name))
-    )
-    labels = [f"{name}/seed0" for name in TRIO] + ["{}@{}/seed0".format(*SYNTHETIC)]
-    return dict(zip(labels, engine.keys))
+class LookupStopped(Exception):
+    """Raised by :class:`FirstLookup` once the keys are recorded."""
+
+
+class FirstLookup(KeyRecorder):
+    """Records the keys of the first cache lookup, then stops its caller
+    (which would otherwise assemble results from the ``None`` values)."""
+
+    def _cached(self, keys, compute):
+        super()._cached(keys, compute)
+        raise LookupStopped
 
 
 def design_point_keys(network: str) -> List[str]:
@@ -117,8 +126,24 @@ def test_schema_version():
     assert SCHEMA_VERSION == _golden()["schema"] == 3
 
 
-def test_network_simulation_keys():
-    assert network_simulation_keys() == _golden()["network-simulation"]
+@pytest.mark.parametrize("name, profile", NETWORKS)
+def test_run_network_looks_up_its_trio_cells(name, profile):
+    network = resolve_network(name)
+    if profile is None:
+        sparsity, table = None, resolve_workload(name)[1]
+    else:
+        sparsity = table = get_profile(profile).table(network)
+    engine = FirstLookup()
+    with pytest.raises(LookupStopped):
+        engine.run_network(name, seed=0, sparsity=sparsity)
+    recipes = [
+        WorkloadHandle(network.name, 0, index, spec, table[spec.name])
+        for index, spec in enumerate(network.layers)
+    ]
+    cells = KeyRecorder()
+    cells.run_architectures(recipes, TRIO)
+    assert engine.keys == cells.keys
+    assert len(set(engine.keys)) == len(TRIO) * len(network.layers)
 
 
 @pytest.mark.parametrize("network", DSE_NETWORKS)
@@ -255,9 +280,9 @@ def test_fingerprint_matches_the_one_document_reference(kind, parts):
 def test_two_numpy_versions_give_two_keys(monkeypatch):
     parts = {"network": "alexnet", "seed": 0}
     monkeypatch.setattr(cache, "NUMPY_VERSION", "2.4.6")
-    before = fingerprint("network-simulation", **parts)
+    before = fingerprint("architecture-layer", **parts)
     monkeypatch.setattr(cache, "NUMPY_VERSION", "2.5.0")
-    assert fingerprint("network-simulation", **parts) != before
+    assert fingerprint("architecture-layer", **parts) != before
 
 
 @pytest.mark.parametrize(
@@ -284,7 +309,6 @@ if __name__ == "__main__":
     document = {
         "schema": SCHEMA_VERSION,
         "numpy": cache.NUMPY_VERSION,
-        "network-simulation": network_simulation_keys(),
         "design-point": {name: design_point_keys(name) for name in DSE_NETWORKS},
         "architecture-layer": {
             "architectures": architectures,

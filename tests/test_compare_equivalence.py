@@ -203,6 +203,32 @@ class TestFigureDriversAreThinViews:
         assert parallel.oracle_cycles == comparison.oracle_cycles
 
 
+def test_a_repeated_architecture_is_compared_once(monkeypatch, capsys):
+    """``repro compare --architectures SCNN,SCNN-16PE,SCNN-16PE,DCNN``
+    evaluates and prints SCNN-16PE once."""
+    from repro.experiments.compare import compare_main
+
+    requested = ["SCNN", "SCNN-16PE", "SCNN-16PE", "DCNN"]
+    engine = SimulationEngine(cache_dir=False)
+    monkeypatch.setattr(repro.engine, "_default_engine", engine)
+    submitted = []
+    real = repro.engine.core.parallel_map
+
+    def recording(function, tasks, workers=None, **kwargs):
+        tasks = list(tasks)
+        submitted.extend([spec.name for spec in specs] for _, specs in tasks)
+        return real(function, tasks, workers, **kwargs)
+
+    monkeypatch.setattr(repro.engine.core, "parallel_map", recording)
+    argv = ["--networks", NETWORK, "--architectures", ",".join(requested)]
+    assert compare_main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len([row for row in rows if row.startswith("SCNN-16PE")]) == 1
+    assert submitted == [[*TRIO, "SCNN-16PE"]] * 5
+    comparison = compare_network(NETWORK, requested, engine=engine)
+    assert comparison.architectures == ["SCNN", "SCNN-16PE", "DCNN"]
+
+
 @pytest.fixture(scope="module")
 def trio_copies():
     """``original -> copy`` names of renamed trio copies, registered in a

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import repro.engine
+import repro.nn.pruning
 from repro.arch import SCNN_CONFIG
+from repro.arch.adapters import ArchLayerResult
 from repro.engine import (
     ResultCache,
     SimulationEngine,
@@ -26,10 +28,12 @@ from repro.engine import (
 )
 from repro.engine import core, parallel
 from repro.engine.parallel import pool_forks, usable_cpus
+from repro.engine.workloads import network_handles
 from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import build_network_workloads
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
+from repro.scnn.simulator import TRIO
 from repro.timeloop.dse import default_candidates, sweep
 from repro.workloads.registry import available_workloads, resolve_workload
 
@@ -209,12 +213,16 @@ class TestEngineNetworkSimulation:
         assert_simulations_identical(parallel, reference_simulation)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_results_pin_no_tensors(self, tiny_network, workers):
+    def test_results_pin_no_tensors(self, tiny_network, workers, monkeypatch):
         """Neither the memo table nor the returned layers keep operand
         tensors alive; an ablation that asks for them gets the exact arrays."""
         engine = SimulationEngine(cache_dir=False, parallel=workers)
         simulation = engine.run_network(tiny_network, seed=0)
-        assert engine.run_network(tiny_network, seed=0) is simulation
+        calls = _record_parallel_map(monkeypatch)
+        assert engine.run_network(tiny_network, seed=0) == simulation
+        assert calls == []  # the repeat is assembled from memoised cells
+        cells = engine._memory.values()
+        assert all(isinstance(cell, ArchLayerResult) for cell in cells)
         handles = [layer.workload for layer in simulation.layers]
         assert all(isinstance(handle, WorkloadHandle) for handle in handles)
         assert all(handle._materialized is None for handle in handles)
@@ -225,12 +233,17 @@ class TestEngineNetworkSimulation:
             assert handle.weight_density == workload.weight_density
             assert handle.activation_density == workload.activation_density
 
-    def test_memory_cache_returns_same_object(self, tiny_network):
+    def test_memory_cache_returns_same_object(self, tiny_network, monkeypatch):
+        """A repeat is assembled from the very cells the memo table holds."""
         engine = SimulationEngine(cache_dir=False)
         first = engine.run_network(tiny_network, seed=0)
+        calls = _record_parallel_map(monkeypatch)
         second = engine.run_network(tiny_network, seed=0)
-        assert second is first
-        assert engine.memory_hits == 1
+        assert second == first
+        assert calls == []
+        for old, new in zip(first.layers, second.layers):
+            assert all(new.results[name] is old.results[name] for name in TRIO)
+        assert engine.memory_hits == _trio_cells(tiny_network)
 
     def test_disk_cache_hit_across_engines(
         self, tiny_network, reference_simulation, tmp_path
@@ -239,7 +252,8 @@ class TestEngineNetworkSimulation:
         writer.run_network(tiny_network, seed=0)
         reader = SimulationEngine(cache_dir=tmp_path)
         restored = reader.run_network(tiny_network, seed=0)
-        assert reader.disk_cache.hits == 1
+        assert reader.disk_cache.hits == _trio_cells(tiny_network)
+        assert reader.disk_cache.misses == 0
         assert_simulations_identical(restored, reference_simulation)
         # The restored simulation's workloads rematerialise real tensors.
         assert restored.layers[0].workload.weights.shape == (8, 3, 3, 3)
@@ -248,7 +262,8 @@ class TestEngineNetworkSimulation:
         engine = SimulationEngine(cache_dir=tmp_path)
         engine.run_network(tiny_network, seed=0)
         engine.run_network(tiny_network, seed=1)
-        assert len(engine.disk_cache) == 2
+        assert len(engine.disk_cache) == 2 * _trio_cells(tiny_network)
+        assert engine.stats()["hits"] == 0
 
     def test_clear_cache(self, tiny_network, tmp_path):
         engine = SimulationEngine(cache_dir=tmp_path)
@@ -257,32 +272,39 @@ class TestEngineNetworkSimulation:
         assert len(engine.disk_cache) == 0
         assert engine.stats()["memory_entries"] == 0
 
-    def test_memory_memo_table_lru_bound(self, tiny_network):
-        engine = SimulationEngine(cache_dir=False, memory_max_entries=2)
+    def test_memory_memo_table_lru_bound(self, tiny_network, monkeypatch):
+        cells = _trio_cells(tiny_network)
+        engine = SimulationEngine(cache_dir=False, memory_max_entries=2 * cells)
         for seed in range(3):
             engine.run_network(tiny_network, seed=seed)
         stats = engine.stats()
-        assert stats["memory_entries"] == 2
-        assert stats["memory_evictions"] == 1
-        # The oldest entry (seed 0) was evicted; seed 2 is still memoised.
+        assert stats["memory_entries"] == 2 * cells
+        assert stats["memory_evictions"] == cells
+        # The oldest cells (seed 0) were evicted; seed 2's are still memoised.
+        calls = _record_parallel_map(monkeypatch)
         warm = engine.run_network(tiny_network, seed=2)
-        assert engine.run_network(tiny_network, seed=2) is warm
+        assert engine.run_network(tiny_network, seed=2) == warm
+        assert calls == []
+        engine.run_network(tiny_network, seed=0)
+        [(_, tasks)] = calls
+        assert len(tasks) == len(tiny_network.layers)
         with pytest.raises(ValueError):
             SimulationEngine(cache_dir=False, memory_max_entries=0)
 
     def test_stats_reports_hit_rate(self, tiny_network, tmp_path):
+        cells = _trio_cells(tiny_network)
         engine = SimulationEngine(cache_dir=tmp_path)
         assert engine.stats()["hit_rate"] == 0.0
         engine.run_network(tiny_network, seed=0)
-        engine.run_network(tiny_network, seed=0)  # memo-table hit
+        engine.run_network(tiny_network, seed=0)  # memo-table hits
         warm = SimulationEngine(cache_dir=tmp_path)
-        warm.run_network(tiny_network, seed=0)  # disk hit
+        warm.run_network(tiny_network, seed=0)  # disk hits
         stats = engine.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats["hits"] == cells and stats["misses"] == cells
         assert stats["hit_rate"] == 0.5
         warm_stats = warm.stats()
-        assert warm_stats["disk_hits"] == 1
-        assert warm_stats["hits"] == 1 and warm_stats["misses"] == 0
+        assert warm_stats["disk_hits"] == cells
+        assert warm_stats["hits"] == cells and warm_stats["misses"] == 0
         assert warm_stats["hit_rate"] == 1.0
 
 
@@ -331,6 +353,26 @@ class TestEngineRunGrid:
         assert fresh.disk_cache.hits == 2 and fresh.disk_cache.misses == 0
 
 
+def _trio_cells(network) -> int:
+    """Cache entries of one network simulation: one per (layer, trio
+    architecture) cell."""
+    return len(TRIO) * len(network.layers)
+
+
+def _count_weight_draws(monkeypatch):
+    """Record every dense weight draw: each synthesis, of tensors or of
+    masks, starts with one."""
+    draws = []
+    draw = repro.nn.pruning.generate_dense_weights
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(repro.nn.pruning, "generate_dense_weights", counted)
+    return draws
+
+
 def _record_parallel_map(monkeypatch):
     """Record every ``(function, tasks)`` the engine hands to ``parallel_map``."""
     calls = []
@@ -368,7 +410,7 @@ class TestArchitectureRows:
 
     def test_rows_submit_only_their_misses(self, tiny_network, monkeypatch):
         engine = SimulationEngine(cache_dir=False)
-        handles = [layer.workload for layer in engine.run_network(tiny_network).layers]
+        _, handles = network_handles(tiny_network)
         engine.run_architectures(handles[:2], ["SCNN"])
         calls = _record_parallel_map(monkeypatch)
         run = engine.run_architectures(handles, ["SCNN", "SCNN-SparseW"])
@@ -408,10 +450,13 @@ class TestArchitectureRows:
 
 
 class TestTensorsNeverOutliveTheirRow:
-    """No handle in the engine's cached simulation keeps its tensors."""
+    """The memo table holds adapter results only, and no handle of a
+    network simulation keeps its tensors."""
 
     @staticmethod
     def _assert_no_tensors(engine, network):
+        cells = engine._memory.values()
+        assert all(isinstance(cell, ArchLayerResult) for cell in cells)
         handles = [layer.workload for layer in engine.run_network(network).layers]
         assert all(isinstance(handle, WorkloadHandle) for handle in handles)
         assert all(handle._materialized is None for handle in handles)
@@ -432,6 +477,47 @@ class TestTensorsNeverOutliveTheirRow:
             "alexnet", ["DCNN", "DCNN-opt", "SCNN", "SCNN-SparseW"], engine=engine
         )
         self._assert_no_tensors(engine, "alexnet")
+
+
+class TestOneSynthesisPerLayer:
+    """Every architecture is a cell of the same layer task, so a cold
+    request draws each layer it evaluates once, and a request that
+    evaluates nothing draws nothing."""
+
+    SEVEN = ["DCNN", "DCNN-opt", "SCNN", *TestArchitectureRows.VARIANTS]
+
+    def test_cold_seven_architecture_comparison(self, monkeypatch):
+        from repro.arch.compare import compare_network
+
+        calls = _record_parallel_map(monkeypatch)
+        draws = _count_weight_draws(monkeypatch)
+        compare_network("alexnet", self.SEVEN, engine=SimulationEngine(cache_dir=False))
+        [(function, tasks)] = calls
+        assert function is core._layer_task
+        assert [[spec.name for spec in specs] for _, specs in tasks] == [
+            [*TRIO, *TestArchitectureRows.VARIANTS]
+        ] * 5
+        assert len(draws) == 5
+
+    def test_figure_1_draws_nothing(self, monkeypatch):
+        from repro.experiments import fig1_density
+
+        serial = SimulationEngine(cache_dir=False)
+        monkeypatch.setattr(repro.engine, "_default_engine", serial)
+        draws = _count_weight_draws(monkeypatch)
+        calls = _record_parallel_map(monkeypatch)
+        fig1_density.run()
+        assert draws == [] and calls == []
+
+    def test_granularity_study_draws_each_layer_once(self, monkeypatch):
+        from repro.experiments import sec6c_granularity
+
+        serial = SimulationEngine(cache_dir=False)
+        monkeypatch.setattr(repro.engine, "_default_engine", serial)
+        draws = _count_weight_draws(monkeypatch)
+        sec6c_granularity.run()
+        network, _ = network_handles("googlenet")
+        assert len(draws) == len(network.layers) == 54
 
 
 class TestEngineSweep:

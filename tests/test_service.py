@@ -311,6 +311,26 @@ class TestScenarios:
         payload = fig8.run(engine, fig8.validate({"networks": ["alexnet"], "seed": 0}))
         assert payload
 
+    def test_layer_job_after_network_job_draws_nothing(self, monkeypatch):
+        """A network job caches each layer's SCNN cell, the very cell a
+        layer job at the same seed looks up."""
+        import repro.nn.pruning as pruning_module
+
+        registry = default_registry()
+        engine = SimulationEngine(cache_dir=False)
+        network = registry.get("network")
+        network.run(engine, network.validate({"network": "alexnet", "seed": 0}))
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("a layer job drew a layer the network job cached")
+
+        # Every synthesis, of tensors or of masks, starts with the weight draw.
+        monkeypatch.setattr(pruning_module, "generate_dense_weights", no_synthesis)
+        layer = registry.get("layer")
+        params = layer.validate({"network": "alexnet", "layer": "conv3"})
+        payload = layer.run(engine, params)
+        assert payload["total_cycles"]["SCNN"] > 0
+
     def test_repeated_layer_job_draws_nothing(self, monkeypatch, tmp_path):
         """The layer scenario keys its cache entry by a recipe handle, so a
         repeated job on a fresh engine over the same cache draws nothing."""
