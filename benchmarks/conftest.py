@@ -24,3 +24,16 @@ def warm_simulations():
 @pytest.fixture(scope="session")
 def alexnet_simulation():
     return cached_simulation("alexnet")
+
+
+@pytest.fixture(scope="session")
+def alexnet_masks(alexnet_simulation):
+    """``(spec, weight mask, activation mask)`` of every AlexNet layer.
+
+    A handle's ``masks()`` redraws the operands on every call, so the
+    ablations that sweep the cycle model over these layers draw them once.
+    """
+    return [
+        (layer.workload.spec, *layer.workload.masks())
+        for layer in alexnet_simulation.layers
+    ]

@@ -10,29 +10,22 @@ under-provisioned configurations pay a visible cycle penalty.
 from dataclasses import replace
 
 from repro.arch import SCNN_CONFIG
-from repro.experiments.common import cached_simulation
 from repro.scnn.cycles import simulate_layer_cycles
 
 BANK_SWEEP = (4, 8, 16, 32, 64)
 
 
-def _network_cycles(banks: int) -> int:
-    simulation = cached_simulation("alexnet")
+def _network_cycles(layers, banks: int) -> int:
     config = replace(SCNN_CONFIG, accumulator_banks=banks)
     return sum(
-        simulate_layer_cycles(
-            layer.workload.spec,
-            layer.workload.weights,
-            layer.workload.activations,
-            config,
-        ).cycles
-        for layer in simulation.layers
+        simulate_layer_cycles(spec, weights, activations, config).cycles
+        for spec, weights, activations in layers
     )
 
 
-def test_accumulator_banking_ablation(benchmark, alexnet_simulation):
+def test_accumulator_banking_ablation(benchmark, alexnet_masks):
     cycles = benchmark.pedantic(
-        lambda: {banks: _network_cycles(banks) for banks in BANK_SWEEP},
+        lambda: {banks: _network_cycles(alexnet_masks, banks) for banks in BANK_SWEEP},
         rounds=1, iterations=1, warmup_rounds=0,
     )
 

@@ -11,42 +11,40 @@ from dataclasses import replace
 
 from repro.arch import SCNN_CONFIG
 from repro.dataflow.tiling import plan_layer
-from repro.experiments.common import cached_simulation
 from repro.scnn.cycles import simulate_layer_cycles
 
 KC_SWEEP = (2, 4, 8, 16, 32)
 
 
-def _network_cycles(group_size: int) -> int:
-    simulation = cached_simulation("alexnet")
+def _network_cycles(layers, group_size: int) -> int:
     config = replace(SCNN_CONFIG, output_channel_group=group_size)
     return sum(
-        simulate_layer_cycles(
-            layer.workload.spec,
-            layer.workload.weights,
-            layer.workload.activations,
-            config,
-        ).cycles
-        for layer in simulation.layers
+        simulate_layer_cycles(spec, weights, activations, config).cycles
+        for spec, weights, activations in layers
     )
 
 
-def _accumulator_entries(group_size: int) -> int:
-    simulation = cached_simulation("alexnet")
+def _accumulator_entries(layers, group_size: int) -> int:
     config = replace(SCNN_CONFIG, output_channel_group=group_size)
     return max(
         plan_layer(
-            layer.workload.spec,
+            spec,
             num_pes=config.num_pes,
             group_size=group_size,
         ).accumulator_entries_per_group()
-        for layer in simulation.layers
+        for spec, _, _ in layers
     )
 
 
-def test_kc_ablation(benchmark, alexnet_simulation):
+def test_kc_ablation(benchmark, alexnet_masks):
     results = benchmark.pedantic(
-        lambda: {kc: (_network_cycles(kc), _accumulator_entries(kc)) for kc in KC_SWEEP},
+        lambda: {
+            kc: (
+                _network_cycles(alexnet_masks, kc),
+                _accumulator_entries(alexnet_masks, kc),
+            )
+            for kc in KC_SWEEP
+        },
         rounds=1, iterations=1, warmup_rounds=0,
     )
 

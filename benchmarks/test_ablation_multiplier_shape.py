@@ -10,14 +10,12 @@ activation vectors (large I) fragment on small per-PE tiles.
 from dataclasses import replace
 
 from repro.arch import SCNN_CONFIG
-from repro.experiments.common import cached_simulation
 from repro.scnn.cycles import simulate_layer_cycles
 
 SHAPES = ((16, 1), (8, 2), (4, 4), (2, 8), (1, 16))
 
 
-def _network_cycles(f_width: int, i_width: int) -> int:
-    simulation = cached_simulation("alexnet")
+def _network_cycles(layers, f_width: int, i_width: int) -> int:
     config = replace(
         SCNN_CONFIG,
         multipliers_f=f_width,
@@ -25,19 +23,14 @@ def _network_cycles(f_width: int, i_width: int) -> int:
         accumulator_banks=2 * f_width * i_width,
     )
     return sum(
-        simulate_layer_cycles(
-            layer.workload.spec,
-            layer.workload.weights,
-            layer.workload.activations,
-            config,
-        ).cycles
-        for layer in simulation.layers
+        simulate_layer_cycles(spec, weights, activations, config).cycles
+        for spec, weights, activations in layers
     )
 
 
-def test_multiplier_shape_ablation(benchmark, alexnet_simulation):
+def test_multiplier_shape_ablation(benchmark, alexnet_masks):
     cycles = benchmark.pedantic(
-        lambda: {shape: _network_cycles(*shape) for shape in SHAPES},
+        lambda: {shape: _network_cycles(alexnet_masks, *shape) for shape in SHAPES},
         rounds=1, iterations=1, warmup_rounds=0,
     )
 

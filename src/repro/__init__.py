@@ -49,16 +49,11 @@ from repro.nn import (
     Network,
     alexnet,
     available_networks,
-    build_network_workloads,
     get_network,
     googlenet,
     vggnet,
 )
-from repro.scnn import (
-    run_functional_layer,
-    simulate_layer,
-    simulate_layer_cycles,
-)
+from repro.scnn import run_functional_layer, simulate_layer_cycles
 from repro.timeloop import (
     accelerator_area_mm2,
     estimate_dense_layer,
@@ -107,7 +102,6 @@ __all__ = [
     "default_engine",
     "alexnet",
     "available_networks",
-    "build_network_workloads",
     "estimate_dense_layer",
     "estimate_scnn_layer",
     "get_network",
@@ -115,7 +109,6 @@ __all__ = [
     "layer_energy",
     "pe_area_mm2",
     "run_functional_layer",
-    "simulate_layer",
     "simulate_layer_cycles",
     "vggnet",
 ]

@@ -31,10 +31,10 @@ from repro.timeloop.dse import DesignPoint, pareto_frontier
 def to_jsonable(value: Any) -> Any:
     """Recursively reduce ``value`` to JSON-compatible Python data.
 
-    Dataclasses become plain field dicts (underscore-prefixed fields — in
-    process state such as a workload handle's materialised tensors — are
-    dropped), numpy scalars become Python scalars, numpy arrays become
-    nested lists, and mappings/sequences recurse.
+    Dataclasses become plain field dicts (underscore-prefixed fields, which
+    hold in-process state, are dropped), numpy scalars become Python
+    scalars, numpy arrays become nested lists, and mappings/sequences
+    recurse.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {

@@ -245,10 +245,10 @@ def evaluate_layer(
 ) -> List[ArchLayerResult]:
     """Evaluate one layer workload on each of ``specs``, in order.
 
-    The masks are formed once (``workload.masks()``: a lazy
-    :class:`~repro.engine.workloads.WorkloadHandle` without tensors
-    synthesises them from its recipe's draws, no float tensor on the way),
-    and not at all when no spec's adapter reads operands.
+    The masks are formed once (``workload.masks()``: a
+    :class:`~repro.engine.workloads.WorkloadHandle` synthesises them from
+    its recipe's draws, no float tensor on the way), and not at all when no
+    spec's adapter reads operands.
     """
     adapters = [get_adapter(spec.adapter) for spec in specs]
     operands = None

@@ -111,10 +111,6 @@ class ArchitectureRegistry:
         """Registered architecture names, in registration order."""
         return list(self._specs)
 
-    def describe(self) -> List[Dict[str, object]]:
-        """JSON-able catalogue view, one entry per registered spec."""
-        return [spec.describe() for spec in self._specs.values()]
-
     def __contains__(self, name: object) -> bool:
         return name in self._specs
 

@@ -19,7 +19,7 @@ the engine's process pool and content-addressed cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
 from repro.dataflow.dataflows import Dataflow
 from repro.dataflow.tiling import pe_grid_for
@@ -186,20 +186,3 @@ class ArchitectureSpec:
     def is_sparse(self) -> bool:
         """Whether the architecture skips compute for zero operands."""
         return self.config.is_sparse
-
-    def describe(self) -> Dict[str, Any]:
-        """JSON-able catalogue entry (what ``GET /scenarios`` style views show)."""
-        return {
-            "name": self.name,
-            "adapter": self.adapter,
-            "dataflow": self.config.dataflow.name,
-            "description": self.description,
-            "paper_reference": self.paper_reference,
-            "baseline": self.baseline,
-            "tags": list(self.tags),
-            "num_pes": self.config.num_pes,
-            "multipliers": self.config.total_multipliers,
-            "multiplier_array": f"{self.config.multipliers_f}x{self.config.multipliers_i}",
-            "accumulator_banks": self.config.accumulator_banks,
-            "sram_bytes": self.config.activation_sram_bytes,
-        }

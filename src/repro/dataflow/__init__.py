@@ -6,7 +6,7 @@ from repro.dataflow.dataflows import (
     PT_IS_DP_DENSE,
     Dataflow,
 )
-from repro.dataflow.loopnest import LoopNest, execute_loop_nest
+from repro.dataflow.loopnest import LoopNest
 from repro.dataflow.tiling import (
     TilingPlan,
     pe_grid_for,
@@ -20,7 +20,6 @@ __all__ = [
     "PT_IS_CP_SPARSE",
     "PT_IS_DP_DENSE",
     "TilingPlan",
-    "execute_loop_nest",
     "pe_grid_for",
     "plan_layer",
 ]

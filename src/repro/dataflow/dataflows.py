@@ -66,17 +66,6 @@ class Dataflow:
         """True when the dataflow skips compute for zero operands."""
         return self.skips_zero_weights or self.skips_zero_activations
 
-    def effective_work_fraction(
-        self, weight_density: float, activation_density: float
-    ) -> float:
-        """Fraction of the dense multiply count that occupies multiplier slots."""
-        fraction = 1.0
-        if self.skips_zero_weights:
-            fraction *= weight_density
-        if self.skips_zero_activations:
-            fraction *= activation_density
-        return fraction
-
 
 PT_IS_CP_DENSE = Dataflow(
     name="PT-IS-CP-dense",

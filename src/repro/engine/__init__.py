@@ -16,7 +16,7 @@ Public surface:
   :class:`SimulationEngine` built directly (serial unless told otherwise),
   it shards across one fork worker per usable CPU by default.
 * :class:`ResultCache` and :class:`WorkloadHandle` — the content-addressed
-  on-disk store and the lazy workload recipe the engine is built on.
+  on-disk store and the workload recipe the engine is built on.
 
 See ``docs/architecture.md`` for the design (vectorisation strategy,
 sharding rules, cache invalidation).

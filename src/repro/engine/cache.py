@@ -1,12 +1,12 @@
 """Content-addressed on-disk result cache for the simulation engine.
 
-Every cacheable unit of work (a network simulation, a workload on an
-architecture, a DSE design point) is described by a *fingerprint*: a canonical
-JSON document covering everything the result depends on — layer shapes,
-operand content (either the generative coordinates of a synthetic workload or
-a digest of the raw tensors), the full accelerator configuration, the energy
-table, the installed numpy's version, and a schema version bumped whenever
-the models change meaning.  The SHA-256 of that document addresses a pickle
+Every cacheable unit of work (a workload on an architecture, a DSE design
+point) is described by a *fingerprint*: a canonical JSON document covering
+everything the result depends on — layer shapes, operand content (either the
+generative coordinates of a synthetic workload or a digest of the raw
+tensors), the full accelerator configuration, the energy table, the
+installed numpy's version, and a schema version bumped whenever the models
+change meaning.  The SHA-256 of that document addresses a pickle
 file under the cache root, so
 
 * two logically identical requests always share one entry, regardless of
@@ -88,19 +88,10 @@ def default_cache_dir() -> Optional[Path]:
 
 @functools.lru_cache(maxsize=None)
 def _identity_fields(kind: type) -> Optional[Tuple[str, ...]]:
-    """Field names of dataclass type ``kind`` that :func:`describe` keeps.
-
-    ``None`` for any other type.  Underscore-prefixed fields are in-process
-    state (e.g. a workload handle's materialised tensors), not part of the
-    result's identity.
-    """
+    """Field names of dataclass type ``kind``; ``None`` for any other type."""
     if not dataclasses.is_dataclass(kind):
         return None
-    return tuple(
-        field.name
-        for field in dataclasses.fields(kind)
-        if not field.name.startswith("_")
-    )
+    return tuple(field.name for field in dataclasses.fields(kind))
 
 
 def describe(value: Any) -> Any:

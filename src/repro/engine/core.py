@@ -14,7 +14,7 @@ network simulations and design-space sweeps.  It composes three layers:
   finished metrics in memory and, when a cache directory is configured, on
   disk keyed by a fingerprint of every input.
 
-Workloads move between processes and cache entries as lazy
+Workloads move between processes and cache entries as
 :class:`~repro.engine.workloads.WorkloadHandle` recipes, so neither the pool
 nor the cache ever ships multi-megabyte activation tensors.  Every
 architecture, the trio's included, is cached per (layer, architecture) cell,
@@ -219,9 +219,7 @@ class SimulationEngine:
             _CACHE_REQUESTS.inc(tier="memory", outcome="hit")
             return value
         if self.disk_cache is not None:
-            with obs.span("cache.get") as span:
-                value = self.disk_cache.get(key)
-                span.annotate(outcome="hit" if value is not None else "miss")
+            value = self.disk_cache.get(key)
             if value is not None:
                 with self._lock:
                     self._remember(key, value)
@@ -248,8 +246,12 @@ class SimulationEngine:
         with self._lock:
             self._remember(key, value)
         if self.disk_cache is not None:
-            with obs.span("cache.put"):
-                self.disk_cache.put(key, value)
+            self.disk_cache.put(key, value)
+
+    def _disk_span(self, name: str):
+        """A ``name`` span on the current trace when the engine has a disk
+        cache, the no-op span otherwise."""
+        return obs.span(name) if self.disk_cache is not None else obs.NULL_SPAN
 
     def _cached(
         self, keys: Sequence[str], compute: Callable[[List[int]], Sequence]
@@ -259,14 +261,21 @@ class SimulationEngine:
         ``compute`` receives the indices of the keys that both cache tiers
         missed and returns their values in that order; it is called once,
         and not at all when every key hits.  This is the engine's only path
-        to the memo table and the disk cache.
+        to the memo table and the disk cache.  With a disk cache, one
+        ``cache.get`` span (annotated with the key and miss counts) covers
+        the call's lookups and one ``cache.put`` span its stores.
         """
-        values = [self._lookup(key) for key in keys]
-        missing = [index for index, value in enumerate(values) if value is None]
+        with self._disk_span("cache.get") as span:
+            values = [self._lookup(key) for key in keys]
+            missing = [index for index, value in enumerate(values) if value is None]
+            span.annotate(keys=len(keys), misses=len(missing))
         if missing:
-            for index, value in zip(missing, compute(missing)):
-                values[index] = value
-                self._store(keys[index], value)
+            computed = compute(missing)
+            with self._disk_span("cache.put") as span:
+                span.annotate(keys=len(missing))
+                for index, value in zip(missing, computed):
+                    values[index] = value
+                    self._store(keys[index], value)
         return values
 
     def clear_cache(self) -> None:
@@ -324,10 +333,10 @@ class SimulationEngine:
         recipe handles (:func:`~repro.engine.workloads.network_handles`),
         assembled by :func:`~repro.scnn.simulator.network_simulation`, so
         serial, pooled and cached results are bitwise identical.  The
-        returned layers hold slim :class:`WorkloadHandle` workloads whose
-        tensors rematerialise on demand.  Network-level totals and ratios
-        are read from :func:`repro.arch.compare.network_comparison` of the
-        result.
+        returned layers hold the :class:`WorkloadHandle` recipes, whose
+        ``masks()`` redraw a layer's operands on demand.  Network-level
+        totals and ratios are read from
+        :func:`repro.arch.compare.network_comparison` of the result.
 
         ``network`` accepts any registered workload name (resolved through
         :mod:`repro.workloads.registry`, which also supplies the workload's

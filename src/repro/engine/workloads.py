@@ -1,21 +1,16 @@
-"""Lazy, picklable workload handles.
+"""Workload recipes: one layer's operands as the draws that make them.
 
 A :class:`WorkloadHandle` stands in for a :class:`~repro.nn.inference.LayerWorkload`
 everywhere the simulators and experiments read one, but carries only the
-*recipe* for the operand tensors — network name, seed, layer index, spec and
+*recipe* for the operands — network name, seed, layer index, spec and
 target densities — plus the densities that recipe produces, known exactly
-when the handle is built.  Operands are regenerated deterministically on
-demand (``np.random.default_rng([seed, index])``, exactly as
-:func:`repro.nn.inference.build_network_workloads` seeds each layer): the
-simulators read :meth:`~WorkloadHandle.masks`, synthesised straight from the
-seeded draws with no float tensor, and ablations that need the raw tensors
-(``handle.weights`` / ``handle.activations``) get bit-identical arrays,
-which the handle keeps but never pickles.
+when the handle is built.  :meth:`~WorkloadHandle.masks` synthesises the
+operands' non-zero masks straight from the seeded draws
+(``np.random.default_rng([seed, index])``), with no float tensor.
 
 This is what keeps the process pool, the on-disk cache and the engine's
-memo table cheap: results cross process and disk boundaries, and sit in
-memory, at a few hundred bytes per layer instead of tens of megabytes of
-activation tensors.
+memo table cheap: a handle pickles to a few hundred bytes, and no operand
+outlives the layer task that drew it.
 """
 
 from __future__ import annotations
@@ -26,12 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.nn.densities import LayerSparsity, network_sparsity
-from repro.nn.inference import (
-    LayerWorkload,
-    activation_nonzeros,
-    build_layer_masks,
-    build_layer_workload,
-)
+from repro.nn.inference import activation_nonzeros, build_layer_masks
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.nn.pruning import kept_count
@@ -39,11 +29,10 @@ from repro.nn.pruning import kept_count
 
 @dataclass
 class WorkloadHandle:
-    """Slim stand-in for one layer's :class:`LayerWorkload`.
+    """One layer's workload as a recipe.
 
-    Duck-type compatible with ``LayerWorkload`` for every attribute the
-    simulators, experiments and benchmarks read (``spec``, ``target``,
-    ``weights``, ``activations``, ``masks()``, ``weight_density``,
+    Reads like a ``LayerWorkload`` wherever the simulators and experiments
+    read one (``spec``, ``target``, ``masks()``, ``weight_density``,
     ``activation_density``, ``dense_multiplies``).  The densities come from
     the recipe: synthesis keeps exactly :func:`~repro.nn.pruning.kept_count`
     weights and :func:`~repro.nn.inference.activation_nonzeros` activations.
@@ -56,9 +45,6 @@ class WorkloadHandle:
     target: LayerSparsity
     weight_density: float = field(init=False)
     activation_density: float = field(init=False)
-    _materialized: Optional[LayerWorkload] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         spec, target = self.spec, self.target
@@ -70,50 +56,16 @@ class WorkloadHandle:
             / spec.input_activation_count
         )
 
-    def _rng(self) -> np.random.Generator:
-        return np.random.default_rng([self.seed, self.index])
-
-    def materialize(self) -> LayerWorkload:
-        """The full workload, regenerating the tensors if necessary."""
-        if self._materialized is None:
-            self._materialized = build_layer_workload(
-                self.network_name, self.spec, self.target, self._rng()
-            )
-        return self._materialized
-
     def masks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Bool non-zero masks of the weights and the activations.
-
-        Read from the tensors when they are in memory, synthesised from the
-        recipe's draws otherwise (the same bits, no float tensor kept).
-        """
-        if self._materialized is not None:
-            return self._materialized.masks()
-        return build_layer_masks(self.spec, self.target, self._rng())
-
-    # -- LayerWorkload duck-type surface ---------------------------------------
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.materialize().weights
-
-    @property
-    def activations(self) -> np.ndarray:
-        return self.materialize().activations
+        """Bool non-zero masks of the weights and the activations, drawn
+        from the recipe's seeded generator."""
+        return build_layer_masks(
+            self.spec, self.target, np.random.default_rng([self.seed, self.index])
+        )
 
     @property
     def dense_multiplies(self) -> int:
         return self.spec.multiplies
-
-    # -- pickling: never ship the tensors --------------------------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_materialized"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
 
 def resolve_network_sparsity(

@@ -14,8 +14,6 @@ activations from Caffe; this package replaces that dependency with
 from repro.nn.densities import LayerSparsity, network_sparsity, sparsity_for_layer
 from repro.nn.inference import (
     LayerWorkload,
-    build_layer_workload,
-    build_network_workloads,
     generate_activations,
     run_forward,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "Network",
     "alexnet",
     "available_networks",
-    "build_layer_workload",
-    "build_network_workloads",
     "conv2d_dense",
     "generate_activations",
     "generate_dense_weights",

@@ -15,14 +15,14 @@ Two ways of obtaining activation sparsity are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.densities import LayerSparsity, network_sparsity
+from repro.nn.densities import LayerSparsity
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
-from repro.nn.pruning import generate_pruned_weights, pruned_weight_mask
+from repro.nn.pruning import pruned_weight_mask
 from repro.nn.reference import conv2d_layer, max_pool2d, relu
 
 
@@ -186,57 +186,21 @@ def generate_activations(
     return magnitudes
 
 
-def build_layer_workload(
-    network_name: str,
-    spec: ConvLayerSpec,
-    sparsity: LayerSparsity,
-    rng: Optional[np.random.Generator] = None,
-) -> LayerWorkload:
-    """Materialise weights and activations for one layer at calibrated densities."""
-    rng = rng or np.random.default_rng()
-    weights = generate_pruned_weights(spec, sparsity.weight_density, rng)
-    activations = generate_activations(spec, sparsity.activation_density, rng)
-    return LayerWorkload(
-        spec=spec, weights=weights, activations=activations, target=sparsity
-    )
-
-
 def build_layer_masks(
     spec: ConvLayerSpec, sparsity: LayerSparsity, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``!= 0`` of :func:`build_layer_workload`'s weights and activations.
+    """``!= 0`` of one layer's pruned weights and activations at ``sparsity``.
 
-    The same draws in the same order leave ``rng`` where the workload build
-    would, but no float operand tensor is formed.  Activation magnitudes are
+    The same draws in the same order as
+    :func:`~repro.nn.pruning.generate_pruned_weights` followed by
+    :func:`generate_activations` on ``rng``, leaving it where they would,
+    but no float operand tensor is formed.  Activation magnitudes are
     positive, so only their draw matters: it lands in the buffer the noise
     field is then drawn into.
     """
     weights = pruned_weight_mask(spec, sparsity.weight_density, rng)
     buffer = rng.standard_normal(size=spec.input_shape)
     return weights, _activation_mask(spec, sparsity.activation_density, rng, buffer)
-
-
-def build_network_workloads(
-    network: Network,
-    sparsity: Optional[Dict[str, LayerSparsity]] = None,
-    seed: int = 0,
-) -> List[LayerWorkload]:
-    """Materialise every layer of ``network`` at its calibrated densities.
-
-    A fixed seed keeps the experiments reproducible run to run; each layer
-    gets an independent substream so layers can also be built in isolation.
-    """
-    sparsity = sparsity if sparsity is not None else network_sparsity(network)
-    workloads = []
-    for index, spec in enumerate(network.layers):
-        rng = np.random.default_rng([seed, index])
-        layer_sparsity = sparsity.get(spec.name)
-        if layer_sparsity is None:
-            raise KeyError(f"no sparsity calibration for layer {spec.name!r}")
-        workloads.append(
-            build_layer_workload(network.name, spec, layer_sparsity, rng)
-        )
-    return workloads
 
 
 @dataclass

@@ -22,11 +22,7 @@ from repro.scnn.cycles import LayerCycleResult, simulate_layer_cycles
 from repro.scnn.dcnn import simulate_dcnn_layer
 from repro.scnn.functional import FunctionalResult, run_functional_layer
 from repro.scnn.oracle import oracle_cycles
-from repro.scnn.simulator import (
-    LayerSimulation,
-    NetworkSimulation,
-    simulate_layer,
-)
+from repro.scnn.simulator import LayerSimulation, NetworkSimulation
 
 __all__ = [
     "FunctionalResult",
@@ -36,6 +32,5 @@ __all__ = [
     "oracle_cycles",
     "run_functional_layer",
     "simulate_dcnn_layer",
-    "simulate_layer",
     "simulate_layer_cycles",
 ]

@@ -1,9 +1,9 @@
 """Layer- and network-level simulation records.
 
-``simulate_layer`` evaluates one layer workload on the paper's trio (SCNN,
-DCNN and DCNN-opt) through the architecture registry's adapters — the same
-:func:`repro.arch.adapters.evaluate_layer` every other architecture goes
-through — and assembles the oracle bound and the energy of each.
+:func:`layer_simulation` assembles one layer from its results on the
+paper's trio (SCNN, DCNN and DCNN-opt), which
+:func:`repro.arch.adapters.evaluate_layer` computes like any other
+architecture's, with the oracle bound and the energy of each.
 :func:`network_simulation` assembles a network from its trio cells of
 :meth:`repro.engine.SimulationEngine.run_architectures` and prices their
 energy, for ``run_network`` and ``compare_network`` alike: serially, on a
@@ -153,19 +153,3 @@ def network_simulation(
         layers.append(layer_simulation(workload, results, output_density))
     return NetworkSimulation(network=network, layers=layers)
 
-
-def simulate_layer(
-    workload: LayerWorkload,
-    *,
-    output_density: Optional[float] = None,
-) -> LayerSimulation:
-    """Simulate one layer on the paper's trio: SCNN, DCNN and DCNN-opt.
-
-    The trio is fixed to the paper's Table IV configurations and energy is
-    priced from :data:`~repro.timeloop.energy.DEFAULT_ENERGY_TABLE`.  Other
-    registered architectures are evaluated through
-    :meth:`repro.engine.SimulationEngine.run_architectures`.
-    """
-    trio = [get_architecture(name) for name in TRIO]
-    results = adapters.evaluate_layer(workload, trio)
-    return layer_simulation(workload, results, output_density)

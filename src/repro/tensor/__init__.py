@@ -16,27 +16,14 @@ from repro.tensor.compressed import (
     RunLengthIndex,
     compress_block,
 )
-from repro.tensor.coordinates import (
-    delinearize,
-    linearize,
-    output_coordinate,
-)
-from repro.tensor.formats import (
-    ActivationTileSet,
-    CompressedActivations,
-    CompressedWeights,
-    WeightGroupBlock,
-)
+from repro.tensor.coordinates import output_coordinate
+from repro.tensor.formats import CompressedActivations, CompressedWeights
 
 __all__ = [
-    "ActivationTileSet",
     "CompressedActivations",
     "CompressedBlock",
     "CompressedWeights",
     "RunLengthIndex",
-    "WeightGroupBlock",
     "compress_block",
-    "delinearize",
-    "linearize",
     "output_coordinate",
 ]

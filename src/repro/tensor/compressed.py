@@ -11,12 +11,10 @@ costs essentially nothing for realistic densities).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
-
-from repro.tensor.coordinates import delinearize
 
 DEFAULT_INDEX_BITS = 4
 
@@ -99,26 +97,6 @@ class CompressedBlock:
         """Zero-valued placeholders inserted to bridge long zero runs."""
         return self.stored_elements - self.nonzero_count
 
-    @property
-    def density(self) -> float:
-        if self.dense_size == 0:
-            return 0.0
-        return self.nonzero_count / self.dense_size
-
-    def storage_bits(self) -> int:
-        """Bits needed to store the block (data vector + index vector)."""
-        return self.stored_elements * self.value_bits + self.index.storage_bits()
-
-    def dense_storage_bits(self) -> int:
-        return self.dense_size * self.value_bits
-
-    def compression_ratio(self) -> float:
-        """Dense bits divided by compressed bits (>1 means a net saving)."""
-        compressed = self.storage_bits()
-        if compressed == 0:
-            return float("inf")
-        return self.dense_storage_bits() / compressed
-
     # -- decoding ----------------------------------------------------------
 
     def flat_offsets(self) -> np.ndarray:
@@ -128,16 +106,6 @@ class CompressedBlock:
             return runs
         return np.cumsum(runs + 1) - 1
 
-    def coordinates(self) -> List[Tuple[int, ...]]:
-        """Multi-dimensional coordinates of the stored elements."""
-        return [delinearize(int(off), self.block_shape) for off in self.flat_offsets()]
-
-    def iter_nonzeros(self) -> Iterator[Tuple[Tuple[int, ...], float]]:
-        """Yield ``(coordinate, value)`` for every stored non-zero element."""
-        for offset, value in zip(self.flat_offsets(), self.values):
-            if value != 0:
-                yield delinearize(int(offset), self.block_shape), value
-
     def decode(self) -> np.ndarray:
         """Reconstruct the dense block."""
         dense = np.zeros(self.dense_size, dtype=self.values.dtype)
@@ -145,26 +113,6 @@ class CompressedBlock:
         if offsets.size:
             dense[offsets] = self.values
         return dense.reshape(self.block_shape)
-
-    # -- vector fetch (what the PE buffers deliver) --------------------------
-
-    def fetch_vectors(self, width: int) -> List[np.ndarray]:
-        """Split the data vector into fetch groups of ``width`` elements.
-
-        This models the weight buffer delivering a vector of ``F`` values (or
-        the IARAM delivering ``I`` values) per access.  The final vector may be
-        partial, which is one of the sources of multiplier-array fragmentation
-        analysed in the paper's Figure 9.
-        """
-        if width <= 0:
-            raise ValueError("fetch width must be positive")
-        return [self.values[i : i + width] for i in range(0, len(self.values), width)]
-
-    def fetch_count(self, width: int) -> int:
-        """Number of buffer accesses needed to stream the block."""
-        if width <= 0:
-            raise ValueError("fetch width must be positive")
-        return -(-len(self.values) // width)
 
 
 def compress_block(
@@ -218,7 +166,6 @@ class BlockStatistics:
     data_bits: int = 0
     index_bits: int = 0
     blocks: int = 0
-    _per_block_density: List[float] = field(default_factory=list)
 
     def add(self, block: CompressedBlock) -> None:
         self.dense_elements += block.dense_size
@@ -228,20 +175,12 @@ class BlockStatistics:
         self.data_bits += block.stored_elements * block.value_bits
         self.index_bits += block.index.storage_bits()
         self.blocks += 1
-        self._per_block_density.append(block.density)
 
     @property
     def density(self) -> float:
         if self.dense_elements == 0:
             return 0.0
         return self.nonzero_elements / self.dense_elements
-
-    @property
-    def placeholder_overhead(self) -> float:
-        """Fraction of stored elements that are zero placeholders."""
-        if self.stored_elements == 0:
-            return 0.0
-        return self.placeholder_elements / self.stored_elements
 
     def storage_bits(self) -> int:
         return self.data_bits + self.index_bits

@@ -1,4 +1,4 @@
-"""Coordinate arithmetic shared by the compressed formats and the dataflow.
+"""Coordinate arithmetic of the dataflow.
 
 The SCNN PE computes output coordinates on the fly from the coordinates
 embedded in the compressed weight and activation streams (paper Section III-B:
@@ -10,39 +10,7 @@ cycle model and the tests all agree on it.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
-
-def linearize(coords: Sequence[int], dims: Sequence[int]) -> int:
-    """Map a multi-dimensional coordinate to a flat row-major offset.
-
-    ``coords`` and ``dims`` must have the same length; the first dimension is
-    the slowest-varying one (row-major / C order), matching ``numpy.ravel``.
-    """
-    if len(coords) != len(dims):
-        raise ValueError(
-            f"coordinate rank {len(coords)} does not match dims rank {len(dims)}"
-        )
-    offset = 0
-    for coord, dim in zip(coords, dims):
-        if not 0 <= coord < dim:
-            raise ValueError(f"coordinate {coord} out of range for dimension {dim}")
-        offset = offset * dim + coord
-    return offset
-
-
-def delinearize(offset: int, dims: Sequence[int]) -> Tuple[int, ...]:
-    """Inverse of :func:`linearize`: flat row-major offset to coordinates."""
-    total = 1
-    for dim in dims:
-        total *= dim
-    if not 0 <= offset < total:
-        raise ValueError(f"offset {offset} out of range for dims {tuple(dims)}")
-    coords = []
-    for dim in reversed(dims):
-        coords.append(offset % dim)
-        offset //= dim
-    return tuple(reversed(coords))
+from typing import Tuple
 
 
 def output_coordinate(

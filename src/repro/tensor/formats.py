@@ -1,53 +1,53 @@
-"""Layer-level compressed-sparse containers.
+"""Layer-level compressed-sparse storage accounting, and planar tiling.
 
 The SCNN dataflow compresses data at two granularities (paper Section III-B):
 
 * **Weights** are grouped into blocks of one *output-channel group*: for each
   input channel ``c`` and each group of ``Kc`` consecutive output channels,
   the ``Kc x R x S`` weights form one compressed block.
-* **Input activations** are grouped per input channel of one PE tile: each
-  ``Ht x Wt`` planar tile of one channel forms one compressed block.
+* **Activations** in the OARAM are compressed one block per channel plane.
 
-These containers hold the compressed blocks for a whole layer, expose the
-non-zero counts the cycle model needs, and account for the storage the
-energy/area models need.
+:class:`CompressedWeights` and :class:`CompressedActivations` encode a whole
+layer's tensor block by block and keep the aggregate
+:class:`~repro.tensor.compressed.BlockStatistics` the storage accounting
+reads; the blocks themselves are not kept.  :func:`partition_plane` splits
+a plane into the PE array's planar tiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.tensor.compressed import (
     BlockStatistics,
-    CompressedBlock,
     DEFAULT_INDEX_BITS,
     compress_block,
 )
 
 
-@dataclass(frozen=True)
-class WeightGroupBlock:
-    """Compressed weights of one (output-channel group, input channel) pair."""
+class _CompressedLayer:
+    """Storage accounting over the blocks of one encoded tensor."""
 
-    group: int
-    input_channel: int
-    output_channels: Tuple[int, ...]
-    block: CompressedBlock
+    statistics: BlockStatistics
+    value_bits: int
 
     @property
-    def nonzero_count(self) -> int:
-        return self.block.nonzero_count
+    def density(self) -> float:
+        return self.statistics.density
 
-    @property
-    def stored_elements(self) -> int:
-        return self.block.stored_elements
+    def storage_bits(self) -> int:
+        return self.statistics.storage_bits()
+
+    def dense_storage_bits(self) -> int:
+        return self.statistics.dense_elements * self.value_bits
 
 
-class CompressedWeights:
-    """All weight blocks of one convolutional layer.
+class CompressedWeights(_CompressedLayer):
+    """Storage of one convolutional layer's weights, encoded one block per
+    (output-channel group, input channel) pair.
 
     Args:
         weights: dense weight tensor of shape ``(K, C, R, S)``.
@@ -69,83 +69,45 @@ class CompressedWeights:
             raise ValueError(f"expected (K, C, R, S) weights, got shape {weights.shape}")
         if group_size <= 0:
             raise ValueError("output-channel group size must be positive")
-        self.shape = weights.shape
-        self.group_size = group_size
-        self.index_bits = index_bits
         self.value_bits = value_bits
-
-        num_k, num_c, _, _ = weights.shape
-        self.num_groups = -(-num_k // group_size)
-        self._blocks: Dict[Tuple[int, int], WeightGroupBlock] = {}
-        stats = BlockStatistics()
-        for group in range(self.num_groups):
-            k_lo = group * group_size
-            k_hi = min(num_k, k_lo + group_size)
-            channels = tuple(range(k_lo, k_hi))
-            for c in range(num_c):
-                dense = weights[k_lo:k_hi, c, :, :]
-                block = compress_block(
-                    dense, index_bits=index_bits, value_bits=value_bits
+        self.statistics = BlockStatistics()
+        for k_lo in range(0, weights.shape[0], group_size):
+            for c in range(weights.shape[1]):
+                self.statistics.add(
+                    compress_block(
+                        weights[k_lo : k_lo + group_size, c],
+                        index_bits=index_bits,
+                        value_bits=value_bits,
+                    )
                 )
-                self._blocks[(group, c)] = WeightGroupBlock(
-                    group=group,
-                    input_channel=c,
-                    output_channels=channels,
-                    block=block,
-                )
-                stats.add(block)
-        self.statistics = stats
 
-    # -- access --------------------------------------------------------------
 
-    def block(self, group: int, input_channel: int) -> WeightGroupBlock:
-        return self._blocks[(group, input_channel)]
+class CompressedActivations(_CompressedLayer):
+    """Storage of whole-plane (untiled) activations, encoded one block per
+    channel.
 
-    def blocks(self) -> List[WeightGroupBlock]:
-        return list(self._blocks.values())
+    This is the representation used for OARAM storage accounting and DRAM
+    traffic estimation, where tiling across PEs is irrelevant.
+    """
 
-    def group_channels(self, group: int) -> Tuple[int, ...]:
-        k_lo = group * self.group_size
-        k_hi = min(self.shape[0], k_lo + self.group_size)
-        return tuple(range(k_lo, k_hi))
-
-    # -- statistics ------------------------------------------------------------
-
-    def nonzero_counts(self) -> np.ndarray:
-        """Array of shape ``(num_groups, C)`` with non-zero weights per block."""
-        num_c = self.shape[1]
-        counts = np.zeros((self.num_groups, num_c), dtype=np.int64)
-        for (group, c), wblock in self._blocks.items():
-            counts[group, c] = wblock.nonzero_count
-        return counts
-
-    def stored_counts(self) -> np.ndarray:
-        """Stored elements (non-zeros + placeholders) per block."""
-        num_c = self.shape[1]
-        counts = np.zeros((self.num_groups, num_c), dtype=np.int64)
-        for (group, c), wblock in self._blocks.items():
-            counts[group, c] = wblock.stored_elements
-        return counts
-
-    @property
-    def density(self) -> float:
-        return self.statistics.density
-
-    def storage_bits(self) -> int:
-        return self.statistics.storage_bits()
-
-    def dense_storage_bits(self) -> int:
-        return self.statistics.dense_elements * self.value_bits
-
-    def decode(self) -> np.ndarray:
-        """Reconstruct the dense ``(K, C, R, S)`` weight tensor."""
-        num_k, num_c, num_r, num_s = self.shape
-        dense = np.zeros(self.shape, dtype=float)
-        for (group, c), wblock in self._blocks.items():
-            k_lo = group * self.group_size
-            decoded = wblock.block.decode()
-            dense[k_lo : k_lo + decoded.shape[0], c, :, :] = decoded
-        return dense
+    def __init__(
+        self,
+        activations: np.ndarray,
+        *,
+        index_bits: int = DEFAULT_INDEX_BITS,
+        value_bits: int = 16,
+    ) -> None:
+        activations = np.asarray(activations)
+        if activations.ndim != 3:
+            raise ValueError(
+                f"expected (C, H, W) activations, got shape {activations.shape}"
+            )
+        self.value_bits = value_bits
+        self.statistics = BlockStatistics()
+        for plane in activations:
+            self.statistics.add(
+                compress_block(plane, index_bits=index_bits, value_bits=value_bits)
+            )
 
 
 @dataclass(frozen=True)
@@ -203,141 +165,3 @@ def partition_plane(
                 TileExtent(row=r, col=c, x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi)
             )
     return tiles
-
-
-class ActivationTileSet:
-    """Per-PE, per-channel compressed activation tiles of one layer input.
-
-    Args:
-        activations: dense input activation tensor of shape ``(C, H, W)``.
-        tile_rows: number of PE rows the plane is split across.
-        tile_cols: number of PE columns.
-    """
-
-    def __init__(
-        self,
-        activations: np.ndarray,
-        tile_rows: int,
-        tile_cols: int,
-        *,
-        index_bits: int = DEFAULT_INDEX_BITS,
-        value_bits: int = 16,
-    ) -> None:
-        activations = np.asarray(activations)
-        if activations.ndim != 3:
-            raise ValueError(
-                f"expected (C, H, W) activations, got shape {activations.shape}"
-            )
-        self.shape = activations.shape
-        self.tile_rows = tile_rows
-        self.tile_cols = tile_cols
-        self.index_bits = index_bits
-        self.value_bits = value_bits
-
-        num_c, height, width = activations.shape
-        self.tiles = partition_plane(height, width, tile_rows, tile_cols)
-        self._blocks: Dict[Tuple[int, int], CompressedBlock] = {}
-        stats = BlockStatistics()
-        for pe_index, tile in enumerate(self.tiles):
-            for c in range(num_c):
-                dense = activations[c, tile.y_lo : tile.y_hi, tile.x_lo : tile.x_hi]
-                block = compress_block(
-                    dense, index_bits=index_bits, value_bits=value_bits
-                )
-                self._blocks[(pe_index, c)] = block
-                stats.add(block)
-        self.statistics = stats
-
-    @property
-    def num_tiles(self) -> int:
-        return len(self.tiles)
-
-    @property
-    def num_channels(self) -> int:
-        return self.shape[0]
-
-    def block(self, pe_index: int, channel: int) -> CompressedBlock:
-        return self._blocks[(pe_index, channel)]
-
-    def tile_extent(self, pe_index: int) -> TileExtent:
-        return self.tiles[pe_index]
-
-    def nonzero_counts(self) -> np.ndarray:
-        """Array of shape ``(num_tiles, C)`` with non-zero activations per block."""
-        counts = np.zeros((self.num_tiles, self.num_channels), dtype=np.int64)
-        for (pe_index, c), block in self._blocks.items():
-            counts[pe_index, c] = block.nonzero_count
-        return counts
-
-    def stored_counts(self) -> np.ndarray:
-        counts = np.zeros((self.num_tiles, self.num_channels), dtype=np.int64)
-        for (pe_index, c), block in self._blocks.items():
-            counts[pe_index, c] = block.stored_elements
-        return counts
-
-    @property
-    def density(self) -> float:
-        return self.statistics.density
-
-    def storage_bits(self) -> int:
-        return self.statistics.storage_bits()
-
-    def dense_storage_bits(self) -> int:
-        return self.statistics.dense_elements * self.value_bits
-
-    def decode(self) -> np.ndarray:
-        """Reconstruct the dense ``(C, H, W)`` activation tensor."""
-        num_c, height, width = self.shape
-        dense = np.zeros(self.shape, dtype=float)
-        for (pe_index, c), block in self._blocks.items():
-            tile = self.tiles[pe_index]
-            dense[c, tile.y_lo : tile.y_hi, tile.x_lo : tile.x_hi] = block.decode()
-        return dense
-
-
-class CompressedActivations:
-    """Whole-plane (untiled) compressed activations, one block per channel.
-
-    This is the representation used for OARAM storage accounting and DRAM
-    traffic estimation, where tiling across PEs is irrelevant.
-    """
-
-    def __init__(
-        self,
-        activations: np.ndarray,
-        *,
-        index_bits: int = DEFAULT_INDEX_BITS,
-        value_bits: int = 16,
-    ) -> None:
-        activations = np.asarray(activations)
-        if activations.ndim != 3:
-            raise ValueError(
-                f"expected (C, H, W) activations, got shape {activations.shape}"
-            )
-        self.shape = activations.shape
-        self.value_bits = value_bits
-        self._blocks: List[CompressedBlock] = []
-        stats = BlockStatistics()
-        for c in range(activations.shape[0]):
-            block = compress_block(
-                activations[c], index_bits=index_bits, value_bits=value_bits
-            )
-            self._blocks.append(block)
-            stats.add(block)
-        self.statistics = stats
-
-    def block(self, channel: int) -> CompressedBlock:
-        return self._blocks[channel]
-
-    @property
-    def density(self) -> float:
-        return self.statistics.density
-
-    def storage_bits(self) -> int:
-        return self.statistics.storage_bits()
-
-    def dense_storage_bits(self) -> int:
-        return self.statistics.dense_elements * self.value_bits
-
-    def decode(self) -> np.ndarray:
-        return np.stack([block.decode() for block in self._blocks], axis=0)

@@ -80,10 +80,6 @@ class DensityProfile:
             )
         return table
 
-    def describe(self) -> Dict[str, str]:
-        """JSON-able catalogue entry."""
-        return {"name": self.name, "description": self.description}
-
 
 # -- parametric constructors ------------------------------------------------------
 

@@ -97,10 +97,6 @@ class WorkloadRegistry:
         """Registered workload names, in registration order."""
         return [spec.name for spec in self._snapshot()]
 
-    def describe(self) -> List[Dict[str, object]]:
-        """JSON-able catalogue view, one entry per registered spec."""
-        return [spec.describe() for spec in self._snapshot()]
-
     def __contains__(self, name: object) -> bool:
         if not isinstance(name, str):
             return False

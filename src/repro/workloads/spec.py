@@ -13,7 +13,7 @@ the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.nn.densities import LayerSparsity
 from repro.nn.networks import Network
@@ -71,20 +71,3 @@ class WorkloadSpec:
         if network is None:
             network = self.build()
         return get_profile(self.density_profile).table(network)
-
-    def describe(self) -> Dict[str, Any]:
-        """JSON-able catalogue entry (what ``repro workloads --list`` shows)."""
-        network = self.build()
-        return {
-            "name": self.name,
-            "network": network.name,
-            "description": self.description,
-            "density_profile": self.density_profile,
-            "paper_reference": self.paper_reference,
-            "source": self.source,
-            "tags": list(self.tags),
-            "conv_layers": network.conv_layer_count,
-            "total_multiplies": network.total_multiplies,
-            "max_weight_bytes": network.max_layer_weight_bytes,
-            "max_activation_bytes": network.max_layer_activation_bytes,
-        }

@@ -10,13 +10,17 @@ whichever conftest was imported first and is not a stable import target.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
+from repro.arch.adapters import evaluate_layer
+from repro.arch.registry import get_architecture
 from repro.nn.densities import LayerSparsity
 from repro.nn.inference import LayerWorkload, generate_activations
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.pruning import generate_pruned_weights
+from repro.scnn.simulator import TRIO, layer_simulation
 
 #: The bitwise golden of the analytical models (see test_analytical_golden.py).
 ANALYTICAL_GOLDEN = Path(__file__).resolve().parent / "golden" / "analytical_models.json"
@@ -26,9 +30,10 @@ def make_workload(
     spec: ConvLayerSpec,
     weight_density: float = 0.4,
     activation_density: float = 0.5,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> LayerWorkload:
-    """Build a deterministic workload for an arbitrary spec."""
+    """Build a deterministic workload for an arbitrary spec: pruned weights,
+    then activations, drawn from ``np.random.default_rng(seed)``."""
     rng = np.random.default_rng(seed)
     weights = generate_pruned_weights(spec, weight_density, rng)
     activations = generate_activations(spec, activation_density, rng)
@@ -38,6 +43,25 @@ def make_workload(
         activations=activations,
         target=LayerSparsity(weight_density, activation_density),
     )
+
+
+def recipe_workload(handle) -> LayerWorkload:
+    """The float tensors of a :class:`~repro.engine.workloads.WorkloadHandle`'s
+    recipe, from the draws its ``masks()`` make: ``default_rng([seed, index])``
+    at its target densities."""
+    return make_workload(
+        handle.spec,
+        handle.target.weight_density,
+        handle.target.activation_density,
+        seed=[handle.seed, handle.index],
+    )
+
+
+def trio_simulation(workload, output_density=None):
+    """One layer's simulation on the paper's trio, assembled as the engine
+    assembles each layer of a network."""
+    trio = [get_architecture(name) for name in TRIO]
+    return layer_simulation(workload, evaluate_layer(workload, trio), output_density)
 
 
 def random_layer_specs(rng: np.random.Generator, count: int = 6):

@@ -51,10 +51,9 @@ class TestDensityTable:
             assert row.work_reduction >= 1.0
 
     def test_measured_rows_from_workloads(self):
-        from repro.nn.inference import build_network_workloads
+        from repro.engine.workloads import network_handles
 
-        network = alexnet()
-        workloads = build_network_workloads(network, seed=0)
+        network, workloads = network_handles(alexnet(), seed=0)
         rows = density_table(network, workloads)
         for row, workload in zip(rows, workloads):
             assert row.weight_density == pytest.approx(workload.weight_density)

@@ -18,7 +18,6 @@ from repro.arch import (
     ArchitectureSpec,
     available_architectures,
     compare_network,
-    default_registry,
     get_architecture,
     resolve_config,
 )
@@ -79,11 +78,6 @@ class TestRegistry:
         registry.register(spec)
         with pytest.raises(ValueError, match="already registered"):
             registry.register(spec)
-
-    def test_describe_is_json_able(self):
-        import json
-
-        json.dumps(default_registry().describe())
 
     def test_registering_a_variant_is_a_data_change(self):
         registry = ArchitectureRegistry()

@@ -78,20 +78,18 @@ class TestCompressBlock:
 
     def test_density_and_ratios(self):
         dense = sparse_block((8, 9), 0.25, seed=3)
-        block = compress_block(dense)
+        stats = BlockStatistics()
+        stats.add(compress_block(dense))
         expected_density = np.count_nonzero(dense) / dense.size
-        assert block.density == pytest.approx(expected_density)
-        assert block.compression_ratio() > 1.0
-        assert block.dense_storage_bits() == dense.size * 16
+        assert stats.density == pytest.approx(expected_density)
+        assert stats.compression_ratio() > 1.0
+        assert stats.dense_elements == dense.size
 
-    def test_coordinates_match_nonzero_positions(self):
+    def test_offsets_match_nonzero_positions(self):
         dense = sparse_block((5, 7), 0.3, seed=9)
         block = compress_block(dense)
-        decoded_positions = {
-            coords for coords, value in block.iter_nonzeros()
-        }
-        expected = set(zip(*np.nonzero(dense)))
-        assert decoded_positions == expected
+        offsets = block.flat_offsets()[block.values != 0]
+        assert set(offsets) == set(np.flatnonzero(dense))
 
     def test_flat_offsets_locate_stored_elements(self):
         dense = np.zeros(40)
@@ -109,32 +107,10 @@ class TestCompressBlock:
         assert compress_block(np.zeros((7,))).dense_size == 7
         assert compress_block(np.zeros((0, 4))).dense_size == 0
 
-    def test_iter_nonzeros_values(self):
+    def test_offsets_locate_values(self):
         dense = sparse_block((6, 6), 0.4, seed=2)
         block = compress_block(dense)
-        for coords, value in block.iter_nonzeros():
-            assert dense[coords] == value
-
-
-class TestFetchVectors:
-    def test_fetch_count_matches_ceil(self):
-        dense = sparse_block((10, 10), 0.37, seed=5)
-        block = compress_block(dense)
-        stored = block.stored_elements
-        for width in (1, 2, 3, 4, 8):
-            assert block.fetch_count(width) == -(-stored // width)
-            vectors = block.fetch_vectors(width)
-            assert len(vectors) == block.fetch_count(width)
-            assert sum(len(v) for v in vectors) == stored
-            # Only the final vector may be partial.
-            assert all(len(v) == width for v in vectors[:-1])
-
-    def test_invalid_width_rejected(self):
-        block = compress_block(np.ones(4))
-        with pytest.raises(ValueError):
-            block.fetch_vectors(0)
-        with pytest.raises(ValueError):
-            block.fetch_count(-1)
+        np.testing.assert_array_equal(dense.ravel()[block.flat_offsets()], block.values)
 
 
 class TestCompressedBlockValidation:
@@ -157,13 +133,17 @@ class TestBlockStatistics:
         assert stats.blocks == 2
         assert stats.dense_elements == 32
         assert stats.nonzero_elements == first.nonzero_count + second.nonzero_count
-        assert 0.0 <= stats.placeholder_overhead <= 1.0
-        assert stats.storage_bits() == first.storage_bits() + second.storage_bits()
+        assert stats.placeholder_elements == (
+            first.placeholder_count + second.placeholder_count
+        )
+        assert stats.storage_bits() == sum(
+            block.stored_elements * 16 + block.index.storage_bits()
+            for block in (first, second)
+        )
 
     def test_empty_statistics(self):
         stats = BlockStatistics()
         assert stats.density == 0.0
-        assert stats.placeholder_overhead == 0.0
         assert stats.compression_ratio() == float("inf")
 
 

@@ -1,65 +1,13 @@
 """Unit tests for coordinate arithmetic (repro.tensor.coordinates)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.tensor.coordinates import (
-    delinearize,
     halo_extent,
-    linearize,
     output_coordinate,
     output_extent,
 )
-
-
-class TestLinearize:
-    def test_matches_numpy_ravel_order(self):
-        dims = (3, 4, 5)
-        array = np.arange(np.prod(dims)).reshape(dims)
-        for coords, value in np.ndenumerate(array):
-            assert linearize(coords, dims) == value
-
-    def test_single_dimension(self):
-        assert linearize((3,), (7,)) == 3
-
-    def test_rank_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            linearize((1, 2), (3,))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            linearize((3,), (3,))
-        with pytest.raises(ValueError):
-            linearize((-1,), (3,))
-
-    @given(
-        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4).flatmap(
-            lambda dims: st.tuples(
-                st.just(tuple(dims)),
-                st.tuples(*[st.integers(min_value=0, max_value=d - 1) for d in dims]),
-            )
-        )
-    )
-    def test_roundtrip_with_delinearize(self, dims_and_coords):
-        dims, coords = dims_and_coords
-        offset = linearize(coords, dims)
-        assert delinearize(offset, dims) == coords
-
-
-class TestDelinearize:
-    def test_known_values(self):
-        assert delinearize(0, (2, 3)) == (0, 0)
-        assert delinearize(5, (2, 3)) == (1, 2)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            delinearize(6, (2, 3))
-
-    def test_every_offset_unique(self):
-        dims = (4, 3, 2)
-        seen = {delinearize(i, dims) for i in range(24)}
-        assert len(seen) == 24
 
 
 class TestOutputCoordinate:

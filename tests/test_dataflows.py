@@ -54,14 +54,3 @@ class TestDataflowDescriptions:
                 compresses_dram_traffic=False,
             )
 
-
-class TestEffectiveWorkFraction:
-    def test_sparse_dataflow_multiplies_densities(self):
-        assert PT_IS_CP_SPARSE.effective_work_fraction(0.5, 0.4) == pytest.approx(0.2)
-
-    def test_dense_dataflow_does_all_work(self):
-        assert PT_IS_DP_DENSE.effective_work_fraction(0.5, 0.4) == 1.0
-
-    def test_gating_does_not_reduce_occupancy(self):
-        # DCNN-opt saves energy, not multiplier slots.
-        assert PT_IS_DP_DENSE_OPT.effective_work_fraction(0.3, 0.3) == 1.0

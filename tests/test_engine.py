@@ -30,14 +30,13 @@ from repro.engine import core, parallel
 from repro.engine.parallel import pool_forks, usable_cpus
 from repro.engine.workloads import network_handles
 from repro.nn.densities import LayerSparsity, network_sparsity
-from repro.nn.inference import build_network_workloads
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.scnn.simulator import TRIO
 from repro.timeloop.dse import default_candidates, sweep
 from repro.workloads.registry import available_workloads, resolve_workload
 
-from _helpers import make_workload
+from _helpers import make_workload, recipe_workload
 
 
 @pytest.fixture(scope="module")
@@ -147,31 +146,17 @@ class TestFingerprint:
             "wl", workload=different
         )
 
-    def test_handle_materialization_does_not_change_the_key(self, tiny_network):
-        sparsity = network_sparsity(tiny_network)
-        spec = tiny_network.layers[0]
-        handle = WorkloadHandle("EngineNet", 0, 0, spec, sparsity[spec.name])
-        handle.materialize()
-        slim = WorkloadHandle(
-            network_name="EngineNet", seed=0, index=0, spec=spec,
-            target=sparsity[spec.name],
-        )
-        assert fingerprint("wl", workload=handle) == fingerprint("wl", workload=slim)
-
 
 class TestWorkloadHandle:
-    def test_regenerates_exact_tensors(self, tiny_network):
-        workloads = build_network_workloads(tiny_network, seed=0)
-        sparsity = network_sparsity(tiny_network)
-        for index, (spec, workload) in enumerate(
-            zip(tiny_network.layers, workloads)
-        ):
-            handle = WorkloadHandle(
-                network_name=tiny_network.name, seed=0, index=index, spec=spec,
-                target=sparsity[spec.name],
-            )
-            assert np.array_equal(handle.weights, workload.weights)
-            assert np.array_equal(handle.activations, workload.activations)
+    def test_masks_are_the_recipe_nonzeros(self, tiny_network):
+        """``masks()`` is ``!= 0`` of the tensors drawn from
+        ``default_rng([seed, index])``, layer by layer."""
+        _, handles = network_handles(tiny_network, seed=0)
+        for handle in handles:
+            weights, activations = handle.masks()
+            workload = recipe_workload(handle)
+            assert np.array_equal(weights, workload.weights != 0)
+            assert np.array_equal(activations, workload.activations != 0)
 
     @pytest.mark.parametrize("name", available_workloads())
     def test_recipe_densities_are_the_measured_ones(self, name):
@@ -180,21 +165,24 @@ class TestWorkloadHandle:
         for seed in (0, 3):
             for index, spec in enumerate(network.layers):
                 handle = WorkloadHandle(name, seed, index, spec, sparsity[spec.name])
-                measured = handle.materialize()  # count_nonzero / size
-                assert handle.weight_density == measured.weight_density
-                assert handle.activation_density == measured.activation_density
+                weights, activations = handle.masks()
+                assert handle.weight_density == (
+                    np.count_nonzero(weights) / weights.size
+                )
+                assert handle.activation_density == (
+                    np.count_nonzero(activations) / activations.size
+                )
 
-    def test_pickle_drops_tensors_and_survives_round_trip(self, tiny_network):
+    def test_pickle_is_the_recipe_and_survives_round_trip(self, tiny_network):
         import pickle
 
         sparsity = network_sparsity(tiny_network)
         spec = tiny_network.layers[0]
         handle = WorkloadHandle(tiny_network.name, 0, 0, spec, sparsity[spec.name])
-        handle.materialize()
-        assert handle._materialized is not None
         restored = pickle.loads(pickle.dumps(handle))
-        assert restored._materialized is None
-        assert np.array_equal(restored.weights, handle.weights)
+        assert restored == handle
+        for restored_mask, mask in zip(restored.masks(), handle.masks()):
+            assert np.array_equal(restored_mask, mask)
         assert len(pickle.dumps(handle)) < 2000  # recipe, not tensors
 
 
@@ -215,7 +203,8 @@ class TestEngineNetworkSimulation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_results_pin_no_tensors(self, tiny_network, workers, monkeypatch):
         """Neither the memo table nor the returned layers keep operand
-        tensors alive; an ablation that asks for them gets the exact arrays."""
+        tensors alive; an ablation that asks for the masks gets the exact
+        non-zeros."""
         engine = SimulationEngine(cache_dir=False, parallel=workers)
         simulation = engine.run_network(tiny_network, seed=0)
         calls = _record_parallel_map(monkeypatch)
@@ -225,11 +214,10 @@ class TestEngineNetworkSimulation:
         assert all(isinstance(cell, ArchLayerResult) for cell in cells)
         handles = [layer.workload for layer in simulation.layers]
         assert all(isinstance(handle, WorkloadHandle) for handle in handles)
-        assert all(handle._materialized is None for handle in handles)
-        reference = build_network_workloads(tiny_network, seed=0)
-        for handle, workload in zip(handles, reference):
-            assert np.array_equal(handle.weights, workload.weights)
-            assert np.array_equal(handle.activations, workload.activations)
+        for handle in handles:
+            workload = recipe_workload(handle)
+            for mask, reference in zip(handle.masks(), workload.masks()):
+                assert np.array_equal(mask, reference)
             assert handle.weight_density == workload.weight_density
             assert handle.activation_density == workload.activation_density
 
@@ -255,8 +243,8 @@ class TestEngineNetworkSimulation:
         assert reader.disk_cache.hits == _trio_cells(tiny_network)
         assert reader.disk_cache.misses == 0
         assert_simulations_identical(restored, reference_simulation)
-        # The restored simulation's workloads rematerialise real tensors.
-        assert restored.layers[0].workload.weights.shape == (8, 3, 3, 3)
+        # The restored simulation's workloads redraw their operand masks.
+        assert restored.layers[0].workload.masks()[0].shape == (8, 3, 3, 3)
 
     def test_seed_change_is_a_miss(self, tiny_network, tmp_path):
         engine = SimulationEngine(cache_dir=tmp_path)
@@ -311,7 +299,8 @@ class TestEngineNetworkSimulation:
 class TestEngineRunGrid:
     @pytest.fixture(scope="class")
     def workloads(self, tiny_network):
-        return build_network_workloads(tiny_network, seed=0)
+        _, handles = network_handles(tiny_network, seed=0)
+        return [recipe_workload(handle) for handle in handles]
 
     def test_grid_covers_every_cell(self, workloads):
         engine = SimulationEngine(cache_dir=False)
@@ -446,12 +435,11 @@ class TestArchitectureRows:
         assert run.total_cycles("DCNN") == sum(
             layer.dcnn.cycles for layer in layers
         )
-        assert all(handle._materialized is None for handle in handles)
 
 
 class TestTensorsNeverOutliveTheirRow:
-    """The memo table holds adapter results only, and no handle of a
-    network simulation keeps its tensors."""
+    """The memo table holds adapter results only, and a network
+    simulation's layers hold recipe handles."""
 
     @staticmethod
     def _assert_no_tensors(engine, network):
@@ -459,7 +447,6 @@ class TestTensorsNeverOutliveTheirRow:
         assert all(isinstance(cell, ArchLayerResult) for cell in cells)
         handles = [layer.workload for layer in engine.run_network(network).layers]
         assert all(isinstance(handle, WorkloadHandle) for handle in handles)
-        assert all(handle._materialized is None for handle in handles)
 
     def test_after_granularity_study(self, monkeypatch):
         from repro.experiments import sec6c_granularity

@@ -8,7 +8,7 @@ integer equality, not approximate agreement.
 
 The per-layer synthesis kernels (fill-kernel draws, the two-order-statistic
 threshold, the copy-free box filter), the int32 integral images and the
-masks ``simulate_layer`` shares between its models are pinned bit for bit
+masks a trio simulation shares between its models are pinned bit for bit
 against the implementations they replaced, kept below as references, and
 their peak memory is bounded on the largest activation tensor of the trio.
 """
@@ -36,9 +36,9 @@ from repro.nn.networks import get_network
 from repro.scnn.accumulator import expected_conflict_cycles
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.oracle import nonzero_multiplies, oracle_cycles
-from repro.scnn.simulator import TRIO, simulate_layer
+from repro.scnn.simulator import TRIO
 
-from _helpers import make_workload
+from _helpers import make_workload, recipe_workload, trio_simulation
 
 
 # -- scalar reference implementations (the pre-vectorisation loops) -----------
@@ -378,13 +378,13 @@ LAYER_SHAPES = [
 
 @pytest.mark.parametrize("shape", LAYER_SHAPES, ids=[s[0] for s in LAYER_SHAPES])
 def test_simulate_layer_on_shared_masks_matches_float_models(shape):
-    """The masks and integral images ``simulate_layer`` shares change no bit."""
+    """The masks and integral images a trio simulation shares change no bit."""
     _, c, k, h, w, f, stride, pad, groups = shape
     spec = ConvLayerSpec(
         "shared", c, k, h, w, f, f, stride=stride, padding=pad, groups=groups
     )
     workload = make_workload(spec, 0.35, 0.45, seed=5)
-    simulation = simulate_layer(workload)
+    simulation = trio_simulation(workload)
     reference = simulate_layer_cycles(
         spec, workload.weights, workload.activations, SCNN_CONFIG
     )
@@ -430,9 +430,10 @@ class TestPeakMemory:
     by its box filter, the filter's edge-padded buffer, and then the
     threshold's partition copy: about three tensors.  The layer task on a
     recipe handle draws the magnitudes into the buffer the field then takes,
-    so it holds about two.  ``simulate_layer`` holds bool masks and int32
-    integral images: about two thirds of one.  Another float buffer or an
-    int64 image would cross these bounds.
+    so it holds about two.  The trio simulation of a workload whose tensors
+    are in memory holds bool masks and int32 integral images: about two
+    thirds of one.  Another float buffer or an int64 image would cross these
+    bounds.
     """
 
     @pytest.fixture(scope="class")
@@ -455,12 +456,11 @@ class TestPeakMemory:
         )
         assert peak <= 3.25 * tensor
 
-    def test_simulate_layer_peak(self, conv1_2):
+    def test_trio_simulation_peak_on_raw_tensors(self, conv1_2):
         index, spec, target = conv1_2
         tensor = spec.input_activation_count * 8
-        handle = WorkloadHandle("vggnet", 0, index, spec, target)
-        handle.materialize()
-        assert _peak_bytes(simulate_layer, handle, output_density=0.5) <= 1.0 * tensor
+        workload = recipe_workload(WorkloadHandle("vggnet", 0, index, spec, target))
+        assert _peak_bytes(trio_simulation, workload, 0.5) <= 1.0 * tensor
 
     def test_layer_task_peak_on_a_recipe_handle(self, conv1_2):
         """Masks straight from the draws: no float operand tensor is kept."""
@@ -469,4 +469,3 @@ class TestPeakMemory:
         handle = WorkloadHandle("vggnet", 0, index, spec, target)
         trio = [get_architecture(name) for name in TRIO]
         assert _peak_bytes(_layer_task, (handle, trio)) <= 2.25 * tensor
-        assert handle._materialized is None

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.workloads import network_handles
 from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import (
     activation_nonzeros,
     build_layer_masks,
-    build_layer_workload,
-    build_network_workloads,
     generate_activations,
     run_forward,
 )
@@ -17,6 +16,8 @@ from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network, alexnet, googlenet, vggnet
 from repro.nn.pruning import generate_pruned_weights
 from repro.scnn.oracle import nonzero_multiplies
+
+from _helpers import make_workload
 
 
 @pytest.fixture
@@ -74,15 +75,13 @@ def test_activation_nonzeros_is_the_generated_count(
 
 
 class TestLayerWorkload:
-    def test_densities_match_targets(self, spec, rng):
-        workload = build_layer_workload(
-            "alexnet", spec, LayerSparsity(0.4, 0.6), rng
-        )
+    def test_densities_match_targets(self, spec):
+        workload = make_workload(spec, 0.4, 0.6, seed=1234)
         assert workload.weight_density == pytest.approx(0.4, abs=0.01)
         assert workload.activation_density == pytest.approx(0.6, abs=0.01)
 
-    def test_nonzero_multiplies_bounded_by_dense(self, spec, rng):
-        workload = build_layer_workload("alexnet", spec, LayerSparsity(0.4, 0.6), rng)
+    def test_nonzero_multiplies_bounded_by_dense(self, spec):
+        workload = make_workload(spec, 0.4, 0.6, seed=1234)
         products = nonzero_multiplies(spec, workload.weights, workload.activations)
         assert 0 < products < workload.dense_multiplies
 
@@ -139,38 +138,41 @@ def test_layer_masks_are_the_workload_nonzeros(
     draws: the generator ends at the same next draw."""
     sparsity = LayerSparsity(weight_density, activation_density)
     tensors, masks = np.random.default_rng(seed), np.random.default_rng(seed)
-    workload = build_layer_workload("p", spec, sparsity, tensors)
+    dense_weights = generate_pruned_weights(spec, weight_density, tensors)
+    dense_activations = generate_activations(spec, activation_density, tensors)
     weights, activations = build_layer_masks(spec, sparsity, masks)
     assert weights.dtype == activations.dtype == bool
-    assert np.array_equal(weights, workload.weights != 0)
-    assert np.array_equal(activations, workload.activations != 0)
+    assert np.array_equal(weights, dense_weights != 0)
+    assert np.array_equal(activations, dense_activations != 0)
     assert masks.random() == tensors.random()
 
 
-class TestBuildNetworkWorkloads:
+class TestNetworkHandles:
+    """One recipe handle per layer (:func:`repro.engine.workloads.network_handles`)."""
+
     def test_one_workload_per_layer(self):
         network = alexnet()
-        workloads = build_network_workloads(network, seed=0)
+        _, workloads = network_handles(network, seed=0)
         assert [w.spec.name for w in workloads] == [l.name for l in network.layers]
 
     def test_reproducible_across_calls(self):
         network = alexnet()
-        first = build_network_workloads(network, seed=7)
-        second = build_network_workloads(network, seed=7)
+        _, first = network_handles(network, seed=7)
+        _, second = network_handles(network, seed=7)
         for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.weights, b.weights)
-            np.testing.assert_array_equal(a.activations, b.activations)
+            for mask_a, mask_b in zip(a.masks(), b.masks()):
+                np.testing.assert_array_equal(mask_a, mask_b)
 
     def test_different_seeds_differ(self):
         network = alexnet()
-        first = build_network_workloads(network, seed=1)
-        second = build_network_workloads(network, seed=2)
-        assert not np.array_equal(first[2].weights, second[2].weights)
+        _, first = network_handles(network, seed=1)
+        _, second = network_handles(network, seed=2)
+        assert not np.array_equal(first[2].masks()[0], second[2].masks()[0])
 
     def test_densities_match_calibration(self):
         network = alexnet()
         calibration = network_sparsity(network)
-        for workload in build_network_workloads(network, seed=0):
+        for workload in network_handles(network, seed=0)[1]:
             target = calibration[workload.spec.name]
             assert workload.weight_density == pytest.approx(
                 target.weight_density, abs=0.01
@@ -182,7 +184,7 @@ class TestBuildNetworkWorkloads:
     def test_missing_calibration_rejected(self):
         network = alexnet()
         with pytest.raises(KeyError):
-            build_network_workloads(network, sparsity={}, seed=0)
+            network_handles(network, seed=0, sparsity={})
 
 
 class TestRunForward:

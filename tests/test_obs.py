@@ -338,6 +338,41 @@ class TestEngineInstrumentation:
         ))
         assert recorded >= 1.0
 
+    @staticmethod
+    def _traced_spans(engine, network):
+        trace_id = obs.new_trace_id()
+        token = obs.set_current_trace(trace_id)
+        try:
+            engine.run_network(network)
+        finally:
+            obs.reset_current_trace(token)
+        return obs.trace_store().spans_for(trace_id)
+
+    def test_disk_cache_spans_once_per_call(self, tmp_path):
+        """A cold AlexNet job looks up and stores its 15 trio cells (5 layers
+        x SCNN, DCNN, DCNN-opt) under one ``cache.get`` and one ``cache.put``
+        span; a repeat looks them up under one span and stores nothing."""
+        from repro.engine import SimulationEngine
+
+        engine = SimulationEngine(cache_dir=tmp_path / "cache")
+        cold = self._traced_spans(engine, "alexnet")
+        cache_spans = [s for s in cold if s.name.startswith("cache.")]
+        assert [(s.name, s.attrs) for s in cache_spans] == [
+            ("cache.get", {"keys": 15, "misses": 15}),
+            ("cache.put", {"keys": 15}),
+        ]
+        warm = self._traced_spans(engine, "alexnet")
+        assert [(s.name, s.attrs) for s in warm if s.name.startswith("cache.")] == [
+            ("cache.get", {"keys": 15, "misses": 0}),
+        ]
+
+    def test_no_cache_spans_without_a_disk_cache(self):
+        from repro.engine import SimulationEngine
+
+        spans = self._traced_spans(SimulationEngine(cache_dir=False), "alexnet")
+        assert "engine.run_network" in {s.name for s in spans}
+        assert not [s for s in spans if s.name.startswith("cache.")]
+
     def test_instrumentation_is_inert_when_disabled(self, tmp_path):
         from repro.engine import SimulationEngine
 

@@ -1,9 +1,10 @@
 """Bitwise golden of the Table I trio's simulation pipeline at seed 0.
 
 For every conv layer of AlexNet, GoogLeNet and VGGNet the fixture pins the
-SHA-256 of the pruned weights and of the synthesised activations, the
-oracle's non-zero product count and cycles, the SCNN cycle count, and the
-exact ``repr`` of the SCNN / DCNN / DCNN-opt energy totals, as a serial
+SHA-256 of the pruned weights and of the synthesised activations that the
+layer's recipe draws (whose ``!= 0`` the engine's masks are), the oracle's
+non-zero product count and cycles, the SCNN cycle count, and the exact
+``repr`` of the SCNN / DCNN / DCNN-opt energy totals, as a serial
 :class:`~repro.engine.SimulationEngine` without a disk cache computes them.
 Fig. 8 prints speedups to two decimals, so a different pruned set or an
 oracle count off by a few products would still reproduce the figure; this
@@ -30,6 +31,8 @@ from repro.engine import SimulationEngine
 from repro.nn.networks import get_network
 from repro.scnn.oracle import nonzero_multiplies
 
+from _helpers import recipe_workload
+
 GOLDEN = Path(__file__).resolve().parent / "golden" / "trio_pipeline_seed0.json"
 TRIO = ("alexnet", "googlenet", "vggnet")
 ARCHITECTURES = ("SCNN", "DCNN", "DCNN-opt")
@@ -44,7 +47,7 @@ def pipeline_records(name: str) -> List[Dict]:
     records = []
     simulation = SimulationEngine(cache_dir=False).run_network(get_network(name), seed=0)
     for layer in simulation.layers:
-        workload = layer.workload
+        workload = recipe_workload(layer.workload)
         records.append(
             {
                 "layer": layer.layer_name,

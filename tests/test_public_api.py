@@ -63,21 +63,19 @@ class TestPublicApi:
     def test_paper_constant_surfaces_take_no_trio_or_energy_parameters(self):
         """The trio configs, the energy table and the baseline are constants.
 
-        Each surface's parameters are listed in full (48 besides ``self``),
+        Each surface's parameters are listed in full (46 besides ``self``),
         so a knob added back later shows up as a reviewed change to this list.
         """
         from repro.arch import compare
         from repro.engine import SimulationEngine
         from repro.experiments import fig7_sensitivity, table2_design_params
         from repro.grid import energy_grid, evaluate_grid
-        from repro.scnn import simulator
         from repro.timeloop import dse
         from repro.timeloop.energy import layer_energy_from_densities
 
         expected = {
             SimulationEngine.run_network: ["self", "network", "seed", "sparsity"],
             SimulationEngine.sweep: ["self", "configs", "network", "sparsity"],
-            simulator.simulate_layer: ["workload", "output_density"],
             compare.compare_network: [
                 "network", "architectures", "seed", "density_profile", "engine",
             ],

@@ -11,9 +11,9 @@ from repro.engine import SimulationEngine
 from repro.nn.densities import LayerSparsity
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network, alexnet
-from repro.scnn.simulator import DEFAULT_OUTPUT_DENSITY, simulate_layer
+from repro.scnn.simulator import DEFAULT_OUTPUT_DENSITY
 
-from _helpers import make_workload
+from _helpers import trio_simulation
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +51,9 @@ def tiny_comparison(tiny_simulation):
     return network_comparison(tiny_simulation)
 
 
-class TestSimulateLayer:
+class TestLayerSimulation:
     def test_contains_all_results(self, small_workload):
-        sim = simulate_layer(small_workload)
+        sim = trio_simulation(small_workload)
         assert sim.scnn.cycles > 0
         assert sim.dcnn.cycles > 0
         assert sim.oracle_cycles > 0
@@ -61,17 +61,17 @@ class TestSimulateLayer:
         assert sim.output_density == DEFAULT_OUTPUT_DENSITY
 
     def test_speedup_definitions(self, small_workload):
-        sim = simulate_layer(small_workload)
+        sim = trio_simulation(small_workload)
         assert sim.scnn_speedup == pytest.approx(sim.dcnn.cycles / sim.scnn.cycles)
         assert sim.oracle_speedup >= sim.scnn_speedup
 
     def test_energy_relative_to_dcnn(self, small_workload):
-        sim = simulate_layer(small_workload)
+        sim = trio_simulation(small_workload)
         assert sim.energy_relative_to_dcnn("DCNN") == pytest.approx(1.0)
         assert sim.energy_relative_to_dcnn("SCNN") > 0.0
 
     def test_explicit_output_density(self, small_workload):
-        sim = simulate_layer(small_workload, output_density=0.25)
+        sim = trio_simulation(small_workload, output_density=0.25)
         assert sim.output_density == 0.25
 
 

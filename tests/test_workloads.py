@@ -6,8 +6,6 @@ density-profile library (including the zero-density floor), and the
 shimmed ``repro.nn.networks`` entry points.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from repro.arch import SCNN_CONFIG
 from repro.arch.compare import network_comparison
 from repro.engine import SimulationEngine
 from repro.nn.densities import LayerSparsity, network_sparsity
-from repro.nn.inference import build_layer_workload
 from repro.nn.networks import available_networks, get_network
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.workloads import (
@@ -38,6 +35,8 @@ from repro.workloads import (
     wide_shallow,
 )
 from repro.workloads.profiles import MIN_DENSITY, clamp_density, unregister_profile
+
+from _helpers import make_workload
 
 
 def tiny_spec(name="tiny"):
@@ -77,13 +76,11 @@ class TestRegistry:
         assert get_workload("AlexNet").name == "alexnet"
         assert get_workload(" VGGNET ").name == "vggnet"
 
-    def test_describe_is_json_serializable(self):
-        catalogue = default_registry().describe()
-        json.dumps(catalogue)
-        by_name = {entry["name"]: entry for entry in catalogue}
-        assert by_name["alexnet"]["conv_layers"] == 5
-        assert by_name["alexnet"]["source"] == "paper"
-        assert by_name["plain-cnn-8"]["density_profile"] == "uniform-50"
+    def test_catalogue_entries(self):
+        alexnet_spec = default_registry().get("alexnet")
+        assert alexnet_spec.build().conv_layer_count == 5
+        assert alexnet_spec.source == "paper"
+        assert default_registry().get("plain-cnn-8").density_profile == "uniform-50"
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="non-empty name"):
@@ -319,12 +316,7 @@ class TestDensityProfiles:
     def test_floor_density_workload_through_cycle_model(self):
         """The sparsest representable profile survives the cycle model."""
         spec = plain_cnn(depth=1, channels=4, extent=8).layers[0]
-        workload = build_layer_workload(
-            "floor-test",
-            spec,
-            LayerSparsity(MIN_DENSITY, MIN_DENSITY),
-            np.random.default_rng(0),
-        )
+        workload = make_workload(spec, MIN_DENSITY, MIN_DENSITY, seed=0)
         result = simulate_layer_cycles(
             spec, workload.weights, workload.activations, SCNN_CONFIG
         )
