@@ -14,6 +14,7 @@ the contract:
 * a network simulation is cached as its trio's ``architecture-layer``
   cells: ``run_network`` looks up exactly the keys ``run_architectures``
   looks up for the trio on the network's recipe handles;
+* a dataflow's temporal loop order is part of both kinds of key;
 * a property test holds :func:`fingerprint` to the one-document reference
   below, for generated parts passed raw and pre-rendered by
   :func:`canonical`.
@@ -30,7 +31,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List
@@ -40,7 +41,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.arch.registry import SCNN_CONFIG, available_architectures
+from repro.arch.registry import (
+    SCNN_CONFIG,
+    available_architectures,
+    get_architecture,
+)
+from repro.dataflow.loopnest import LoopNest
 from repro.engine import SCHEMA_VERSION, SimulationEngine, WorkloadHandle, cache
 from repro.engine.cache import canonical, describe, fingerprint
 from repro.scnn.simulator import TRIO
@@ -157,6 +163,32 @@ def test_architecture_layer_keys():
     golden = _golden()["architecture-layer"]
     keys = architecture_layer_keys(golden["architectures"])
     assert keys == {"handle": golden["handle"], "raw": golden["raw"]}
+
+
+#: A loop order other than the input-stationary one every dataflow uses.
+REVERSED_ORDER = LoopNest(("S", "R", "H", "W", "C", "K", "N"))
+
+
+def _reordered(config):
+    """``config`` with its dataflow's temporal loop order reversed."""
+    dataflow = replace(config.dataflow, temporal_order=REVERSED_ORDER)
+    return replace(config, dataflow=dataflow)
+
+
+def test_temporal_order_enters_the_architecture_key():
+    """The dataflow's loop nest is rendered into every architecture-layer
+    key: a spec that differs only in its temporal order is another cell."""
+    spec = get_architecture("SCNN")
+    reordered = replace(spec, config=_reordered(spec.config))
+    engine = KeyRecorder()
+    engine.run_architectures([layer_workloads()[0]], [spec, reordered])
+    assert len(set(engine.keys)) == 2
+
+
+def test_temporal_order_enters_the_design_point_key():
+    engine = KeyRecorder()
+    engine.sweep([SCNN_CONFIG, _reordered(SCNN_CONFIG)], "alexnet")
+    assert len(set(engine.keys)) == 2
 
 
 # -- fingerprint against the one-document reference ----------------------------

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.engine
 from repro.experiments import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestParser:
@@ -48,6 +51,29 @@ class TestRunExperiments:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
             cli.run_experiments(["fig99"])
+
+
+class TestStdoutGoldens:
+    """``repro fig1`` and ``repro sec6c`` print their golden bytes.
+
+    Both read the recipe handles' densities, and both print the same bytes
+    with numpy's AVX2 and AVX512 loops disabled (``NPY_DISABLE_CPU_FEATURES``),
+    so a runner without those features cannot fail them.
+    """
+
+    @pytest.mark.parametrize("name", ["fig1", "sec6c"])
+    def test_stdout_matches_golden(self, name, capsys, monkeypatch):
+        from repro.engine import SimulationEngine
+
+        monkeypatch.setattr(
+            repro.engine, "_default_engine", SimulationEngine(cache_dir=False)
+        )
+        assert cli.run_experiments([name]) == [name]
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        printed = "".join(
+            line for line in lines if not line.startswith(f"[{name} completed in")
+        )
+        assert printed == (GOLDEN / f"{name}_stdout.txt").read_text()
 
 
 class TestServiceDispatch:
@@ -90,6 +116,16 @@ class TestCompareDispatch:
         output = capsys.readouterr().out
         assert "SCNN-SparseW" in output
         assert "Section VI-C" in output
+
+    def test_compare_list_names_every_architecture(self):
+        from repro.arch.registry import default_registry
+        from repro.experiments.compare import list_architectures
+
+        text = list_architectures()
+        for spec in default_registry():
+            assert f"  {spec.name:14s} {spec.description}" in text.splitlines()
+            if spec.paper_reference:
+                assert f"[{spec.paper_reference}]" in text
 
     def test_compare_unknown_architecture_exit_code(self, capsys):
         from repro.experiments.compare import compare_main
@@ -143,6 +179,36 @@ class TestWorkloadsDispatch:
         assert "plain-cnn-8" in output
         assert "googlenet-stem" in output
         assert "decay-90-30" in output
+
+    def test_workloads_list_reports_every_entry(self):
+        """One catalogue line per workload: its conv layer count and the
+        density profile its operands are drawn at."""
+        from repro.experiments.workloads import list_workloads
+        from repro.workloads.registry import default_registry
+
+        # Entry lines are indented by two spaces, their description and
+        # reference lines by more.
+        entries = [
+            line for line in list_workloads().splitlines()[1:] if line[2] != " "
+        ]
+        lines = {line.split()[0]: line for line in entries}
+        assert list(lines) == default_registry().names()
+        assert "  5 conv layers," in lines["alexnet"]
+        assert lines["alexnet"].endswith("profile measured")
+        assert lines["plain-cnn-8"].endswith("profile uniform-50")
+        for spec in default_registry():
+            assert lines[spec.name].endswith(f"profile {spec.density_profile}")
+
+    def test_profiles_list_names_every_profile(self):
+        from repro.experiments.workloads import list_profiles
+        from repro.workloads.profiles import available_profiles, get_profile
+
+        lines = list_profiles().splitlines()
+        assert lines[0] == "Registered density profiles:"
+        assert lines[1:] == [
+            f"  {name:14s} {get_profile(name).description}"
+            for name in available_profiles()
+        ]
 
     def test_workloads_describe(self, capsys):
         from repro.experiments.workloads import workloads_main

@@ -112,6 +112,18 @@ class TestCompressBlock:
         block = compress_block(dense)
         np.testing.assert_array_equal(dense.ravel()[block.flat_offsets()], block.values)
 
+    def test_offsets_follow_numpy_ravel_order(self):
+        """A stored element's flat offset unravels, in row-major order, to
+        its coordinates in the block."""
+        dense = sparse_block((3, 4, 5), 0.4, seed=4)
+        block = compress_block(dense)
+        coordinates = np.unravel_index(block.flat_offsets(), dense.shape)
+        np.testing.assert_array_equal(dense[coordinates], block.values)
+        nonzero = block.values != 0
+        assert [tuple(axis[nonzero]) for axis in coordinates] == [
+            tuple(axis) for axis in np.nonzero(dense)
+        ]
+
 
 class TestCompressedBlockValidation:
     def test_mismatched_lengths_rejected(self):
@@ -202,3 +214,13 @@ def test_multidimensional_roundtrip(channels, height, width, density, seed):
     block = compress_block(dense)
     np.testing.assert_array_equal(block.decode(), dense)
     assert block.block_shape == dense.shape
+
+
+@given(sparse_arrays, st.sampled_from([2, 4, 8]))
+@settings(max_examples=100, deadline=None)
+def test_offsets_increase_within_the_block(values, index_bits):
+    """Stored elements keep raster order and never run past the block."""
+    dense = np.array(values)
+    offsets = compress_block(dense, index_bits=index_bits).flat_offsets()
+    assert np.all(np.diff(offsets) > 0)
+    assert offsets.size == 0 or 0 <= offsets[0] <= offsets[-1] < dense.size

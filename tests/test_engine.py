@@ -21,6 +21,7 @@ from repro.engine import (
     SimulationEngine,
     WorkloadHandle,
     configure_default_engine,
+    default_cache_dir,
     default_engine,
     fingerprint,
     parallel_map,
@@ -28,12 +29,13 @@ from repro.engine import (
 )
 from repro.engine import core, parallel
 from repro.engine.parallel import pool_forks, usable_cpus
-from repro.engine.workloads import network_handles
+from repro.engine.workloads import network_handles, resolve_network_sparsity
 from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.scnn.simulator import TRIO
 from repro.timeloop.dse import default_candidates, sweep
+from repro.workloads.profiles import get_profile
 from repro.workloads.registry import available_workloads, resolve_workload
 
 from _helpers import make_workload, recipe_workload
@@ -146,8 +148,73 @@ class TestFingerprint:
             "wl", workload=different
         )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("network_name", "OtherNet", id="network_name"),
+            pytest.param("seed", 1, id="seed"),
+            pytest.param("index", 1, id="index"),
+            pytest.param(
+                "spec", ConvLayerSpec("e1", 3, 8, 14, 14, 5, 5, padding=2), id="spec"
+            ),
+            pytest.param("target", LayerSparsity(0.25, 0.75), id="target"),
+        ],
+    )
+    def test_every_handle_field_enters_the_key(self, tiny_network, field, value):
+        """A recipe is its identity: changing any one of its fields moves
+        the key."""
+        from dataclasses import replace
+
+        spec = tiny_network.layers[0]
+        handle = WorkloadHandle("EngineNet", 0, 0, spec, LayerSparsity(0.5, 0.5))
+        assert fingerprint("wl", workload=handle) != fingerprint(
+            "wl", workload=replace(handle, **{field: value})
+        )
+
+    def test_drawing_masks_does_not_change_the_key(self, tiny_network):
+        """A handle whose masks were drawn keys like a fresh one built by
+        keyword: ``masks()`` leaves no state on the handle."""
+        sparsity = network_sparsity(tiny_network)
+        spec = tiny_network.layers[0]
+        handle = WorkloadHandle("EngineNet", 0, 0, spec, sparsity[spec.name])
+        handle.masks()
+        fresh = WorkloadHandle(
+            network_name="EngineNet", seed=0, index=0, spec=spec,
+            target=sparsity[spec.name],
+        )
+        assert vars(handle) == vars(fresh)
+        assert fingerprint("wl", workload=handle) == fingerprint("wl", workload=fresh)
+
+    def test_underscored_fields_are_part_of_the_identity(self):
+        """Every dataclass field is rendered into the key, a leading
+        underscore included: no field is silently left out of it."""
+        from dataclasses import dataclass
+
+        @dataclass
+        class Probe:
+            value: int
+            _detail: int
+
+        assert fingerprint("probe", item=Probe(1, 2)) != fingerprint(
+            "probe", item=Probe(1, 3)
+        )
+
 
 class TestWorkloadHandle:
+    def test_masks_are_drawn_afresh_on_each_call(self, tiny_network):
+        """``masks()`` caches nothing: each call returns new arrays with the
+        same bits, so a caller may mutate what it got."""
+        _, handles = network_handles(tiny_network, seed=0)
+        handle = handles[1]
+        first_weights, first_activations = handle.masks()
+        second_weights, second_activations = handle.masks()
+        assert first_weights is not second_weights
+        assert first_activations is not second_activations
+        assert np.array_equal(first_weights, second_weights)
+        assert np.array_equal(first_activations, second_activations)
+        first_weights[...] = False
+        assert np.array_equal(handle.masks()[0], second_weights)
+
     def test_masks_are_the_recipe_nonzeros(self, tiny_network):
         """``masks()`` is ``!= 0`` of the tensors drawn from
         ``default_rng([seed, index])``, layer by layer."""
@@ -184,6 +251,32 @@ class TestWorkloadHandle:
         for restored_mask, mask in zip(restored.masks(), handle.masks()):
             assert np.array_equal(restored_mask, mask)
         assert len(pickle.dumps(handle)) < 2000  # recipe, not tensors
+
+
+class TestResolveNetworkSparsity:
+    def test_a_name_takes_its_registered_profile(self):
+        network, sparsity = resolve_network_sparsity("plain-cnn-8")
+        assert network.name == resolve_workload("plain-cnn-8")[0].name
+        assert sparsity == get_profile("uniform-50").table(network)
+
+    def test_an_explicit_table_overrides_the_profile(self):
+        network = resolve_workload("plain-cnn-8")[0]
+        table = get_profile("uniform-25").table(network)
+        resolved, sparsity = resolve_network_sparsity("plain-cnn-8", table)
+        assert [spec.name for spec in resolved.layers] == [
+            spec.name for spec in network.layers
+        ]
+        assert sparsity is table
+
+    def test_a_bare_network_takes_the_calibration(self, tiny_network):
+        network, sparsity = resolve_network_sparsity(tiny_network)
+        assert network is tiny_network
+        assert sparsity == network_sparsity(tiny_network)
+
+    def test_missing_layers_are_named(self, tiny_network):
+        partial = {"e1": LayerSparsity(0.5, 0.5)}
+        with pytest.raises(KeyError, match=r"'e2', 'e3' of EngineNet"):
+            resolve_network_sparsity(tiny_network, partial)
 
 
 class TestEngineNetworkSimulation:
@@ -612,3 +705,18 @@ class TestDefaultEngine:
         assert SimulationEngine(cache_dir=False).parallel is None
         service = SimulationService(num_workers=1, observability=False)
         assert service.engine.parallel is None
+
+
+class TestDefaultCacheDir:
+    @pytest.mark.parametrize("raw", [None, "", "0", " OFF ", "none", "disabled"])
+    def test_unset_or_disabled_means_no_disk_cache(self, raw, monkeypatch):
+        if raw is None:
+            monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CACHE_DIR", raw)
+        assert default_cache_dir() is None
+
+    def test_a_path_is_user_expanded(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", "~/scnn-cache")
+        assert default_cache_dir() == tmp_path / "scnn-cache"

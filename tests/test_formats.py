@@ -38,6 +38,17 @@ class TestPartitionPlane:
         with pytest.raises(ValueError):
             partition_plane(8, 8, 0, 2)
 
+    def test_tiles_are_numbered_row_major(self):
+        """Tile ``i`` sits at grid row ``i // cols`` and column ``i % cols``;
+        its bounds follow its row and column."""
+        tiles = partition_plane(10, 13, 3, 4)
+        for index, tile in enumerate(tiles):
+            assert (tile.row, tile.col) == divmod(index, 4)
+        assert tiles[5].y_lo == tiles[4].y_lo  # same row
+        assert tiles[5].x_lo == tiles[4].x_hi  # next column
+        assert tiles[4].y_lo == tiles[0].y_hi  # next row
+        assert (tiles[-1].y_hi, tiles[-1].x_hi) == (10, 13)
+
     @given(
         st.integers(min_value=1, max_value=64),
         st.integers(min_value=1, max_value=64),
@@ -99,6 +110,18 @@ class TestCompressedWeights:
         )
         assert compressed.storage_bits() < compressed.dense_storage_bits()
 
+    def test_value_width_scales_data_storage_only(self):
+        """The data vector costs ``value_bits`` per stored element; the index
+        vector's cost does not depend on it."""
+        weights = sparse_tensor((8, 4, 3, 3), 0.3, seed=6)
+        wide = CompressedWeights(weights, group_size=4)
+        narrow = CompressedWeights(weights, group_size=4, value_bits=8)
+        stored = wide.statistics.stored_elements
+        assert narrow.statistics.stored_elements == stored
+        assert wide.storage_bits() - narrow.storage_bits() == stored * (16 - 8)
+        assert narrow.dense_storage_bits() == weights.size * 8
+        assert wide.dense_storage_bits() == weights.size * 16
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             CompressedWeights(np.zeros((4, 4, 3)), group_size=4)
@@ -149,3 +172,22 @@ def test_weights_statistics_property(num_k, num_c, density, seed):
     assert stats.blocks == -(-num_k // 4) * num_c
     assert stats.dense_elements == weights.size
     assert stats.nonzero_elements == np.count_nonzero(weights)
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=20),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([2, 4, 8]),
+)
+@settings(max_examples=40, deadline=None)
+def test_activations_statistics_property(channels, height, width, density, index_bits):
+    activations = sparse_tensor((channels, height, width), density, seed=13)
+    compressed = CompressedActivations(activations, index_bits=index_bits)
+    stats = compressed.statistics
+    assert stats.blocks == channels
+    assert stats.dense_elements == activations.size
+    assert stats.nonzero_elements == np.count_nonzero(activations)
+    assert stats.stored_elements == stats.nonzero_elements + stats.placeholder_elements
+    assert compressed.storage_bits() == stats.stored_elements * (16 + index_bits)

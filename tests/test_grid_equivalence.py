@@ -24,6 +24,7 @@ from repro.arch.registry import default_registry, get_architecture, resolve_conf
 from repro.dataflow.tiling import plan_layer
 from repro.grid import (
     ENERGY_COMPONENTS,
+    clear_caches,
     clear_solved_triples,
     config_layer_stack,
     dense_cycle_grid,
@@ -381,6 +382,29 @@ class TestEvaluateGrid:
                 for s in range(len(specs))
             ]
             assert got == golden["evaluate_grid"][name], name
+
+    def test_cold_caches_change_no_bit(self):
+        """The grid path's memos (stacked constants, tiling plans, solved
+        triples) only save work: a cold evaluation equals a warm one."""
+        specs = random_layer_specs(np.random.default_rng(19), count=5)
+
+        def evaluate():
+            return evaluate_grid(
+                specs,
+                ["SCNN", "DCNN", "DCNN-opt"],
+                weight_density=EVALUATE_WEIGHT_DENSITY,
+                activation_density=EVALUATE_DENSITIES,
+            )
+
+        clear_caches()
+        cold = evaluate()
+        warm = evaluate()
+        for name in (
+            "cycles", "products", "multiplier_utilization", "idle_fraction", "energy",
+        ):
+            assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes(), name
+        for name, component in cold.energy_components.items():
+            assert component.tobytes() == warm.energy_components[name].tobytes(), name
 
     def test_forced_scnn_model_covers_dense_configs(self, golden):
         # The DSE convention: the analytical SCNN model for every candidate.

@@ -339,14 +339,18 @@ class TestEngineInstrumentation:
         assert recorded >= 1.0
 
     @staticmethod
-    def _traced_spans(engine, network):
+    def _traced(call):
         trace_id = obs.new_trace_id()
         token = obs.set_current_trace(trace_id)
         try:
-            engine.run_network(network)
+            call()
         finally:
             obs.reset_current_trace(token)
         return obs.trace_store().spans_for(trace_id)
+
+    @classmethod
+    def _traced_spans(cls, engine, network):
+        return cls._traced(lambda: engine.run_network(network))
 
     def test_disk_cache_spans_once_per_call(self, tmp_path):
         """A cold AlexNet job looks up and stores its 15 trio cells (5 layers
@@ -364,6 +368,24 @@ class TestEngineInstrumentation:
         warm = self._traced_spans(engine, "alexnet")
         assert [(s.name, s.attrs) for s in warm if s.name.startswith("cache.")] == [
             ("cache.get", {"keys": 15, "misses": 0}),
+        ]
+
+    def test_partly_warm_call_stores_only_its_misses(self, tmp_path):
+        """After the trio's cells are cached, adding one architecture to the
+        grid misses (and stores) only that architecture's 5 cells."""
+        from repro.engine import SimulationEngine
+        from repro.engine.workloads import network_handles
+        from repro.scnn.simulator import TRIO
+
+        engine = SimulationEngine(cache_dir=tmp_path / "cache")
+        engine.run_network("alexnet")
+        _, handles = network_handles("alexnet")
+        spans = self._traced(
+            lambda: engine.run_architectures(handles, [*TRIO, "SCNN-16PE"])
+        )
+        assert [(s.name, s.attrs) for s in spans if s.name.startswith("cache.")] == [
+            ("cache.get", {"keys": 20, "misses": 5}),
+            ("cache.put", {"keys": 5}),
         ]
 
     def test_no_cache_spans_without_a_disk_cache(self):

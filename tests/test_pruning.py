@@ -8,6 +8,7 @@ from repro.nn.layers import ConvLayerSpec
 from repro.nn.pruning import (
     generate_dense_weights,
     generate_pruned_weights,
+    kept_count,
     prune_to_density,
     pruned_weight_mask,
 )
@@ -118,6 +119,29 @@ class TestZeroDensityAndDegenerateShapes:
             prune_to_density(np.ones(4), 0.0, rng)
         with pytest.raises(ValueError, match="density must be in"):
             prune_to_density(np.ones(4), -0.1, rng)
+
+
+class TestKeptCount:
+    """The count a recipe handle's weight density is computed from."""
+
+    @pytest.mark.parametrize(
+        "shape, density",
+        [
+            pytest.param((16, 8, 3, 3), 0.35, id="rounded"),
+            pytest.param((4, 2, 1, 1), 0.01, id="keeps-one"),
+            pytest.param((8, 3, 5, 5), 1.0, id="keeps-all"),
+        ],
+    )
+    def test_is_the_pruned_nonzero_count(self, shape, density):
+        k, c, r, s = shape
+        spec = ConvLayerSpec("kept", c, k, 8, 8, r, s, padding=r // 2)
+        weights = generate_pruned_weights(spec, density, np.random.default_rng(5))
+        assert kept_count(weights.size, density) == np.count_nonzero(weights)
+
+    def test_rejects_densities_outside_the_unit_interval(self):
+        for density in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="density must be in"):
+                kept_count(10, density)
 
 
 class TestGeneratePrunedWeights:
