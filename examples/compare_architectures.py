@@ -3,7 +3,7 @@
 The architecture registry (:mod:`repro.arch`) declares each accelerator —
 SCNN, the dense baselines, the single-operand sparsity ablations, the
 Section VI-C granularity variants — as data: a hardware parameterization
-bound to a simulator adapter.  This example sweeps *all* of them over
+whose dataflow picks the model that evaluates it.  This example sweeps *all* of them over
 AlexNet with :func:`repro.arch.compare.compare_network` (the same cached,
 parallel path behind ``repro compare`` and the service's ``compare``
 scenario), then registers a brand-new variant on the fly to show that adding
@@ -62,11 +62,8 @@ def main() -> None:
         base = get_architecture("SCNN").config
         registry.register(
             ArchitectureSpec(
-                name="SCNN-A64",
                 config=replace(base, name="SCNN-A64", accumulator_banks=64),
-                adapter="cartesian-sparse",
                 description="SCNN with doubled accumulator banking",
-                baseline="DCNN",
             )
         )
     variant = compare_network("alexnet", ["DCNN", "SCNN", "SCNN-A64"], engine=engine)

@@ -12,10 +12,10 @@ The public API exposes, in dependency order:
 * ``repro.workloads`` — the workload registry: every network as a
   declarative spec (builder + density profile + provenance), parametric
   synthetic generators and the density-profile library,
-* ``repro.dataflow`` — loop nests, tiling and dataflow descriptions,
+* ``repro.dataflow`` — tiling and dataflow descriptions,
 * ``repro.arch`` — the architecture registry: every accelerator variant as
-  a declarative spec bound to a simulator adapter, plus cross-architecture
-  comparison sweeps,
+  a declarative spec whose configuration's dataflow picks the model, plus
+  cross-architecture comparison sweeps,
 * ``repro.scnn`` — the SCNN / DCNN functional and cycle-level simulators,
 * ``repro.timeloop`` — the analytical cycle, energy and area models,
 * ``repro.engine`` — the batched simulation engine (caching, process-pool

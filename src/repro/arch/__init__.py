@@ -1,13 +1,12 @@
-"""The architecture subsystem: registry, adapters, comparison sweeps.
+"""The architecture subsystem: registry, model dispatch, comparison sweeps.
 
 Every accelerator the repository can simulate is declared here as an
-:class:`ArchitectureSpec` — hardware parameterization plus a simulator
-adapter binding plus paper provenance — and registered in the
-:class:`ArchitectureRegistry`.  The canonical Table II / Table IV
-configurations are *defined* in :mod:`repro.arch.registry`, their only home;
-the sparsity ablations and granularity variants ride along as further
-entries.  New variants are a data change: register a spec and it is
-immediately comparable everywhere.
+:class:`ArchitectureSpec` — its hardware parameterization plus paper
+provenance — and registered in the :class:`ArchitectureRegistry`.  The
+canonical Table II / Table IV configurations are *defined* in
+:mod:`repro.arch.registry`, their only home; the sparsity ablations and
+granularity variants ride along as further entries.  New variants are a
+data change: register a spec and it is immediately comparable everywhere.
 
 Public surface:
 
@@ -15,8 +14,10 @@ Public surface:
   :func:`available_architectures` / :func:`resolve_config` — the catalogue.
 * :class:`ArchitectureSpec` / :class:`AcceleratorConfig` — the declarative
   descriptions (see :mod:`repro.arch.spec`).
-* :func:`get_adapter` / :class:`SimulatorAdapter` — the common
-  ``simulate_layer`` evaluation interface (see :mod:`repro.arch.adapters`).
+* :class:`ArchLayerResult` / :func:`effective_densities` — one layer's
+  result on one architecture, and the densities its energy is priced at
+  (see :mod:`repro.arch.adapters`, whose one ``simulate_layer`` evaluates
+  every architecture by its dataflow's inner operation).
 * :func:`compare_network` / :func:`compare_networks` /
   :class:`NetworkComparison` — cross-architecture comparison sweeps through
   the cached, parallel simulation engine, and :func:`network_comparison`,
@@ -49,10 +50,7 @@ from repro.arch.spec import AcceleratorConfig, ArchitectureSpec
 # and the engine, which in turn import this package).
 _LAZY = {
     "ArchLayerResult": "repro.arch.adapters",
-    "SimulatorAdapter": "repro.arch.adapters",
-    "available_adapters": "repro.arch.adapters",
     "effective_densities": "repro.arch.adapters",
-    "get_adapter": "repro.arch.adapters",
     "ArchLayerMetrics": "repro.arch.compare",
     "NetworkComparison": "repro.arch.compare",
     "compare_network": "repro.arch.compare",

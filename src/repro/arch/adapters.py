@@ -1,29 +1,25 @@
-"""Simulator adapters: the common evaluation interface behind every spec.
+"""One model dispatch: every architecture's layer evaluation and energy.
 
-An adapter knows how to evaluate one *family* of architectures with the
-repository's performance models; a spec names its adapter
-(:attr:`~repro.arch.spec.ArchitectureSpec.adapter`) and the registry resolves
-it at simulation time.  Every adapter exposes the same
-``simulate_layer(spec, config, operands) -> ArchLayerResult`` surface, so the
-engine's layer task — the paper's trio included — never branches on
-accelerator family.
+:func:`simulate_layer` evaluates one layer on one
+:class:`~repro.arch.spec.AcceleratorConfig` and branches on its dataflow's
+inner operation, so the engine's layer task — the paper's trio included —
+never branches on accelerator family:
 
-Adapters read operand *masks*, never operand tensors: :func:`evaluate_layer`
-forms a layer's :class:`LayerOperands` at most once and hands the same masks
-to every architecture it evaluates on that layer.  Each architecture sees
-the real mask of an operand its dataflow skips or gates, and an all-True
-mask otherwise (the models consume only non-zero *structure*, so an
-all-True mask models an uncompressed stream exactly).  Two adapters cover
-the paper's catalogue:
-
-* ``cartesian-sparse`` — the vectorised PT-IS-CP cycle model
+* ``"cartesian"`` — the vectorised PT-IS-CP cycle model
   (:func:`repro.scnn.cycles.simulate_layer_cycles`): SCNN, its granularity
-  variants and both single-operand ablations.
-* ``dot-product-dense`` — the dense PT-IS-DP baseline model
+  variants and both single-operand ablations;
+* ``"dot"`` — the dense PT-IS-DP baseline model
   (:func:`repro.scnn.dcnn.simulate_dcnn_layer`), whose cycles read the layer
   shape alone; it reads operands only to count what a zero-gating design
   (DCNN-opt) multiplies, so a layer evaluated only on DCNN is never
   synthesised.
+
+The models read operand *masks*, never operand tensors:
+:func:`evaluate_layer` forms a layer's :class:`LayerOperands` at most once
+and hands the same masks to every architecture it evaluates on that layer.
+Each architecture sees the real mask of an operand its dataflow skips or
+gates, and an all-True mask otherwise (the models consume only non-zero
+*structure*, so an all-True mask models an uncompressed stream exactly).
 
 :func:`price_energy` is every architecture's one energy accounting.
 """
@@ -49,16 +45,16 @@ from repro.timeloop.energy import EnergyBreakdown, layer_energy_from_densities
 
 @dataclass(frozen=True)
 class ArchLayerResult:
-    """One layer evaluated on one architecture, adapter-independent.
+    """One layer evaluated on one architecture, whatever its family.
 
     ``operations`` counts the multiplier slots the layer occupied: the cycle
     model's Cartesian products for a sparse architecture (including those
     that fall off the output plane), every multiply for a dense one.
     ``valid_products`` counts the products that land in the output, over
     the masks the multiplier sees: what the energy model charges and the
-    oracle divides.  It is ``None`` when the adapter read no operands.
-    ``weight_vector_fetches`` is only reported by the sparse adapter (the
-    energy model turns it into weight-buffer reads).
+    oracle divides.  It is ``None`` when the model read no operands.
+    ``weight_vector_fetches`` is only reported by the Cartesian-product
+    model (the energy model turns it into weight-buffer reads).
     """
 
     architecture: str
@@ -134,42 +130,25 @@ class LayerOperands:
         return self._valid_products[key]
 
 
-class SimulatorAdapter:
-    """Common interface every architecture family implements."""
-
-    #: Registry key (the value a spec's ``adapter`` field names).
-    name: str = ""
-
-    def reads_operands(self, config: AcceleratorConfig) -> bool:
-        """Whether :meth:`simulate_layer` reads the layer's masks on ``config``."""
-        return True
-
-    def simulate_layer(
-        self,
-        spec: ConvLayerSpec,
-        config: AcceleratorConfig,
-        operands: Optional[LayerOperands],
-    ) -> ArchLayerResult:
-        """Evaluate one layer on ``config``.
-
-        ``operands`` carries the layer's masks; it is ``None`` only when no
-        architecture evaluated on the layer :meth:`reads_operands`.
-        """
-        raise NotImplementedError
+def _reads_operands(config: AcceleratorConfig) -> bool:
+    """Whether :func:`simulate_layer` reads the layer's masks on ``config``:
+    the Cartesian-product model always does, the dense model only to count
+    what a zero-gating design multiplies."""
+    dataflow = config.dataflow
+    return dataflow.inner_operation == "cartesian" or dataflow.gates_zero_operands
 
 
-class CartesianSparseAdapter(SimulatorAdapter):
-    """PT-IS-CP architectures: SCNN, its variants and its ablations."""
+def simulate_layer(
+    spec: ConvLayerSpec,
+    config: AcceleratorConfig,
+    operands: Optional[LayerOperands],
+) -> ArchLayerResult:
+    """Evaluate one layer on ``config``, by its dataflow's inner operation.
 
-    name = "cartesian-sparse"
-
-    def simulate_layer(
-        self,
-        spec: ConvLayerSpec,
-        config: AcceleratorConfig,
-        operands: Optional[LayerOperands],
-    ) -> ArchLayerResult:
-        """Run the vectorised sparse cycle model on the masks ``config`` sees."""
+    ``operands`` carries the layer's masks; it is ``None`` only when no
+    architecture evaluated on the layer reads them (:func:`_reads_operands`).
+    """
+    if config.dataflow.inner_operation == "cartesian":
         weights, activations, integrals = operands.seen_by(config.dataflow)
         result = simulate_layer_cycles(
             spec, weights, activations, config, integrals=integrals
@@ -185,59 +164,20 @@ class CartesianSparseAdapter(SimulatorAdapter):
             valid_products=operands.valid_products(config.dataflow),
             conflict_stall_cycles=int(result.conflict_stall_cycles),
         )
-
-
-class DotProductDenseAdapter(SimulatorAdapter):
-    """PT-IS-DP architectures: the DCNN / DCNN-opt dense baselines."""
-
-    name = "dot-product-dense"
-
-    def reads_operands(self, config: AcceleratorConfig) -> bool:
-        """Only a zero-gating design needs its valid products counted."""
-        return config.dataflow.gates_zero_operands
-
-    def simulate_layer(
-        self,
-        spec: ConvLayerSpec,
-        config: AcceleratorConfig,
-        operands: Optional[LayerOperands],
-    ) -> ArchLayerResult:
-        """Run the dense baseline model (its cycles read the layer shape only)."""
-        result = simulate_dcnn_layer(spec, config)
-        valid_products = None
-        if self.reads_operands(config):
-            valid_products = operands.valid_products(config.dataflow)
-        return ArchLayerResult(
-            architecture=config.name,
-            layer=spec.name,
-            cycles=int(result.cycles),
-            operations=int(result.multiplies),
-            multiplier_utilization=result.multiplier_utilization,
-            idle_fraction=result.idle_fraction,
-            valid_products=valid_products,
-        )
-
-
-_ADAPTERS: Dict[str, SimulatorAdapter] = {
-    adapter.name: adapter
-    for adapter in (CartesianSparseAdapter(), DotProductDenseAdapter())
-}
-
-
-def available_adapters() -> List[str]:
-    """Names of every registered simulator adapter."""
-    return sorted(_ADAPTERS)
-
-
-def get_adapter(name: str) -> SimulatorAdapter:
-    """Adapter registered under ``name``; unknown names list the catalogue."""
-    try:
-        return _ADAPTERS[name]
-    except KeyError:
-        known = ", ".join(map(repr, available_adapters())) or "(none)"
-        raise KeyError(
-            f"unknown simulator adapter {name!r}; available adapters: {known}"
-        ) from None
+    # A dot-product design's cycles read the layer shape only.
+    result = simulate_dcnn_layer(spec, config)
+    valid_products = None
+    if _reads_operands(config):
+        valid_products = operands.valid_products(config.dataflow)
+    return ArchLayerResult(
+        architecture=config.name,
+        layer=spec.name,
+        cycles=int(result.cycles),
+        operations=int(result.multiplies),
+        multiplier_utilization=result.multiplier_utilization,
+        idle_fraction=result.idle_fraction,
+        valid_products=valid_products,
+    )
 
 
 def evaluate_layer(
@@ -248,17 +188,12 @@ def evaluate_layer(
     The masks are formed once (``workload.masks()``: a
     :class:`~repro.engine.workloads.WorkloadHandle` synthesises them from
     its recipe's draws, no float tensor on the way), and not at all when no
-    spec's adapter reads operands.
+    spec's configuration reads operands.
     """
-    adapters = [get_adapter(spec.adapter) for spec in specs]
     operands = None
-    pairs = list(zip(adapters, specs))
-    if any(adapter.reads_operands(spec.config) for adapter, spec in pairs):
+    if any(_reads_operands(spec.config) for spec in specs):
         operands = LayerOperands(workload.spec, *workload.masks())
-    return [
-        adapter.simulate_layer(workload.spec, spec.config, operands)
-        for adapter, spec in pairs
-    ]
+    return [simulate_layer(workload.spec, spec.config, operands) for spec in specs]
 
 
 def effective_densities(

@@ -10,8 +10,9 @@ Figure 8 is its speedup column, Figure 9 its utilization column, Figure 10
 its energy column, and the service's ``network`` payload reads its totals.
 
 Every architecture is an ordinary column of one evaluation, through the
-shared :class:`~repro.engine.SimulationEngine` (cached, parallel): each
-layer's registry adapter gives its cycles and valid products, and
+shared :class:`~repro.engine.SimulationEngine` (cached, parallel):
+:func:`~repro.arch.adapters.simulate_layer` gives each layer's cycles and
+valid products, and
 :func:`~repro.arch.adapters.price_energy` prices its energy, one accounting
 for all.  The canonical trio (SCNN, DCNN, DCNN-opt) and every other
 architecture (the sparsity ablations, granularity variants, anything a user
@@ -214,7 +215,7 @@ def _architecture_rows(
     results: Sequence[ArchLayerResult],
     simulation: NetworkSimulation,
 ) -> List[ArchLayerMetrics]:
-    """Every layer's row of one architecture, from its adapter results.
+    """Every layer's row of one architecture, from its layer results.
 
     Energy is the one accounting, :func:`~repro.arch.adapters.price_energy`;
     a trio architecture's was priced when the network was simulated.
@@ -298,7 +299,7 @@ def network_comparison(
     """The comparison of an existing simulation, with no engine call.
 
     A trio architecture's rows come from each layer's ``results``; every
-    other architecture's column (one adapter result per layer, in layer
+    other architecture's column (one layer result per layer, in layer
     order) is read from ``columns``.  ``architectures`` defaults to the
     paper's trio and :data:`BASELINE` is always compared.  The comparison's
     ``seed`` is the one the simulation's workloads were drawn at, which

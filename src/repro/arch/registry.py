@@ -10,14 +10,11 @@ variants ride along as further registry entries.
 Adding an accelerator variant is a data change, not a code change::
 
     from dataclasses import replace
-    from repro.arch import ArchitectureSpec, default_registry
+    from repro.arch import SCNN_CONFIG, ArchitectureSpec, default_registry
 
     spec = ArchitectureSpec(
-        name="SCNN-A64",
         config=replace(SCNN_CONFIG, name="SCNN-A64", accumulator_banks=64),
-        adapter="cartesian-sparse",
         description="SCNN with doubled accumulator banking",
-        baseline="DCNN",
     )
     default_registry().register(spec)
 
@@ -125,53 +122,38 @@ def _built_in_specs() -> List[ArchitectureSpec]:
     """The paper's accelerator catalogue, in presentation order."""
     specs = [
         ArchitectureSpec(
-            name="DCNN",
             config=DCNN_CONFIG,
-            adapter="dot-product-dense",
             description="Dense baseline: PT-IS-DP-dense over uncompressed "
             "operands; every multiply occupies a slot.",
             paper_reference="Table IV; Figures 8 and 10 baseline",
-            baseline="",
             tags=("table4", "baseline"),
         ),
         ArchitectureSpec(
-            name="DCNN-opt",
             config=DCNN_OPT_CONFIG,
-            adapter="dot-product-dense",
             description="Dense baseline with zero-operand gating and DRAM "
             "activation compression (energy only — cycles match DCNN).",
             paper_reference="Table IV; Figure 10",
-            baseline="DCNN",
             tags=("table4", "baseline"),
         ),
         ArchitectureSpec(
-            name="SCNN",
             config=SCNN_CONFIG,
-            adapter="cartesian-sparse",
             description="The paper's design point: PT-IS-CP-sparse, 8x8 PEs "
             "of 4x4 multipliers, 32 accumulator banks, Kc=8.",
             paper_reference="Tables II and IV; Figures 8-10",
-            baseline="DCNN",
             tags=("table2", "table4"),
         ),
         ArchitectureSpec(
-            name="SCNN-SparseW",
             config=SCNN_SPARSE_W_CONFIG,
-            adapter="cartesian-sparse",
             description="Sparsity ablation: compresses and skips zero "
             "weights only; activations are delivered dense.",
             paper_reference="Table IV variants (sparsity ablation)",
-            baseline="DCNN",
             tags=("ablation",),
         ),
         ArchitectureSpec(
-            name="SCNN-SparseA",
             config=SCNN_SPARSE_A_CONFIG,
-            adapter="cartesian-sparse",
             description="Sparsity ablation: compresses and skips zero "
             "activations only; weights are delivered dense.",
             paper_reference="Table IV variants (sparsity ablation)",
-            baseline="DCNN",
             tags=("ablation",),
         ),
     ]
@@ -179,14 +161,11 @@ def _built_in_specs() -> List[ArchitectureSpec]:
         config = SCNN_CONFIG.with_pe_count(num_pes)
         specs.append(
             ArchitectureSpec(
-                name=config.name,
                 config=config,
-                adapter="cartesian-sparse",
                 description=f"Section VI-C granularity variant: {num_pes} PEs "
                 f"of {config.multipliers_f}x{config.multipliers_i} multipliers "
                 "at a constant 1,024 chip-wide multipliers.",
                 paper_reference="Section VI-C (PE granularity)",
-                baseline="SCNN",
                 tags=("sec6c",),
             )
         )

@@ -7,10 +7,12 @@ accelerator:
   multiplier array shape, accumulator banking, buffer sizes, dataflow).
   Architecture descriptions are owned by the architecture subsystem rather
   than by one simulator.
-* :class:`ArchitectureSpec` — one *registered architecture*: a config bound
-  to a simulator adapter (by name, see :mod:`repro.arch.adapters`) plus the
-  provenance metadata (paper table/figure, baseline it is compared against)
-  the docs and the comparison sweeps surface.
+* :class:`ArchitectureSpec` — one *registered architecture*: a config plus
+  the provenance metadata (description, paper table/figure, tags) the docs
+  and the comparison sweeps surface.  The config is the architecture: its
+  name is the spec's, its dataflow's inner operation picks the model
+  (:func:`repro.arch.adapters.simulate_layer`), and it alone keys the
+  spec's cache cells.
 
 Both are frozen, hashable and picklable, so specs travel unchanged through
 the engine's process pool and content-addressed cache.
@@ -59,6 +61,8 @@ class AcceleratorConfig:
     drain_overhead_cycles: int = 0
 
     def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("an accelerator config needs a non-empty name")
         positive_fields = (
             "num_pes",
             "multipliers_f",
@@ -149,33 +153,21 @@ class ArchitectureSpec:
     """One registered accelerator architecture.
 
     A spec is purely declarative: the hardware parameterization
-    (:attr:`config`), the name of the simulator adapter that knows how to
-    evaluate it (:attr:`adapter`, resolved through
-    :func:`repro.arch.adapters.get_adapter`), and provenance metadata.
+    (:attr:`config`) and provenance metadata, which no result depends on.
     Registering a new spec — one :func:`repro.arch.registry` entry — is all
     it takes for an architecture to show up in the comparison sweeps, the
     ``repro compare`` CLI and the service's ``compare`` scenario.
     """
 
-    name: str
     config: AcceleratorConfig
-    adapter: str
     description: str = ""
     paper_reference: str = ""
-    baseline: str = ""
     tags: Tuple[str, ...] = field(default=())
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("an architecture spec needs a non-empty name")
-        if self.name != self.config.name:
-            raise ValueError(
-                f"spec name {self.name!r} must match its config name "
-                f"{self.config.name!r} — the config name is what results and "
-                f"cache fingerprints carry"
-            )
-        if not self.adapter:
-            raise ValueError(f"architecture {self.name!r} names no adapter")
+    @property
+    def name(self) -> str:
+        """The architecture's name: its config's, which results carry."""
+        return self.config.name
 
     @property
     def dataflow(self) -> Dataflow:

@@ -16,13 +16,17 @@ Two single-operand ablations of the sparse dataflow round out the catalogue
 (the SCNN-SparseW / SCNN-SparseA variants of the paper's evaluation): each
 keeps the Cartesian-product structure but compresses — and skips zeros of —
 only one operand, with the other delivered dense.
+
+All of them walk the input-stationary loop order of Section III-A, which
+the cycle models build in, so a description records only what tells them
+apart: the inner operation, which picks the model, and which operand zeros
+are skipped (an operand is compressed exactly when its zeros are skipped),
+gated or compressed on the DRAM interface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.dataflow.loopnest import INPUT_STATIONARY_NEST, LoopNest
 
 
 @dataclass(frozen=True)
@@ -31,13 +35,13 @@ class Dataflow:
 
     Attributes:
         name: the paper's name for the dataflow.
-        temporal_order: single-PE temporal loop nest.
         inner_operation: ``"cartesian"`` (F x I all-pairs products) or
-            ``"dot"`` (F-wide dot product).
-        weights_compressed: weights delivered in compressed-sparse form.
-        activations_compressed: activations kept compressed end to end.
-        skips_zero_weights: zero weights never occupy a multiplier.
-        skips_zero_activations: zero activations never occupy a multiplier.
+            ``"dot"`` (F-wide dot product); it picks the model that
+            evaluates the dataflow (:func:`repro.arch.adapters.simulate_layer`).
+        skips_zero_weights: weights delivered compressed, so zero weights
+            never occupy a multiplier.
+        skips_zero_activations: activations kept compressed end to end, so
+            zero activations never occupy a multiplier.
         gates_zero_operands: multiplier data-gated (energy saved, cycle not)
             when an operand is zero — the DCNN-opt optimisation.
         compresses_dram_traffic: activations compressed on the DRAM interface
@@ -45,10 +49,7 @@ class Dataflow:
     """
 
     name: str
-    temporal_order: LoopNest
     inner_operation: str
-    weights_compressed: bool
-    activations_compressed: bool
     skips_zero_weights: bool
     skips_zero_activations: bool
     gates_zero_operands: bool
@@ -69,10 +70,7 @@ class Dataflow:
 
 PT_IS_CP_DENSE = Dataflow(
     name="PT-IS-CP-dense",
-    temporal_order=INPUT_STATIONARY_NEST,
     inner_operation="cartesian",
-    weights_compressed=False,
-    activations_compressed=False,
     skips_zero_weights=False,
     skips_zero_activations=False,
     gates_zero_operands=False,
@@ -81,10 +79,7 @@ PT_IS_CP_DENSE = Dataflow(
 
 PT_IS_CP_SPARSE = Dataflow(
     name="PT-IS-CP-sparse",
-    temporal_order=INPUT_STATIONARY_NEST,
     inner_operation="cartesian",
-    weights_compressed=True,
-    activations_compressed=True,
     skips_zero_weights=True,
     skips_zero_activations=True,
     gates_zero_operands=False,
@@ -93,10 +88,7 @@ PT_IS_CP_SPARSE = Dataflow(
 
 PT_IS_CP_SPARSE_W = Dataflow(
     name="PT-IS-CP-sparse-w",
-    temporal_order=INPUT_STATIONARY_NEST,
     inner_operation="cartesian",
-    weights_compressed=True,
-    activations_compressed=False,
     skips_zero_weights=True,
     skips_zero_activations=False,
     gates_zero_operands=False,
@@ -105,10 +97,7 @@ PT_IS_CP_SPARSE_W = Dataflow(
 
 PT_IS_CP_SPARSE_A = Dataflow(
     name="PT-IS-CP-sparse-a",
-    temporal_order=INPUT_STATIONARY_NEST,
     inner_operation="cartesian",
-    weights_compressed=False,
-    activations_compressed=True,
     skips_zero_weights=False,
     skips_zero_activations=True,
     gates_zero_operands=False,
@@ -117,10 +106,7 @@ PT_IS_CP_SPARSE_A = Dataflow(
 
 PT_IS_DP_DENSE = Dataflow(
     name="PT-IS-DP-dense",
-    temporal_order=INPUT_STATIONARY_NEST,
     inner_operation="dot",
-    weights_compressed=False,
-    activations_compressed=False,
     skips_zero_weights=False,
     skips_zero_activations=False,
     gates_zero_operands=False,
@@ -129,10 +115,7 @@ PT_IS_DP_DENSE = Dataflow(
 
 PT_IS_DP_DENSE_OPT = Dataflow(
     name="PT-IS-DP-dense-opt",
-    temporal_order=INPUT_STATIONARY_NEST,
     inner_operation="dot",
-    weights_compressed=False,
-    activations_compressed=False,
     skips_zero_weights=False,
     skips_zero_activations=False,
     gates_zero_operands=True,

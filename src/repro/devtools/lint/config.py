@@ -80,7 +80,6 @@ class LintConfig:
         {
             "available_networks",
             "available_profiles",
-            "available_adapters",
             "available_architectures",
         }
     )

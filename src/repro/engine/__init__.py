@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`SimulationEngine` — ``run_architectures`` for workload x
-  architecture grids evaluated through the registry's simulator adapters
-  and cached cell by cell (what the ``compare`` sweeps and Figures 8-10,
+  architecture grids cached cell by cell, each keyed by its architecture's
+  configuration (what the ``compare`` sweeps and Figures 8-10,
   the Section VI-C study and the service's ``layer`` scenario consume),
   ``run_network`` for full per-network simulations (the trio's cells of
   ``run_architectures``, assembled), and ``sweep`` for cached
@@ -28,7 +28,7 @@ import os
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.engine.cache import ResultCache, SCHEMA_VERSION, default_cache_dir, fingerprint
+from repro.engine.cache import ResultCache, default_cache_dir, fingerprint
 from repro.engine.core import ArchitectureRun, SimulationEngine
 from repro.engine.parallel import parallel_map, pool_forks, resolve_workers
 from repro.engine.workloads import WorkloadHandle
@@ -79,7 +79,6 @@ def configure_default_engine(
 __all__ = [
     "ArchitectureRun",
     "ResultCache",
-    "SCHEMA_VERSION",
     "SimulationEngine",
     "WorkloadHandle",
     "configure_default_engine",

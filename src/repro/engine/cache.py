@@ -4,18 +4,17 @@ Every cacheable unit of work (a workload on an architecture, a DSE design
 point) is described by a *fingerprint*: a canonical JSON document covering
 everything the result depends on — layer shapes, operand content (either the
 generative coordinates of a synthetic workload or a digest of the raw
-tensors), the full accelerator configuration, the energy table, the
-installed numpy's version, and a schema version bumped whenever the models
-change meaning.  The SHA-256 of that document addresses a pickle
-file under the cache root, so
+tensors), the full accelerator configuration, the installed numpy's version,
+and :data:`MODEL_DIGEST`, a digest of the model code that computes it.  The
+SHA-256 of that document addresses a pickle file under the cache root, so
 
 * two logically identical requests always share one entry, regardless of
   which entry point produced them;
 * any change to an input produces a different key — there is no staleness
   to manage and never a need to "invalidate" entries by hand;
-* bumping :data:`SCHEMA_VERSION` orphans (but does not delete) entries from
-  older model revisions, and so does installing another numpy;
-  ``ResultCache.clear()`` removes everything.
+* any edit to the model source orphans (but does not delete) every older
+  entry, and so does installing another numpy; ``ResultCache.clear()``
+  removes everything.
 
 The cache is safe for concurrent writers — including writers in *different
 processes* (the service's process-mode worker tier points every forked
@@ -50,8 +49,34 @@ import numpy as np
 
 from repro import obs
 
-# Bump when a model change alters what any cached metric means.
-SCHEMA_VERSION = 3
+#: Packages under ``repro`` that compute no cached value: service payloads
+#: live in memory only, obs only records, devtools lints and the experiment
+#: drivers only read cells.
+_NOT_MODEL = frozenset({"service", "obs", "devtools", "experiments"})
+
+
+def model_digest(package: Path) -> str:
+    """SHA-256 of the model source: every ``.py`` file under ``package`` (the
+    ``repro`` directory) outside the :data:`_NOT_MODEL` packages.
+
+    The files are hashed in order of their relative POSIX paths, each as its
+    path followed by its bytes (NUL-terminated, which neither may contain).
+    """
+    digest = hashlib.sha256()
+    for relative, path in sorted(
+        (path.relative_to(package).as_posix(), path) for path in package.rglob("*.py")
+    ):
+        if relative.split("/", 1)[0] not in _NOT_MODEL:
+            digest.update(relative.encode("utf-8") + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+#: Named in every key, so a key names the code that computed its value.  It
+#: is computed once at import: forked pool and service workers inherit it,
+#: and a result of the code a process loaded is never filed under the digest
+#: of source edited since.
+MODEL_DIGEST = model_digest(Path(__file__).resolve().parents[1])
 
 #: Named in every key: synthesis draws from numpy's ``Generator`` streams and
 #: relies on ``partition``'s tie order, which NumPy does not promise to keep
@@ -156,8 +181,8 @@ def canonical(value: Any) -> Canonical:
 def fingerprint(kind: str, **parts: Any) -> str:
     """SHA-256 key of one cacheable unit of work.
 
-    The hashed document is ``{"kind", "numpy", "parts": describe(parts),
-    "schema"}`` as compact sorted JSON, assembled from each part's
+    The hashed document is ``{"kind", "model", "numpy", "parts":
+    describe(parts)}`` as compact sorted JSON, assembled from each part's
     rendering; a part already rendered by :func:`canonical` is not rendered
     again.
     """
@@ -168,8 +193,8 @@ def fingerprint(kind: str, **parts: Any) -> str:
             part = canonical(part)
         rendered.append(f"{_ENCODER.encode(name)}:{part.text}")
     document = (
-        f'{{"kind":{_ENCODER.encode(kind)},"numpy":{_ENCODER.encode(NUMPY_VERSION)},'
-        f'"parts":{{{",".join(rendered)}}},"schema":{SCHEMA_VERSION}}}'
+        f'{{"kind":{_ENCODER.encode(kind)},"model":{_ENCODER.encode(MODEL_DIGEST)},'
+        f'"numpy":{_ENCODER.encode(NUMPY_VERSION)},"parts":{{{",".join(rendered)}}}}}'
     )
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 

@@ -21,9 +21,10 @@ architecture, the trio's included, is cached per (layer, architecture) cell,
 and a network simulation is its trio's cells.  Each layer with an uncached
 cell is one :func:`_layer_task`: it builds the layer's operand masks at most
 once, straight from the seeded draws, and evaluates every missing
-architecture through the registry's adapters, so no operand outlives its
-layer, in the parent process or in the memo table.  Every entry point reads
-and writes the cache through one helper, :meth:`SimulationEngine._cached`.
+architecture through :func:`repro.arch.adapters.simulate_layer`, so no
+operand outlives its layer, in the parent process or in the memo table.
+Every entry point reads and writes the cache through one helper,
+:meth:`SimulationEngine._cached`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.scnn.simulator import TRIO, NetworkSimulation, network_simulation
 from repro.timeloop.dse import DesignPoint, evaluate_configs
-from repro.timeloop.energy import DEFAULT_ENERGY_TABLE
 
 AnyWorkload = Union[LayerWorkload, WorkloadHandle]
 
@@ -117,7 +117,7 @@ def _layer_task(
 class ArchitectureRun:
     """Result grid of one :meth:`SimulationEngine.run_architectures` call.
 
-    ``results[i][j]`` is the adapter result
+    ``results[i][j]`` is the layer result
     (:class:`repro.arch.adapters.ArchLayerResult`) of ``workloads[i]`` on
     ``architectures[j]``.
     """
@@ -344,11 +344,11 @@ class SimulationEngine:
         calibration).  ``sparsity`` overrides the per-layer density table
         either way — the hook the density-profile sweeps use.
 
-        Each cell's key names its architecture's configuration, so editing
-        a trio configuration in source re-keys that architecture's cells.
-        Energy is priced from the constant energy table when the simulation
-        is assembled and is never cached, so no cached value depends on the
-        table; design points, which hold energy, still name it.
+        Each cell's key names its architecture's configuration and, like
+        every key, the model source's digest, so editing a trio
+        configuration in source re-keys every cell.  Energy is priced from
+        the constant energy table when the simulation is assembled and is
+        never cached.
         """
         network, handles = network_handles(network, seed, sparsity=sparsity)
         grid = self.run_architectures(handles, TRIO)
@@ -364,15 +364,17 @@ class SimulationEngine:
     ) -> ArchitectureRun:
         """Evaluate every workload on every registered architecture.
 
-        Each cell is evaluated through the architecture's simulator adapter
-        (the common ``simulate_layer`` surface of :mod:`repro.arch.adapters`),
-        so sparse and dense architectures — and any future family — mix
-        freely in one grid.  ``architectures`` accepts registered names or
-        :class:`~repro.arch.spec.ArchitectureSpec` objects.  Each cell is
-        content-addressed in the cache on its own (synthetic workloads by
-        their generative recipe, raw workloads by a digest of their
-        tensors), but all of a layer's uncached cells are computed in one
-        task, which synthesises the layer once; the tasks shard across the
+        Each cell is evaluated by :func:`repro.arch.adapters.simulate_layer`,
+        which branches on the dataflow's inner operation, so sparse and
+        dense architectures mix freely in one grid.  ``architectures``
+        accepts registered names or :class:`~repro.arch.spec.ArchitectureSpec`
+        objects.  Each cell is
+        content-addressed in the cache on its own, by its workload
+        (synthetic workloads by their generative recipe, raw workloads by a
+        digest of their tensors) and its architecture's configuration, so
+        two specs that differ only in description or tags share their
+        cells.  All of a layer's uncached cells are computed in one task,
+        which synthesises the layer once; the tasks shard across the
         process pool, largest layer first.
         """
         workloads = list(workloads)
@@ -380,14 +382,14 @@ class SimulationEngine:
             spec if isinstance(spec, ArchitectureSpec) else get_architecture(spec)
             for spec in architectures
         ]
-        # Render each workload and spec once up front: a raw workload's
+        # Render each workload and config once up front: a raw workload's
         # rendering digests its tensors, which must not be repeated per grid
         # cell, and each cell's key then only joins two rendered parts.
-        spec_parts = [canonical(spec) for spec in specs]
+        config_parts = [canonical(spec.config) for spec in specs]
         keys = [
             fingerprint("architecture-layer", workload=workload_part, architecture=part)
             for workload_part in map(canonical, workloads)
-            for part in spec_parts
+            for part in config_parts
         ]
         width = len(specs)
 
@@ -425,19 +427,15 @@ class SimulationEngine:
         The cached counterpart of :func:`repro.timeloop.dse.sweep`: each
         design point is content-addressed on its own, and the candidates that
         miss the cache are evaluated in one whole-grid pass in this process
-        (:func:`repro.timeloop.dse.evaluate_configs`).  The network, sparsity
-        and energy parts that every candidate's key shares are rendered once
+        (:func:`repro.timeloop.dse.evaluate_configs`).  The network and
+        sparsity parts that every candidate's key shares are rendered once
         per call.  ``network`` accepts any registered workload name (whose
         density profile supplies ``sparsity`` unless overridden), like
         :meth:`run_network`.
         """
         network, sparsity = resolve_network_sparsity(network, sparsity)
         configs = list(configs)
-        shared = {
-            "network": canonical(network),
-            "sparsity": canonical(sparsity),
-            "energy": canonical(DEFAULT_ENERGY_TABLE),
-        }
+        shared = {"network": canonical(network), "sparsity": canonical(sparsity)}
         keys = [fingerprint("design-point", config=config, **shared) for config in configs]
 
         def evaluate(missing: List[int]) -> List[DesignPoint]:

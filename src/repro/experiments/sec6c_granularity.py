@@ -43,10 +43,7 @@ def run(
     configs = [SCNN_CONFIG.with_pe_count(num_pes) for num_pes in pe_counts]
     grid = default_engine().run_architectures(
         network_handles(network_name, seed)[1],
-        [
-            ArchitectureSpec(name=config.name, config=config, adapter="cartesian-sparse")
-            for config in configs
-        ],
+        [ArchitectureSpec(config) for config in configs],
     )
     points = []
     for num_pes, config in zip(pe_counts, configs):

@@ -40,7 +40,7 @@ DEFAULT_OUTPUT_DENSITY = 0.55
 class LayerSimulation:
     """All simulation results of one layer.
 
-    ``results`` holds each trio architecture's adapter result and ``energy``
+    ``results`` holds each trio architecture's layer result and ``energy``
     its :func:`~repro.arch.adapters.price_energy` breakdown, both keyed by
     architecture name in :data:`TRIO` order.
     """
@@ -109,7 +109,7 @@ def layer_simulation(
     results: Sequence[adapters.ArchLayerResult],
     output_density: Optional[float] = None,
 ) -> LayerSimulation:
-    """Assemble one layer's simulation from its trio adapter results.
+    """Assemble one layer's simulation from its trio layer results.
 
     The oracle divides SCNN's valid products by the multiplier count, and
     every architecture's energy is priced by the one accounting,

@@ -16,11 +16,12 @@ one key):
   of them receive the bitwise-identical payload.
 
 The store holds only payloads this process computed, in memory.  A payload
-key names a scenario by its name and parameters, not by the model code and
-constants behind it, so a payload kept across a restart could answer for a
-model that has since changed.  A restarted service answers a repeat through
-a worker instead, from the engine's content-addressed cache, whose keys name
-every model input.
+key names a scenario by its name and parameters and, like every
+:func:`~repro.engine.cache.fingerprint`, the model source's digest, but not
+the scenario's definition: the digest skips this package, so a payload kept
+across a restart could answer for a scenario that has since been redefined.
+A restarted service answers a repeat through a worker instead, from the
+engine's content-addressed cache, whose keys name every model input.
 """
 
 from __future__ import annotations

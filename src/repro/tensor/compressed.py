@@ -168,10 +168,11 @@ class BlockStatistics:
     blocks: int = 0
 
     def add(self, block: CompressedBlock) -> None:
+        nonzero = block.nonzero_count
         self.dense_elements += block.dense_size
         self.stored_elements += block.stored_elements
-        self.nonzero_elements += block.nonzero_count
-        self.placeholder_elements += block.placeholder_count
+        self.nonzero_elements += nonzero
+        self.placeholder_elements += block.stored_elements - nonzero
         self.data_bits += block.stored_elements * block.value_bits
         self.index_bits += block.index.storage_bits()
         self.blocks += 1

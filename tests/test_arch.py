@@ -1,7 +1,7 @@
 """Tests for the architecture subsystem (repro.arch).
 
 Covers the registry catalogue and its validation errors, the declarative
-specs, the simulator adapters' common interface, and the engine's
+specs, the one model dispatch (``simulate_layer``), and the engine's
 cross-architecture grid.
 """
 
@@ -14,6 +14,7 @@ import pytest
 from repro.arch import (
     DCNN_CONFIG,
     SCNN_CONFIG,
+    AcceleratorConfig,
     ArchitectureRegistry,
     ArchitectureSpec,
     available_architectures,
@@ -23,9 +24,9 @@ from repro.arch import (
 )
 from repro.arch.adapters import (
     LayerOperands,
-    available_adapters,
+    _reads_operands,
     effective_densities,
-    get_adapter,
+    simulate_layer,
 )
 from repro.arch.compare import ArchLayerMetrics, NetworkComparison
 from repro.engine import SimulationEngine
@@ -82,24 +83,20 @@ class TestRegistry:
     def test_registering_a_variant_is_a_data_change(self):
         registry = ArchitectureRegistry()
         config = replace(SCNN_CONFIG, name="SCNN-A64", accumulator_banks=64)
-        spec = ArchitectureSpec(
-            name="SCNN-A64", config=config, adapter="cartesian-sparse"
-        )
+        spec = ArchitectureSpec(config)
         registry.register(spec)
         assert "SCNN-A64" in registry
         assert registry.get("SCNN-A64").config.accumulator_banks == 64
 
 
 class TestSpecValidation:
-    def test_name_must_match_config_name(self):
-        with pytest.raises(ValueError, match="must match its config name"):
-            ArchitectureSpec(
-                name="other", config=SCNN_CONFIG, adapter="cartesian-sparse"
-            )
+    def test_config_name_required(self):
+        with pytest.raises(ValueError, match="non-empty name"):
+            AcceleratorConfig(name="", dataflow=SCNN_CONFIG.dataflow)
 
-    def test_adapter_required(self):
-        with pytest.raises(ValueError, match="names no adapter"):
-            ArchitectureSpec(name="SCNN", config=SCNN_CONFIG, adapter="")
+    def test_spec_name_is_its_config_name(self):
+        config = replace(SCNN_CONFIG, name="SCNN-renamed")
+        assert ArchitectureSpec(config, description="a copy").name == "SCNN-renamed"
 
     def test_specs_pickle_round_trip(self):
         spec = get_architecture("SCNN-SparseW")
@@ -128,15 +125,8 @@ class TestResolveConfig:
 
 
 class TestAdapters:
-    def test_adapter_catalogue(self):
-        assert available_adapters() == ["cartesian-sparse", "dot-product-dense"]
-        with pytest.raises(KeyError, match="unknown simulator adapter"):
-            get_adapter("hls")
-
     def test_sparse_adapter_matches_core_model_for_scnn(self, workload, operands):
-        result = get_adapter("cartesian-sparse").simulate_layer(
-            workload.spec, SCNN_CONFIG, operands
-        )
+        result = simulate_layer(workload.spec, SCNN_CONFIG, operands)
         reference = simulate_layer_cycles(
             workload.spec, workload.weights, workload.activations, SCNN_CONFIG
         )
@@ -151,9 +141,8 @@ class TestAdapters:
     def test_dense_adapter_matches_dcnn_model(self, workload):
         """A dense design that gates nothing reads no operands, so it
         needs no masks and counts no valid products."""
-        adapter = get_adapter("dot-product-dense")
-        assert not adapter.reads_operands(DCNN_CONFIG)
-        result = adapter.simulate_layer(workload.spec, DCNN_CONFIG, None)
+        assert not _reads_operands(DCNN_CONFIG)
+        result = simulate_layer(workload.spec, DCNN_CONFIG, None)
         reference = simulate_dcnn_layer(workload.spec, DCNN_CONFIG)
         assert result.cycles == reference.cycles
         assert result.operations == reference.multiplies
@@ -163,13 +152,10 @@ class TestAdapters:
     def test_gating_dense_adapter_counts_valid_products(self, workload, operands):
         """DCNN-opt gates zero operands: it reads the real masks and shares
         SCNN's count, while its cycles stay DCNN's."""
-        adapter = get_adapter("dot-product-dense")
         config = get_architecture("DCNN-opt").config
-        assert adapter.reads_operands(config)
-        result = adapter.simulate_layer(workload.spec, config, operands)
-        scnn = get_adapter("cartesian-sparse").simulate_layer(
-            workload.spec, SCNN_CONFIG, operands
-        )
+        assert _reads_operands(config)
+        result = simulate_layer(workload.spec, config, operands)
+        scnn = simulate_layer(workload.spec, SCNN_CONFIG, operands)
         assert result.valid_products == scnn.valid_products
         assert result.cycles == simulate_dcnn_layer(workload.spec, DCNN_CONFIG).cycles
         assert "dense_activations" not in vars(operands)
@@ -179,8 +165,7 @@ class TestAdapters:
     ):
         """Skipping one operand is slower than SCNN, faster than dense; the
         unskipped operand is observed as an all-True mask."""
-        adapter = get_adapter("cartesian-sparse")
-        scnn = adapter.simulate_layer(workload.spec, SCNN_CONFIG, operands)
+        scnn = simulate_layer(workload.spec, SCNN_CONFIG, operands)
         dense_weights = np.ones_like(workload.weights)
         dense_activations = np.ones_like(workload.activations)
         dense_equivalent = simulate_layer_cycles(
@@ -191,7 +176,7 @@ class TestAdapters:
             ("SCNN-SparseA", dense_weights, workload.activations),
         ):
             config = get_architecture(name).config
-            ablation = adapter.simulate_layer(workload.spec, config, operands)
+            ablation = simulate_layer(workload.spec, config, operands)
             reference = simulate_layer_cycles(workload.spec, weights, activations, config)
             assert (ablation.cycles, ablation.operations, ablation.valid_products) == (
                 reference.cycles,

@@ -1,26 +1,31 @@
 """Cache keys are pinned byte for byte.
 
-A cache directory written by one version of the engine must keep answering
-the next one under the same numpy, so the bytes of every key are part of
-the contract:
+Every key names the model source's digest (:data:`cache.MODEL_DIGEST`) and
+the installed numpy's version, so a cache directory written by one version
+of the engine answers the next only under the same model source and the
+same numpy.  Within that, the bytes of every key are part of the contract:
 
 * the golden (``tests/golden/cache_keys.json``) holds the ``design-point``
   keys of ``[SCNN] + default_candidates()`` on AlexNet and GoogLeNet, and the
   ``architecture-layer`` keys of one synthetic :class:`WorkloadHandle` and
   one raw :class:`LayerWorkload` on every architecture registered when it
-  was written.  It records the numpy version it was written under, and every
-  test here computes keys with that version in place of the installed one,
-  so the golden holds under any numpy;
+  was written.  It records the model digest and the numpy version it was
+  written under, and every test here computes keys with those in place of
+  the installed ones, so the golden holds under any model source and numpy;
+* the digest covers every module under ``repro`` but the four packages
+  that compute no cached value (``service``, ``obs``, ``devtools`` and
+  ``experiments``), and the model's modules import none of the others;
 * a network simulation is cached as its trio's ``architecture-layer``
   cells: ``run_network`` looks up exactly the keys ``run_architectures``
   looks up for the trio on the network's recipe handles;
-* a dataflow's temporal loop order is part of both kinds of key;
+* an ``architecture-layer`` key names the architecture by its
+  configuration alone, so specs that differ only in metadata share cells;
 * a property test holds :func:`fingerprint` to the one-document reference
   below, for generated parts passed raw and pre-rendered by
   :func:`canonical`.
 
-Regenerate the golden only when a change is meant to orphan every cache
-entry (a :data:`SCHEMA_VERSION` bump, or a new field in the key document)::
+Regenerate the golden only when a change is meant to change the key
+document or its parts (a model source edit alone does not need it)::
 
     PYTHONPATH=src python tests/test_cache_keys.py --write
 """
@@ -30,6 +35,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import shutil
+import subprocess
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -46,9 +54,8 @@ from repro.arch.registry import (
     available_architectures,
     get_architecture,
 )
-from repro.dataflow.loopnest import LoopNest
-from repro.engine import SCHEMA_VERSION, SimulationEngine, WorkloadHandle, cache
-from repro.engine.cache import canonical, describe, fingerprint
+from repro.engine import SimulationEngine, WorkloadHandle, cache
+from repro.engine.cache import canonical, describe, fingerprint, model_digest
 from repro.scnn.simulator import TRIO
 from repro.timeloop.dse import default_candidates
 from repro.workloads.profiles import get_profile
@@ -75,9 +82,17 @@ def _golden() -> Dict:
     return json.loads(GOLDEN.read_text())
 
 
+#: The ``repro`` package directory and the digest computed at its import,
+#: read before any test substitutes the golden's.
+PACKAGE = Path(cache.__file__).resolve().parents[1]
+INSTALLED_DIGEST = cache.MODEL_DIGEST
+
+
 @pytest.fixture(autouse=True)
-def recorded_numpy(monkeypatch):
-    """Key everything under the numpy version the golden was written with."""
+def recorded_versions(monkeypatch):
+    """Key everything under the model digest and numpy version the golden
+    was written with."""
+    monkeypatch.setattr(cache, "MODEL_DIGEST", _golden()["model"])
     monkeypatch.setattr(cache, "NUMPY_VERSION", _golden()["numpy"])
 
 
@@ -130,10 +145,6 @@ def architecture_layer_keys(architectures: List[str]) -> Dict[str, List[str]]:
     return {"handle": engine.keys[:width], "raw": engine.keys[width:]}
 
 
-def test_schema_version():
-    assert SCHEMA_VERSION == _golden()["schema"] == 3
-
-
 @pytest.mark.parametrize("name, profile", NETWORKS)
 def test_run_network_looks_up_its_trio_cells(name, profile):
     network = resolve_network(name)
@@ -165,30 +176,87 @@ def test_architecture_layer_keys():
     assert keys == {"handle": golden["handle"], "raw": golden["raw"]}
 
 
-#: A loop order other than the input-stationary one every dataflow uses.
-REVERSED_ORDER = LoopNest(("S", "R", "H", "W", "C", "K", "N"))
-
-
-def _reordered(config):
-    """``config`` with its dataflow's temporal loop order reversed."""
-    dataflow = replace(config.dataflow, temporal_order=REVERSED_ORDER)
-    return replace(config, dataflow=dataflow)
-
-
-def test_temporal_order_enters_the_architecture_key():
-    """The dataflow's loop nest is rendered into every architecture-layer
-    key: a spec that differs only in its temporal order is another cell."""
+def test_an_architecture_is_keyed_by_its_configuration():
+    """A spec that differs only in description and tags shares its cells;
+    one whose configuration differs does not."""
     spec = get_architecture("SCNN")
-    reordered = replace(spec, config=_reordered(spec.config))
+    relabelled = replace(spec, description="relabelled", tags=("other",))
+    rebanked = replace(spec, config=replace(spec.config, accumulator_banks=64))
     engine = KeyRecorder()
-    engine.run_architectures([layer_workloads()[0]], [spec, reordered])
-    assert len(set(engine.keys)) == 2
+    engine.run_architectures([layer_workloads()[0]], [spec, relabelled, rebanked])
+    original, same_config, other_config = engine.keys
+    assert original == same_config != other_config
 
 
-def test_temporal_order_enters_the_design_point_key():
-    engine = KeyRecorder()
-    engine.sweep([SCNN_CONFIG, _reordered(SCNN_CONFIG)], "alexnet")
-    assert len(set(engine.keys)) == 2
+# -- the model digest ------------------------------------------------------------
+
+
+@pytest.fixture
+def package_copy(tmp_path):
+    """A copy of the ``repro`` package's source (no bytecode)."""
+    copy = tmp_path / "repro"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
+def _append_line(path: Path) -> None:
+    path.write_text(path.read_text() + "# edited\n")
+
+
+def test_model_digest_of_an_unedited_copy_is_the_installed_digest(package_copy):
+    assert model_digest(package_copy) == model_digest(PACKAGE) == INSTALLED_DIGEST
+
+
+@pytest.mark.parametrize(
+    "module", ["scnn/cycles.py", "timeloop/energy.py", "engine/cache.py"]
+)
+def test_model_digest_moves_with_the_model_source(package_copy, module):
+    _append_line(package_copy / module)
+    assert model_digest(package_copy) != INSTALLED_DIGEST
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["service/server.py", "experiments/fig8_performance.py", "obs/trace.py"],
+)
+def test_model_digest_ignores_code_that_computes_no_cached_value(
+    package_copy, module
+):
+    _append_line(package_copy / module)
+    assert model_digest(package_copy) == INSTALLED_DIGEST
+
+
+def test_the_model_imports_no_package_the_digest_skips():
+    """The model's entry points load no module from ``service``,
+    ``experiments`` or ``devtools`` (``obs`` only records), so no model
+    code can hide where the digest does not look."""
+    code = (
+        "import sys\n"
+        "import repro.engine.core, repro.arch.adapters, repro.timeloop.dse\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'repro'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.split()
+    assert "repro.engine.cache" in loaded
+    skipped = [
+        name
+        for name in loaded
+        if name.partition(".")[2].split(".")[0] in ("service", "experiments", "devtools")
+    ]
+    assert skipped == []
+
+
+def test_two_model_digests_give_two_keys(monkeypatch):
+    parts = {"network": "alexnet", "seed": 0}
+    before = fingerprint("architecture-layer", **parts)
+    monkeypatch.setattr(cache, "MODEL_DIGEST", "0" * 64)
+    assert fingerprint("architecture-layer", **parts) != before
 
 
 # -- fingerprint against the one-document reference ----------------------------
@@ -197,7 +265,7 @@ def test_temporal_order_enters_the_design_point_key():
 def reference_fingerprint(kind: str, **parts) -> str:
     """The key as one JSON document: the definition part-wise assembly keeps."""
     document = {
-        "schema": SCHEMA_VERSION,
+        "model": cache.MODEL_DIGEST,
         "numpy": cache.NUMPY_VERSION,
         "kind": kind,
         "parts": describe(parts),
@@ -338,7 +406,7 @@ if __name__ == "__main__":
         sys.exit("usage: test_cache_keys.py --write")
     architectures = available_architectures()
     document = {
-        "schema": SCHEMA_VERSION,
+        "model": cache.MODEL_DIGEST,
         "numpy": cache.NUMPY_VERSION,
         "design-point": {name: design_point_keys(name) for name in DSE_NETWORKS},
         "architecture-layer": {

@@ -54,11 +54,13 @@ class TestRunExperiments:
 
 
 class TestStdoutGoldens:
-    """``repro fig1`` and ``repro sec6c`` print their golden bytes.
+    """``repro fig1``, ``repro sec6c`` and the registry listings print their
+    golden bytes.
 
-    Both read the recipe handles' densities, and both print the same bytes
-    with numpy's AVX2 and AVX512 loops disabled (``NPY_DISABLE_CPU_FEATURES``),
-    so a runner without those features cannot fail them.
+    fig1 and sec6c read the recipe handles' densities, and both print the
+    same bytes with numpy's AVX2 and AVX512 loops disabled
+    (``NPY_DISABLE_CPU_FEATURES``), so a runner without those features
+    cannot fail them.
     """
 
     @pytest.mark.parametrize("name", ["fig1", "sec6c"])
@@ -74,6 +76,18 @@ class TestStdoutGoldens:
             line for line in lines if not line.startswith(f"[{name} completed in")
         )
         assert printed == (GOLDEN / f"{name}_stdout.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare", "--list"], ["workloads", "--list", "--profiles"]],
+        ids=["compare", "workloads"],
+    )
+    def test_catalogue_listing_matches_golden(self, argv, capsys):
+        """The registry listings print their golden bytes, so a rewritten
+        registry entry cannot change what they show unnoticed."""
+        assert cli.main(argv) == 0
+        golden = GOLDEN / f"{argv[0]}_list_stdout.txt"
+        assert capsys.readouterr().out == golden.read_text()
 
 
 class TestServiceDispatch:

@@ -240,9 +240,7 @@ def trio_copies():
         for name in TRIO:
             spec = registry.get(name)
             copy = f"{name}-copy"
-            registry.register(
-                replace(spec, name=copy, config=replace(spec.config, name=copy))
-            )
+            registry.register(replace(spec, config=replace(spec.config, name=copy)))
             copies[name] = copy
         yield copies
 

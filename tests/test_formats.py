@@ -149,6 +149,25 @@ class TestCompressedActivations:
         # A 318-zero run needs 19 placeholders in 4-bit runs (16 zeros each).
         assert stats.stored_elements == 21
 
+    def test_each_channel_is_counted_once(self, monkeypatch):
+        """The statistics read each block's non-zeros once and derive its
+        placeholders from that count: one ``count_nonzero`` per channel."""
+        activations = np.zeros((4, 8, 40))
+        activations[:, 0, 0] = 1.0
+        activations[:, 7, 39] = 2.0
+        count_nonzero = np.count_nonzero
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return count_nonzero(*args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", counting)
+        stats = CompressedActivations(activations, index_bits=4).statistics
+        assert len(calls) == 4
+        # Each channel's 318-zero run needs 19 placeholders.
+        assert (stats.nonzero_elements, stats.placeholder_elements) == (8, 76)
+
     def test_storage_shrinks_with_sparsity(self):
         dense = CompressedActivations(sparse_tensor((4, 12, 12), 1.0, seed=11))
         sparse = CompressedActivations(sparse_tensor((4, 12, 12), 0.2, seed=11))
