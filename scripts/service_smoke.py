@@ -23,7 +23,11 @@ in-process under pytest — in both worker modes:
 7. fetch the first job's ``GET /jobs/<id>/trace`` timeline, require its
    phases to tile to the total, and (``--trace-out PATH``) save it as a
    CI artifact;
-8. shut the server down and fail loudly on any leftover error.
+8. shut the server down and fail loudly on any leftover error;
+9. fail if any process of the server's session (it runs as a session
+   leader, so process-mode workers, their engines' pool children and any
+   orphan of theirs stay in it; read from Linux's ``/proc``) is still
+   alive 5 s after the shutdown.
 
 Exit status 0 on success; 1 with a diagnostic (and the server's output) on
 any failure.
@@ -41,8 +45,10 @@ import argparse
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -55,6 +61,72 @@ from repro.service import ServiceClient, ServiceError  # noqa: E402
 
 BOOT_TIMEOUT_S = 30.0
 JOB_TIMEOUT_S = 300.0
+ORPHAN_GRACE_S = 5.0
+PROC = Path("/proc")
+
+
+def session_processes(session: int) -> set:
+    """``(pid, start time)`` of every running process in ``session``.
+
+    Read from Linux's ``/proc``; empty where it is missing.  A process
+    orphaned by its parent keeps its session, so this finds it after it
+    is adopted elsewhere; the start time tells a reused pid apart.
+    """
+    found = set()
+    if not PROC.is_dir():
+        return found
+    for entry in PROC.iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # After the command name: state, ppid, pgrp, session, ..., and the
+        # start time 19 fields on.
+        fields = stat.rsplit(")", 1)[1].split()
+        if fields[3] == str(session) and fields[0] not in ("Z", "X"):
+            found.add((int(entry.name), fields[19]))
+    return found
+
+
+class SessionSampler:
+    """Samples, in a thread, the processes of a server started as the
+    leader of its own session: the server, its workers and their engines'
+    pool children."""
+
+    def __init__(self, session: int, interval: float = 0.02) -> None:
+        self.session = session
+        self.interval = interval
+        self.seen = set()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self) -> None:
+        while not self._stop.is_set():
+            self.seen |= session_processes(self.session)
+            self._stop.wait(self.interval)
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def stop(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=5)
+
+    def survivors(self, grace_s: float) -> list:
+        """Pids of the session still running after up to ``grace_s``; each
+        is then SIGKILLed, so a failed check leaves nothing running."""
+        deadline = time.monotonic() + grace_s
+        while session_processes(self.session) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        pids = sorted(pid for pid, _ in session_processes(self.session))
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        return pids
 
 
 def read_server_url(process: subprocess.Popen) -> str:
@@ -236,7 +308,11 @@ def main(argv=None) -> int:
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,
     )
+    sampler = SessionSampler(process.pid)
+    sampler.start()
+    status = 1
     try:
         url = read_server_url(process)
         client = ServiceClient(url)
@@ -289,11 +365,9 @@ def main(argv=None) -> int:
         per_worker = client.stats()["workers"]["workers"]
         assert len(per_worker) == args.workers
         assert all(worker["alive"] for worker in per_worker), per_worker
-        print("service smoke test passed")
-        return 0
+        status = 0
     except Exception as error:  # noqa: BLE001 - report and fail the job
         print(f"service smoke test FAILED: {error}", file=sys.stderr)
-        return 1
     finally:
         # SIGTERM takes the server's clean-shutdown path (it stops the
         # worker tier, so process-mode children exit and release the
@@ -309,9 +383,26 @@ def main(argv=None) -> int:
                 output, _ = process.communicate(timeout=5)
             except subprocess.TimeoutExpired:
                 output = "(server output unavailable: pipe still held open)"
+        sampler.stop()
         if output:
             print("--- server output ---")
             print(output.rstrip())
+    survivors = sampler.survivors(ORPHAN_GRACE_S)
+    if survivors:
+        print(
+            f"service smoke test FAILED: processes {survivors} of the "
+            f"server's session still run {ORPHAN_GRACE_S:.0f} s after "
+            f"shutdown ({len(sampler.seen)} sampled while it ran)",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"no process outlived the server ({len(sampler.seen)} sampled in "
+        f"its session while it ran: the server, workers, pool children)"
+    )
+    if status == 0:
+        print("service smoke test passed")
+    return status
 
 
 if __name__ == "__main__":

@@ -168,13 +168,3 @@ class ArchitectureSpec:
     def name(self) -> str:
         """The architecture's name: its config's, which results carry."""
         return self.config.name
-
-    @property
-    def dataflow(self) -> Dataflow:
-        """The dataflow of the underlying configuration."""
-        return self.config.dataflow
-
-    @property
-    def is_sparse(self) -> bool:
-        """Whether the architecture skips compute for zero operands."""
-        return self.config.is_sparse

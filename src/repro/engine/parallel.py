@@ -22,12 +22,18 @@ most per-layer kernels, so two threads ran the trio about as fast as two
 forked workers on a 2-CPU host; but threads share one interpreter, and an
 in-process tracer with a single span stack (the benchmark's traced fig8
 run) breaks when layers interleave on it.  Forked workers each get a copy.
+
+A pool child never outlives the process that forked it.  The ``with``
+block joins the pool on every exit it sees; for a parent killed outright
+(SIGKILL, SIGTERM, the OOM killer), each forked child asks the kernel for
+``SIGKILL`` when its parent dies (Linux's ``PR_SET_PDEATHSIG``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
@@ -68,6 +74,22 @@ def resolve_workers(workers: Optional[int], num_tasks: int) -> int:
     return max(0, min(workers, num_tasks))
 
 
+# <linux/prctl.h>: deliver a signal to this process when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(prctl, parent_pid: int) -> None:
+    """Pool initializer: SIGKILL this child when ``parent_pid`` dies.
+
+    ``prctl`` is libc's, looked up in the parent before the fork.  The
+    parent may have died between the fork and the ``prctl`` call; the child
+    then has another parent already and exits.
+    """
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent_pid:
+        os._exit(1)
+
+
 def parallel_map(
     function: Callable[[Task], Result],
     tasks: Sequence[Task],
@@ -90,8 +112,24 @@ def parallel_map(
         order.sort(key=lambda index: cost(tasks[index]), reverse=True)
     results: List[Result] = [None] * len(tasks)  # type: ignore[list-item]
     # fork where safe (fast, inherits sys.path), else the platform default.
-    context = multiprocessing.get_context("fork" if pool_forks() else None)
-    with ProcessPoolExecutor(max_workers=pool_size, mp_context=context) as pool:
+    initializer, initargs = None, ()
+    if pool_forks():
+        import ctypes
+
+        context = multiprocessing.get_context("fork")
+        # The forked children inherit this handle; it is never pickled.
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        initializer, initargs = _die_with_parent, (prctl, os.getpid())
+    else:
+        context = multiprocessing.get_context()
+    with ProcessPoolExecutor(
+        max_workers=pool_size,
+        mp_context=context,
+        initializer=initializer,
+        initargs=initargs,
+    ) as pool:
         submitted = pool.map(function, [tasks[index] for index in order])
         for index, result in zip(order, submitted):
             results[index] = result

@@ -39,8 +39,18 @@ def run(
     network_name: str = "googlenet",
     seed: int = 0,
 ) -> List[GranularityPoint]:
-    """Simulate the network at each PE count, one synthesis per layer."""
-    configs = [SCNN_CONFIG.with_pe_count(num_pes) for num_pes in pe_counts]
+    """Simulate the network at each PE count, one synthesis per layer.
+
+    SCNN's own PE count is evaluated on ``SCNN_CONFIG`` itself, so that
+    column shares SCNN's cache cells (a rescaled copy would differ only in
+    its name, and a cell is keyed by the whole configuration).
+    """
+    configs = [
+        SCNN_CONFIG
+        if num_pes == SCNN_CONFIG.num_pes
+        else SCNN_CONFIG.with_pe_count(num_pes)
+        for num_pes in pe_counts
+    ]
     grid = default_engine().run_architectures(
         network_handles(network_name, seed)[1],
         [ArchitectureSpec(config) for config in configs],

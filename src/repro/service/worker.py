@@ -11,7 +11,8 @@ Two interchangeable pools, one claiming surface:
   own :class:`~repro.engine.SimulationEngine` sharing the content-addressed
   on-disk cache.  Every worker process is paired with a parent-side manager
   thread that claims a job, ships ``(job id, scenario, params)`` over a
-  pipe, and records the returned payload.  The manager doubles as the
+  pipe with the job's share of the CPUs (the worker's engine pools the job
+  over them), and records the returned payload.  The manager doubles as the
   worker's supervisor: a process that dies mid-job (crash, OOM kill) is
   detected, replaced with a fresh fork, and the job re-queued **once** —
   a second death marks it failed.  Journalled job records make every one
@@ -30,7 +31,6 @@ shutdown never strands a claimed job in ``running``.
 from __future__ import annotations
 
 import multiprocessing
-import sys
 import threading
 import traceback
 from dataclasses import dataclass, field
@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.engine import SimulationEngine
+from repro.engine.parallel import pool_forks, usable_cpus
 from repro.obs import Span
 from repro.service.jobs import DONE, FAILED, Job, JobQueue
 from repro.service.scenarios import ScenarioError, ScenarioRegistry
@@ -204,15 +205,26 @@ class WorkerPool:
 
 
 def _worker_process_main(
-    connection, registry: ScenarioRegistry, engine_config: Dict[str, Any]
+    connection,
+    parent_end,
+    registry: ScenarioRegistry,
+    engine_config: Dict[str, Any],
 ) -> None:
-    """One engine worker process: recv (job, scenario, params, trace), reply.
+    """One engine worker: recv (job, scenario, params, trace, cpus), reply.
 
     Builds its own :class:`SimulationEngine` from ``engine_config`` — every
     worker shares the on-disk cache root but owns its memo table — and
     serves tasks until the sentinel ``None`` (or a closed pipe) arrives.
     Replies are ``(job_id, ok, payload-or-error-text, extras)``; a scenario
-    exception is a reply, never a process death.
+    exception is a reply, never a process death.  ``parent_end``, the
+    parent's end of the pipe that a forked child inherits, is closed first,
+    so the pipe reads EOF once the parent is gone, however it died.
+
+    ``cpus`` is the job's share of the CPUs (see :class:`ProcessWorkerPool`):
+    the engine's pool is resized to it before the job runs.  The parent
+    spawns this process as a daemon, so that its exit terminates the
+    worker; the flag is cleared here, because multiprocessing forbids a
+    daemonic process to fork the pool's children.
 
     ``extras`` carries the job's observability freight back to the parent:
     ``spans`` (the trace's recorded spans — ``time.monotonic()`` is
@@ -221,6 +233,8 @@ def _worker_process_main(
     as a snapshot/delta so counters inherited across the fork never double
     count).
     """
+    parent_end.close()
+    multiprocessing.current_process().daemon = False
     # Spans inherited across the fork belong to the parent; drop them so a
     # respawned worker never re-ships another job's timeline.
     obs.trace_store().clear()
@@ -235,7 +249,8 @@ def _worker_process_main(
             break
         if message is None:
             break
-        job_id, scenario_name, params, trace_id = message
+        job_id, scenario_name, params, trace_id, cpus = message
+        engine.parallel = cpus if cpus > 1 else None
         baseline = obs.registry().snapshot() if obs.enabled() else None
         token = obs.set_current_trace(trace_id) if trace_id else None
         try:
@@ -297,10 +312,19 @@ class ProcessWorkerPool:
     a fresh fork, and the in-flight job is re-queued once
     (:data:`MAX_ATTEMPTS`) before being marked failed.
 
+    Before each job the manager tells its worker how many CPUs no other
+    job claims: the usable CPUs less the jobs running on the other workers
+    and the jobs waiting in the queue, at least one.  The worker sizes its
+    engine's pool to that share, so a job alone on an idle service runs its
+    layer tasks on every usable CPU, while a busy or backlogged service runs
+    each job serially.  Waiting jobs count because the other workers are
+    about to claim them, and a pooled job would take their CPUs.
+
     The pool uses the ``fork`` start method (Linux): the registry — custom
     scenarios, closures and all — crosses into the children by inheritance,
     no pickling involved.  On platforms without ``fork`` the default
-    context applies and the registry must be picklable.
+    context applies, the registry must be picklable, and every job runs
+    serially (the engine's pool would not fork either).
     """
 
     def __init__(
@@ -322,12 +346,10 @@ class ProcessWorkerPool:
         self.poll_interval = poll_interval
         self.sink = sink if sink is not None else queue
         self.max_attempts = max_attempts
-        if sys.platform == "linux" and (
-            "fork" in multiprocessing.get_all_start_methods()
-        ):
-            self._context = multiprocessing.get_context("fork")
-        else:  # pragma: no cover - non-Linux fallback
-            self._context = multiprocessing.get_context()
+        self._forks = pool_forks()
+        self._context = multiprocessing.get_context(
+            "fork" if self._forks else None
+        )
         self._slots: List[_WorkerSlot] = []
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
@@ -362,7 +384,7 @@ class ProcessWorkerPool:
         parent_end, child_end = self._context.Pipe()
         process = self._context.Process(
             target=_worker_process_main,
-            args=(child_end, self.registry, self.engine_config),
+            args=(child_end, parent_end, self.registry, self.engine_config),
             name=f"repro-engine-worker-{slot.index}",
             daemon=True,
         )
@@ -449,10 +471,20 @@ class ProcessWorkerPool:
         )
         self._spawn(slot)
 
+    def _cpu_share(self) -> int:
+        """CPUs no other job claims (one running on another worker, or one
+        waiting in the queue), at least one; one where pools do not fork."""
+        if not self._forks:
+            return 1
+        with self._lock:
+            claimed = self._busy - 1 + self.queue.depth()
+            return max(1, usable_cpus() - claimed)
+
     def _execute(self, slot: _WorkerSlot, job: Job) -> None:
+        cpus = self._cpu_share()
         try:
             slot.connection.send(
-                (job.id, job.scenario, dict(job.params), job.trace_id)
+                (job.id, job.scenario, dict(job.params), job.trace_id, cpus)
             )
             reply = self._await_reply(slot)
         except (_WorkerDied, BrokenPipeError, EOFError, OSError):
@@ -577,8 +609,10 @@ def engine_config_of(engine: SimulationEngine) -> Dict[str, Any]:
 
     Worker engines share the parent's on-disk cache root (the whole point
     of the process tier) but own their in-memory memo tables.  ``parallel``
-    is deliberately dropped: nesting an engine process pool inside each
-    worker process would oversubscribe the machine.
+    is not carried over: a fixed pool in every worker would oversubscribe
+    the machine, so each worker engine starts serial and the worker
+    resizes its pool before every job to the CPUs no other job claims
+    (:class:`ProcessWorkerPool`).
     """
     return {
         "cache_dir": (

@@ -9,11 +9,17 @@ whichever conftest was imported first and is not a stable import target.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
+import sys
+import time
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
+import repro
 from repro.arch.adapters import evaluate_layer
 from repro.arch.registry import get_architecture
 from repro.nn.densities import LayerSparsity
@@ -100,3 +106,43 @@ def fig7_point_record(point) -> dict:
         "dcnn_cycles": repr(point.dcnn_cycles),
         "energy": {name: repr(value) for name, value in point.energy.items()},
     }
+
+
+def fresh_interpreter(code: str) -> dict:
+    """``subprocess`` keyword arguments that run ``code`` in a fresh
+    interpreter importing this checkout's ``repro``."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    return {
+        "args": [sys.executable, "-c", code],
+        "env": {**os.environ, "PYTHONPATH": src},
+    }
+
+
+def pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` still runs, read from Linux's ``/proc``.
+
+    A zombie counts as gone: it has exited, and whoever adopted it may
+    never reap it.
+    """
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def survivors(pids: Iterable[int], timeout: float) -> List[int]:
+    """The processes of ``pids`` still running after up to ``timeout`` seconds.
+
+    Any survivor is SIGKILLed before returning, so a failing test leaves
+    nothing running.
+    """
+    pids = list(pids)
+    deadline = time.monotonic() + timeout
+    while any(map(pid_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = [pid for pid in pids if pid_alive(pid)]
+    for pid in alive:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    return alive

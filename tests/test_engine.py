@@ -9,6 +9,10 @@ Three properties matter:
 * DSE sweeps through the engine equal the plain ``dse.sweep``.
 """
 
+import os
+import subprocess
+import time
+
 import numpy as np
 import pytest
 
@@ -38,7 +42,7 @@ from repro.timeloop.dse import default_candidates, sweep
 from repro.workloads.profiles import get_profile
 from repro.workloads.registry import available_workloads, resolve_workload
 
-from _helpers import make_workload, recipe_workload
+from _helpers import fresh_interpreter, make_workload, recipe_workload, survivors
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +100,6 @@ class TestResultCache:
         assert len(cache) == 0
 
     def test_lru_eviction_respects_the_bound(self, tmp_path):
-        import os
-
         cache = ResultCache(tmp_path, max_entries=2)
         keys = [fingerprint("unit", value=value) for value in range(3)]
         for age, (key, value) in enumerate(zip(keys[:2], range(2))):
@@ -599,6 +601,19 @@ class TestOneSynthesisPerLayer:
         network, _ = network_handles("googlenet")
         assert len(draws) == len(network.layers) == 54
 
+    def test_granularity_study_reads_scnn_cells(self, monkeypatch):
+        """Its 64-PE column is SCNN's own configuration, so after a
+        comparison only the 16- and 4-PE columns miss."""
+        from repro.arch.compare import compare_network
+        from repro.experiments import sec6c_granularity
+
+        serial = SimulationEngine(cache_dir=False)
+        monkeypatch.setattr(repro.engine, "_default_engine", serial)
+        compare_network("googlenet", engine=serial)
+        misses = serial.memory_misses
+        sec6c_granularity.run()
+        assert serial.memory_misses - misses == 2 * 54
+
 
 class TestEngineSweep:
     def test_matches_serial_dse_sweep(self, tiny_network):
@@ -682,6 +697,30 @@ class TestParallelMap:
     def test_pool_results_in_task_order(self):
         tasks = list(range(-6, 6))
         assert parallel_map(abs, tasks, 2, cost=abs) == [abs(t) for t in tasks]
+
+    @pytest.mark.skipif(not pool_forks(), reason="the pool does not fork here")
+    def test_children_die_with_a_killed_parent(self, tmp_path):
+        """A process SIGKILLed mid-map leaves no pool child running."""
+        code = (
+            "import os, time\n"
+            "from repro.engine.parallel import parallel_map\n"
+            "def nap(index):\n"
+            f"    open(os.path.join({str(tmp_path)!r}, str(os.getpid())), 'w').close()\n"
+            "    time.sleep(60)\n"
+            "parallel_map(nap, range(2), 2)\n"
+        )
+        parent = subprocess.Popen(**fresh_interpreter(code))
+        try:
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.iterdir())) < 2:
+                assert time.monotonic() < deadline, "the pool never started"
+                assert parent.poll() is None, "the mapping process exited"
+                time.sleep(0.02)
+        finally:
+            parent.kill()
+            parent.wait()
+        children = [int(path.name) for path in tmp_path.iterdir()]
+        assert survivors(children, timeout=2.0) == []
 
 
 class TestDefaultEngine:

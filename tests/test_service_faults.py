@@ -15,7 +15,11 @@ the way the contracts promise:
   the group;
 * ``stop()`` on either pool never strands a claimed job in ``running``:
   the thread pool settles it as failed (straggler completions are no-ops),
-  the process pool re-queues it for the next boot.
+  the process pool re-queues it for the next boot;
+* a process worker's engine pools a job over the CPUs no other job claims
+  and keeps every payload bit doing so; no process outlives its parent: a
+  killed worker leaves no pool child, a killed service no worker, and a
+  service whose interpreter exits without ``stop()`` still exits.
 
 Process-mode scenarios signal through marker *files*, not events — a forked
 worker inherits a copy of any ``threading.Event``, so setting it in the
@@ -24,12 +28,17 @@ parent would never release the child.
 
 import json
 import os
+import signal
+import subprocess
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.serialization import simulation_payload
 from repro.engine import SimulationEngine
+from repro.engine.parallel import parallel_map, pool_forks, usable_cpus
 from repro.service import (
     BackpressureError,
     CoalescingSink,
@@ -44,6 +53,8 @@ from repro.service import (
     WorkerPool,
 )
 from repro.service.server import ServiceServer
+
+from _helpers import fresh_interpreter, survivors
 
 
 def _wait_until(predicate, timeout=30.0, interval=0.02):
@@ -155,6 +166,197 @@ class TestProcessWorkerDeath:
         assert service.job(job.id).state == "queued"
         reloaded = JobQueue.load(journal)
         assert reloaded.get(job.id).state == "queued"
+
+
+def _share_registry(release: Path):
+    """Process-mode scenarios for the CPU share: a job held running until
+    ``release`` exists, and a probe returning its worker engine's pool size."""
+    registry = ScenarioRegistry()
+    tag = (Parameter("tag", "int", default=0),)
+
+    def _hold(engine, params):
+        while not release.exists():
+            time.sleep(0.01)
+        return {"tag": params["tag"]}
+
+    def _probe(engine, params):
+        return {"parallel": engine.parallel}
+
+    registry.register(Scenario("hold", "run until released", _hold, tag))
+    registry.register(Scenario("probe", "the engine's pool size", _probe, tag))
+    return registry
+
+
+def _pool_size_beside(other_jobs):
+    """The worker engine's ``parallel`` with ``other_jobs`` running elsewhere
+    or waiting."""
+    cpus = max(1, usable_cpus() - other_jobs) if pool_forks() else 1
+    return cpus if cpus > 1 else None
+
+
+class TestProcessWorkerShare:
+    @pytest.fixture()
+    def release(self, tmp_path):
+        return tmp_path / "release"
+
+    def _service(self, release, num_workers):
+        service = SimulationService(
+            engine=SimulationEngine(cache_dir=False),
+            registry=_share_registry(release),
+            num_workers=num_workers,
+            mode="process",
+        )
+        service.start()
+        return service
+
+    def test_an_idle_service_gives_a_job_every_cpu(self, release):
+        service = self._service(release, num_workers=1)
+        try:
+            job = _wait_terminal(service, service.submit("probe").id)
+            assert job.result == {"parallel": _pool_size_beside(0)}
+        finally:
+            service.stop()
+
+    def test_a_job_running_on_another_worker_claims_a_cpu(self, release):
+        service = self._service(release, num_workers=2)
+        try:
+            held = service.submit("hold", {"tag": 1})
+            _wait_until(lambda: service.job(held.id).state == "running")
+            job = _wait_terminal(service, service.submit("probe").id)
+            assert job.result == {"parallel": _pool_size_beside(1)}
+            release.touch()
+            assert _wait_terminal(service, held.id).state == "done"
+        finally:
+            release.touch()
+            service.stop()
+
+    @pytest.mark.parametrize(
+        "waiting", [1, usable_cpus() + 1], ids=["one", "more-than-cpus"]
+    )
+    def test_each_waiting_job_claims_a_cpu(self, release, waiting):
+        """Down to serial, never below it."""
+        service = self._service(release, num_workers=1)
+        try:
+            held = service.submit("hold", {"tag": 0})
+            _wait_until(lambda: service.job(held.id).state == "running")
+            probe = service.submit("probe")
+            queued = [
+                service.submit("hold", {"tag": tag}) for tag in range(1, waiting + 1)
+            ]
+            release.touch()
+            job = _wait_terminal(service, probe.id)
+            assert job.result == {"parallel": _pool_size_beside(waiting)}
+            for other in queued:
+                assert _wait_terminal(service, other.id).state == "done"
+        finally:
+            release.touch()
+            service.stop()
+
+    def test_a_pooled_network_job_keeps_every_bit(self):
+        service = SimulationService(
+            engine=SimulationEngine(cache_dir=False), num_workers=1, mode="process"
+        )
+        service.start()
+        try:
+            job = service.submit("network", {"network": "alexnet", "seed": 0})
+            settled = _wait_terminal(service, job.id, timeout=120)
+        finally:
+            service.stop()
+        reference = simulation_payload(
+            SimulationEngine(cache_dir=False).run_network("alexnet", seed=0)
+        )
+        assert json.dumps(settled.result, sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
+
+
+def _kill_the_worker(task):
+    """Pool task: record this child's pid under its parent's, then (task 0,
+    once every sibling has) SIGKILL the parent, a service worker."""
+    directory, index, siblings = task
+    mine = Path(directory, str(os.getppid()))
+    mine.mkdir(exist_ok=True)
+    (mine / str(os.getpid())).touch()
+    if index == 0:
+        deadline = time.monotonic() + 30
+        while len(list(mine.iterdir())) < siblings and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(os.getppid(), signal.SIGKILL)
+    time.sleep(60)
+
+
+class TestNoProcessOutlivesItsParent:
+    @pytest.mark.skipif(not pool_forks(), reason="the pool does not fork here")
+    def test_a_worker_killed_mid_pool_leaves_no_child(self, tmp_path):
+        registry = ScenarioRegistry()
+
+        def _pooled_suicide(engine, params):
+            return parallel_map(
+                _kill_the_worker, [(str(tmp_path), index, 2) for index in range(2)], 2
+            )
+
+        registry.register(
+            Scenario("pooled_suicide", "kill the worker from a child", _pooled_suicide)
+        )
+        service = SimulationService(
+            engine=SimulationEngine(cache_dir=False),
+            registry=registry,
+            num_workers=1,
+            mode="process",
+        )
+        service.start()
+        try:
+            settled = _wait_terminal(service, service.submit("pooled_suicide").id)
+        finally:
+            service.stop()
+        assert settled.state == "failed"
+        assert settled.attempts == 2
+        assert "worker process died" in settled.error
+        workers = list(tmp_path.iterdir())
+        assert len(workers) == 2  # the first worker and its replacement
+        children = [int(pid.name) for worker in workers for pid in worker.iterdir()]
+        assert len(children) == 4
+        assert survivors(children, timeout=2.0) == []
+
+    #: A fresh interpreter's prologue: a two-worker process-mode service.
+    START_SERVICE = (
+        "from repro.engine import SimulationEngine\n"
+        "from repro.service import SimulationService\n"
+        "service = SimulationService(engine=SimulationEngine(cache_dir=False),\n"
+        "                            num_workers=2, mode='process')\n"
+        "service.start()\n"
+    )
+
+    def test_a_killed_service_leaves_no_worker(self):
+        """A worker reads EOF once its server is gone, however it died."""
+        code = self.START_SERVICE + (
+            "import time\n"
+            "print(*[worker['pid'] for worker in service.workers.stats()['workers']],\n"
+            "      flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        server = subprocess.Popen(
+            **fresh_interpreter(code), stdout=subprocess.PIPE, text=True
+        )
+        try:
+            workers = [int(pid) for pid in server.stdout.readline().split()]
+        finally:
+            server.kill()
+            server.wait()
+            server.stdout.close()
+        assert len(workers) == 2
+        assert survivors(workers, timeout=2.0) == []
+
+    def test_a_service_process_exits_without_stop(self):
+        """The parent-side daemon flag: an interpreter exit terminates the
+        workers instead of joining them while they wait on their pipes."""
+        code = self.START_SERVICE + (
+            "service.submit('layer', {'network': 'alexnet', 'layer': 'conv1'})\n"
+        )
+        result = subprocess.run(
+            **fresh_interpreter(code), capture_output=True, text=True, timeout=10
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestJournalCorruption:
