@@ -27,7 +27,12 @@ in-process under pytest — in both worker modes:
 9. fail if any process of the server's session (it runs as a session
    leader, so process-mode workers, their engines' pool children and any
    orphan of theirs stay in it; read from Linux's ``/proc``) is still
-   alive 5 s after the shutdown.
+   alive 5 s after the shutdown;
+10. in process mode, where the server runs on a fresh temporary disk
+    cache, boot a second server on the same cache root, repeat the first
+    ``network`` job, and require the byte-identical payload and disk-tier
+    cache hits on ``/metrics``: the restarted workers read the first
+    server's rows.  Step 9 covers the second server too.
 
 Exit status 0 on success; 1 with a diagnostic (and the server's output) on
 any failure.
@@ -48,6 +53,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -62,6 +68,9 @@ from repro.service import ServiceClient, ServiceError  # noqa: E402
 BOOT_TIMEOUT_S = 30.0
 JOB_TIMEOUT_S = 300.0
 ORPHAN_GRACE_S = 5.0
+#: The parameters of the first ``network`` job, which a restarted server
+#: repeats.
+FIRST_JOB = {"network": "alexnet", "seed": 0}
 PROC = Path("/proc")
 
 
@@ -191,6 +200,15 @@ def duplicate_burst(client: ServiceClient, burst: int) -> None:
     )
 
 
+def sample(parsed: dict, family: str, name=None, **labels) -> float:
+    """The value of one sample of a parsed ``/metrics`` family (0 if absent)."""
+    wanted = name or family
+    for sample_name, sample_labels, value in parsed[family]["samples"]:
+        if sample_name == wanted and sample_labels == labels:
+            return value
+    return 0.0
+
+
 def check_metrics(client: ServiceClient) -> None:
     """Scrape ``/metrics``; verify exposition validity and stats agreement."""
     parsed = parse_prometheus_text(client.metrics_text())  # raises if malformed
@@ -210,25 +228,18 @@ def check_metrics(client: ServiceClient) -> None:
     missing = [family for family in required if family not in parsed]
     assert not missing, f"/metrics missing families: {missing}"
 
-    def sample(family, name=None, **labels):
-        wanted = name or family
-        for sample_name, sample_labels, value in parsed[family]["samples"]:
-            if sample_name == wanted and sample_labels == labels:
-                return value
-        return 0.0
-
     stats = client.stats()
-    jobs_done = sample("repro_jobs_total", outcome="done")
+    jobs_done = sample(parsed, "repro_jobs_total", outcome="done")
     assert jobs_done == stats["queue"]["jobs"]["done"], (
         f"metrics report {jobs_done} done jobs, "
         f"/stats reports {stats['queue']['jobs']['done']}"
     )
-    fast = sample("repro_fast_path_hits_total")
+    fast = sample(parsed, "repro_fast_path_hits_total")
     assert fast == stats["service"]["fast_path_hits"], (
         f"metrics report {fast} fast-path hits, "
         f"/stats reports {stats['service']['fast_path_hits']}"
     )
-    coalesced = sample("repro_coalesced_total")
+    coalesced = sample(parsed, "repro_coalesced_total")
     assert coalesced == stats["service"]["coalesced"], (
         f"metrics report {coalesced} coalesced, "
         f"/stats reports {stats['service']['coalesced']}"
@@ -272,37 +283,91 @@ def check_trace(client: ServiceClient, job_id: str, trace_out) -> None:
               f"{len(children)} run children")
 
 
-def main(argv=None) -> int:
-    """Boot the server subprocess, drive the phases, report pass/fail."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--mode", choices=("thread", "process"), default="thread",
-        help="worker tier to boot the server with (default: thread)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, help="worker count (default: 2)"
-    )
-    parser.add_argument(
-        "--burst", type=int, default=0, metavar="N",
-        help="also fire N concurrent duplicate submissions (default: off)",
-    )
-    parser.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write the first job's /trace timeline JSON to PATH",
-    )
-    args = parser.parse_args(argv)
+def exercise(client: ServiceClient, args) -> str:
+    """Steps 3-7 against a healthy server; returns the first job's payload
+    as sorted JSON."""
+    scenarios = {entry["name"] for entry in client.scenarios()}
+    assert "network" in scenarios, f"catalogue missing 'network': {scenarios}"
+    assert client.health()["mode"] == args.mode
 
+    first_job_id = client.submit("network", FIRST_JOB)
+    client.wait(first_job_id, timeout=JOB_TIMEOUT_S)
+    payload = client.result(first_job_id)
+    assert payload["network"] == "AlexNet", payload.get("network")
+    assert payload["network_speedup"] > 1.0
+    assert len(payload["layers"]) == 5  # AlexNet's five conv layers
+
+    # The result JSON must survive a full round-trip unchanged.
+    first = json.dumps(payload, sort_keys=True)
+    second = json.dumps(json.loads(first), sort_keys=True)
+    assert first == second, "result JSON does not round-trip"
+    print(f"network scenario done: speedup {payload['network_speedup']:.2f}x, "
+          f"result round-trips ({len(first)} bytes)")
+
+    repeat = client.run("network", FIRST_JOB, timeout=JOB_TIMEOUT_S)
+    assert json.dumps(repeat, sort_keys=True) == first, (
+        "resubmission diverged from the original payload"
+    )
+    stats = client.stats()
+    served_warm = (
+        stats["service"]["fast_path_hits"] + stats["engine"]["hits"]
+    )
+    assert served_warm > 0, (
+        f"expected the resubmission to be served warm, stats: {stats}"
+    )
+    assert stats["workers"]["jobs_completed"] <= 1, (
+        "resubmission cost a second simulation"
+    )
+    print(f"resubmission served warm: {stats['service']['fast_path_hits']} "
+          f"fast-path hit(s), {stats['engine']['hits']} engine hit(s)")
+
+    if args.burst > 0:
+        duplicate_burst(client, args.burst)
+
+    check_metrics(client)
+    check_trace(client, first_job_id, args.trace_out)
+
+    per_worker = client.stats()["workers"]["workers"]
+    assert len(per_worker) == args.workers
+    assert all(worker["alive"] for worker in per_worker), per_worker
+    return first
+
+
+def check_restart(client: ServiceClient, first: str) -> str:
+    """Step 10: a server restarted on the first one's cache root answers
+    the first job, byte for byte, from the rows its workers read back."""
+    payload = client.run("network", FIRST_JOB, timeout=JOB_TIMEOUT_S)
+    assert json.dumps(payload, sort_keys=True) == first, (
+        "the restarted server's payload diverged from the first server's"
+    )
+    parsed = parse_prometheus_text(client.metrics_text())
+    hits = sample(
+        parsed, "repro_engine_cache_requests_total", tier="disk", outcome="hit"
+    )
+    assert hits > 0, "the restarted server's workers read no row from disk"
+    print(f"restart on the same cache root: payload identical, "
+          f"{int(hits)} disk-tier cache hit(s)")
+    return first
+
+
+def serve(args, cache_dir, drive):
+    """Boot one server (steps 1-2), run ``drive(client)`` against it, shut
+    it down (steps 8-9); ``drive``'s result, or ``None`` after a failure,
+    which is reported."""
     environment = dict(os.environ)
     environment["PYTHONPATH"] = (
         f"{REPO_ROOT / 'src'}{os.pathsep}{environment.get('PYTHONPATH', '')}"
     ).rstrip(os.pathsep)
+    command = [
+        sys.executable, "-m", "repro", "serve",
+        "--port", "0",
+        "--workers", str(args.workers),
+        "--mode", args.mode,
+    ]
+    if cache_dir is not None:
+        command += ["--cache-dir", str(cache_dir)]
     process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0",
-            "--workers", str(args.workers),
-            "--mode", args.mode,
-        ],
+        command,
         cwd=REPO_ROOT,
         env=environment,
         stdout=subprocess.PIPE,
@@ -312,60 +377,14 @@ def main(argv=None) -> int:
     )
     sampler = SessionSampler(process.pid)
     sampler.start()
-    status = 1
+    result = None
     try:
         url = read_server_url(process)
         client = ServiceClient(url)
         wait_for_health(client, process)
-        print(f"server healthy at {url} ({args.workers} {args.mode} workers)")
-
-        scenarios = {entry["name"] for entry in client.scenarios()}
-        assert "network" in scenarios, f"catalogue missing 'network': {scenarios}"
-        assert client.health()["mode"] == args.mode
-
-        first_job_id = client.submit("network", {"network": "alexnet", "seed": 0})
-        client.wait(first_job_id, timeout=JOB_TIMEOUT_S)
-        payload = client.result(first_job_id)
-        assert payload["network"] == "AlexNet", payload.get("network")
-        assert payload["network_speedup"] > 1.0
-        assert len(payload["layers"]) == 5  # AlexNet's five conv layers
-
-        # The result JSON must survive a full round-trip unchanged.
-        first = json.dumps(payload, sort_keys=True)
-        second = json.dumps(json.loads(first), sort_keys=True)
-        assert first == second, "result JSON does not round-trip"
-        print(f"network scenario done: speedup {payload['network_speedup']:.2f}x, "
-              f"result round-trips ({len(first)} bytes)")
-
-        repeat = client.run(
-            "network", {"network": "alexnet", "seed": 0}, timeout=JOB_TIMEOUT_S
-        )
-        assert json.dumps(repeat, sort_keys=True) == first, (
-            "resubmission diverged from the original payload"
-        )
-        stats = client.stats()
-        served_warm = (
-            stats["service"]["fast_path_hits"] + stats["engine"]["hits"]
-        )
-        assert served_warm > 0, (
-            f"expected the resubmission to be served warm, stats: {stats}"
-        )
-        assert stats["workers"]["jobs_completed"] <= 1, (
-            "resubmission cost a second simulation"
-        )
-        print(f"resubmission served warm: {stats['service']['fast_path_hits']} "
-              f"fast-path hit(s), {stats['engine']['hits']} engine hit(s)")
-
-        if args.burst > 0:
-            duplicate_burst(client, args.burst)
-
-        check_metrics(client)
-        check_trace(client, first_job_id, args.trace_out)
-
-        per_worker = client.stats()["workers"]["workers"]
-        assert len(per_worker) == args.workers
-        assert all(worker["alive"] for worker in per_worker), per_worker
-        status = 0
+        cache = f", disk cache {cache_dir}" if cache_dir is not None else ""
+        print(f"server healthy at {url} ({args.workers} {args.mode} workers{cache})")
+        result = drive(client)
     except Exception as error:  # noqa: BLE001 - report and fail the job
         print(f"service smoke test FAILED: {error}", file=sys.stderr)
     finally:
@@ -395,14 +414,46 @@ def main(argv=None) -> int:
             f"shutdown ({len(sampler.seen)} sampled while it ran)",
             file=sys.stderr,
         )
-        return 1
+        return None
     print(
         f"no process outlived the server ({len(sampler.seen)} sampled in "
         f"its session while it ran: the server, workers, pool children)"
     )
-    if status == 0:
-        print("service smoke test passed")
-    return status
+    return result
+
+
+def main(argv=None) -> int:
+    """Boot the server subprocess, drive the phases, report pass/fail."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--mode", choices=("thread", "process"), default="thread",
+        help="worker tier to boot the server with (default: thread)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=2, help="worker count (default: 2)"
+    )
+    parser.add_argument(
+        "--burst", type=int, default=0, metavar="N",
+        help="also fire N concurrent duplicate submissions (default: off)",
+    )
+    parser.add_argument(
+        "--trace-out", default=None, metavar="PATH",
+        help="write the first job's /trace timeline JSON to PATH",
+    )
+    args = parser.parse_args(argv)
+
+    if args.mode == "thread":
+        if serve(args, None, lambda client: exercise(client, args)) is None:
+            return 1
+    else:
+        with tempfile.TemporaryDirectory(prefix="repro-smoke-cache-") as cache_dir:
+            first = serve(args, cache_dir, lambda client: exercise(client, args))
+            if first is None:
+                return 1
+            if serve(args, cache_dir, lambda client: check_restart(client, first)) is None:
+                return 1
+    print("service smoke test passed")
+    return 0
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 PR 3 established the invariant for the cache tiers and the service: a
 lock guards counters and in-memory structures, never the I/O itself —
-one worker's multi-megabyte pickle read must not stall every other
-worker.  This rule flags the known I/O surfaces (``open``, ``os.*`` file
-operations, ``json``/``pickle`` file (de)serialisation, ``subprocess``,
+one worker's disk I/O must not stall every other worker.  This rule flags
+the known I/O surfaces (``open``, ``os.*`` file operations, ``json``/``pickle``
+file (de)serialisation, ``sqlite3`` connections and queries, ``subprocess``,
 ``tempfile``, ``shutil``, and ``pathlib`` read/write methods) appearing
 lexically inside a ``with self._lock:``-shaped block.
 
@@ -30,6 +30,7 @@ _IO_MODULE_CALLS = {
     },
     "json": {"dump", "load"},
     "pickle": {"dump", "load"},
+    "sqlite3": {"connect"},
     "tempfile": {"mkstemp", "mkdtemp", "NamedTemporaryFile", "TemporaryFile"},
     "subprocess": {"run", "Popen", "call", "check_call", "check_output"},
     "shutil": {
@@ -37,11 +38,12 @@ _IO_MODULE_CALLS = {
     },
 }
 
-#: Method names (any receiver) that read or write the filesystem —
-#: the :class:`pathlib.Path` read/write surface.
+#: Method names (any receiver) that read or write the filesystem — the
+#: :class:`pathlib.Path` read/write surface and ``sqlite3`` queries.
 _IO_METHOD_NAMES = {
     "read_text", "write_text", "read_bytes", "write_bytes",
     "unlink", "touch", "rmdir", "hardlink_to", "symlink_to",
+    "execute", "executemany", "executescript", "commit",
 }
 
 #: Bare builtins that open file handles.
@@ -85,7 +87,7 @@ class NoLockHeldIoRule(Rule):
 
     id = "no-lock-held-io"
     description = (
-        "locks guard memory, never disk: no open/os/json/pickle/"
+        "locks guard memory, never disk: no open/os/json/pickle/sqlite3/"
         "subprocess/pathlib I/O inside a `with <lock>:` block"
     )
 

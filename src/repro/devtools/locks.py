@@ -62,6 +62,7 @@ _IO_AUDIT_EVENTS: FrozenSet[str] = frozenset(
         "shutil.copyfile",
         "shutil.rmtree",
         "shutil.move",
+        "sqlite3.connect",
     }
 )
 

@@ -6,30 +6,25 @@ everything the result depends on — layer shapes, operand content (either the
 generative coordinates of a synthetic workload or a digest of the raw
 tensors), the full accelerator configuration, the installed numpy's version,
 and :data:`MODEL_DIGEST`, a digest of the model code that computes it.  The
-SHA-256 of that document addresses a pickle file under the cache root, so
+SHA-256 of that document keys one row of a SQLite file under the cache root,
+so
 
-* two logically identical requests always share one entry, regardless of
+* two logically identical requests always share one row, regardless of
   which entry point produced them;
 * any change to an input produces a different key — there is no staleness
-  to manage and never a need to "invalidate" entries by hand;
+  to manage and never a need to "invalidate" rows by hand;
 * any edit to the model source orphans (but does not delete) every older
-  entry, and so does installing another numpy; ``ResultCache.clear()``
+  row, and so does installing another numpy; ``ResultCache.clear()``
   removes everything.
 
-The cache is safe for concurrent writers — including writers in *different
-processes* (the service's process-mode worker tier points every forked
-worker at the same root): entries are written to a unique temporary file
-and atomically renamed into place, so readers only ever see complete
-entries.  Write failures (disk full, permissions, a vanished root) degrade
-to cache-less operation: :meth:`ResultCache.put` swallows the ``OSError``
-and counts it in ``write_failures`` rather than failing the simulation
-that produced the value.
-
-An optional ``max_entries`` bound turns the store into an LRU cache: every
-hit touches the entry's mtime, and a put that pushes the store over the
-bound evicts the least-recently-used entries.  Long-lived processes — the
-simulation service foremost — can therefore leave the cache on without the
-spool growing without bound.
+A row holds the JSON of a result's fields, never code, so reading a shared
+cache runs nothing.  The processes of one host may share a root (the
+service's process-mode workers do): SQLite's write-ahead log lets readers
+read while a writer commits.  Faults — an unwritable root, a file that is not
+a database, a full disk, a Python without ``_sqlite3`` — degrade to no cache:
+reads miss and failed writes are counted, never raised.  An optional
+``max_entries`` bound makes the store an LRU cache, so a long-lived service
+can leave it on without the file growing without bound.
 """
 
 from __future__ import annotations
@@ -39,11 +34,10 @@ import functools
 import hashlib
 import json
 import os
-import pickle
-import tempfile
+import sys
 import threading
 from pathlib import Path
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,12 +81,12 @@ _log = obs.get_logger("repro.engine.cache")
 
 _WRITE_FAILURES = obs.counter(
     "repro_cache_write_failures_total",
-    "Disk cache writes that failed with OSError.",
+    "Disk cache writes that failed (an unusable root or file, a full disk).",
     ("tier",),
 )
 _CORRUPT_ENTRIES = obs.counter(
     "repro_cache_corrupt_entries_total",
-    "Unreadable disk cache entries deleted and treated as misses.",
+    "Disk cache rows whose JSON did not decode, deleted and treated as misses.",
 )
 
 _ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -199,178 +193,190 @@ def fingerprint(kind: str, **parts: Any) -> str:
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
+#: A row: a key, the JSON of its value, and the LRU stamp of a bounded store
+#: (0 in an unbounded one).  WAL with ``synchronous=NORMAL`` fsyncs no
+#: commit: a power loss may drop the last commits but cannot corrupt the file.
+_SETUP = """PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL;
+CREATE TABLE IF NOT EXISTS cells
+    (key TEXT PRIMARY KEY, value TEXT NOT NULL, used INTEGER NOT NULL);"""
+
+#: One past the newest stamp: what a bounded store's write or hit sets.
+_NEXT_STAMP = "(SELECT IFNULL(MAX(used), 0) + 1 FROM cells)"
+
+#: Keys one statement binds: SQLite's host-parameter limit before 3.32.
+_CHUNK = 999
+
+
+def _faults() -> Tuple[type, ...]:
+    """What a store degrades on: an unusable root, a Python without
+    ``_sqlite3``, and any SQLite error once the module has loaded."""
+    sqlite3 = sys.modules.get("sqlite3")
+    return (OSError, ImportError) + ((sqlite3.Error,) if sqlite3 else ())
+
+
+def _chunks(statement: str, keys: Sequence[str]):
+    """``statement WHERE key IN (?, …)`` over ``keys``, in runs one
+    statement binds: ``(query, keys)`` pairs."""
+    for start in range(0, len(keys), _CHUNK):
+        chunk = keys[start : start + _CHUNK]
+        yield f"{statement} WHERE key IN ({', '.join('?' * len(chunk))})", chunk
+
+
 class ResultCache:
-    """Pickle-per-entry store addressed by :func:`fingerprint` keys.
+    """One SQLite file of JSON rows, ``root/cells.sqlite``, addressed by
+    :func:`fingerprint` keys.
 
-    Entries live at ``root/<key[:2]>/<key>.pkl`` (the two-character shard
-    keeps directories small).  Unreadable entries are treated as misses and
-    deleted, so a truncated write or a pickle from an incompatible code
-    revision degrades to recomputation, never to an error.
+    :meth:`get_many` reads keys in one query per 999 and :meth:`put_many`
+    writes rows in one transaction.  A row that does not decode is deleted,
+    counted and missed.  Each thread of each process opens its own
+    connection on first use.
 
-    ``max_entries`` (optional) bounds the store: hits refresh an entry's
-    mtime and a put beyond the bound evicts least-recently-used entries,
-    counted in ``evictions``.  The entry count is tracked incrementally
-    (one full scan at construction), and eviction clears 10% headroom
-    below the bound, so the full-tree scan amortises over many puts
-    instead of running on every one.
+    ``max_entries`` (optional) bounds the store: writes and hits stamp a
+    row's ``used`` one past the newest stamp, and the write that passes the
+    bound deletes the least recently used rows beyond it, counted in
+    ``evictions``.
     """
 
     def __init__(self, root: Path | str, max_entries: Optional[int] = None) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive (or None for unbounded)")
         self.root = Path(root).expanduser()
+        self.path = self.root / "cells.sqlite"
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.write_failures = 0
-        # Guards the counters, the entry count and eviction — never the
-        # get/put payload I/O itself, which is already safe concurrently
-        # (reads of complete files, writes via tempfile + atomic rename).
+        self._warned = False
+        # Guards the counters only: no query runs under it.
         self._lock = threading.Lock()
-        # Approximate when other processes write the same root concurrently;
-        # every eviction scan resets it to the true count.
-        self._approx_entries = (
-            sum(1 for _ in self._entries()) if max_entries is not None else 0
-        )
+        self._connections: Dict[Tuple[int, int], Any] = {}
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+    def _connection(self) -> Any:
+        """This thread's connection, opened (and ``sqlite3`` loaded) on its
+        first use in this process.
 
-    def get(self, key: str) -> Optional[Any]:
-        """The cached value under ``key``, or ``None`` on a miss.
-
-        Unreadable entries (truncated writes, incompatible pickles) are
-        deleted and reported as misses, never raised.
+        The store keeps every connection it opens, keyed by process and
+        thread: a forked child never uses one it inherited, nor closes one
+        by collecting it, as SQLite requires.  A thread that reuses a
+        finished thread's identifier takes over its connection.
         """
-        path = self._path(key)
-        try:
-            with path.open("rb") as handle:
-                value = pickle.load(handle)
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return None
-        except Exception as error:
-            path.unlink(missing_ok=True)
-            with self._lock:
-                self.misses += 1
-            _CORRUPT_ENTRIES.inc()
-            _log.warning(
-                "cache_entry_corrupt", key=key, path=str(path), error=str(error)
+        key = (os.getpid(), threading.get_ident())
+        connection = self._connections.get(key)
+        if connection is None:
+            import sqlite3
+
+            self.root.mkdir(parents=True, exist_ok=True)
+            connection = sqlite3.connect(
+                self.path, timeout=10.0, isolation_level=None, check_same_thread=False
             )
-            return None
-        with self._lock:
-            self.hits += 1
-        if self.max_entries is not None:
-            # Touch the entry so LRU eviction sees it as recently used.
             try:
-                os.utime(path)
-            except OSError as error:
-                # Losing one LRU touch only skews eviction order slightly.
-                _log.debug("cache_touch_failed", key=key, error=str(error))
-        return value
+                connection.executescript(_SETUP)
+            except BaseException:
+                connection.close()
+                raise
+            self._connections[key] = connection
+        return connection
 
-    def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` (atomic rename; LRU-evicts past the bound).
-
-        An ``OSError`` (disk full, permissions, root removed underneath a
-        long-lived worker) is swallowed and counted in ``write_failures``:
-        losing one cache entry is recoverable, failing the job that
-        computed the value is not.  Pickling errors still raise — they are
-        caller bugs, not environment weather.
-        """
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        except OSError as error:
-            with self._lock:
-                self.write_failures += 1
-            _WRITE_FAILURES.inc(tier="disk")
-            _log.warning(
-                "cache_write_failed", key=key, path=str(path), error=str(error)
-            )
-            return
-        is_new = self.max_entries is not None and not path.exists()
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except OSError as error:
-            Path(tmp_name).unlink(missing_ok=True)
-            with self._lock:
-                self.write_failures += 1
-            _WRITE_FAILURES.inc(tier="disk")
-            _log.warning(
-                "cache_write_failed", key=key, path=str(path), error=str(error)
-            )
-            return
-        except BaseException:
-            Path(tmp_name).unlink(missing_ok=True)
-            raise
-        if self.max_entries is not None:
-            with self._lock:
-                if is_new:
-                    self._approx_entries += 1
-                over = self._approx_entries > self.max_entries
-            if over:
-                self._evict(keep=path)
-
-    def _evict(self, keep: Optional[Path] = None) -> None:
-        """Delete LRU entries down to the bound minus 10% headroom.
-
-        The headroom means the next ``max_entries // 10`` puts proceed
-        without rescanning the tree — the scan cost amortises instead of
-        recurring on every put at capacity.  One evictor runs at a time;
-        the engine's hot paths never wait on it.
-        """
+    def _fault(self, event: str, error: BaseException, write: bool = False) -> None:
+        """Count and log a read or write the store could not make: a warning
+        the first time per store, then at debug level."""
         with self._lock:
-            self._do_evict(keep)
+            self.write_failures += write
+            first, self._warned = not self._warned, True
+        if write:
+            _WRITE_FAILURES.inc(tier="disk")
+        log = _log.warning if first else _log.debug
+        log(event, path=str(self.path), error=str(error))
 
-    def _do_evict(self, keep: Optional[Path]) -> None:
-        entries = []
-        for entry in self._entries():
+    def _write(self, work: Callable[[Any], Any]) -> Any:
+        """``work(connection)`` in one ``BEGIN IMMEDIATE … COMMIT``; what it
+        returns, or ``None`` after a counted write failure."""
+        try:
+            connection = self._connection()
+            connection.execute("BEGIN IMMEDIATE")
             try:
-                entries.append((entry.stat().st_mtime, entry))
-            # Raced with another writer's eviction: the entry is simply
-            # gone, which is the outcome eviction wanted anyway (and
-            # self._lock is held here, so no log call either).
-            except OSError:  # lint-ok: no-silent-except
-                continue
-        target = max(1, (self.max_entries or 0) - (self.max_entries or 0) // 10)
-        excess = len(entries) - target
-        remaining = len(entries)
-        if excess > 0:
-            entries.sort()
-            for _, entry in entries:
-                if excess <= 0:
-                    break
-                if keep is not None and entry == keep:
-                    continue
-                entry.unlink(missing_ok=True)
-                self.evictions += 1
-                remaining -= 1
-                excess -= 1
-        self._approx_entries = remaining
+                result = work(connection)
+                connection.execute("COMMIT")
+            finally:
+                if connection.in_transaction:
+                    connection.execute("ROLLBACK")
+        except _faults() as error:
+            self._fault("cache_write_failed", error, write=True)
+            return None
+        return result
 
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
+    def get_many(self, keys: Sequence[str]) -> List[Optional[Any]]:
+        """The value under each of ``keys``, in order; ``None`` for a miss,
+        which is also what a read the store cannot make returns."""
+        found: Dict[str, str] = {}
+        try:
+            connection = self._connection()
+            for query, chunk in _chunks("SELECT key, value FROM cells", keys):
+                found.update(connection.execute(query, chunk))
+        except _faults() as error:
+            self._fault("cache_read_failed", error)
+        values: List[Optional[Any]] = []
+        corrupt: List[str] = []
+        for key in keys:
+            try:
+                values.append(json.loads(found[key]) if key in found else None)
+            except ValueError:
+                corrupt.append(key)
+                values.append(None)
+        hit = [key for key, value in zip(keys, values) if value is not None]
+        used = hit if self.max_entries is not None else []
+        if corrupt:
+            _CORRUPT_ENTRIES.inc(len(corrupt))
+            _log.warning("cache_entries_corrupt", path=str(self.path), keys=corrupt)
+        if corrupt or used:
+            self._write(functools.partial(_refresh, corrupt, used))
+        with self._lock:
+            self.hits += len(hit)
+            self.misses += len(keys) - len(hit)
+        return values
 
-    def _entries(self) -> Iterator[Path]:
-        if not self.root.exists():
-            return iter(())
-        return self.root.glob("??/*.pkl")
+    def put_many(self, pairs: Sequence[Tuple[str, Any]]) -> None:
+        """Store every ``(key, value)`` pair, JSON-encoded, in one write
+        transaction.  An encoding error raises (a caller's bug); a write the
+        store cannot make is counted in ``write_failures``, never raised."""
+        rows = [(key, _ENCODER.encode(value)) for key, value in pairs]
+        evicted = self._write(functools.partial(_insert, rows, self.max_entries))
+        with self._lock:
+            self.evictions += evicted or 0
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._entries())
+        return self._connection().execute("SELECT COUNT(*) FROM cells").fetchone()[0]
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for path in list(self._entries()):
-            path.unlink(missing_ok=True)
-            removed += 1
-        with self._lock:
-            self._approx_entries = 0
-        return removed
+        """Delete every row; returns how many were removed."""
+        deleted = self._write(lambda connection: connection.execute("DELETE FROM cells"))
+        return deleted.rowcount if deleted is not None else 0
+
+
+def _refresh(corrupt: List[str], used: List[str], connection: Any) -> None:
+    """Delete the ``corrupt`` rows and stamp the ``used`` ones newest."""
+    for statement, keys in (
+        ("DELETE FROM cells", corrupt),
+        (f"UPDATE cells SET used = {_NEXT_STAMP}", used),
+    ):
+        for query, chunk in _chunks(statement, keys):
+            connection.execute(query, chunk)
+
+
+def _insert(rows: List[Tuple[str, str]], bound: Optional[int], connection: Any) -> int:
+    """Write ``rows``; past ``bound``, delete the least recently used rows
+    beyond it.  Returns how many were deleted."""
+    stamp = connection.execute(f"SELECT {_NEXT_STAMP}").fetchone()[0] if bound else 0
+    connection.executemany(
+        "INSERT OR REPLACE INTO cells VALUES (?, ?, ?)",
+        [(key, text, stamp) for key, text in rows],
+    )
+    if not bound:
+        return 0
+    excess = connection.execute("SELECT COUNT(*) FROM cells").fetchone()[0] - bound
+    connection.execute(
+        "DELETE FROM cells WHERE key IN (SELECT key FROM cells ORDER BY used LIMIT ?)",
+        (max(excess, 0),),
+    )
+    return max(excess, 0)

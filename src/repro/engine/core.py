@@ -30,9 +30,10 @@ Every entry point reads and writes the cache through one helper,
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -55,6 +56,11 @@ from repro.scnn.simulator import TRIO, NetworkSimulation, network_simulation
 from repro.timeloop.dse import DesignPoint, evaluate_configs
 
 AnyWorkload = Union[LayerWorkload, WorkloadHandle]
+
+#: Disk rows: a cell's nine fields in declaration order, and a design point's
+#: three numbers (the caller's config completes the point).
+_CELL_ROW = operator.attrgetter(*(field.name for field in fields(ArchLayerResult)))
+_POINT_ROW = operator.attrgetter("cycles", "energy", "area_mm2")
 
 _CACHE_REQUESTS = obs.counter(
     "repro_engine_cache_requests_total",
@@ -146,8 +152,9 @@ class SimulationEngine:
     """Cached, optionally parallel front end to every simulation model.
 
     The engine is safe to share between threads: the simulation models are
-    pure functions, and the memo table, counters and disk cache are guarded
-    by one lock.  That is the surface the simulation service
+    pure functions, one lock guards the memo table and counters, and the
+    disk cache opens a connection per thread.  That is the surface the
+    simulation service
     (:mod:`repro.service`) multiplexes concurrent jobs onto — many worker
     threads, one warm engine, one shared cache.  (Concurrent identical
     requests may both compute before one wins the store; both results are
@@ -192,8 +199,8 @@ class SimulationEngine:
         )
         self.parallel = parallel
         self.memory_max_entries = memory_max_entries
-        # Python dicts preserve insertion order; _lookup/_store reinsert on
-        # use, which makes iteration order the LRU order.
+        # Python dicts preserve insertion order; _cached reinserts on use,
+        # which makes iteration order the LRU order.
         self._memory: Dict[str, object] = {}
         self._lock = threading.Lock()
         self.memory_hits = 0
@@ -201,34 +208,6 @@ class SimulationEngine:
         self.memory_evictions = 0
 
     # -- cache plumbing ---------------------------------------------------------
-
-    def _lookup(self, key: str):
-        # The engine lock guards only the memo table and counters; disk I/O
-        # (multi-megabyte pickle reads, LRU eviction scans) happens outside
-        # it so one worker's cache traffic never stalls the others.
-        # ResultCache is itself safe for concurrent readers and writers.
-        with self._lock:
-            value = self._memory.get(key)
-            if value is not None:
-                self.memory_hits += 1
-                if self.memory_max_entries is not None:
-                    # Reinsert so the hit entry becomes most recently used.
-                    del self._memory[key]
-                    self._memory[key] = value
-        if value is not None:
-            _CACHE_REQUESTS.inc(tier="memory", outcome="hit")
-            return value
-        if self.disk_cache is not None:
-            value = self.disk_cache.get(key)
-            if value is not None:
-                with self._lock:
-                    self._remember(key, value)
-                _CACHE_REQUESTS.inc(tier="disk", outcome="hit")
-                return value
-        with self._lock:
-            self.memory_misses += 1
-        _CACHE_REQUESTS.inc(tier="none", outcome="miss")
-        return None
 
     def _remember(self, key: str, value) -> None:
         """Insert into the memo table, evicting LRU entries past the bound.
@@ -242,40 +221,60 @@ class SimulationEngine:
                 del self._memory[next(iter(self._memory))]
                 self.memory_evictions += 1
 
-    def _store(self, key: str, value) -> None:
-        with self._lock:
-            self._remember(key, value)
-        if self.disk_cache is not None:
-            self.disk_cache.put(key, value)
-
     def _disk_span(self, name: str):
         """A ``name`` span on the current trace when the engine has a disk
         cache, the no-op span otherwise."""
         return obs.span(name) if self.disk_cache is not None else obs.NULL_SPAN
 
     def _cached(
-        self, keys: Sequence[str], compute: Callable[[List[int]], Sequence]
+        self, keys: Sequence[str], compute: Callable, row: Callable, value: Callable
     ) -> List:
         """The value of every key, in key order, computing only the misses.
 
         ``compute`` receives the indices of the keys that both cache tiers
         missed and returns their values in that order; it is called once,
-        and not at all when every key hits.  This is the engine's only path
-        to the memo table and the disk cache.  With a disk cache, one
-        ``cache.get`` span (annotated with the key and miss counts) covers
-        the call's lookups and one ``cache.put`` span its stores.
+        and not at all when every key hits.  A disk row is ``row(result)``,
+        and ``value(index, row)`` rebuilds key ``index``'s result from it.
+        This is the engine's only path to the memo table and the disk cache:
+        one ``get_many`` under one ``cache.get`` span (annotated with the key
+        and miss counts), and one ``put_many`` under one ``cache.put`` span.
         """
         with self._disk_span("cache.get") as span:
-            values = [self._lookup(key) for key in keys]
-            missing = [index for index, value in enumerate(values) if value is None]
+            with self._lock:
+                values = [self._memory.get(key) for key in keys]
+                looked_up = [index for index, hit in enumerate(values) if hit is None]
+                self.memory_hits += len(keys) - len(looked_up)
+            if looked_up and self.disk_cache is not None:
+                rows = self.disk_cache.get_many([keys[index] for index in looked_up])
+                for index, found in zip(looked_up, rows):
+                    if found is not None:
+                        values[index] = value(index, found)
+            missing = [index for index in looked_up if values[index] is None]
+            for tier, outcome, count in (
+                ("memory", "hit", len(keys) - len(looked_up)),
+                ("disk", "hit", len(looked_up) - len(missing)),
+                ("none", "miss", len(missing)),
+            ):
+                if count:
+                    _CACHE_REQUESTS.inc(count, tier=tier, outcome=outcome)
             span.annotate(keys=len(keys), misses=len(missing))
         if missing:
             computed = compute(missing)
             with self._disk_span("cache.put") as span:
                 span.annotate(keys=len(missing))
-                for index, value in zip(missing, computed):
-                    values[index] = value
-                    self._store(keys[index], value)
+                for index, result in zip(missing, computed):
+                    values[index] = result
+                if self.disk_cache is not None:
+                    self.disk_cache.put_many(
+                        [(keys[index], row(values[index])) for index in missing]
+                    )
+        # Reinserting a memo hit makes it the most recently used.
+        used = looked_up if self.memory_max_entries is None else range(len(keys))
+        if used:
+            with self._lock:
+                self.memory_misses += len(missing)
+                for index in used:
+                    self._remember(keys[index], values[index])
         return values
 
     def clear_cache(self) -> None:
@@ -405,7 +404,7 @@ class SimulationEngine:
             )
             return [cell for row in results for cell in row]
 
-        cells = self._cached(keys, evaluate)
+        cells = self._cached(keys, evaluate, _CELL_ROW, lambda _, row: ArchLayerResult(*row))
         return ArchitectureRun(
             workloads=workloads,
             architectures=specs,
@@ -443,4 +442,6 @@ class SimulationEngine:
                 [configs[index] for index in missing], network, sparsity=sparsity
             )
 
-        return self._cached(keys, evaluate)
+        return self._cached(
+            keys, evaluate, _POINT_ROW, lambda i, row: DesignPoint(configs[i], *row)
+        )

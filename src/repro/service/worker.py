@@ -31,6 +31,7 @@ shutdown never strands a claimed job in ``running``.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.util
 import threading
 import traceback
 from dataclasses import dataclass, field
@@ -437,7 +438,8 @@ class ProcessWorkerPool:
         while not self._stop.is_set():
             if slot.process is None or not slot.process.is_alive():
                 # The worker died while idle — replace it before claiming.
-                self._respawn(slot)
+                if not self._respawn(slot):
+                    return
             job = self.queue.claim(timeout=self.poll_interval)
             if job is None:
                 continue
@@ -453,7 +455,11 @@ class ProcessWorkerPool:
                 with self._lock:
                     self._busy -= 1
 
-    def _respawn(self, slot: _WorkerSlot) -> None:
+    def _respawn(self, slot: _WorkerSlot) -> bool:
+        """Fork a replacement for ``slot``'s dead worker; ``False``, forking
+        nothing, once the pool stops or the interpreter exits."""
+        if self._stop.is_set() or multiprocessing.util.is_exiting():
+            return False
         if slot.connection is not None:
             try:
                 slot.connection.close()
@@ -470,6 +476,7 @@ class ProcessWorkerPool:
             exit_code=getattr(slot.process, "exitcode", None),
         )
         self._spawn(slot)
+        return True
 
     def _cpu_share(self) -> int:
         """CPUs no other job claims (one running on another worker, or one

@@ -104,7 +104,7 @@ class KeyRecorder(SimulationEngine):
         super().__init__(cache_dir=False)
         self.keys: List[str] = []
 
-    def _cached(self, keys, compute):
+    def _cached(self, keys, compute, row, value):
         self.keys.extend(keys)
         return [None] * len(keys)
 
@@ -117,8 +117,8 @@ class FirstLookup(KeyRecorder):
     """Records the keys of the first cache lookup, then stops its caller
     (which would otherwise assemble results from the ``None`` values)."""
 
-    def _cached(self, keys, compute):
-        super()._cached(keys, compute)
+    def _cached(self, keys, compute, row, value):
+        super()._cached(keys, compute, row, value)
         raise LookupStopped
 
 

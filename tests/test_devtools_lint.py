@@ -323,6 +323,33 @@ def test_os_replace_and_json_dump_inside_condition_flagged(tmp_path):
     assert len(findings_for(path, "no-lock-held-io")) == 2
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        'sqlite3.connect("cells.sqlite")',
+        'self._connection.execute("SELECT 1")',
+        'self._connection.executemany("INSERT INTO t VALUES (?)", rows)',
+        'self._connection.executescript("DELETE FROM t")',
+        "self._connection.commit()",
+    ],
+)
+def test_sqlite3_inside_lock_flagged(tmp_path, call):
+    path = write_module(
+        tmp_path,
+        "mod.py",
+        f"""\
+        import sqlite3
+
+        class C:
+            def f(self, rows):
+                with self._lock:
+                    {call}
+        """,
+    )
+    findings = findings_for(path, "no-lock-held-io")
+    assert len(findings) == 1 and "'_lock'" in findings[0].message
+
+
 def test_io_outside_lock_and_snapshot_pattern_sanctioned(tmp_path):
     path = write_module(
         tmp_path,

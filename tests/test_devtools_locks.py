@@ -181,6 +181,18 @@ def test_io_under_tracked_lock_is_recorded(tmp_path):
     assert "io.py:1" in violations[0].format()
 
 
+def test_sqlite3_connect_under_tracked_lock_is_recorded(tmp_path):
+    import sqlite3
+
+    with track_locks(modules=()) as tracker:
+        lock = TrackedLock(tracker, "io.py:1")
+        with lock:
+            sqlite3.connect(tmp_path / "cells.sqlite").close()
+        violations = list(tracker.io_violations)
+    assert [violation.event for violation in violations] == ["sqlite3.connect"]
+    assert violations[0].held_sites == ("io.py:1",)
+
+
 def test_io_without_held_lock_is_not_recorded(tmp_path):
     with track_locks(modules=()) as tracker:
         lock = TrackedLock(tracker, "io.py:1")

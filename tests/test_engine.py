@@ -9,15 +9,22 @@ Three properties matter:
 * DSE sweeps through the engine equal the plain ``dse.sweep``.
 """
 
+import contextlib
+import dataclasses
+import multiprocessing
 import os
 import subprocess
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import repro.engine
 import repro.nn.pruning
+from repro import obs
 from repro.arch import SCNN_CONFIG
 from repro.arch.adapters import ArchLayerResult
 from repro.engine import (
@@ -38,7 +45,7 @@ from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.scnn.simulator import TRIO
-from repro.timeloop.dse import default_candidates, sweep
+from repro.timeloop.dse import DesignPoint, default_candidates, sweep
 from repro.workloads.profiles import get_profile
 from repro.workloads.registry import available_workloads, resolve_workload
 
@@ -73,58 +80,334 @@ def assert_simulations_identical(left, right):
         assert a.energy == b.energy
 
 
+def _sql(cache, statement, *params):
+    """Run one statement on ``cache``'s file over a connection of its own."""
+    import sqlite3
+
+    with contextlib.closing(
+        sqlite3.connect(cache.path, isolation_level=None)
+    ) as connection:
+        return connection.execute(statement, params).fetchall()
+
+
+@pytest.fixture
+def live_obs():
+    """A zeroed, recording metrics registry for one test."""
+    obs.reset(enabled=True)
+    yield obs.registry()
+    obs.reset(enabled=False)
+
+
+def _write_rows(root, writer):
+    """Forked writer: 25 transactions of 20 rows each on ``root``."""
+    cache = ResultCache(root)
+    for batch in range(25):
+        cache.put_many(
+            [(f"{writer}-{batch}-{row}", [writer, batch, row]) for row in range(20)]
+        )
+    assert cache.write_failures == 0
+
+
+def _use_inherited_store(cache):
+    """Forked child: read and write through the parent's store object, on
+    a connection of its own beside the untouched inherited ones."""
+    inherited = dict(cache._connections)
+    assert {pid for pid, _ in inherited} == {os.getppid()}
+    assert cache.get_many(["parent-1"]) == [1]
+    cache.put_many([("child", 2)])
+    assert cache.write_failures == 0
+    assert cache._connections.keys() - inherited.keys() == {
+        (os.getpid(), threading.get_ident())
+    }
+    assert all(cache._connections[key] is inherited[key] for key in inherited)
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = fingerprint("unit", value=1)
-        assert cache.get(key) is None
-        cache.put(key, {"cycles": 42})
-        assert cache.get(key) == {"cycles": 42}
+        assert cache.get_many([key]) == [None]
+        cache.put_many([(key, {"cycles": 42})])
+        assert cache.get_many([key]) == [{"cycles": 42}]
         assert cache.hits == 1 and cache.misses == 1
-        assert key in cache and len(cache) == 1
+        assert len(cache) == 1
+        # One file, with its write-ahead log and index while a connection is open.
+        names = {path.name for path in tmp_path.iterdir()}
+        assert "cells.sqlite" in names
+        assert names <= {"cells.sqlite", "cells.sqlite-wal", "cells.sqlite-shm"}
 
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path):
+    def test_keys_past_one_statement_read_back_in_order(self, tmp_path):
+        """More keys than one statement binds (999): values in key order,
+        a miss in place of each absent row."""
+        cache = ResultCache(tmp_path)
+        keys = [fingerprint("unit", value=value) for value in range(2500)]
+        cache.put_many([(key, [value]) for value, key in enumerate(keys) if value % 3])
+        assert cache.get_many(keys) == [
+            [value] if value % 3 else None for value in range(2500)
+        ]
+        assert cache.misses == len(range(0, 2500, 3))
+        assert cache.hits == 2500 - cache.misses
+
+    def test_corrupt_entry_degrades_to_miss(self, tmp_path, live_obs):
+        """A row overwritten with bad JSON is a miss; the row is deleted and
+        counted, so the next write recreates it."""
         cache = ResultCache(tmp_path)
         key = fingerprint("unit", value=2)
-        cache.put(key, "payload")
-        path = cache._path(key)
-        path.write_bytes(b"not a pickle")
-        assert cache.get(key) is None
-        assert not path.exists()  # bad entry deleted, next put recreates it
+        cache.put_many([(key, "payload")])
+        _sql(cache, "UPDATE cells SET value = '{not json' WHERE key = ?", key)
+        assert cache.get_many([key]) == [None]
+        assert _sql(cache, "SELECT key FROM cells") == []
+        assert live_obs.get("repro_cache_corrupt_entries_total").value() == 1
+        assert cache.misses == 1 and cache.write_failures == 0
 
     def test_clear_removes_everything(self, tmp_path):
         cache = ResultCache(tmp_path)
         for value in range(3):
-            cache.put(fingerprint("unit", value=value), value)
+            cache.put_many([(fingerprint("unit", value=value), value)])
         assert cache.clear() == 3
         assert len(cache) == 0
 
     def test_lru_eviction_respects_the_bound(self, tmp_path):
         cache = ResultCache(tmp_path, max_entries=2)
         keys = [fingerprint("unit", value=value) for value in range(3)]
-        for age, (key, value) in enumerate(zip(keys[:2], range(2))):
-            cache.put(key, value)
-            # Order the entries' mtimes explicitly: the filesystem clock may
-            # not tick between two immediate writes.
-            os.utime(cache._path(key), (age, age))
-        assert cache.get(keys[0]) is not None  # touches entry 0: now newest
-        cache.put(keys[2], 2)
+        for key, value in zip(keys[:2], range(2)):
+            cache.put_many([(key, value)])
+        assert cache.get_many([keys[0]]) == [0]  # stamps row 0: now newest
+        cache.put_many([(keys[2], 2)])
         assert len(cache) == 2
         assert cache.evictions == 1
-        assert cache.get(keys[1]) is None  # the untouched entry was evicted
-        assert cache.get(keys[0]) == 0
-        assert cache.get(keys[2]) == 2
+        assert cache.get_many(keys) == [0, None, 2]  # the unused row went
+
+    def test_lru_order_is_the_used_stamps(self, tmp_path):
+        """Eviction reads the ``used`` stamps alone, not the write order:
+        stamp the first-written row newest and the second-written goes."""
+        cache = ResultCache(tmp_path, max_entries=2)
+        keys = [fingerprint("unit", value=value) for value in range(3)]
+        for key, value in zip(keys[:2], range(2)):
+            cache.put_many([(key, value)])
+        for stamp, key in ((9, keys[0]), (8, keys[1])):
+            _sql(cache, "UPDATE cells SET used = ? WHERE key = ?", stamp, key)
+        cache.put_many([(keys[2], 2)])
+        assert sorted(_sql(cache, "SELECT key, used FROM cells")) == sorted(
+            [(keys[0], 9), (keys[2], 10)]
+        )
+        assert cache.evictions == 1
+
+    def test_one_write_past_the_bound_evicts_exactly_the_excess(self, tmp_path):
+        cache = ResultCache(tmp_path, max_entries=3)
+        cache.put_many([(fingerprint("unit", value=value), value) for value in range(5)])
+        assert len(cache) == 3
+        assert cache.evictions == 2
 
     def test_unbounded_cache_never_evicts(self, tmp_path):
         cache = ResultCache(tmp_path)
         for value in range(5):
-            cache.put(fingerprint("unit", value=value), value)
+            cache.put_many([(fingerprint("unit", value=value), value)])
         assert len(cache) == 5
         assert cache.evictions == 0
 
     def test_invalid_bound_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ResultCache(tmp_path, max_entries=0)
+
+    @pytest.mark.parametrize("fault", ["not-a-database", "unwritable-root"])
+    def test_an_unusable_store_degrades_to_no_cache(self, tmp_path, live_obs, fault):
+        """Reads miss and a write counts one failure; nothing raises."""
+        if fault == "not-a-database":
+            cache = ResultCache(tmp_path)
+            cache.path.write_bytes(b"not a database " * 512)
+        else:
+            (tmp_path / "file").write_text("a file where the root should be")
+            cache = ResultCache(tmp_path / "file" / "cache")
+        key = fingerprint("unit", value=3)
+        assert cache.get_many([key]) == [None]
+        cache.put_many([(key, 3)])
+        assert cache.get_many([key]) == [None]
+        assert cache.misses == 2 and cache.hits == 0
+        assert cache.write_failures == 1
+        failures = live_obs.get("repro_cache_write_failures_total")
+        assert failures.value(tier="disk") == 1
+        assert cache.clear() == 0 and cache.write_failures == 2
+
+    def test_threads_share_one_store(self, tmp_path):
+        """Eight threads write and read one store, each on a connection of
+        its own; every row lands and no counter update is lost."""
+        cache = ResultCache(tmp_path, max_entries=10_000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def work(thread):
+            for batch in range(20):
+                keys = [f"{thread}-{batch}-{row}" for row in range(10)]
+                cache.put_many([(key, [thread, batch]) for key in keys])
+                assert cache.get_many(keys) == [[thread, batch]] * 10
+
+        try:
+            with ThreadPoolExecutor(max_workers=8) as executor:
+                for future in [executor.submit(work, thread) for thread in range(8)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.hits == 8 * 20 * 10 and cache.misses == 0
+        assert len(cache) == 8 * 20 * 10
+        assert cache.write_failures == 0 and cache.evictions == 0
+
+    @pytest.mark.skipif(not pool_forks(), reason="needs the fork start method")
+    def test_forked_writers_share_one_root(self, tmp_path):
+        """Four processes commit 25 transactions each to one fresh root:
+        every row lands, and a fresh reader sees all of them."""
+        context = multiprocessing.get_context("fork")
+        writers = [
+            context.Process(target=_write_rows, args=(tmp_path, writer))
+            for writer in range(4)
+        ]
+        for process in writers:
+            process.start()
+        for process in writers:
+            process.join(timeout=60)
+        assert [process.exitcode for process in writers] == [0] * 4
+        keys = [
+            (f"{writer}-{batch}-{row}", [writer, batch, row])
+            for writer in range(4)
+            for batch in range(25)
+            for row in range(20)
+        ]
+        reader = ResultCache(tmp_path)
+        assert reader.get_many([key for key, _ in keys]) == [row for _, row in keys]
+        assert len(reader) == len(keys)
+
+    @pytest.mark.skipif(not pool_forks(), reason="needs the fork start method")
+    def test_a_forked_child_opens_its_own_connection(self, tmp_path):
+        """A store the parent has used, from two threads, keeps working
+        after a forked child used the same object (on a connection of its
+        own) and exited."""
+        cache = ResultCache(tmp_path)
+        cache.put_many([("parent-1", 1)])
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            assert executor.submit(cache.get_many, ["parent-1"]).result(60) == [1]
+        child = multiprocessing.get_context("fork").Process(
+            target=_use_inherited_store, args=(cache,)
+        )
+        child.start()
+        child.join(timeout=30)
+        assert child.exitcode == 0
+        assert cache.get_many(["parent-1", "child"]) == [1, 2]
+        cache.put_many([("parent-2", 3)])
+        assert cache.write_failures == 0
+        fresh = ResultCache(tmp_path)
+        assert fresh.get_many(["parent-1", "child", "parent-2"]) == [1, 2, 3]
+
+    def test_no_disk_io_under_the_lock(self, tmp_path):
+        """A bounded store's writes, hits and evictions do their I/O outside
+        the store's lock, which guards its counters only."""
+        from repro.devtools.locks import TrackedLock, track_locks
+
+        with track_locks() as tracker:
+            cache = ResultCache(tmp_path, max_entries=2)
+            keys = [fingerprint("unit", value=value) for value in range(4)]
+            for key, value in zip(keys, range(4)):
+                cache.put_many([(key, value)])
+                cache.get_many(keys)
+        assert isinstance(cache._lock, TrackedLock)
+        assert cache.evictions == 2 and cache.hits > 0
+        held = [
+            violation.format()
+            for violation in tracker.io_violations
+            if any(site.startswith("cache.py:") for site in violation.held_sites)
+        ]
+        assert held == []
+
+
+def _record_store_calls(engine, monkeypatch):
+    """Record ``(method, number of keys)`` for every call the engine makes
+    on its disk cache."""
+    calls = []
+    for name in ("get_many", "put_many"):
+        real = getattr(engine.disk_cache, name)
+
+        def recording(items, real=real, name=name):
+            calls.append((name, len(items)))
+            return real(items)
+
+        monkeypatch.setattr(engine.disk_cache, name, recording)
+    return calls
+
+
+class TestDiskRows:
+    def test_one_read_and_at_most_one_write_per_call(
+        self, tiny_network, tmp_path, monkeypatch
+    ):
+        cells = _trio_cells(tiny_network)
+        layers = len(tiny_network.layers)
+        engine = SimulationEngine(cache_dir=tmp_path)
+        calls = _record_store_calls(engine, monkeypatch)
+        engine.run_network(tiny_network)
+        assert calls == [("get_many", cells), ("put_many", cells)]
+        calls.clear()
+        engine.run_network(tiny_network)  # the memo table answers every key
+        assert calls == []
+        _, handles = network_handles(tiny_network)
+        engine.run_architectures(handles, [*TRIO, "SCNN-16PE"])
+        assert calls == [("get_many", layers), ("put_many", layers)]
+        fresh = SimulationEngine(cache_dir=tmp_path)
+        calls = _record_store_calls(fresh, monkeypatch)
+        fresh.run_network(tiny_network)  # every key a disk hit: no write
+        assert calls == [("get_many", cells)]
+        fresh.sweep(default_candidates()[:2], tiny_network)
+        assert calls[1:] == [("get_many", 2), ("put_many", 2)]
+
+    def test_rows_read_back_equal_the_computed_values(self, tmp_path):
+        """A fresh engine rebuilds every cell and design point from its row
+        field for field, types included."""
+        _, handles = network_handles("alexnet")
+        candidates = default_candidates()[:3]
+
+        def values(engine):
+            run = engine.run_architectures(handles, [*TRIO, "SCNN-SparseA"])
+            cells = [cell for row in run.results for cell in row]
+            return cells + engine.sweep(candidates, "alexnet")
+
+        computed = values(SimulationEngine(cache_dir=tmp_path))
+        reader = SimulationEngine(cache_dir=tmp_path)
+        restored = values(reader)
+        assert reader.disk_cache.misses == 0
+        assert reader.disk_cache.hits == len(computed)
+        assert {type(value) for value in computed} == {ArchLayerResult, DesignPoint}
+        kinds = set()
+        for ours, theirs in zip(computed, restored):
+            assert type(theirs) is type(ours)
+            for field in dataclasses.fields(ours):
+                mine, read = getattr(ours, field.name), getattr(theirs, field.name)
+                assert type(read) is type(mine) and read == mine, field.name
+                kinds.add(type(mine))
+        assert {int, float, str, type(None)} <= kinds
+
+    def test_a_python_without_sqlite3_runs_uncached(self, tmp_path):
+        """With ``sqlite3`` unimportable, a disk-cached run equals the serial
+        one and counts its write as failed."""
+        code = (
+            "import sys\n"
+            "sys.modules['sqlite3'] = None\n"
+            "from repro.engine import SimulationEngine\n"
+            "from repro.nn.layers import ConvLayerSpec\n"
+            "from repro.nn.networks import Network\n"
+            "network = Network('NoSqlite', (ConvLayerSpec('n1', 3, 8, 14, 14, 3, 3,"
+            " padding=1), ConvLayerSpec('n2', 8, 8, 7, 7, 1, 1)))\n"
+            f"cached = SimulationEngine(cache_dir={str(tmp_path)!r})\n"
+            "served = cached.run_network(network)\n"
+            "serial = SimulationEngine(cache_dir=False).run_network(network)\n"
+            "assert [l.results for l in served.layers] == "
+            "[l.results for l in serial.layers]\n"
+            "stats = cached.stats()\n"
+            "assert stats['disk_write_failures'] == 1, stats\n"
+            "assert stats['disk_misses'] == 6 and stats['disk_hits'] == 0, stats\n"
+            "assert 'sqlite3' not in {name for name, module in sys.modules.items()"
+            " if module is not None}\n"
+        )
+        result = subprocess.run(
+            **fresh_interpreter(code), capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestFingerprint:

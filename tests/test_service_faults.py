@@ -145,6 +145,34 @@ class TestProcessWorkerDeath:
         finally:
             service.stop()
 
+    def test_no_worker_is_respawned_while_the_interpreter_exits(
+        self, tmp_path, monkeypatch
+    ):
+        """Once multiprocessing reports the interpreter exiting, a killed
+        idle worker is not replaced and its manager loop ends."""
+        import multiprocessing.util
+
+        service = SimulationService(
+            engine=SimulationEngine(cache_dir=False),
+            registry=_crashy_registry(tmp_path),
+            num_workers=1,
+            mode="process",
+        )
+        service.start()
+        try:
+            (worker,) = service.workers.stats()["workers"]
+            (manager,) = service.workers._threads
+            monkeypatch.setattr(multiprocessing.util, "_exiting", True)
+            os.kill(worker["pid"], signal.SIGKILL)
+            manager.join(timeout=10)
+            assert not manager.is_alive()
+            (after,) = service.workers.stats()["workers"]
+            assert after["restarts"] == 0
+            assert after["pid"] == worker["pid"] and not after["alive"]
+        finally:
+            monkeypatch.undo()
+            service.stop()
+
     def test_process_pool_stop_requeues_running_job(self, tmp_path):
         journal = tmp_path / "journal"
         service = SimulationService(
