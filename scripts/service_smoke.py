@@ -29,10 +29,12 @@ in-process under pytest — in both worker modes:
    orphan of theirs stay in it; read from Linux's ``/proc``) is still
    alive 5 s after the shutdown;
 10. in process mode, where the server runs on a fresh temporary disk
-    cache, boot a second server on the same cache root, repeat the first
-    ``network`` job, and require the byte-identical payload and disk-tier
-    cache hits on ``/metrics``: the restarted workers read the first
-    server's rows.  Step 9 covers the second server too.
+    cache, require the stopped server's root to hold no write-ahead log
+    with rows in it (its workers closed their connections, which folds the
+    log into ``cells.sqlite``), then boot a second server on the same cache
+    root, repeat the first ``network`` job, and require the byte-identical
+    payload and disk-tier cache hits on ``/metrics``: the restarted workers
+    read the first server's rows.  Step 9 covers the second server too.
 
 Exit status 0 on success; 1 with a diagnostic (and the server's output) on
 any failure.
@@ -333,6 +335,22 @@ def exercise(client: ServiceClient, args) -> str:
     return first
 
 
+def check_log_folded(cache_dir) -> bool:
+    """Step 10's first half: the stopped server's root holds no write-ahead
+    log with rows in it."""
+    wal = Path(cache_dir, "cells.sqlite-wal")
+    size = wal.stat().st_size if wal.exists() else 0
+    if size:
+        print(
+            f"service smoke test FAILED: {wal.name} still holds {size} B "
+            f"after the server stopped",
+            file=sys.stderr,
+        )
+        return False
+    print("the stopped server's cache root holds no write-ahead log rows")
+    return True
+
+
 def check_restart(client: ServiceClient, first: str) -> str:
     """Step 10: a server restarted on the first one's cache root answers
     the first job, byte for byte, from the rows its workers read back."""
@@ -448,7 +466,7 @@ def main(argv=None) -> int:
     else:
         with tempfile.TemporaryDirectory(prefix="repro-smoke-cache-") as cache_dir:
             first = serve(args, cache_dir, lambda client: exercise(client, args))
-            if first is None:
+            if first is None or not check_log_folded(cache_dir):
                 return 1
             if serve(args, cache_dir, lambda client: check_restart(client, first)) is None:
                 return 1

@@ -45,7 +45,6 @@ from repro.arch import (
 from repro.engine import SimulationEngine, configure_default_engine, default_engine
 from repro.nn import (
     ConvLayerSpec,
-    LayerWorkload,
     Network,
     alexnet,
     available_networks,
@@ -92,7 +91,6 @@ __all__ = [
     "ConvLayerSpec",
     "DCNN_CONFIG",
     "DCNN_OPT_CONFIG",
-    "LayerWorkload",
     "Network",
     "SCNN_CONFIG",
     "SimulationEngine",

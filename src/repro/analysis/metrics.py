@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.nn.densities import LayerSparsity, network_sparsity
-from repro.nn.inference import LayerWorkload
+from repro.nn.inference import WorkloadHandle
 from repro.nn.networks import Network
 
 
@@ -52,40 +51,19 @@ class DensityRow:
         return 1.0 / self.work_fraction
 
 
-def density_table(
-    network: Network,
-    workloads: Optional[Sequence[LayerWorkload]] = None,
-) -> List[DensityRow]:
-    """Per-layer density rows (Figure 1).
-
-    With ``workloads`` given, the densities are *measured* from the generated
-    tensors; otherwise the calibration table is reported directly.
-    """
+def density_table(workloads: Sequence[WorkloadHandle]) -> List[DensityRow]:
+    """Per-layer density rows (Figure 1): each handle's measured densities."""
     rows: List[DensityRow] = []
-    if workloads is not None:
-        for workload in workloads:
-            wd = workload.weight_density
-            ad = workload.activation_density
-            rows.append(
-                DensityRow(
-                    layer=workload.spec.name,
-                    module=workload.spec.module or workload.spec.name,
-                    weight_density=wd,
-                    activation_density=ad,
-                    work_fraction=wd * ad,
-                )
-            )
-        return rows
-    calibration = network_sparsity(network)
-    for spec in network.layers:
-        sparsity: LayerSparsity = calibration[spec.name]
+    for workload in workloads:
+        wd = workload.weight_density
+        ad = workload.activation_density
         rows.append(
             DensityRow(
-                layer=spec.name,
-                module=spec.module or spec.name,
-                weight_density=sparsity.weight_density,
-                activation_density=sparsity.activation_density,
-                work_fraction=sparsity.work_fraction,
+                layer=workload.spec.name,
+                module=workload.spec.module or workload.spec.name,
+                weight_density=wd,
+                activation_density=ad,
+                work_fraction=wd * ad,
             )
         )
     return rows

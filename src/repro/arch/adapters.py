@@ -35,7 +35,7 @@ import numpy as np
 from repro.arch.spec import AcceleratorConfig, ArchitectureSpec
 from repro.dataflow.dataflows import Dataflow
 from repro.dataflow.tiling import phase_integral_images
-from repro.nn.inference import LayerWorkload
+from repro.nn.inference import WorkloadHandle
 from repro.nn.layers import ConvLayerSpec
 from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.dcnn import simulate_dcnn_layer
@@ -181,13 +181,12 @@ def simulate_layer(
 
 
 def evaluate_layer(
-    workload: LayerWorkload, specs: Sequence[ArchitectureSpec]
+    workload: WorkloadHandle, specs: Sequence[ArchitectureSpec]
 ) -> List[ArchLayerResult]:
     """Evaluate one layer workload on each of ``specs``, in order.
 
-    The masks are formed once (``workload.masks()``: a
-    :class:`~repro.engine.workloads.WorkloadHandle` synthesises them from
-    its recipe's draws, no float tensor on the way), and not at all when no
+    The masks are formed once (``workload.masks()`` synthesises them from
+    the recipe's draws, no float tensor on the way), and not at all when no
     spec's configuration reads operands.
     """
     operands = None
@@ -222,7 +221,7 @@ def effective_densities(
 def price_energy(
     config: AcceleratorConfig,
     result: ArchLayerResult,
-    workload: LayerWorkload,
+    workload: WorkloadHandle,
     output_density: float,
 ) -> EnergyBreakdown:
     """Energy of one layer on ``config``: every architecture's one accounting.

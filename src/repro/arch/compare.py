@@ -303,7 +303,7 @@ def network_comparison(
     order) is read from ``columns``.  ``architectures`` defaults to the
     paper's trio and :data:`BASELINE` is always compared.  The comparison's
     ``seed`` is the one the simulation's workloads were drawn at, which
-    each engine layer's :class:`~repro.engine.workloads.WorkloadHandle`
+    each engine layer's :class:`~repro.nn.inference.WorkloadHandle`
     records (a network with no layers drew nothing and reads 0).
     """
     seed = simulation.layers[0].workload.seed if simulation.layers else 0

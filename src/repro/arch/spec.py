@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 from repro.dataflow.dataflows import Dataflow
-from repro.dataflow.tiling import pe_grid_for
 
 
 @dataclass(frozen=True)
@@ -86,10 +85,6 @@ class AcceleratorConfig:
         return self.num_pes * self.multipliers_per_pe
 
     @property
-    def pe_grid(self) -> Tuple[int, int]:
-        return pe_grid_for(self.num_pes)
-
-    @property
     def activation_sram_bytes(self) -> int:
         """Total on-chip activation storage (both RAMs, across all PEs)."""
         if self.dense_sram_bytes:
@@ -112,11 +107,6 @@ class AcceleratorConfig:
     @property
     def is_sparse(self) -> bool:
         return self.dataflow.is_sparse
-
-    @property
-    def peak_ops_per_cycle(self) -> int:
-        """Multiply + add pairs issued per cycle at full utilization."""
-        return self.total_multipliers
 
     def with_pe_count(self, num_pes: int) -> "AcceleratorConfig":
         """Rescale the PE count at constant total multiplier throughput.

@@ -99,23 +99,20 @@ def plan_layer(
     *,
     num_pes: int = 64,
     group_size: int = 8,
-    pe_rows: int | None = None,
-    pe_cols: int | None = None,
 ) -> TilingPlan:
     """Build the tiling plan of one layer for a given PE array size.
 
-    The input plane is split as evenly as possible across the PE grid.  Small
-    layers (planes smaller than the grid) simply leave some PEs without work,
-    which is exactly the load-imbalance effect the paper's Figure 9 reports.
+    The input plane is split as evenly as possible across the
+    :func:`pe_grid_for` grid.  Small layers (planes smaller than the grid)
+    simply leave some PEs without work, which is exactly the load-imbalance
+    effect the paper's Figure 9 reports.
 
-    Plans are memoised on ``(spec, num_pes, group_size, pe_rows, pe_cols)``:
-    a DSE sweep re-plans the identical (layer, PE-grid) pair for every
-    multiplier-array or accumulator-banking variant, so repeated requests
-    return the same frozen :class:`TilingPlan` instance.
+    Plans are memoised on ``(spec, num_pes, group_size)``: a DSE sweep
+    re-plans the identical (layer, PE-grid) pair for every multiplier-array
+    or accumulator-banking variant, so repeated requests return the same
+    frozen :class:`TilingPlan` instance.
     """
-    if pe_rows is None or pe_cols is None:
-        pe_rows, pe_cols = pe_grid_for(num_pes)
-    return _plan_layer_cached(spec, num_pes, group_size, pe_rows, pe_cols)
+    return _plan_layer_cached(spec, num_pes, group_size)
 
 
 @lru_cache(maxsize=4096)
@@ -134,8 +131,9 @@ def _plane_tiles(
 
 @lru_cache(maxsize=4096)
 def _plan_layer_cached(
-    spec: ConvLayerSpec, num_pes: int, group_size: int, pe_rows: int, pe_cols: int
+    spec: ConvLayerSpec, num_pes: int, group_size: int
 ) -> TilingPlan:
+    pe_rows, pe_cols = pe_grid_for(num_pes)
     rows = min(pe_rows, spec.input_height)
     cols = min(pe_cols, spec.input_width)
     # Keep the grid size constant (idle PEs get empty tiles) so barrier and

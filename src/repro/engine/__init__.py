@@ -31,7 +31,7 @@ from typing import Optional, Union
 from repro.engine.cache import ResultCache, default_cache_dir, fingerprint
 from repro.engine.core import ArchitectureRun, SimulationEngine
 from repro.engine.parallel import parallel_map, pool_forks, resolve_workers
-from repro.engine.workloads import WorkloadHandle
+from repro.nn.inference import WorkloadHandle
 
 _default_engine: Optional[SimulationEngine] = None
 

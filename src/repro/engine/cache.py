@@ -2,12 +2,11 @@
 
 Every cacheable unit of work (a workload on an architecture, a DSE design
 point) is described by a *fingerprint*: a canonical JSON document covering
-everything the result depends on — layer shapes, operand content (either the
-generative coordinates of a synthetic workload or a digest of the raw
-tensors), the full accelerator configuration, the installed numpy's version,
-and :data:`MODEL_DIGEST`, a digest of the model code that computes it.  The
-SHA-256 of that document keys one row of a SQLite file under the cache root,
-so
+everything the result depends on — layer shapes, the recipe of the operands'
+seeded draws, the full accelerator configuration, the installed numpy's
+version, and :data:`MODEL_DIGEST`, a digest of the model code that computes
+it.  The SHA-256 of that document keys one row of a SQLite file under the
+cache root, so
 
 * two logically identical requests always share one row, regardless of
   which entry point produced them;
@@ -36,6 +35,7 @@ import json
 import os
 import sys
 import threading
+import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -116,10 +116,9 @@ def _identity_fields(kind: type) -> Optional[Tuple[str, ...]]:
 def describe(value: Any) -> Any:
     """Reduce ``value`` to a canonical JSON-compatible description.
 
-    Dataclasses become sorted field dicts, numpy scalars become Python
-    scalars, and numpy arrays become a content digest (shape, dtype, SHA-256
-    of the raw bytes) so large tensors are fingerprinted without being
-    embedded in the key document.
+    Dataclasses become sorted field dicts and numpy scalars become Python
+    scalars.  Any other type, a numpy array included, raises ``TypeError``:
+    a key names an operand by its recipe, never by its content.
     """
     kind = type(value)
     names = _identity_fields(kind)
@@ -127,14 +126,6 @@ def describe(value: Any) -> Any:
         return {
             "__dataclass__": kind.__name__,
             "fields": {name: describe(getattr(value, name)) for name in names},
-        }
-    if isinstance(value, np.ndarray):
-        return {
-            "__ndarray__": hashlib.sha256(
-                np.ascontiguousarray(value).tobytes()
-            ).hexdigest(),
-            "shape": list(value.shape),
-            "dtype": str(value.dtype),
         }
     if isinstance(value, np.generic):
         return value.item()
@@ -206,6 +197,31 @@ _NEXT_STAMP = "(SELECT IFNULL(MAX(used), 0) + 1 FROM cells)"
 #: Keys one statement binds: SQLite's host-parameter limit before 3.32.
 _CHUNK = 999
 
+#: Seconds a connection waits out another's lock: SQLite's busy timeout,
+#: and the bound on retrying :data:`_SETUP`.
+_TIMEOUT = 10.0
+
+
+def _set_up(connection: Any) -> None:
+    """Run :data:`_SETUP` on a new ``connection``.
+
+    Switching a fresh file to WAL fails at once with "database is locked",
+    without waiting out the busy timeout, while another connection holds a
+    lock on the file (first opens racing on a fresh root), so a locked setup
+    is retried for up to :data:`_TIMEOUT` seconds.
+    """
+    import sqlite3
+
+    deadline = time.monotonic() + _TIMEOUT
+    while True:
+        try:
+            connection.executescript(_SETUP)
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() >= deadline:
+                raise
+        time.sleep(0.005)
+
 
 def _faults() -> Tuple[type, ...]:
     """What a store degrades on: an unusable root, a Python without
@@ -268,15 +284,31 @@ class ResultCache:
 
             self.root.mkdir(parents=True, exist_ok=True)
             connection = sqlite3.connect(
-                self.path, timeout=10.0, isolation_level=None, check_same_thread=False
+                self.path,
+                timeout=_TIMEOUT,
+                isolation_level=None,
+                check_same_thread=False,
             )
             try:
-                connection.executescript(_SETUP)
+                _set_up(connection)
             except BaseException:
                 connection.close()
                 raise
             self._connections[key] = connection
         return connection
+
+    def close(self) -> None:
+        """Close every connection this process opened, which checkpoints
+        the write-ahead log once no other process has the file open.
+
+        A connection inherited across a fork stays open and unused, as
+        SQLite requires.  Call it once no thread uses the store; a later
+        call on the store opens a new connection.
+        """
+        pid = os.getpid()
+        for key in list(self._connections):
+            if key[0] == pid:
+                self._connections.pop(key).close()
 
     def _fault(self, event: str, error: BaseException, write: bool = False) -> None:
         """Count and log a read or write the store could not make: a warning

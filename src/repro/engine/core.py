@@ -15,7 +15,7 @@ network simulations and design-space sweeps.  It composes three layers:
   disk keyed by a fingerprint of every input.
 
 Workloads move between processes and cache entries as
-:class:`~repro.engine.workloads.WorkloadHandle` recipes, so neither the pool
+:class:`~repro.nn.inference.WorkloadHandle` recipes, so neither the pool
 nor the cache ever ships multi-megabyte activation tensors.  Every
 architecture, the trio's included, is cached per (layer, architecture) cell,
 and a network simulation is its trio's cells.  Each layer with an uncached
@@ -43,19 +43,13 @@ from repro.arch.registry import get_architecture
 from repro.arch.spec import AcceleratorConfig, ArchitectureSpec
 from repro.engine.cache import ResultCache, canonical, default_cache_dir, fingerprint
 from repro.engine.parallel import parallel_map
-from repro.engine.workloads import (
-    WorkloadHandle,
-    network_handles,
-    resolve_network_sparsity,
-)
+from repro.engine.workloads import network_handles, resolve_network_sparsity
 from repro.nn.densities import LayerSparsity
-from repro.nn.inference import LayerWorkload
+from repro.nn.inference import WorkloadHandle
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.scnn.simulator import TRIO, NetworkSimulation, network_simulation
 from repro.timeloop.dse import DesignPoint, evaluate_configs
-
-AnyWorkload = Union[LayerWorkload, WorkloadHandle]
 
 #: Disk rows: a cell's nine fields in declaration order, and a design point's
 #: three numbers (the caller's config completes the point).
@@ -110,7 +104,7 @@ def _operand_footprint(spec: ConvLayerSpec) -> int:
 
 
 def _layer_task(
-    task: Tuple[AnyWorkload, List[ArchitectureSpec]]
+    task: Tuple[WorkloadHandle, List[ArchitectureSpec]]
 ) -> List[ArchLayerResult]:
     """Evaluate one workload on each of its architectures
     (:func:`~repro.arch.adapters.evaluate_layer`): the one layer task of
@@ -128,7 +122,7 @@ class ArchitectureRun:
     ``architectures[j]``.
     """
 
-    workloads: List[AnyWorkload]
+    workloads: List[WorkloadHandle]
     architectures: List[ArchitectureSpec]
     results: List[List[ArchLayerResult]]
 
@@ -358,7 +352,7 @@ class SimulationEngine:
     @_instrumented("run_architectures")
     def run_architectures(
         self,
-        workloads: Sequence[AnyWorkload],
+        workloads: Sequence[WorkloadHandle],
         architectures: Sequence[object],
     ) -> ArchitectureRun:
         """Evaluate every workload on every registered architecture.
@@ -367,10 +361,8 @@ class SimulationEngine:
         which branches on the dataflow's inner operation, so sparse and
         dense architectures mix freely in one grid.  ``architectures``
         accepts registered names or :class:`~repro.arch.spec.ArchitectureSpec`
-        objects.  Each cell is
-        content-addressed in the cache on its own, by its workload
-        (synthetic workloads by their generative recipe, raw workloads by a
-        digest of their tensors) and its architecture's configuration, so
+        objects.  Each cell is content-addressed in the cache on its own,
+        by its workload's recipe and its architecture's configuration, so
         two specs that differ only in description or tags share their
         cells.  All of a layer's uncached cells are computed in one task,
         which synthesises the layer once; the tasks shard across the
@@ -381,9 +373,8 @@ class SimulationEngine:
             spec if isinstance(spec, ArchitectureSpec) else get_architecture(spec)
             for spec in architectures
         ]
-        # Render each workload and config once up front: a raw workload's
-        # rendering digests its tensors, which must not be repeated per grid
-        # cell, and each cell's key then only joins two rendered parts.
+        # Render each workload and config once up front, so each cell's key
+        # only joins two rendered parts.
         config_parts = [canonical(spec.config) for spec in specs]
         keys = [
             fingerprint("architecture-layer", workload=workload_part, architecture=part)

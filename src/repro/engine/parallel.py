@@ -7,7 +7,7 @@ parallel path bitwise-identical to the serial one:
 
 * every worker function is a pure function of its (picklable) task tuple;
 * results are returned in task order, whatever order the tasks ran in;
-* workloads cross the process boundary as :class:`~repro.engine.workloads.WorkloadHandle`
+* workloads cross the process boundary as :class:`~repro.nn.inference.WorkloadHandle`
   recipes (or are synthesised inside the task) from the same per-layer seed
   stream the serial path uses.
 

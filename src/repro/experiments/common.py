@@ -12,9 +12,9 @@ content-addressed on-disk cache when ``REPRO_CACHE_DIR`` (or the CLI
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.engine import SimulationEngine, default_engine
+from repro.engine import default_engine
 from repro.nn.networks import Network, get_network
 from repro.scnn.simulator import NetworkSimulation
 
@@ -34,23 +34,18 @@ def cached_network(name: str) -> Network:
     return get_network(name)
 
 
-def cached_simulation(
-    name: str, seed: int = 0, engine: Optional[SimulationEngine] = None
-) -> NetworkSimulation:
+def cached_simulation(name: str, seed: int = 0) -> NetworkSimulation:
     """Full network simulation (workloads + SCNN + DCNN + oracle + energy).
 
-    Served by the shared simulation engine: the first request computes (in
-    parallel, if the engine is configured for it), repeats are assembled
-    from cells in the engine's in-memory memo table, and cross-process
-    repeats from the on-disk cache when one is configured.  ``engine``
-    overrides the process-wide default — the simulation service passes its
-    own warm engine here so figure regenerations share the service cache.
+    Served by the shared simulation engine (:func:`default_engine`): the
+    first request computes (in parallel, if the engine is configured for
+    it), repeats are assembled from cells in the engine's in-memory memo
+    table, and cross-process repeats from the on-disk cache when one is
+    configured.
 
     The *name* is handed to the engine (not a pre-built ``Network``) so the
     workload registry supplies the registered density profile — a synthetic
     workload simulated through fig8/fig10 uses the same densities as the
     ``compare`` and ``network`` paths.
     """
-    if engine is None:
-        engine = default_engine()
-    return engine.run_network(name, seed=seed)
+    return default_engine().run_network(name, seed=seed)

@@ -28,20 +28,12 @@ class DensityReport:
     average_work_reduction: float
 
 
-def run(networks: tuple = EVALUATED_NETWORKS, *, measured: bool = True) -> Dict[str, DensityReport]:
-    """Per-layer density rows for every evaluated network.
-
-    With ``measured=True`` (default) the densities are those of the
-    generated workload tensors; with ``measured=False`` the calibration
-    table itself is reported.
-    """
+def run(networks: tuple = EVALUATED_NETWORKS) -> Dict[str, DensityReport]:
+    """Per-layer density rows of every evaluated network's workloads."""
     reports: Dict[str, DensityReport] = {}
     for name in networks:
         network = cached_network(name)
-        if measured:
-            rows = density_table(network, network_handles(name)[1])
-        else:
-            rows = density_table(network)
+        rows = density_table(network_handles(name)[1])
         reports[network.name] = DensityReport(
             network=network.name,
             rows=rows,

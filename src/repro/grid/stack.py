@@ -75,11 +75,6 @@ class ConfigLayerStack:
     in_channels: np.ndarray
 
     @property
-    def layer_count(self) -> int:
-        """Number of stacked layers."""
-        return len(self.specs)
-
-    @property
     def phase_sizes(self) -> np.ndarray:
         """Per-(PE, phase) activation block sizes, ``(layers, num_pes)``."""
         return np.take_along_axis(
@@ -98,9 +93,8 @@ def config_layer_stack(
 def _config_layer_stack(
     specs: Tuple[ConvLayerSpec, ...], config: AcceleratorConfig
 ) -> ConfigLayerStack:
-    pe_rows, pe_cols = config.pe_grid
     count = len(specs)
-    num_pes = pe_rows * pe_cols
+    num_pes = config.num_pes
     num_groups = np.empty(count, dtype=np.int64)
     c_connected = np.empty(count, dtype=np.int64)
     phases = np.empty(count, dtype=np.int64)
@@ -114,11 +108,7 @@ def _config_layer_stack(
     in_channels = np.empty(count, dtype=np.int64)
     for index, spec in enumerate(specs):
         plan = plan_layer(
-            spec,
-            num_pes=config.num_pes,
-            group_size=config.output_channel_group,
-            pe_rows=pe_rows,
-            pe_cols=pe_cols,
+            spec, num_pes=num_pes, group_size=config.output_channel_group
         )
         layer_phases = spec.stride * spec.stride
         group_channels = min(config.output_channel_group, spec.out_channels)

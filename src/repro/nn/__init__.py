@@ -12,11 +12,7 @@ activations from Caffe; this package replaces that dependency with
 """
 
 from repro.nn.densities import LayerSparsity, network_sparsity, sparsity_for_layer
-from repro.nn.inference import (
-    LayerWorkload,
-    generate_activations,
-    run_forward,
-)
+from repro.nn.inference import generate_activations, run_forward
 from repro.nn.layers import ConvLayerSpec, LayerShapeError
 from repro.nn.networks import (
     Network,
@@ -33,7 +29,6 @@ __all__ = [
     "ConvLayerSpec",
     "LayerShapeError",
     "LayerSparsity",
-    "LayerWorkload",
     "Network",
     "alexnet",
     "available_networks",

@@ -36,11 +36,6 @@ class LayerSparsity:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{label} must be in (0, 1], got {value}")
 
-    @property
-    def work_fraction(self) -> float:
-        """Ideal fraction of multiplies remaining when both operands are sparse."""
-        return self.weight_density * self.activation_density
-
 
 # AlexNet: weight densities follow the published Han et al. pruning results
 # (conv1 kept ~84%, later layers ~35-40%); activation densities follow the
@@ -158,7 +153,3 @@ def uniform_sparsity(network: Network, density: float) -> Dict[str, LayerSparsit
     table = LayerSparsity(density, density)
     return {spec.name: table for spec in network.layers}
 
-
-def work_reduction(sparsity: LayerSparsity) -> float:
-    """Factor by which the multiply count shrinks under maximal exploitation."""
-    return 1.0 / sparsity.work_fraction

@@ -1,6 +1,11 @@
 """Workload construction: sparse weights and activations for every layer.
 
-Two ways of obtaining activation sparsity are provided:
+Every simulator and experiment reads a layer's workload as a
+:class:`WorkloadHandle`, a recipe whose :meth:`~WorkloadHandle.masks` draw
+the operands' non-zero masks (:func:`build_layer_masks`) with no float
+tensor formed.  The float tensors those draws stand for come from
+:func:`~repro.nn.pruning.generate_pruned_weights` and one of two ways of
+obtaining activation sparsity:
 
 * :func:`generate_activations` draws a spatially-correlated non-zero pattern
   at a calibrated density for each layer independently.  This mirrors how the
@@ -14,7 +19,7 @@ Two ways of obtaining activation sparsity are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,41 +27,8 @@ import numpy as np
 from repro.nn.densities import LayerSparsity
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
-from repro.nn.pruning import pruned_weight_mask
+from repro.nn.pruning import kept_count, pruned_weight_mask
 from repro.nn.reference import conv2d_layer, max_pool2d, relu
-
-
-@dataclass
-class LayerWorkload:
-    """Everything a simulator needs to process one layer.
-
-    Attributes:
-        spec: layer shape.
-        weights: dense weight tensor ``(K, C/groups, S, R)`` with pruned zeros.
-        activations: dense input activation tensor ``(C, H, W)`` with ReLU zeros.
-        target: the calibrated densities this workload was generated to hit.
-    """
-
-    spec: ConvLayerSpec
-    weights: np.ndarray
-    activations: np.ndarray
-    target: LayerSparsity
-
-    @property
-    def weight_density(self) -> float:
-        return float(np.count_nonzero(self.weights)) / self.weights.size
-
-    @property
-    def activation_density(self) -> float:
-        return float(np.count_nonzero(self.activations)) / self.activations.size
-
-    @property
-    def dense_multiplies(self) -> int:
-        return self.spec.multiplies
-
-    def masks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Bool non-zero masks of the weights and the activations."""
-        return self.weights != 0, self.activations != 0
 
 
 def _smooth(field: np.ndarray, radius: int) -> np.ndarray:
@@ -201,6 +173,45 @@ def build_layer_masks(
     weights = pruned_weight_mask(spec, sparsity.weight_density, rng)
     buffer = rng.standard_normal(size=spec.input_shape)
     return weights, _activation_mask(spec, sparsity.activation_density, rng, buffer)
+
+
+@dataclass
+class WorkloadHandle:
+    """One layer's workload as a recipe: the only workload type.
+
+    A handle names the draws that make a layer's operands (network name,
+    seed, layer index, spec and target densities), never the operands
+    themselves, so it pickles to a few hundred bytes and keys the cache by
+    recipe.  :meth:`masks` draws the operands' non-zero masks from
+    ``np.random.default_rng([seed, index])``.  The densities come from the
+    recipe: synthesis keeps exactly :func:`~repro.nn.pruning.kept_count`
+    weights and :func:`activation_nonzeros` activations.
+    """
+
+    network_name: str
+    seed: int
+    index: int
+    spec: ConvLayerSpec
+    target: LayerSparsity
+    weight_density: float = field(init=False)
+    activation_density: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        spec, target = self.spec, self.target
+        self.weight_density = (
+            kept_count(spec.weight_count, target.weight_density) / spec.weight_count
+        )
+        self.activation_density = (
+            activation_nonzeros(spec, target.activation_density)
+            / spec.input_activation_count
+        )
+
+    def masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Bool non-zero masks of the weights and the activations, drawn
+        from the recipe's seeded generator (:func:`build_layer_masks`)."""
+        return build_layer_masks(
+            self.spec, self.target, np.random.default_rng([self.seed, self.index])
+        )
 
 
 @dataclass

@@ -154,10 +154,6 @@ class ConvLayerSpec:
     def input_activation_bytes(self) -> int:
         return self.input_activation_count * BYTES_PER_VALUE
 
-    @property
-    def output_activation_bytes(self) -> int:
-        return self.output_activation_count * BYTES_PER_VALUE
-
     def describe(self) -> str:
         """One-line human-readable summary of the layer shape."""
         return (

@@ -39,18 +39,6 @@ class Network:
                 return spec
         raise KeyError(f"network {self.name} has no layer named {name!r}")
 
-    def modules(self) -> List[str]:
-        """Distinct module labels in catalogue order (e.g. inception modules)."""
-        seen: List[str] = []
-        for spec in self.layers:
-            label = spec.module or spec.name
-            if label not in seen:
-                seen.append(label)
-        return seen
-
-    def layers_in_module(self, module: str) -> List[ConvLayerSpec]:
-        return [spec for spec in self.layers if (spec.module or spec.name) == module]
-
     # -- aggregate characteristics (Table I) -----------------------------------
 
     @property

@@ -32,7 +32,6 @@ import numpy as np
 from repro.arch.registry import SCNN_CONFIG
 from repro.arch.spec import AcceleratorConfig
 from repro.dataflow.tiling import (
-    TilingPlan,
     activation_phase_nonzeros,
     plan_layer,
     weight_phase_nonzeros,
@@ -99,7 +98,6 @@ def simulate_layer_cycles(
     activations: np.ndarray,
     config: AcceleratorConfig = SCNN_CONFIG,
     *,
-    plan: Optional[TilingPlan] = None,
     integrals: Optional[Sequence[np.ndarray]] = None,
 ) -> LayerCycleResult:
     """Estimate SCNN cycles for one layer from its actual operand sparsity.
@@ -111,15 +109,9 @@ def simulate_layer_cycles(
     """
     weights = np.asarray(weights, dtype=bool)
     activations = np.asarray(activations, dtype=bool)
-    if plan is None:
-        pe_rows, pe_cols = config.pe_grid
-        plan = plan_layer(
-            spec,
-            num_pes=config.num_pes,
-            group_size=config.output_channel_group,
-            pe_rows=pe_rows,
-            pe_cols=pe_cols,
-        )
+    plan = plan_layer(
+        spec, num_pes=config.num_pes, group_size=config.output_channel_group
+    )
 
     f_width = config.multipliers_f
     i_width = config.multipliers_i

@@ -16,7 +16,7 @@ dot-product steps; the ``I`` lanes of the multiplier array are filled across
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -42,8 +42,6 @@ class DenseLayerResult:
 def simulate_dcnn_layer(
     spec: ConvLayerSpec,
     config: Union[AcceleratorConfig, str] = DCNN_CONFIG,
-    *,
-    plan: Optional[TilingPlan] = None,
 ) -> DenseLayerResult:
     """Cycle count of one layer on the dense baseline.
 
@@ -52,15 +50,9 @@ def simulate_dcnn_layer(
     architecture name (e.g. ``"DCNN-opt"``) in place of a config object.
     """
     config = resolve_config(config)
-    if plan is None:
-        pe_rows, pe_cols = config.pe_grid
-        plan = plan_layer(
-            spec,
-            num_pes=config.num_pes,
-            group_size=config.output_channel_group,
-            pe_rows=pe_rows,
-            pe_cols=pe_cols,
-        )
+    plan = plan_layer(
+        spec, num_pes=config.num_pes, group_size=config.output_channel_group
+    )
     busy = dense_busy_cycles(spec, plan, config)
     cycles, utilization, idle = dense_cycle_metrics(
         busy, spec.multiplies, plan.num_pes, config.multipliers_per_pe

@@ -170,13 +170,8 @@ def run_functional_layer(
             f"{spec.input_shape}"
         )
 
-    pe_rows, pe_cols = config.pe_grid
     plan = plan_layer(
-        spec,
-        num_pes=config.num_pes,
-        group_size=config.output_channel_group,
-        pe_rows=pe_rows,
-        pe_cols=pe_cols,
+        spec, num_pes=config.num_pes, group_size=config.output_channel_group
     )
     weight_streams = _weight_stream(weights, spec, config.output_channel_group)
     activation_streams = _activation_stream(activations, plan, spec.stride)

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 # package, whose init imports this module, so either may load first.
 from repro.arch import adapters
 from repro.arch.registry import get_architecture
-from repro.nn.inference import LayerWorkload
+from repro.nn.inference import WorkloadHandle
 from repro.nn.networks import Network
 from repro.scnn.oracle import oracle_cycles
 from repro.timeloop.energy import EnergyBreakdown
@@ -45,7 +45,7 @@ class LayerSimulation:
     architecture name in :data:`TRIO` order.
     """
 
-    workload: LayerWorkload
+    workload: WorkloadHandle
     results: Dict[str, adapters.ArchLayerResult]
     oracle_cycles: int
     output_density: float
@@ -105,7 +105,7 @@ class NetworkSimulation:
 
 
 def layer_simulation(
-    workload: LayerWorkload,
+    workload: WorkloadHandle,
     results: Sequence[adapters.ArchLayerResult],
     output_density: Optional[float] = None,
 ) -> LayerSimulation:
@@ -134,7 +134,7 @@ def layer_simulation(
 
 def network_simulation(
     network: Network,
-    evaluated: Sequence[Tuple[LayerWorkload, Sequence[adapters.ArchLayerResult]]],
+    evaluated: Sequence[Tuple[WorkloadHandle, Sequence[adapters.ArchLayerResult]]],
 ) -> NetworkSimulation:
     """Assemble a network simulation from each layer's workload and trio results.
 

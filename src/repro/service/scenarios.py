@@ -38,8 +38,7 @@ from repro.analysis.serialization import (
     to_jsonable,
 )
 from repro.arch.registry import SCNN_CONFIG
-from repro.engine import SimulationEngine
-from repro.engine.workloads import WorkloadHandle
+from repro.engine import SimulationEngine, WorkloadHandle
 from repro.nn.networks import available_networks, get_network
 from repro.timeloop.dse import default_candidates
 

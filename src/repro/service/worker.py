@@ -216,10 +216,12 @@ def _worker_process_main(
     Builds its own :class:`SimulationEngine` from ``engine_config`` — every
     worker shares the on-disk cache root but owns its memo table — and
     serves tasks until the sentinel ``None`` (or a closed pipe) arrives.
-    Replies are ``(job_id, ok, payload-or-error-text, extras)``; a scenario
-    exception is a reply, never a process death.  ``parent_end``, the
-    parent's end of the pipe that a forked child inherits, is closed first,
-    so the pipe reads EOF once the parent is gone, however it died.
+    Then it closes its cache connections, so the last process to leave the
+    root checkpoints its write-ahead log.  Replies are ``(job_id, ok,
+    payload-or-error-text, extras)``; a scenario exception is a reply,
+    never a process death.  ``parent_end``, the parent's end of the pipe
+    that a forked child inherits, is closed first, so the pipe reads EOF
+    once the parent is gone, however it died.
 
     ``cpus`` is the job's share of the CPUs (see :class:`ProcessWorkerPool`):
     the engine's pool is resized to it before the job runs.  The parent
@@ -240,47 +242,51 @@ def _worker_process_main(
     # respawned worker never re-ships another job's timeline.
     obs.trace_store().clear()
     engine = SimulationEngine(**engine_config)
-    while True:
-        try:
-            message = connection.recv()
-        except (EOFError, OSError) as error:
-            # The parent closed the pipe (shutdown or manager death): the
-            # child's only remaining duty is to exit.
-            _log.debug("worker_pipe_closed", error=str(error))
-            break
-        if message is None:
-            break
-        job_id, scenario_name, params, trace_id, cpus = message
-        engine.parallel = cpus if cpus > 1 else None
-        baseline = obs.registry().snapshot() if obs.enabled() else None
-        token = obs.set_current_trace(trace_id) if trace_id else None
-        try:
-            scenario = registry.get(scenario_name)
-            result = scenario.run(engine, params)
-        except ScenarioError as error:
-            ok, payload = False, str(error)
-        except Exception:
-            ok, payload = False, traceback.format_exc(limit=20)
-        else:
-            ok, payload = True, result
-        finally:
-            if token is not None:
-                obs.reset_current_trace(token)
-        extras: Dict[str, Any] = {}
-        if baseline is not None:
-            extras["metrics"] = obs.registry().deltas_since(baseline)
-        if trace_id:
-            extras["spans"] = [
-                span.to_dict() for span in obs.trace_store().drain(trace_id)
-            ]
-        try:
-            connection.send((job_id, ok, payload, extras))
-        except Exception:
-            # The payload would not pickle (a scenario returning live
-            # objects): degrade to a failed job, not a dead worker.
-            connection.send(
-                (job_id, False, traceback.format_exc(limit=20), extras)
-            )
+    try:
+        while True:
+            try:
+                message = connection.recv()
+            except (EOFError, OSError) as error:
+                # The parent closed the pipe (shutdown or manager death): the
+                # child's only remaining duty is to exit.
+                _log.debug("worker_pipe_closed", error=str(error))
+                break
+            if message is None:
+                break
+            job_id, scenario_name, params, trace_id, cpus = message
+            engine.parallel = cpus if cpus > 1 else None
+            baseline = obs.registry().snapshot() if obs.enabled() else None
+            token = obs.set_current_trace(trace_id) if trace_id else None
+            try:
+                scenario = registry.get(scenario_name)
+                result = scenario.run(engine, params)
+            except ScenarioError as error:
+                ok, payload = False, str(error)
+            except Exception:
+                ok, payload = False, traceback.format_exc(limit=20)
+            else:
+                ok, payload = True, result
+            finally:
+                if token is not None:
+                    obs.reset_current_trace(token)
+            extras: Dict[str, Any] = {}
+            if baseline is not None:
+                extras["metrics"] = obs.registry().deltas_since(baseline)
+            if trace_id:
+                extras["spans"] = [
+                    span.to_dict() for span in obs.trace_store().drain(trace_id)
+                ]
+            try:
+                connection.send((job_id, ok, payload, extras))
+            except Exception:
+                # The payload would not pickle (a scenario returning live
+                # objects): degrade to a failed job, not a dead worker.
+                connection.send(
+                    (job_id, False, traceback.format_exc(limit=20), extras)
+                )
+    finally:
+        if engine.disk_cache is not None:
+            engine.disk_cache.close()
 
 
 class _WorkerDied(RuntimeError):

@@ -92,11 +92,6 @@ class CompressedBlock:
     def nonzero_count(self) -> int:
         return int(np.count_nonzero(self.values))
 
-    @property
-    def placeholder_count(self) -> int:
-        """Zero-valued placeholders inserted to bridge long zero runs."""
-        return self.stored_elements - self.nonzero_count
-
     # -- decoding ----------------------------------------------------------
 
     def flat_offsets(self) -> np.ndarray:

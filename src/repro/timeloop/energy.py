@@ -13,7 +13,7 @@ stated in picojoules for readability but only their ratios matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -47,11 +47,6 @@ class EnergyTable:
     halo_transfer: float = 0.60
     dram: float = 22.0
     pe_cycle: float = 3.5
-
-    def scaled(self, **overrides: float) -> "EnergyTable":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(overrides)
-        return EnergyTable(**values)
 
 
 DEFAULT_ENERGY_TABLE = EnergyTable()

@@ -15,7 +15,7 @@ import signal
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ import repro
 from repro.arch.adapters import evaluate_layer
 from repro.arch.registry import get_architecture
 from repro.nn.densities import LayerSparsity
-from repro.nn.inference import LayerWorkload, generate_activations
+from repro.nn.inference import WorkloadHandle, generate_activations
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.pruning import generate_pruned_weights
 from repro.scnn.simulator import TRIO, layer_simulation
@@ -37,24 +37,31 @@ def make_workload(
     weight_density: float = 0.4,
     activation_density: float = 0.5,
     seed: int | Sequence[int] = 0,
-) -> LayerWorkload:
-    """Build a deterministic workload for an arbitrary spec: pruned weights,
-    then activations, drawn from ``np.random.default_rng(seed)``."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Deterministic float weights and activations of an arbitrary spec:
+    pruned weights, then activations, drawn from
+    ``np.random.default_rng(seed)``."""
     rng = np.random.default_rng(seed)
     weights = generate_pruned_weights(spec, weight_density, rng)
-    activations = generate_activations(spec, activation_density, rng)
-    return LayerWorkload(
-        spec=spec,
-        weights=weights,
-        activations=activations,
-        target=LayerSparsity(weight_density, activation_density),
+    return weights, generate_activations(spec, activation_density, rng)
+
+
+def make_handle(
+    spec: ConvLayerSpec,
+    weight_density: float = 0.4,
+    activation_density: float = 0.5,
+    seed: int = 0,
+) -> WorkloadHandle:
+    """A recipe handle of an arbitrary spec: layer 0 of a network "test"."""
+    return WorkloadHandle(
+        "test", seed, 0, spec, LayerSparsity(weight_density, activation_density)
     )
 
 
-def recipe_workload(handle) -> LayerWorkload:
-    """The float tensors of a :class:`~repro.engine.workloads.WorkloadHandle`'s
-    recipe, from the draws its ``masks()`` make: ``default_rng([seed, index])``
-    at its target densities."""
+def recipe_workload(handle: WorkloadHandle) -> Tuple[np.ndarray, np.ndarray]:
+    """The float weights and activations of ``handle``'s recipe, from the
+    draws its ``masks()`` make: ``default_rng([seed, index])`` at its target
+    densities."""
     return make_workload(
         handle.spec,
         handle.target.weight_density,
@@ -63,7 +70,7 @@ def recipe_workload(handle) -> LayerWorkload:
     )
 
 
-def trio_simulation(workload, output_density=None):
+def trio_simulation(workload: WorkloadHandle, output_density=None):
     """One layer's simulation on the paper's trio, assembled as the engine
     assembles each layer of a network."""
     trio = [get_architecture(name) for name in TRIO]

@@ -22,12 +22,11 @@ from __future__ import annotations
 import faulthandler
 import threading
 import traceback
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 import pytest
 
-from repro.nn.inference import LayerWorkload
 from repro.nn.layers import ConvLayerSpec
 
 from _helpers import make_workload
@@ -154,21 +153,24 @@ def pointwise_spec() -> ConvLayerSpec:
     )
 
 
+# Each ``*_workload`` fixture is its spec's float (weights, activations).
+
+
 @pytest.fixture
-def small_workload(small_spec) -> LayerWorkload:
+def small_workload(small_spec) -> Tuple[np.ndarray, np.ndarray]:
     return make_workload(small_spec)
 
 
 @pytest.fixture
-def strided_workload(strided_spec) -> LayerWorkload:
+def strided_workload(strided_spec) -> Tuple[np.ndarray, np.ndarray]:
     return make_workload(strided_spec, weight_density=0.6, activation_density=0.8)
 
 
 @pytest.fixture
-def grouped_workload(grouped_spec) -> LayerWorkload:
+def grouped_workload(grouped_spec) -> Tuple[np.ndarray, np.ndarray]:
     return make_workload(grouped_spec, weight_density=0.45, activation_density=0.5)
 
 
 @pytest.fixture
-def pointwise_workload(pointwise_spec) -> LayerWorkload:
+def pointwise_workload(pointwise_spec) -> Tuple[np.ndarray, np.ndarray]:
     return make_workload(pointwise_spec, weight_density=0.3, activation_density=0.35)

@@ -15,6 +15,7 @@ from repro.analysis.metrics import (
 from repro.analysis.reporting import format_table, format_value
 from repro.analysis.serialization import design_point_payload, to_jsonable
 from repro.arch import SCNN_CONFIG
+from repro.engine.workloads import network_handles
 from repro.nn.networks import alexnet, googlenet, vggnet
 
 
@@ -41,27 +42,20 @@ class TestNetworkCharacteristics:
 
 
 class TestDensityTable:
-    def test_calibration_rows(self):
-        rows = density_table(alexnet())
+    def test_measured_rows_from_workloads(self):
+        _, workloads = network_handles(alexnet(), seed=0)
+        rows = density_table(workloads)
         assert [row.layer for row in rows] == ["conv1", "conv2", "conv3", "conv4", "conv5"]
-        for row in rows:
+        for row, workload in zip(rows, workloads):
+            assert row.weight_density == pytest.approx(workload.weight_density)
             assert row.work_fraction == pytest.approx(
                 row.weight_density * row.activation_density
             )
             assert row.work_reduction >= 1.0
 
-    def test_measured_rows_from_workloads(self):
-        from repro.engine.workloads import network_handles
-
-        network, workloads = network_handles(alexnet(), seed=0)
-        rows = density_table(network, workloads)
-        for row, workload in zip(rows, workloads):
-            assert row.weight_density == pytest.approx(workload.weight_density)
-
     def test_average_work_reduction_weighted_by_multiplies(self):
-        network = alexnet()
-        rows = density_table(network)
-        reduction = average_work_reduction(rows, network)
+        network, workloads = network_handles(alexnet(), seed=0)
+        reduction = average_work_reduction(density_table(workloads), network)
         # Paper: typical layers reduce work by ~4x; AlexNet's conv1 is dense so
         # the multiply-weighted average sits a bit lower.
         assert 2.0 < reduction < 8.0

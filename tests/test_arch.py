@@ -35,20 +35,24 @@ from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.dcnn import simulate_dcnn_layer
 from repro.scnn.oracle import nonzero_multiplies
 
-from _helpers import make_workload
+from _helpers import make_handle
 
 
 @pytest.fixture
 def workload():
     spec = ConvLayerSpec("conv", 32, 32, 14, 14, 3, 3, padding=1)
-    return make_workload(spec, weight_density=0.4, activation_density=0.5)
+    return make_handle(spec, weight_density=0.4, activation_density=0.5)
 
 
 @pytest.fixture
-def operands(workload):
-    return LayerOperands(
-        workload.spec, workload.weights != 0, workload.activations != 0
-    )
+def masks(workload):
+    """The workload's (weights, activations) non-zero masks."""
+    return workload.masks()
+
+
+@pytest.fixture
+def operands(workload, masks):
+    return LayerOperands(workload.spec, *masks)
 
 
 class TestRegistry:
@@ -125,18 +129,16 @@ class TestResolveConfig:
 
 
 class TestAdapters:
-    def test_sparse_adapter_matches_core_model_for_scnn(self, workload, operands):
+    def test_sparse_adapter_matches_core_model_for_scnn(
+        self, workload, masks, operands
+    ):
         result = simulate_layer(workload.spec, SCNN_CONFIG, operands)
-        reference = simulate_layer_cycles(
-            workload.spec, workload.weights, workload.activations, SCNN_CONFIG
-        )
+        reference = simulate_layer_cycles(workload.spec, *masks, SCNN_CONFIG)
         assert result.cycles == reference.cycles
         assert result.operations == reference.products
         assert result.weight_vector_fetches == reference.weight_vector_fetches
         assert result.conflict_stall_cycles == reference.conflict_stall_cycles
-        assert result.valid_products == nonzero_multiplies(
-            workload.spec, workload.weights, workload.activations
-        )
+        assert result.valid_products == nonzero_multiplies(workload.spec, *masks)
 
     def test_dense_adapter_matches_dcnn_model(self, workload):
         """A dense design that gates nothing reads no operands, so it
@@ -161,19 +163,20 @@ class TestAdapters:
         assert "dense_activations" not in vars(operands)
 
     def test_single_operand_ablations_bracketed_by_scnn_and_dense(
-        self, workload, operands
+        self, workload, masks, operands
     ):
         """Skipping one operand is slower than SCNN, faster than dense; the
         unskipped operand is observed as an all-True mask."""
         scnn = simulate_layer(workload.spec, SCNN_CONFIG, operands)
-        dense_weights = np.ones_like(workload.weights)
-        dense_activations = np.ones_like(workload.activations)
+        weight_mask, activation_mask = masks
+        dense_weights = np.ones_like(weight_mask)
+        dense_activations = np.ones_like(activation_mask)
         dense_equivalent = simulate_layer_cycles(
             workload.spec, dense_weights, dense_activations, SCNN_CONFIG
         )
         for name, weights, activations in (
-            ("SCNN-SparseW", workload.weights, dense_activations),
-            ("SCNN-SparseA", dense_weights, workload.activations),
+            ("SCNN-SparseW", weight_mask, dense_activations),
+            ("SCNN-SparseA", dense_weights, activation_mask),
         ):
             config = get_architecture(name).config
             ablation = simulate_layer(workload.spec, config, operands)
@@ -200,7 +203,7 @@ class TestAdapters:
 
 
 class TestEngineArchitectureGrid:
-    def test_grid_accepts_names_and_specs(self, workload):
+    def test_grid_accepts_names_and_specs(self, workload, masks):
         engine = SimulationEngine(cache_dir=False)
         run = engine.run_architectures(
             [workload], ["SCNN", get_architecture("DCNN")]
@@ -208,7 +211,7 @@ class TestEngineArchitectureGrid:
         assert [spec.name for spec in run.architectures] == ["SCNN", "DCNN"]
         scnn = run.column("SCNN")[0]
         assert scnn.cycles == simulate_layer_cycles(
-            workload.spec, workload.weights, workload.activations, SCNN_CONFIG
+            workload.spec, *masks, SCNN_CONFIG
         ).cycles
         assert run.column("DCNN")[0].cycles == simulate_dcnn_layer(
             workload.spec, DCNN_CONFIG

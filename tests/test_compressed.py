@@ -57,7 +57,7 @@ class TestCompressBlock:
         dense[0] = 1.0
         dense[36] = 2.0  # gap of 35 zeros > 15 needs placeholders
         block = compress_block(dense, index_bits=4)
-        assert block.placeholder_count == 2
+        assert block.stored_elements - block.nonzero_count == 2
         np.testing.assert_array_equal(block.decode(), dense)
 
     def test_trailing_zeros_cost_nothing(self):
@@ -73,8 +73,8 @@ class TestCompressBlock:
         dense[250] = 2.0
         narrow = compress_block(dense, index_bits=4)
         wide = compress_block(dense, index_bits=8)
-        assert narrow.placeholder_count > 0
-        assert wide.placeholder_count == 0
+        assert narrow.stored_elements > narrow.nonzero_count
+        assert wide.stored_elements == wide.nonzero_count
 
     def test_density_and_ratios(self):
         dense = sparse_block((8, 9), 0.25, seed=3)
@@ -145,8 +145,8 @@ class TestBlockStatistics:
         assert stats.blocks == 2
         assert stats.dense_elements == 32
         assert stats.nonzero_elements == first.nonzero_count + second.nonzero_count
-        assert stats.placeholder_elements == (
-            first.placeholder_count + second.placeholder_count
+        assert stats.placeholder_elements == sum(
+            block.stored_elements - block.nonzero_count for block in (first, second)
         )
         assert stats.storage_bits() == sum(
             block.stored_elements * 16 + block.index.storage_bits()

@@ -4,7 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.arch import DCNN_CONFIG, DCNN_OPT_CONFIG, SCNN_CONFIG
+from repro.arch import (
+    DCNN_CONFIG,
+    DCNN_OPT_CONFIG,
+    SCNN_CONFIG,
+    available_architectures,
+    get_architecture,
+)
+from repro.dataflow.tiling import pe_grid_for
 
 
 class TestTableIIParameters:
@@ -14,7 +21,7 @@ class TestTableIIParameters:
         assert SCNN_CONFIG.num_pes == 64
         assert SCNN_CONFIG.multipliers_per_pe == 16
         assert SCNN_CONFIG.total_multipliers == 1024
-        assert SCNN_CONFIG.pe_grid == (8, 8)
+        assert pe_grid_for(SCNN_CONFIG.num_pes) == (8, 8)
 
     def test_multiplier_array_shape(self):
         assert (SCNN_CONFIG.multipliers_f, SCNN_CONFIG.multipliers_i) == (4, 4)
@@ -42,7 +49,12 @@ class TestTableIIParameters:
         assert 0.15 <= index_mb <= 0.35
 
     def test_peak_throughput(self):
-        assert SCNN_CONFIG.peak_ops_per_cycle == 1024
+        """Table II's peak of 1024 multiplies per cycle holds for every
+        catalogue architecture, so each comparison is at equal peak."""
+        for name in available_architectures():
+            config = get_architecture(name).config
+            peak = config.num_pes * config.multipliers_f * config.multipliers_i
+            assert peak == config.total_multipliers == 1024, name
 
 
 class TestDenseConfigs:
@@ -80,7 +92,7 @@ class TestPeCountRescaling:
         config = SCNN_CONFIG.with_pe_count(4)
         assert config.multipliers_per_pe == 256
         assert config.accumulator_banks == 512
-        assert config.pe_grid == (2, 2)
+        assert pe_grid_for(config.num_pes) == (2, 2)
 
     def test_aspect_ratio_biased_towards_f(self):
         config = SCNN_CONFIG.with_pe_count(8)

@@ -21,9 +21,9 @@ from _helpers import make_workload
 
 
 def cycle_and_functional(spec, wd=0.4, ad=0.5, seed=0, config=SCNN_CONFIG):
-    workload = make_workload(spec, wd, ad, seed)
-    fast = simulate_layer_cycles(spec, workload.weights, workload.activations, config)
-    exact = run_functional_layer(spec, workload.weights, workload.activations, config)
+    weights, activations = make_workload(spec, wd, ad, seed)
+    fast = simulate_layer_cycles(spec, weights, activations, config)
+    exact = run_functional_layer(spec, weights, activations, config)
     return fast, exact
 
 
@@ -72,28 +72,19 @@ class TestCycleModelBehaviour:
         assert sparse.products < dense.products
 
     def test_products_track_density(self, small_spec):
-        workload = make_workload(small_spec, 0.5, 0.5)
-        result = simulate_layer_cycles(
-            small_spec, workload.weights, workload.activations
-        )
+        result = simulate_layer_cycles(small_spec, *make_workload(small_spec, 0.5, 0.5))
         # The Cartesian product only pairs non-zeros: products scale with the
         # product of densities (within fragmentation/boundary slack).
         expected = small_spec.multiplies * 0.25
         assert result.products == pytest.approx(expected, rel=0.2)
 
-    def test_cycles_at_least_products_over_peak(self, small_workload):
-        result = simulate_layer_cycles(
-            small_workload.spec, small_workload.weights, small_workload.activations
-        )
+    def test_cycles_at_least_products_over_peak(self, small_spec, small_workload):
+        result = simulate_layer_cycles(small_spec, *small_workload)
         lower_bound = result.products / SCNN_CONFIG.total_multipliers
         assert result.cycles >= lower_bound
 
-    def test_idle_fraction_bounds(self, pointwise_workload):
-        result = simulate_layer_cycles(
-            pointwise_workload.spec,
-            pointwise_workload.weights,
-            pointwise_workload.activations,
-        )
+    def test_idle_fraction_bounds(self, pointwise_spec, pointwise_workload):
+        result = simulate_layer_cycles(pointwise_spec, *pointwise_workload)
         assert 0.0 <= result.idle_fraction < 1.0
 
     def test_small_plane_has_low_utilization(self):
@@ -107,43 +98,30 @@ class TestCycleModelBehaviour:
         big_result = simulate_layer_cycles(big_plane, weights, acts)
         assert small_result.multiplier_utilization < big_result.multiplier_utilization
 
-    def test_fewer_accumulator_banks_add_stalls(self, small_workload):
-        default = simulate_layer_cycles(
-            small_workload.spec, small_workload.weights, small_workload.activations
-        )
+    def test_fewer_accumulator_banks_add_stalls(self, small_spec, small_workload):
+        default = simulate_layer_cycles(small_spec, *small_workload)
         starved = simulate_layer_cycles(
-            small_workload.spec,
-            small_workload.weights,
-            small_workload.activations,
-            replace(SCNN_CONFIG, accumulator_banks=4),
+            small_spec, *small_workload, replace(SCNN_CONFIG, accumulator_banks=4)
         )
         assert starved.cycles > default.cycles
         assert starved.conflict_stall_cycles > 0
         assert default.conflict_stall_cycles == 0
 
-    def test_group_overheads_add_cycles(self, small_workload):
-        base = simulate_layer_cycles(
-            small_workload.spec, small_workload.weights, small_workload.activations
-        )
+    def test_group_overheads_add_cycles(self, small_spec, small_workload):
+        base = simulate_layer_cycles(small_spec, *small_workload)
         overhead = simulate_layer_cycles(
-            small_workload.spec,
-            small_workload.weights,
-            small_workload.activations,
+            small_spec,
+            *small_workload,
             replace(SCNN_CONFIG, barrier_overhead_cycles=32, drain_overhead_cycles=16),
         )
         assert overhead.cycles > base.cycles
 
-    def test_nonzero_counts_reported(self, small_workload):
-        result = simulate_layer_cycles(
-            small_workload.spec, small_workload.weights, small_workload.activations
-        )
-        assert result.weight_nonzeros == np.count_nonzero(small_workload.weights)
-        assert result.activation_nonzeros == np.count_nonzero(
-            small_workload.activations
-        )
+    def test_nonzero_counts_reported(self, small_spec, small_workload):
+        weights, activations = small_workload
+        result = simulate_layer_cycles(small_spec, weights, activations)
+        assert result.weight_nonzeros == np.count_nonzero(weights)
+        assert result.activation_nonzeros == np.count_nonzero(activations)
 
-    def test_group_cycles_sum_to_total(self, small_workload):
-        result = simulate_layer_cycles(
-            small_workload.spec, small_workload.weights, small_workload.activations
-        )
+    def test_group_cycles_sum_to_total(self, small_spec, small_workload):
+        result = simulate_layer_cycles(small_spec, *small_workload)
         assert int(result.group_cycles.sum()) == result.cycles

@@ -53,13 +53,10 @@ ODD_CHANNELS = ConvLayerSpec("odd_k", 3, 5, 9, 9, 3, 3, padding=1)
 
 
 def dcnn_plan(spec):
-    rows, cols = DCNN_CONFIG.pe_grid
     return plan_layer(
         spec,
         num_pes=DCNN_CONFIG.num_pes,
         group_size=DCNN_CONFIG.output_channel_group,
-        pe_rows=rows,
-        pe_cols=cols,
     )
 
 
@@ -141,15 +138,12 @@ class TestOracle:
         assert nonzero_multiplies(small_spec, weights, activations) == 0
 
     def test_scales_with_density(self, small_spec):
-        dense = make_workload(small_spec, 1.0, 1.0)
-        sparse = make_workload(small_spec, 0.3, 0.4)
-        dense_count = nonzero_multiplies(small_spec, dense.weights, dense.activations)
-        sparse_count = nonzero_multiplies(small_spec, sparse.weights, sparse.activations)
+        dense_count = nonzero_multiplies(small_spec, *make_workload(small_spec, 1.0, 1.0))
+        sparse_count = nonzero_multiplies(small_spec, *make_workload(small_spec, 0.3, 0.4))
         assert sparse_count == pytest.approx(dense_count * 0.12, rel=0.25)
 
     def test_oracle_cycles_formula(self, small_spec):
-        workload = make_workload(small_spec)
-        products = nonzero_multiplies(small_spec, workload.weights, workload.activations)
+        products = nonzero_multiplies(small_spec, *make_workload(small_spec))
         cycles = oracle_cycles(products)
         assert cycles == max(1, -(-products // SCNN_CONFIG.total_multipliers))
 
@@ -157,12 +151,9 @@ class TestOracle:
         assert oracle_cycles(2048) == 2
         assert oracle_cycles(0) == 1
 
-    def test_oracle_never_slower_than_cycle_model(self, small_workload):
+    def test_oracle_never_slower_than_cycle_model(self, small_spec, small_workload):
         from repro.scnn.cycles import simulate_layer_cycles
 
-        weights, activations = small_workload.weights, small_workload.activations
-        result = simulate_layer_cycles(small_workload.spec, weights, activations)
-        oracle = oracle_cycles(
-            nonzero_multiplies(small_workload.spec, weights, activations)
-        )
+        result = simulate_layer_cycles(small_spec, *small_workload)
+        oracle = oracle_cycles(nonzero_multiplies(small_spec, *small_workload))
         assert oracle <= result.cycles

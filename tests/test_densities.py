@@ -7,17 +7,11 @@ from repro.nn.densities import (
     network_sparsity,
     sparsity_for_layer,
     uniform_sparsity,
-    work_reduction,
 )
 from repro.nn.networks import alexnet, googlenet, vggnet
 
 
 class TestLayerSparsity:
-    def test_work_fraction_is_product(self):
-        sparsity = LayerSparsity(0.4, 0.5)
-        assert sparsity.work_fraction == pytest.approx(0.2)
-        assert work_reduction(sparsity) == pytest.approx(5.0)
-
     def test_invalid_densities_rejected(self):
         with pytest.raises(ValueError):
             LayerSparsity(0.0, 0.5)
@@ -51,7 +45,7 @@ class TestCalibration:
     def test_typical_work_reduction_matches_paper(self):
         # Paper: typical layers reduce work by ~4x, up to ~10x.
         reductions = [
-            work_reduction(sparsity)
+            1.0 / (sparsity.weight_density * sparsity.activation_density)
             for network in (alexnet(), googlenet(), vggnet())
             for name, sparsity in network_sparsity(network).items()
             if sparsity.activation_density < 1.0  # exclude dense input layers

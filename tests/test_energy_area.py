@@ -1,5 +1,7 @@
 """Tests for the energy and area models (repro.timeloop.energy / area)."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from repro.timeloop.area import (
 from repro.timeloop.energy import (
     DEFAULT_ENERGY_TABLE,
     ENERGY_COMPONENTS,
-    EnergyTable,
     EventCounts,
     count_layer_events,
     energy_components,
@@ -170,7 +171,7 @@ class TestEventCountKernel:
             dense_sram_reads=29, dense_sram_writes=31, weight_buffer_reads=37,
             index_accesses=41, halo_transfers=43, dram_values=47, pe_cycles=53,
         )
-        table = DEFAULT_ENERGY_TABLE.scaled(multiply=2.0, dram=100.0)
+        table = replace(DEFAULT_ENERGY_TABLE, multiply=2.0, dram=100.0)
         components = energy_components(events, table)
         assert tuple(components) == ENERGY_COMPONENTS
         assert components == {
@@ -230,7 +231,7 @@ class TestEnergyRelationships:
         assert all(value >= 0 for value in breakdown.components.values())
 
     def test_custom_energy_table(self, googlenet_like_spec):
-        free_dram = DEFAULT_ENERGY_TABLE.scaled(dram=0.0)
+        free_dram = replace(DEFAULT_ENERGY_TABLE, dram=0.0)
         events = count_layer_events(
             googlenet_like_spec, SCNN_CONFIG,
             weight_density=0.4, activation_density=0.5, output_density=0.5,
@@ -241,10 +242,15 @@ class TestEnergyRelationships:
         )
 
     def test_energy_table_immutable_scaling(self):
-        table = EnergyTable()
-        scaled = table.scaled(multiply=2.0)
-        assert table.multiply != 2.0
+        """A custom table is a copy: the shared default stays as it was."""
+        scaled = replace(DEFAULT_ENERGY_TABLE, multiply=2.0)
+        assert DEFAULT_ENERGY_TABLE.multiply != 2.0
         assert scaled.multiply == 2.0
+        assert replace(scaled, multiply=DEFAULT_ENERGY_TABLE.multiply) == (
+            DEFAULT_ENERGY_TABLE
+        )
+        with pytest.raises(FrozenInstanceError):
+            DEFAULT_ENERGY_TABLE.multiply = 2.0
 
 
 class TestAreaModel:

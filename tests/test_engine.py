@@ -49,7 +49,7 @@ from repro.timeloop.dse import DesignPoint, default_candidates, sweep
 from repro.workloads.profiles import get_profile
 from repro.workloads.registry import available_workloads, resolve_workload
 
-from _helpers import fresh_interpreter, make_workload, recipe_workload, survivors
+from _helpers import fresh_interpreter, recipe_workload, survivors
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,8 @@ def _use_inherited_store(cache):
         (os.getpid(), threading.get_ident())
     }
     assert all(cache._connections[key] is inherited[key] for key in inherited)
+    cache.close()
+    assert cache._connections == inherited
 
 
 class TestResultCache:
@@ -276,11 +278,101 @@ class TestResultCache:
         assert reader.get_many([key for key, _ in keys]) == [row for _, row in keys]
         assert len(reader) == len(keys)
 
+    def test_first_open_waits_out_a_lock_on_a_fresh_file(self, tmp_path):
+        """Switching a fresh file to WAL fails at once, without the busy
+        timeout, while another connection holds a lock on it: the store
+        retries its setup, so its first write lands once the lock goes."""
+        import sqlite3
+
+        other = sqlite3.connect(
+            tmp_path / "cells.sqlite", isolation_level=None, check_same_thread=False
+        )
+        other.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.2, other.execute, ("COMMIT",))
+        release.start()
+        try:
+            cache = ResultCache(tmp_path)
+            cache.put_many([("key", [1, 2])])
+        finally:
+            release.join(timeout=10)
+            other.close()
+        assert cache.write_failures == 0
+        assert cache.get_many(["key"]) == [[1, 2]]
+
+    def test_first_open_gives_up_on_a_lock_that_outlasts_the_timeout(
+        self, tmp_path, monkeypatch
+    ):
+        """The setup is retried for no longer than the busy timeout: past
+        it, the write is a counted failure, and the store opens once the
+        lock goes.  The write runs on a thread, so a retry without a bound
+        fails the test (releasing the lock then ends the retry)."""
+        import sqlite3
+
+        monkeypatch.setattr("repro.engine.cache._TIMEOUT", 0.2)
+        other = sqlite3.connect(tmp_path / "cells.sqlite", isolation_level=None)
+        other.execute("BEGIN IMMEDIATE")
+        cache = ResultCache(tmp_path)
+        writer = threading.Thread(target=cache.put_many, args=([("key", 1)],))
+        try:
+            writer.start()
+            writer.join(timeout=5.0)
+            gave_up = not writer.is_alive()
+        finally:
+            other.execute("COMMIT")
+            other.close()
+            writer.join(timeout=10.0)
+        assert gave_up
+        assert cache.write_failures == 1
+        assert cache._connections == {}
+        cache.put_many([("key", 1)])
+        assert cache.write_failures == 1
+        assert cache.get_many(["key"]) == [1]
+        cache.close()
+
+    def test_setup_retries_a_locked_file_and_no_other_error(self):
+        import sqlite3
+
+        from repro.engine.cache import _set_up
+
+        class Connection:
+            def __init__(self, *errors):
+                self.errors = list(errors)
+                self.calls = 0
+
+            def executescript(self, script):
+                self.calls += 1
+                if self.errors:
+                    raise sqlite3.OperationalError(self.errors.pop(0))
+
+        locked = Connection("database is locked", "database is locked")
+        _set_up(locked)
+        assert locked.calls == 3
+        broken = Connection("disk I/O error", "database is locked")
+        with pytest.raises(sqlite3.OperationalError, match="disk I/O error"):
+            _set_up(broken)
+        assert broken.calls == 1
+
+    def test_close_folds_the_log_and_the_next_call_reopens(self, tmp_path):
+        """``close()`` closes every connection the process opened, and the
+        last to close checkpoints the log into ``cells.sqlite``."""
+        cache = ResultCache(tmp_path)
+        cache.put_many([("key", 1)])
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            assert executor.submit(cache.get_many, ["key"]).result(60) == [1]
+        assert len(cache._connections) == 2
+        cache.close()
+        assert cache._connections == {}
+        wal = tmp_path / "cells.sqlite-wal"
+        assert not wal.exists() or wal.stat().st_size == 0
+        assert cache.get_many(["key"]) == [1]
+        cache.close()
+
     @pytest.mark.skipif(not pool_forks(), reason="needs the fork start method")
     def test_a_forked_child_opens_its_own_connection(self, tmp_path):
         """A store the parent has used, from two threads, keeps working
         after a forked child used the same object (on a connection of its
-        own) and exited."""
+        own), closed the store (which leaves the inherited connections open)
+        and exited."""
         cache = ResultCache(tmp_path)
         cache.put_many([("parent-1", 1)])
         with ThreadPoolExecutor(max_workers=1) as executor:
@@ -424,15 +516,6 @@ class TestFingerprint:
         assert base != fingerprint("other", network=tiny_network, seed=0,
                                    sparsity=sparsity, config=SCNN_CONFIG)
 
-    def test_tensor_content_addresses_raw_workloads(self, small_spec):
-        workload = make_workload(small_spec)
-        same = make_workload(small_spec)
-        different = make_workload(small_spec, seed=7)
-        assert fingerprint("wl", workload=workload) == fingerprint("wl", workload=same)
-        assert fingerprint("wl", workload=workload) != fingerprint(
-            "wl", workload=different
-        )
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -505,10 +588,8 @@ class TestWorkloadHandle:
         ``default_rng([seed, index])``, layer by layer."""
         _, handles = network_handles(tiny_network, seed=0)
         for handle in handles:
-            weights, activations = handle.masks()
-            workload = recipe_workload(handle)
-            assert np.array_equal(weights, workload.weights != 0)
-            assert np.array_equal(activations, workload.activations != 0)
+            for mask, tensor in zip(handle.masks(), recipe_workload(handle)):
+                assert np.array_equal(mask, tensor != 0)
 
     @pytest.mark.parametrize("name", available_workloads())
     def test_recipe_densities_are_the_measured_ones(self, name):
@@ -593,11 +674,13 @@ class TestEngineNetworkSimulation:
         handles = [layer.workload for layer in simulation.layers]
         assert all(isinstance(handle, WorkloadHandle) for handle in handles)
         for handle in handles:
-            workload = recipe_workload(handle)
-            for mask, reference in zip(handle.masks(), workload.masks()):
-                assert np.array_equal(mask, reference)
-            assert handle.weight_density == workload.weight_density
-            assert handle.activation_density == workload.activation_density
+            weights, activations = recipe_workload(handle)
+            for mask, tensor in zip(handle.masks(), (weights, activations)):
+                assert np.array_equal(mask, tensor != 0)
+            assert handle.weight_density == np.count_nonzero(weights) / weights.size
+            assert handle.activation_density == (
+                np.count_nonzero(activations) / activations.size
+            )
 
     def test_memory_cache_returns_same_object(self, tiny_network, monkeypatch):
         """A repeat is assembled from the very cells the memo table holds."""
@@ -677,8 +760,7 @@ class TestEngineNetworkSimulation:
 class TestEngineRunGrid:
     @pytest.fixture(scope="class")
     def workloads(self, tiny_network):
-        _, handles = network_handles(tiny_network, seed=0)
-        return [recipe_workload(handle) for handle in handles]
+        return network_handles(tiny_network, seed=0)[1]
 
     def test_grid_covers_every_cell(self, workloads):
         engine = SimulationEngine(cache_dir=False)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.adapters import ArchLayerResult
+from repro.arch.adapters import ArchLayerResult, LayerOperands, simulate_layer
 from repro.arch.registry import SCNN_CONFIG, get_architecture
 from repro.dataflow.tiling import (
     activation_phase_nonzeros,
@@ -28,7 +28,7 @@ from repro.dataflow.tiling import (
     weight_phase_nonzeros,
 )
 from repro.engine.core import _layer_task
-from repro.engine.workloads import WorkloadHandle
+from repro.nn.inference import WorkloadHandle
 from repro.nn.densities import network_sparsity
 from repro.nn.inference import _quantile_threshold, _smooth, generate_activations
 from repro.nn.layers import ConvLayerSpec
@@ -38,7 +38,7 @@ from repro.scnn.cycles import simulate_layer_cycles
 from repro.scnn.oracle import nonzero_multiplies, oracle_cycles
 from repro.scnn.simulator import TRIO
 
-from _helpers import make_workload, recipe_workload, trio_simulation
+from _helpers import make_handle, make_workload, recipe_workload, trio_simulation
 
 
 # -- scalar reference implementations (the pre-vectorisation loops) -----------
@@ -140,59 +140,58 @@ class TestTileCountEquivalence:
         plan = plan_layer(
             spec, num_pes=num_pes_override or num_pes, group_size=8
         )
-        workload = make_workload(spec, 0.4, 0.5, seed=11)
-        return spec, plan, workload
+        return spec, plan, make_workload(spec, 0.4, 0.5, seed=11)
 
     def test_activation_tile_counts(self, shape):
-        _, plan, workload = self._workload_and_plan(shape)
+        _, plan, (_, activations) = self._workload_and_plan(shape)
         assert np.array_equal(
-            activation_phase_nonzeros(workload.activations, plan, stride=1)[:, :, 0],
-            scalar_tile_nonzeros(workload.activations, plan),
+            activation_phase_nonzeros(activations, plan, stride=1)[:, :, 0],
+            scalar_tile_nonzeros(activations, plan),
         )
 
     def test_activation_phase_counts(self, shape):
-        spec, plan, workload = self._workload_and_plan(shape)
+        spec, plan, (_, activations) = self._workload_and_plan(shape)
         assert np.array_equal(
             activation_phase_nonzeros(
-                workload.activations, plan, spec.stride, spec.padding
+                activations, plan, spec.stride, spec.padding
             ),
-            scalar_phase_nonzeros(workload.activations, plan, spec.stride),
+            scalar_phase_nonzeros(activations, plan, spec.stride),
         )
 
     def test_weight_group_counts(self, shape):
-        spec, _, workload = self._workload_and_plan(shape)
+        spec, _, (weights, _) = self._workload_and_plan(shape)
         for group_size in (3, 8, 16):
             assert np.array_equal(
-                weight_phase_nonzeros(workload.weights, group_size, stride=1)[:, :, 0],
-                scalar_group_nonzeros(workload.weights, group_size),
+                weight_phase_nonzeros(weights, group_size, stride=1)[:, :, 0],
+                scalar_group_nonzeros(weights, group_size),
             )
 
     def test_weight_phase_counts(self, shape):
-        spec, _, workload = self._workload_and_plan(shape)
+        spec, _, (weights, _) = self._workload_and_plan(shape)
         for group_size in (3, 8, 16):
             assert np.array_equal(
                 weight_phase_nonzeros(
-                    workload.weights, group_size, spec.stride, spec.padding
+                    weights, group_size, spec.stride, spec.padding
                 ),
                 scalar_weight_phase_nonzeros(
-                    workload.weights, group_size, spec.stride, spec.padding
+                    weights, group_size, spec.stride, spec.padding
                 ),
             )
 
     def test_weight_phase_counts_cover_all_nonzeros(self, shape):
-        spec, _, workload = self._workload_and_plan(shape)
-        counts = weight_phase_nonzeros(workload.weights, 8, spec.stride, spec.padding)
-        assert counts.sum() == np.count_nonzero(workload.weights)
+        spec, _, (weights, _) = self._workload_and_plan(shape)
+        counts = weight_phase_nonzeros(weights, 8, spec.stride, spec.padding)
+        assert counts.sum() == np.count_nonzero(weights)
 
     def test_phase_counts_partition_tile_counts(self, shape):
         """Summing over phases must reproduce the unphased per-tile counts."""
-        spec, plan, workload = self._workload_and_plan(shape)
+        spec, plan, (_, activations) = self._workload_and_plan(shape)
         phased = activation_phase_nonzeros(
-            workload.activations, plan, spec.stride, spec.padding
+            activations, plan, spec.stride, spec.padding
         )
         assert np.array_equal(
             phased.sum(axis=2),
-            activation_phase_nonzeros(workload.activations, plan, stride=1)[:, :, 0],
+            activation_phase_nonzeros(activations, plan, stride=1)[:, :, 0],
         )
 
 
@@ -358,10 +357,10 @@ class TestIntegralImages:
         _, c, k, h, w, f, stride, pad, num_pes = shape
         spec = ConvLayerSpec("vec", c, k, h, w, f, f, stride=stride, padding=pad)
         plan = plan_layer(spec, num_pes=num_pes, group_size=8)
-        workload = make_workload(spec, 0.4, 0.5, seed=3)
+        weights, activations = make_workload(spec, 0.4, 0.5, seed=3)
         for counts in (
-            activation_phase_nonzeros(workload.activations, plan, stride, pad),
-            weight_phase_nonzeros(workload.weights, 8, stride, pad),
+            activation_phase_nonzeros(activations, plan, stride, pad),
+            weight_phase_nonzeros(weights, 8, stride, pad),
         ):
             assert counts.dtype == np.int64
 
@@ -383,12 +382,11 @@ def test_simulate_layer_on_shared_masks_matches_float_models(shape):
     spec = ConvLayerSpec(
         "shared", c, k, h, w, f, f, stride=stride, padding=pad, groups=groups
     )
-    workload = make_workload(spec, 0.35, 0.45, seed=5)
-    simulation = trio_simulation(workload)
-    reference = simulate_layer_cycles(
-        spec, workload.weights, workload.activations, SCNN_CONFIG
-    )
-    products = nonzero_multiplies(spec, workload.weights, workload.activations)
+    handle = make_handle(spec, 0.35, 0.45, seed=5)
+    weights, activations = recipe_workload(handle)
+    simulation = trio_simulation(handle)
+    reference = simulate_layer_cycles(spec, weights, activations, SCNN_CONFIG)
+    products = nonzero_multiplies(spec, weights, activations)
     assert simulation.scnn == ArchLayerResult(
         architecture="SCNN",
         layer=spec.name,
@@ -400,7 +398,7 @@ def test_simulate_layer_on_shared_masks_matches_float_models(shape):
         valid_products=products,
         conflict_stall_cycles=reference.conflict_stall_cycles,
     )
-    weight_mask, activation_mask = workload.weights != 0, workload.activations != 0
+    weight_mask, activation_mask = weights != 0, activations != 0
     assert nonzero_multiplies(
         spec,
         weight_mask,
@@ -459,8 +457,16 @@ class TestPeakMemory:
     def test_trio_simulation_peak_on_raw_tensors(self, conv1_2):
         index, spec, target = conv1_2
         tensor = spec.input_activation_count * 8
-        workload = recipe_workload(WorkloadHandle("vggnet", 0, index, spec, target))
-        assert _peak_bytes(trio_simulation, workload, 0.5) <= 1.0 * tensor
+        weights, activations = recipe_workload(
+            WorkloadHandle("vggnet", 0, index, spec, target)
+        )
+        trio = [get_architecture(name) for name in TRIO]
+
+        def simulate_trio():
+            operands = LayerOperands(spec, weights != 0, activations != 0)
+            return [simulate_layer(spec, arch.config, operands) for arch in trio]
+
+        assert _peak_bytes(simulate_trio) <= 1.0 * tensor
 
     def test_layer_task_peak_on_a_recipe_handle(self, conv1_2):
         """Masks straight from the draws: no float operand tensor is kept."""

@@ -67,10 +67,6 @@ class TestFigure1:
         assert report.rows[0].activation_density == pytest.approx(1.0, abs=0.01)
         assert report.average_work_reduction > 2.0
 
-    def test_calibration_mode(self):
-        reports = fig1_density.run(networks=("alexnet",), measured=False)
-        assert reports["AlexNet"].rows[1].weight_density == pytest.approx(0.38)
-
 
 class TestFigure7:
     @pytest.fixture(scope="class")

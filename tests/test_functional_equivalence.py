@@ -28,11 +28,11 @@ STEM_LIKE = ConvLayerSpec("stem_like", 3, 8, 21, 21, 7, 7, stride=2, padding=3)
 
 def assert_layer_matches_reference(spec, weight_density=0.4, activation_density=0.5,
                                    seed=0, config=SCNN_CONFIG, apply_relu=True):
-    workload = make_workload(spec, weight_density, activation_density, seed)
+    weights, activations = make_workload(spec, weight_density, activation_density, seed)
     result = run_functional_layer(
-        spec, workload.weights, workload.activations, config, apply_relu=apply_relu
+        spec, weights, activations, config, apply_relu=apply_relu
     )
-    reference = conv2d_layer(workload.activations, workload.weights, spec)
+    reference = conv2d_layer(activations, weights, spec)
     if apply_relu:
         reference = relu(reference)
     np.testing.assert_allclose(result.output, reference, atol=1e-9)
@@ -89,24 +89,20 @@ class TestEquivalenceAcrossLayerShapes:
 class TestEquivalenceAcrossConfigurations:
     @pytest.mark.parametrize("num_pes", [4, 16, 64])
     def test_pe_count_does_not_change_results(self, small_spec, num_pes):
-        workload = make_workload(small_spec)
-        reference = relu(conv2d_layer(workload.activations, workload.weights, small_spec))
+        weights, activations = make_workload(small_spec)
+        reference = relu(conv2d_layer(activations, weights, small_spec))
         config = SCNN_CONFIG.with_pe_count(num_pes)
-        result = run_functional_layer(
-            small_spec, workload.weights, workload.activations, config
-        )
+        result = run_functional_layer(small_spec, weights, activations, config)
         np.testing.assert_allclose(result.output, reference, atol=1e-9)
 
     def test_group_size_does_not_change_results(self, small_spec):
         from dataclasses import replace
 
-        workload = make_workload(small_spec)
-        reference = relu(conv2d_layer(workload.activations, workload.weights, small_spec))
+        weights, activations = make_workload(small_spec)
+        reference = relu(conv2d_layer(activations, weights, small_spec))
         for group_size in (2, 4, 16):
             config = replace(SCNN_CONFIG, output_channel_group=group_size)
-            result = run_functional_layer(
-                small_spec, workload.weights, workload.activations, config
-            )
+            result = run_functional_layer(small_spec, weights, activations, config)
             np.testing.assert_allclose(result.output, reference, atol=1e-9)
 
 
@@ -121,39 +117,29 @@ class TestFunctionalStatistics:
     def test_multiplies_match_nonzero_products(self, request, shape, densities):
         """The oracle count equals the products the element-exact simulator issues."""
         spec = request.getfixturevalue(shape) if isinstance(shape, str) else shape
-        workload = make_workload(spec, *densities)
-        result = run_functional_layer(spec, workload.weights, workload.activations)
-        assert result.multiplies == nonzero_multiplies(
-            spec, workload.weights, workload.activations
-        )
+        weights, activations = make_workload(spec, *densities)
+        result = run_functional_layer(spec, weights, activations)
+        assert result.multiplies == nonzero_multiplies(spec, weights, activations)
 
-    def test_utilization_between_zero_and_one(self, small_workload):
-        result = run_functional_layer(
-            small_workload.spec, small_workload.weights, small_workload.activations
-        )
+    def test_utilization_between_zero_and_one(self, small_spec, small_workload):
+        result = run_functional_layer(small_spec, *small_workload)
         assert 0.0 < result.multiplier_utilization <= 1.0
         assert 0.0 <= result.idle_fraction < 1.0
 
-    def test_cycles_positive_and_bounded(self, small_workload):
-        result = run_functional_layer(
-            small_workload.spec, small_workload.weights, small_workload.activations
-        )
+    def test_cycles_positive_and_bounded(self, small_spec, small_workload):
+        result = run_functional_layer(small_spec, *small_workload)
         assert result.cycles > 0
         # No PE can be busy longer than the layer takes.
         assert (result.busy_cycles <= result.cycles).all()
 
-    def test_output_density_reported(self, small_workload):
-        result = run_functional_layer(
-            small_workload.spec, small_workload.weights, small_workload.activations
-        )
+    def test_output_density_reported(self, small_spec, small_workload):
+        result = run_functional_layer(small_spec, *small_workload)
         expected = np.count_nonzero(result.output) / result.output.size
         assert result.output_density == pytest.approx(expected)
 
-    def test_drain_applies_relu_and_compresses_into_oaram(self, small_workload):
+    def test_drain_applies_relu_and_compresses_into_oaram(self, small_spec, small_workload):
         """The PPU drain: ReLU, then run-length re-compression into the OARAM."""
-        result = run_functional_layer(
-            small_workload.spec, small_workload.weights, small_workload.activations
-        )
+        result = run_functional_layer(small_spec, *small_workload)
         assert np.array_equal(
             result.output, np.maximum(result.output_pre_activation, 0.0)
         )

@@ -271,13 +271,8 @@ class TestEnergyGridGolden:
 
 def _per_pe_phase_sizes(spec, config):
     """Each PE's per-phase activation block size, straight from the tiling plan."""
-    pe_rows, pe_cols = config.pe_grid
     plan = plan_layer(
-        spec,
-        num_pes=config.num_pes,
-        group_size=config.output_channel_group,
-        pe_rows=pe_rows,
-        pe_cols=pe_cols,
+        spec, num_pes=config.num_pes, group_size=config.output_channel_group
     )
     phases = spec.stride * spec.stride
     return [max(tile.size // phases, int(tile.size > 0)) for tile in plan.input_tiles]

@@ -1,5 +1,7 @@
 """Tests for the network catalogues (repro.nn.networks)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.nn.networks import (
@@ -42,15 +44,14 @@ class TestGoogLeNet:
         assert googlenet(include_stem=True).conv_layer_count == 57
 
     def test_nine_inception_modules(self):
-        modules = googlenet().modules()
+        modules = list(dict.fromkeys(spec.module for spec in googlenet().layers))
         assert len(modules) == 9
         assert modules[0] == "IC_3a"
         assert modules[-1] == "IC_5b"
 
     def test_each_module_has_six_convolutions(self):
-        network = googlenet()
-        for module in network.modules():
-            assert len(network.layers_in_module(module)) == 6
+        modules = Counter(spec.module for spec in googlenet().layers)
+        assert set(modules.values()) == {6}
 
     def test_total_multiplies_near_paper(self):
         # Paper Table I: 1.1 billion for the 54 inception convolutions.
@@ -66,7 +67,7 @@ class TestGoogLeNet:
     def test_branch_output_channels_sum_to_module_output(self):
         network = googlenet()
         # inception 3a outputs 256 channels, which is 3b's input count.
-        module_3a = network.layers_in_module("IC_3a")
+        module_3a = [spec for spec in network.layers if spec.module == "IC_3a"]
         concat_channels = sum(
             spec.out_channels
             for spec in module_3a

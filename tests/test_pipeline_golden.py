@@ -47,14 +47,14 @@ def pipeline_records(name: str) -> List[Dict]:
     records = []
     simulation = SimulationEngine(cache_dir=False).run_network(get_network(name), seed=0)
     for layer in simulation.layers:
-        workload = recipe_workload(layer.workload)
+        weights, activations = recipe_workload(layer.workload)
         records.append(
             {
                 "layer": layer.layer_name,
-                "weights_sha256": _sha256(workload.weights),
-                "activations_sha256": _sha256(workload.activations),
+                "weights_sha256": _sha256(weights),
+                "activations_sha256": _sha256(activations),
                 "nonzero_multiplies": nonzero_multiplies(
-                    workload.spec, workload.weights, workload.activations
+                    layer.workload.spec, weights, activations
                 ),
                 "oracle_cycles": layer.oracle_cycles,
                 "scnn_cycles": layer.scnn.cycles,

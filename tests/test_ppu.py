@@ -21,15 +21,23 @@ from repro.tensor.formats import CompressedActivations
     params=["small_workload", "strided_workload", "grouped_workload", "pointwise_workload"]
 )
 def workload(request):
-    return request.getfixturevalue(request.param)
+    """A fixture shape's ``(spec, weights, activations)``."""
+    spec = request.getfixturevalue(request.param.replace("_workload", "_spec"))
+    return (spec, *request.getfixturevalue(request.param))
+
+
+@pytest.fixture
+def small(small_spec, small_workload):
+    return (small_spec, *small_workload)
 
 
 def drain(workload, weights=None, config=SCNN_CONFIG, **kwargs):
     """Run the workload's layer through the functional simulator."""
+    spec, own_weights, activations = workload
     return run_functional_layer(
-        workload.spec,
-        workload.weights if weights is None else weights,
-        workload.activations,
+        spec,
+        own_weights if weights is None else weights,
+        activations,
         config,
         **kwargs,
     )
@@ -65,25 +73,25 @@ class TestDrain:
         assert result.oaram_bits == compressed.storage_bits()
         assert result.oaram_bits < result.output.size * 16
 
-    def test_negative_outputs_drain_to_nothing(self, small_workload):
+    def test_negative_outputs_drain_to_nothing(self, small):
         """All-negative pre-activations: ReLU zeroes the plane, the OARAM stays empty."""
-        result = drain(small_workload, weights=-np.abs(small_workload.weights))
+        result = drain(small, weights=-np.abs(small[1]))
         assert (result.output_pre_activation < 0).all()
         assert not result.output.any()
         assert result.output_density == 0.0
         assert result.oaram_bits == 0
 
-    def test_dense_output_pays_the_index_overhead(self, small_workload):
+    def test_dense_output_pays_the_index_overhead(self, small):
         """All-positive pre-activations pass ReLU untouched; every value carries an index."""
-        result = drain(small_workload, weights=np.abs(small_workload.weights))
+        result = drain(small, weights=np.abs(small[1]))
         np.testing.assert_array_equal(result.output, result.output_pre_activation)
         assert result.output_density == 1.0
         assert result.oaram_bits == result.output.size * (16 + SCNN_CONFIG.index_bits)
 
-    def test_oaram_bits_follow_the_index_width(self, small_workload):
+    def test_oaram_bits_follow_the_index_width(self, small):
         narrow = replace(SCNN_CONFIG, index_bits=2)
-        base = drain(small_workload)
-        result = drain(small_workload, config=narrow)
+        base = drain(small)
+        result = drain(small, config=narrow)
         np.testing.assert_array_equal(result.output, base.output)
         assert result.cycles == base.cycles
         assert result.oaram_bits == (

@@ -60,16 +60,38 @@ class TestPublicApi:
         assert repro.get_profile("dense").name == "dense"
         assert isinstance(repro.get_workload("vggnet"), repro.WorkloadSpec)
 
-    def test_paper_constant_surfaces_take_no_trio_or_energy_parameters(self):
-        """The trio configs, the energy table and the baseline are constants.
+    def test_workload_handle_is_the_one_workload_type(self):
+        """``repro.engine`` re-exports the recipe type ``repro.nn.inference``
+        defines, every layer of a network is one, and the raw-tensor
+        workload type is gone from the public packages."""
+        from repro import engine, nn
+        from repro.engine.workloads import network_handles
+        from repro.nn import inference
 
-        Each surface's parameters are listed in full (46 besides ``self``),
+        assert engine.WorkloadHandle is inference.WorkloadHandle
+        _, handles = network_handles(repro.alexnet(), seed=0)
+        assert {type(handle) for handle in handles} == {inference.WorkloadHandle}
+        for package in (repro, nn, engine, inference):
+            assert not hasattr(package, "LayerWorkload"), package.__name__
+        assert not hasattr(engine.core, "AnyWorkload")
+
+    def test_paper_constant_surfaces_take_no_trio_or_energy_parameters(self):
+        """The trio configs, the energy table and the baseline are constants,
+        and so are the PE grid, the tiling plan, the Figure 1 densities and
+        the engine the experiments share.
+
+        Each surface's parameters are listed in full (60 besides ``self``),
         so a knob added back later shows up as a reviewed change to this list.
         """
+        from repro.analysis.metrics import density_table
         from repro.arch import compare
+        from repro.dataflow.tiling import plan_layer
         from repro.engine import SimulationEngine
-        from repro.experiments import fig7_sensitivity, table2_design_params
+        from repro.experiments import fig1_density, fig7_sensitivity, table2_design_params
+        from repro.experiments.common import cached_simulation
         from repro.grid import energy_grid, evaluate_grid
+        from repro.scnn.cycles import simulate_layer_cycles
+        from repro.scnn.dcnn import simulate_dcnn_layer
         from repro.timeloop import dse
         from repro.timeloop.energy import layer_energy_from_densities
 
@@ -98,6 +120,14 @@ class TestPublicApi:
                 "output_density", "cycles", "products", "weight_buffer_reads",
             ],
             fig7_sensitivity.run: ["densities", "network_name"],
+            plan_layer: ["spec", "num_pes", "group_size"],
+            simulate_layer_cycles: [
+                "spec", "weights", "activations", "config", "integrals",
+            ],
+            simulate_dcnn_layer: ["spec", "config"],
+            fig1_density.run: ["networks"],
+            density_table: ["workloads"],
+            cached_simulation: ["name", "seed"],
             table2_design_params.run: [],
             table2_design_params.payload: [],
         }

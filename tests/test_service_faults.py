@@ -16,6 +16,8 @@ the way the contracts promise:
 * ``stop()`` on either pool never strands a claimed job in ``running``:
   the thread pool settles it as failed (straggler completions are no-ops),
   the process pool re-queues it for the next boot;
+* a process worker closes its cache connections when its loop ends, so a
+  stopped service leaves no rows in the disk cache's write-ahead log;
 * a process worker's engine pools a job over the CPUs no other job claims
   and keeps every payload bit doing so; no process outlives its parent: a
   killed worker leaves no pool child, a killed service no worker, and a
@@ -37,7 +39,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.serialization import simulation_payload
-from repro.engine import SimulationEngine
+from repro.engine import ResultCache, SimulationEngine
 from repro.engine.parallel import parallel_map, pool_forks, usable_cpus
 from repro.service import (
     BackpressureError,
@@ -194,6 +196,30 @@ class TestProcessWorkerDeath:
         assert service.job(job.id).state == "queued"
         reloaded = JobQueue.load(journal)
         assert reloaded.get(job.id).state == "queued"
+
+
+class TestProcessWorkerStore:
+    def test_a_stopped_service_leaves_no_log_rows(self, tmp_path):
+        """Each process worker closes its cache connections when its loop
+        ends, so the last one out folds the log into ``cells.sqlite``."""
+        service = SimulationService(
+            engine=SimulationEngine(cache_dir=tmp_path), num_workers=2, mode="process"
+        )
+        service.start()
+        try:
+            job = service.submit(
+                "layer", {"network": "alexnet", "layer": "conv1", "seed": 0}
+            )
+            assert _wait_terminal(service, job.id, timeout=120).state == "done"
+        finally:
+            service.stop()
+        wal = tmp_path / "cells.sqlite-wal"
+        assert not wal.exists() or wal.stat().st_size == 0
+        store = ResultCache(tmp_path)
+        try:
+            assert len(store) == 1
+        finally:
+            store.close()
 
 
 def _share_registry(release: Path):

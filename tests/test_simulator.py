@@ -13,7 +13,7 @@ from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network, alexnet
 from repro.scnn.simulator import DEFAULT_OUTPUT_DENSITY
 
-from _helpers import trio_simulation
+from _helpers import make_handle, trio_simulation
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,10 @@ def tiny_comparison(tiny_simulation):
 
 
 class TestLayerSimulation:
+    @pytest.fixture
+    def small_workload(self, small_spec):
+        return make_handle(small_spec)
+
     def test_contains_all_results(self, small_workload):
         sim = trio_simulation(small_workload)
         assert sim.scnn.cycles > 0

@@ -35,10 +35,28 @@ class TestPlanLayer:
     def test_default_plan_covers_all_pes(self):
         spec = ConvLayerSpec("l", 16, 32, 28, 28, 3, 3, padding=1)
         plan = plan_layer(spec, num_pes=64, group_size=8)
+        assert (plan.pe_rows, plan.pe_cols) == pe_grid_for(64)
         assert plan.num_pes == 64
         assert len(plan.input_tiles) == 64
         assert sum(tile.size for tile in plan.input_tiles) == 28 * 28
         assert plan.num_groups == 4
+
+    @pytest.mark.parametrize("num_pes", [16, 8, 7])
+    def test_derived_grid_tiles_the_plane_once(self, num_pes):
+        """One tile per PE, row-major on the :func:`pe_grid_for` grid
+        (square, oblong or a single row), and together the tiles cover
+        every input position exactly once."""
+        spec = ConvLayerSpec("l", 16, 32, 14, 14, 3, 3, padding=1)
+        plan = plan_layer(spec, num_pes=num_pes, group_size=8)
+        rows, cols = pe_grid_for(num_pes)
+        assert (plan.pe_rows, plan.pe_cols) == (rows, cols)
+        assert [(tile.row, tile.col) for tile in plan.input_tiles] == [
+            (row, col) for row in range(rows) for col in range(cols)
+        ]
+        covered = np.zeros((14, 14), dtype=int)
+        for tile in plan.input_tiles:
+            covered[tile.y_lo : tile.y_hi, tile.x_lo : tile.x_hi] += 1
+        assert (covered == 1).all()
 
     def test_small_plane_leaves_pes_idle(self):
         spec = ConvLayerSpec("small", 16, 32, 7, 7, 3, 3, padding=1)
@@ -221,11 +239,4 @@ class TestPlanMemoisation:
         )
         assert plan_layer(spec, num_pes=16, group_size=8) is not plan_layer(
             spec, num_pes=16, group_size=4
-        )
-
-    def test_explicit_grid_matches_default_factorisation(self):
-        spec = ConvLayerSpec("memo3", 16, 32, 14, 14, 3, 3, padding=1)
-        rows, cols = pe_grid_for(16)
-        assert plan_layer(spec, num_pes=16, group_size=8) is plan_layer(
-            spec, num_pes=16, group_size=8, pe_rows=rows, pe_cols=cols
         )

@@ -11,7 +11,7 @@ from repro.timeloop.model import (
     estimate_scnn_layer,
 )
 
-from _helpers import make_workload
+from _helpers import make_handle
 
 
 @pytest.fixture
@@ -30,10 +30,8 @@ class TestAnalyticalScnnEstimate:
         assert cycles == sorted(cycles)
 
     def test_close_to_cycle_model_at_matching_density(self, inception_spec):
-        workload = make_workload(inception_spec, 0.4, 0.5, seed=2)
-        measured = simulate_layer_cycles(
-            inception_spec, workload.weights, workload.activations
-        )
+        workload = make_handle(inception_spec, 0.4, 0.5, seed=2)
+        measured = simulate_layer_cycles(inception_spec, *workload.masks())
         estimate = estimate_scnn_layer(
             inception_spec,
             weight_density=workload.weight_density,

@@ -316,9 +316,8 @@ class TestDensityProfiles:
     def test_floor_density_workload_through_cycle_model(self):
         """The sparsest representable profile survives the cycle model."""
         spec = plain_cnn(depth=1, channels=4, extent=8).layers[0]
-        workload = make_workload(spec, MIN_DENSITY, MIN_DENSITY, seed=0)
         result = simulate_layer_cycles(
-            spec, workload.weights, workload.activations, SCNN_CONFIG
+            spec, *make_workload(spec, MIN_DENSITY, MIN_DENSITY, seed=0), SCNN_CONFIG
         )
         assert result.cycles >= 0
         assert 0.0 <= result.multiplier_utilization <= 1.0
