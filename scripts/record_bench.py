@@ -44,6 +44,26 @@ pins the observability layer's cost contract on a real engine workload
 * every arm's simulated cycle counts must be identical — instrumentation
   must never change results.
 
+``--bench synthesis`` (``BENCH_synthesis.json``) times the layer task's
+stages over the 72 conv layers of the Table I trio at seed 0, each on the
+function the task calls:
+
+* ``weight_mask`` — ``pruned_weight_mask`` (the dense draw, its jitter and
+  the pruning selection);
+* ``activation_mask`` — the magnitude draw and ``_activation_mask`` (the
+  noise draw, box filter, threshold and fix-up);
+* ``integral_images`` — ``LayerOperands.integrals``, the activation mask's
+  phase integral images;
+* ``models`` — ``simulate_layer`` on SCNN, DCNN and DCNN-opt over those
+  masks and images.
+
+``first_pass_s`` is the first pass in the fresh process (page faults, first
+calls and all); ``warm_median_s`` is each stage's median over the warm
+repeats.  The gate requires every pass's masks to hash alike and every
+mask to equal ``!= 0`` of the float tensors whose SHA-256 digests
+``tests/golden/trio_pipeline_seed0.json`` pins, with the golden's SCNN
+cycles and valid products.
+
 ``--smoke`` shrinks any benchmark for CI; the committed records at the
 repo root are full runs.  Every record ends with the same host envelope
 (``cpu_count``, ``numpy``, ``python``, ``machine``), so each timing is read
@@ -53,6 +73,7 @@ beside the machine that produced it.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -67,9 +88,19 @@ sys.path.insert(0, str(REPO_ROOT / "tests"))  # the golden's record format
 import numpy as np  # noqa: E402  (path setup above)
 
 import repro.grid as grid  # noqa: E402
-from _helpers import ANALYTICAL_GOLDEN, fig7_point_record  # noqa: E402
+from _helpers import ANALYTICAL_GOLDEN, fig7_point_record, recipe_workload  # noqa: E402
+from repro.arch.adapters import LayerOperands, simulate_layer  # noqa: E402
+from repro.arch.registry import get_architecture  # noqa: E402
+from repro.engine.workloads import network_handles  # noqa: E402
 from repro.experiments import fig7_sensitivity  # noqa: E402
 from repro.experiments.common import cached_network  # noqa: E402
+from repro.nn.inference import _activation_mask  # noqa: E402
+from repro.nn.pruning import pruned_weight_mask  # noqa: E402
+from repro.scnn.simulator import TRIO  # noqa: E402
+
+#: Per-layer digests of the trio's operands at seed 0 (tests/test_pipeline_golden.py).
+TRIO_GOLDEN = REPO_ROOT / "tests" / "golden" / "trio_pipeline_seed0.json"
+SYNTHESIS_STAGES = ("weight_mask", "activation_mask", "integral_images", "models")
 
 
 def _envelope() -> dict:
@@ -128,6 +159,109 @@ def run_benchmark(densities, repeats: int) -> dict:
         "cold_equals_warm": cold_equals_warm,
         "golden_fig7_points_equal": golden,
         "equivalent": cold_equals_warm and golden,
+        **_envelope(),
+    }
+
+
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def _synthesis_pass(handles, trio):
+    """One pass of the layer task over ``handles``, each stage timed alone.
+
+    Returns the seconds per stage and, per layer, the masks' digests and
+    the SCNN result (hashed and read after the clock stops).
+    """
+    seconds = dict.fromkeys(SYNTHESIS_STAGES, 0.0)
+    layers = []
+    for handle in handles:
+        spec, target = handle.spec, handle.target
+        rng = np.random.default_rng([handle.seed, handle.index])
+        start = time.perf_counter()
+        weights = pruned_weight_mask(spec, target.weight_density, rng)
+        weights_done = time.perf_counter()
+        # build_layer_masks' activation steps: the magnitude draw lands in
+        # the buffer the noise field is then drawn into.
+        buffer = rng.standard_normal(size=spec.input_shape)
+        activations = _activation_mask(spec, target.activation_density, rng, buffer)
+        del buffer
+        activations_done = time.perf_counter()
+        operands = LayerOperands(spec, weights, activations)
+        operands.integrals  # built once, read by every model below
+        integrals_done = time.perf_counter()
+        results = [simulate_layer(spec, arch.config, operands) for arch in trio]
+        models_done = time.perf_counter()
+        seconds["weight_mask"] += weights_done - start
+        seconds["activation_mask"] += activations_done - weights_done
+        seconds["integral_images"] += integrals_done - activations_done
+        seconds["models"] += models_done - integrals_done
+        layers.append((_sha256(weights), _sha256(activations), results[0]))
+        del operands, weights, activations
+    return seconds, layers
+
+
+def _synthesis_matches_golden(networks, handles, layers) -> bool:
+    """Whether every layer's masks are ``!= 0`` of the float tensors the
+    trio golden pins, with its SCNN cycles and valid products."""
+    golden = json.loads(TRIO_GOLDEN.read_text())
+    records = [record for name in networks for record in golden[name]]
+    if len(records) != len(handles):
+        return False
+    for handle, record, (weights_sha, activations_sha, scnn) in zip(
+        handles, records, layers
+    ):
+        weights, activations = recipe_workload(handle)
+        if (
+            record["layer"] != handle.spec.name
+            or _sha256(weights) != record["weights_sha256"]
+            or _sha256(activations) != record["activations_sha256"]
+            or _sha256(weights != 0) != weights_sha
+            or _sha256(activations != 0) != activations_sha
+            or scnn.cycles != record["scnn_cycles"]
+            or scnn.valid_products != record["nonzero_multiplies"]
+        ):
+            return False
+    return True
+
+
+def run_synthesis_benchmark(networks, repeats: int) -> dict:
+    """Time the layer task's stages over ``networks``' layers at seed 0:
+    the first pass in this process, then the median of ``repeats`` more."""
+    handles = [
+        handle for name in networks for handle in network_handles(name, seed=0)[1]
+    ]
+    trio = [get_architecture(name) for name in TRIO]
+    first_s, first = _synthesis_pass(handles, trio)
+    warm = [_synthesis_pass(handles, trio) for _ in range(repeats)]
+    passes_equal = all(layers == first for _, layers in warm)
+    golden = _synthesis_matches_golden(networks, handles, first)
+
+    def rounded(seconds):
+        return {
+            **{stage: round(seconds[stage], 6) for stage in SYNTHESIS_STAGES},
+            "total": round(sum(seconds.values()), 6),
+        }
+
+    warm_median = None
+    if warm:
+        warm_median = rounded(
+            {
+                stage: float(np.median([seconds[stage] for seconds, _ in warm]))
+                for stage in SYNTHESIS_STAGES
+            }
+        )
+    return {
+        "benchmark": "synthesis",
+        "networks": list(networks),
+        "layers": len(handles),
+        "seed": 0,
+        "repeats": repeats,
+        "first_pass_s": rounded(first_s),
+        "warm_median_s": warm_median,
+        "passes_equal": passes_equal,
+        "masks_equal_golden": golden,
+        "equivalent": passes_equal and golden,
         **_envelope(),
     }
 
@@ -361,7 +495,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--bench",
-        choices=("whole_grid", "service_scaleout", "observability_overhead"),
+        choices=("whole_grid", "service_scaleout", "observability_overhead", "synthesis"),
         default="whole_grid",
         help="which benchmark to record (default: whole_grid)",
     )
@@ -392,6 +526,11 @@ def main(argv=None) -> int:
             record = run_observability_benchmark(iterations=2, repeats=4)
         else:
             record = run_observability_benchmark(iterations=6, repeats=3)
+    elif args.bench == "synthesis":
+        if args.smoke:
+            record = run_synthesis_benchmark(("alexnet",), repeats=0)
+        else:
+            record = run_synthesis_benchmark(("alexnet", "googlenet", "vggnet"), repeats=7)
     elif args.smoke:
         record = run_benchmark(fig7_sensitivity.DEFAULT_DENSITIES, repeats=1)
     else:

@@ -189,26 +189,31 @@ def _padded_tiles(
 
 
 def _integral_image(mask: np.ndarray) -> np.ndarray:
-    """Exclusive 2-D prefix sums of a ``(C, H, W)`` bool mask: ``(C, H+1, W+1)``.
+    """Exclusive 2-D prefix sums of a ``(C, H, W)`` bool mask, channels-last:
+    ``(H+1, W+1, C)``.
 
-    ``S[:, y, x]`` is the number of non-zeros in ``mask[:, :y, :x]``, so any
-    rectangle count is four lookups — the key to evaluating all per-PE tile
-    counts at once instead of slicing per tile.  Counts are int32 (a plane
-    holds far fewer than 2**31 elements), half the memory traffic of int64.
+    ``S[y, x]`` holds each channel's number of non-zeros in
+    ``mask[:, :y, :x]``, so any rectangle count is four lookups — the key to
+    evaluating all per-PE tile counts at once instead of slicing per tile —
+    and each lookup reads one contiguous row of channels.  Counts are int32
+    (a plane holds far fewer than 2**31 elements), half the memory traffic
+    of int64.
     """
     num_c, height, width = mask.shape
-    padded = np.zeros((num_c, height + 1, width + 1), dtype=np.int32)
-    inner = padded[:, 1:, 1:]
-    inner[...] = mask
-    # Along the contiguous axis first, then down the rows one row at a time.
-    np.cumsum(inner, axis=2, out=inner)
+    padded = np.zeros((height + 1, width + 1, num_c), dtype=np.int32)
+    inner = padded[1:, 1:]
+    inner[...] = mask.transpose(1, 2, 0)
+    # One (H, C) block per column, then one contiguous (W, C) row at a time.
+    for x in range(1, width):
+        inner[:, x] += inner[:, x - 1]
     for y in range(1, height):
-        inner[:, y] += inner[:, y - 1]
+        inner[y] += inner[y - 1]
     return padded
 
 
 def phase_integral_images(mask: np.ndarray, stride: int) -> Tuple[np.ndarray, ...]:
-    """Integral image of each stride phase of a ``(C, H, W)`` non-zero mask.
+    """Channels-last integral image of each stride phase of a ``(C, H, W)``
+    non-zero mask (:func:`_integral_image`).
 
     Entry ``py * stride + px`` covers rows ``py::stride`` and columns
     ``px::stride``, the phase order of :func:`activation_phase_nonzeros`.
@@ -240,14 +245,14 @@ def _rectangle_counts(
     x_lo: np.ndarray,
     x_hi: np.ndarray,
 ) -> np.ndarray:
-    """Count non-zeros of every (channel, rectangle) pair: shape ``(tiles, C)``."""
-    counts = (
-        integral[:, y_hi, x_hi]
-        - integral[:, y_lo, x_hi]
-        - integral[:, y_hi, x_lo]
-        + integral[:, y_lo, x_lo]
+    """Count non-zeros of every (rectangle, channel) pair: shape
+    ``(*rectangles, C)``, the rectangles' bounds broadcast together."""
+    return (
+        integral[y_hi, x_hi]
+        - integral[y_lo, x_hi]
+        - integral[y_hi, x_lo]
+        + integral[y_lo, x_lo]
     )
-    return counts.T
 
 
 def activation_phase_nonzeros(

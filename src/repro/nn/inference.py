@@ -32,31 +32,44 @@ from repro.nn.reference import conv2d_layer, max_pool2d, relu
 
 
 def _smooth(field: np.ndarray, radius: int) -> np.ndarray:
-    """Box-filter each plane of ``field`` to introduce spatial correlation.
+    """Box-filter each plane of the ``(C, H, W)`` ``field``, channels-last:
+    ``(H, W, C)``.
 
     The result is written over ``field`` (a fresh draw the caller gives up),
-    so the edge-padded copy is the only new buffer.
+    so one edge-padded channels-last workspace is the only new buffer, and
+    every pass over it runs along contiguous memory.
     """
+    num_c, height, width = field.shape
     if radius <= 0:
-        return field
+        return field.transpose(1, 2, 0)
     size = 2 * radius + 1
-    padded = np.pad(field, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
-    # Separable box filter via running sums along each spatial axis.  Down
-    # the rows they go one contiguous row at a time: the additions of
-    # ``cumsum(axis=1)`` in the same order, without its strided walk.
-    rows = padded.shape[1]
+    rows, cols = height + 2 * radius, width + 2 * radius
+    work = np.empty((rows, cols, num_c))
+    work[radius : radius + height, radius : radius + width] = field.transpose(1, 2, 0)
+    # The edge copies of ``np.pad(mode="edge")``: rows first, then whole columns.
+    work[:radius, radius : radius + width] = work[radius, radius : radius + width]
+    work[radius + height :, radius : radius + width] = work[
+        radius + height - 1, radius : radius + width
+    ]
+    work[:, :radius] = work[:, radius : radius + 1]
+    work[:, radius + width :] = work[:, radius + width - 1 : radius + width]
+    # Separable box filter via running sums along each spatial axis, the
+    # additions of ``cumsum`` in the same order: one contiguous plane per row
+    # down the rows, then one (H, C) block per column across them.  Window
+    # sums are taken in place from the last row (column) back, so each one
+    # subtracted is still a running sum and no operand overlaps its output.
     for y in range(1, rows):
-        padded[:, y] += padded[:, y - 1]
-    # Window sums in place, bottom row first, so each row subtracted is still
-    # a running sum and no operand overlaps its output.
+        work[y] += work[y - 1]
     for y in range(rows - 1, size - 1, -1):
-        padded[:, y] -= padded[:, y - size]
-    vert = padded[:, size - 1 :, :]
-    np.cumsum(vert, axis=2, out=vert)
-    field[:, :, 0] = vert[:, :, size - 1]
-    np.subtract(vert[:, :, size:], vert[:, :, :-size], out=field[:, :, 1:])
-    field /= size * size
-    return field
+        work[y] -= work[y - size]
+    vert = work[size - 1 :]
+    for x in range(1, cols):
+        vert[:, x] += vert[:, x - 1]
+    for x in range(cols - 1, size - 1, -1):
+        vert[:, x] -= vert[:, x - size]
+    smoothed = field.reshape(-1).reshape(height, width, num_c)
+    np.divide(vert[:, size - 1 :], size * size, out=smoothed)
+    return smoothed
 
 
 def _quantile_threshold(field: np.ndarray, q: float) -> float:
@@ -108,7 +121,8 @@ def _activation_mask(
     if density >= 1.0:
         return np.ones(spec.input_shape, dtype=bool)
     field = _smooth(rng.standard_normal(out=buffer), correlation_radius)
-    mask = field > _quantile_threshold(field, 1.0 - density)
+    threshold = _quantile_threshold(field, 1.0 - density)
+    mask = np.ascontiguousarray((field > threshold).transpose(2, 0, 1))
     # Quantile ties can leave the density slightly off; fix up by flipping the
     # minimum number of positions.
     want = activation_nonzeros(spec, density)

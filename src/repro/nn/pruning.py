@@ -68,24 +68,36 @@ def _drop_count(total: int, density: float) -> Optional[int]:
     return total - max(1, keep)
 
 
-def _pruned_indices(
-    magnitudes: np.ndarray, drop: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Flat indices of the ``drop`` smallest ``magnitudes`` after a jitter.
+def _kept_mask(keys: np.ndarray, drop: int, rng: np.random.Generator) -> np.ndarray:
+    """Bool mask of the flat ``keys`` a prune keeps: all but the ``drop`` smallest.
 
-    The flat ``magnitudes`` are overwritten with the pruning keys.  Random
-    jitter far below the smallest magnitude gap breaks exact ties (common
-    when many weights share a value) without reordering distinct
-    magnitudes.  The jittered keys are then distinct, so a partition picks
-    the same smallest set a full sort would, with an exact count that a
-    value threshold could miss on ties.  ``random`` draws the same bits as
-    ``uniform(0.0, 1.0)`` through numpy's fill kernel.
+    The ``keys`` (weight magnitudes) are overwritten with the pruning keys.
+    Random jitter far below the smallest magnitude gap breaks exact ties
+    (common when many weights share a value) without reordering distinct
+    magnitudes, so the kept set is the one a full sort would leave: the
+    keys above the ``drop``-th smallest, found by one ``partition`` of a
+    copy of the keys in the jitter's own buffer.  A tie across that
+    boundary, which the jitter leaves only where magnitudes tie closer than
+    it reaches, takes ``argpartition``'s exact choice instead.  ``random``
+    draws the same bits as ``uniform(0.0, 1.0)`` through numpy's fill
+    kernel.
     """
-    jitter = rng.random(magnitudes.size)
+    jitter = rng.random(keys.size)
     jitter *= 1e-12
-    magnitudes += jitter
+    keys += jitter
+    threshold = -np.inf
+    if drop:
+        np.copyto(jitter, keys)
+        jitter.partition(drop - 1)
+        threshold = jitter[drop - 1]
+    # The scratch goes before the mask is allocated: at most two float
+    # buffers of the tensor's size are live at once.
     del jitter
-    return np.argpartition(magnitudes, drop)[:drop]
+    kept = keys > threshold
+    if kept.size - np.count_nonzero(kept) != drop:
+        kept.fill(True)
+        kept[np.argpartition(keys, drop)[:drop]] = False
+    return kept
 
 
 def _prune_in_place(
@@ -97,7 +109,7 @@ def _prune_in_place(
         return weights
     rng = rng or np.random.default_rng()
     flat = weights.reshape(-1)
-    flat[_pruned_indices(np.abs(flat), drop, rng)] = 0.0
+    flat[~_kept_mask(np.abs(flat), drop, rng)] = 0.0
     return weights
 
 
@@ -124,7 +136,12 @@ def pruned_weight_mask(
     magnitudes = generate_dense_weights(spec, rng).reshape(-1)
     drop = _drop_count(magnitudes.size, density)
     np.abs(magnitudes, out=magnitudes)
-    mask = magnitudes != 0
-    if drop is not None:
-        mask[_pruned_indices(magnitudes, drop, rng)] = False
+    if drop is None:
+        return (magnitudes != 0).reshape(spec.weight_shape)
+    # The keys overwrite the magnitudes, so a weight drawn as exactly 0.0 is
+    # found first; only the rare draw that holds one pays for a second mask.
+    drawn = None if magnitudes.all() else magnitudes != 0
+    mask = _kept_mask(magnitudes, drop, rng)
+    if drawn is not None:
+        mask &= drawn
     return mask.reshape(spec.weight_shape)

@@ -48,10 +48,16 @@ def nonzero_multiplies(
     """
     weights = np.asarray(weights, dtype=bool)
     num_k, c_per_group, filt_h, filt_w = weights.shape
-    weight_nz = np.count_nonzero(
-        weights.reshape(spec.groups, num_k // spec.groups, c_per_group, filt_h, filt_w),
-        axis=1,
-    ).reshape(-1, filt_h, filt_w)
+    # Non-zero weights per (filter row, filter column, input channel): the
+    # channels-last layout of the integral images' windows.
+    weight_nz = (
+        np.count_nonzero(
+            weights.reshape(spec.groups, num_k // spec.groups, c_per_group, filt_h, filt_w),
+            axis=1,
+        )
+        .reshape(-1, filt_h, filt_w)
+        .transpose(1, 2, 0)
+    )
     stride = spec.stride
     if integrals is None:
         integrals = phase_integral_images(activations, stride)
@@ -73,9 +79,8 @@ def nonzero_multiplies(
             cols = np.flatnonzero(col_phase == px)[None, :]
             x_lo = first_col[cols] // stride
             integral = integrals[py * stride + px]
-            height, width = integral.shape[1] - 1, integral.shape[2] - 1
-            # Window counts per (channel, row offset, column offset), returned
-            # transposed like the matching weight counts below.
+            height, width = integral.shape[0] - 1, integral.shape[1] - 1
+            # Window counts per (row offset, column offset, channel).
             windows = _rectangle_counts(
                 integral,
                 np.clip(y_lo, 0, height),
@@ -83,7 +88,7 @@ def nonzero_multiplies(
                 np.clip(x_lo, 0, width),
                 np.clip(x_lo + spec.output_width, 0, width),
             )
-            total += int((windows * weight_nz[:, rows, cols].T).sum())
+            total += int((windows * weight_nz[rows, cols]).sum())
     return total
 
 

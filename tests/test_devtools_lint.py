@@ -634,7 +634,11 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "repro.devtools.lint", "--list-rules"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": str(SRC),
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
     assert result.returncode == 0
     assert "no-silent-except" in result.stdout

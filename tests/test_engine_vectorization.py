@@ -7,10 +7,11 @@ scalar reimplementations of the original loops on small workloads — exact
 integer equality, not approximate agreement.
 
 The per-layer synthesis kernels (fill-kernel draws, the two-order-statistic
-threshold, the copy-free box filter), the int32 integral images and the
-masks a trio simulation shares between its models are pinned bit for bit
-against the implementations they replaced, kept below as references, and
-their peak memory is bounded on the largest activation tensor of the trio.
+threshold, the channels-last box filter and activation mask), the int32
+channels-last integral images and the masks a trio simulation shares
+between its models are pinned bit for bit against the implementations they
+replaced, kept below as references, and their peak memory is bounded on
+the trio's largest activation tensor and on a weight-dominated layer.
 """
 
 import tracemalloc
@@ -30,7 +31,12 @@ from repro.dataflow.tiling import (
 from repro.engine.core import _layer_task
 from repro.nn.inference import WorkloadHandle
 from repro.nn.densities import network_sparsity
-from repro.nn.inference import _quantile_threshold, _smooth, generate_activations
+from repro.nn.inference import (
+    _activation_mask,
+    _quantile_threshold,
+    _smooth,
+    generate_activations,
+)
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import get_network
 from repro.scnn.accumulator import expected_conflict_cycles
@@ -313,20 +319,90 @@ class TestQuantileThreshold:
 
 
 class TestSmoothEquivalence:
-    @pytest.mark.parametrize("radius", [0, 1, 2])
+    """The channels-last box filter against the cumsum filter, transposed:
+    planes smaller than the window, where every output reads edge copies,
+    included."""
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
     @pytest.mark.parametrize(
-        "shape", [(1, 1, 1), (1, 7, 5), (3, 1, 1), (2, 1, 9), (4, 13, 2), (8, 14, 14)]
+        "shape",
+        [(1, 1, 1), (1, 7, 5), (3, 1, 1), (2, 1, 9), (4, 13, 2), (8, 14, 14), (3, 6, 1)],
     )
     def test_bitwise_equal_to_cumsum_filter(self, radius, shape):
         field = np.random.default_rng([*shape, radius]).standard_normal(shape)
-        expected = reference_smooth(field.copy(), radius)
+        expected = reference_smooth(field.copy(), radius).transpose(1, 2, 0)
         smoothed = _smooth(field, radius)
-        assert smoothed.shape == shape
+        assert smoothed.shape == expected.shape
         assert smoothed.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert np.shares_memory(smoothed, field)
 
     def test_result_is_written_over_the_draw(self):
         field = np.random.default_rng(0).standard_normal((2, 6, 6))
-        assert _smooth(field, 1) is field
+        smoothed = _smooth(field, 1)
+        assert smoothed.base is field
+        assert smoothed.flags.c_contiguous
+
+
+def reference_activation_mask(spec, density, rng, correlation_radius=1):
+    """The activation mask as built before the box filter ran channels-last:
+    the cumsum filter, numpy's quantile and the same fix-up draws.  Also
+    returns the threshold's miss (``have - want``), so a case can show which
+    fix-up branch it takes."""
+    if density >= 1.0:
+        return np.ones(spec.input_shape, dtype=bool), 0
+    field = reference_smooth(
+        rng.standard_normal(size=spec.input_shape), correlation_radius
+    )
+    mask = field > np.quantile(field, 1.0 - density)
+    want = int(round(density * spec.input_activation_count))
+    have = np.count_nonzero(mask)
+    flat_mask = mask.reshape(-1)
+    if have > want:
+        drop = rng.choice(np.flatnonzero(flat_mask), size=have - want, replace=False)
+        flat_mask[drop] = False
+    elif have < want:
+        add = rng.choice(np.flatnonzero(~flat_mask), size=want - have, replace=False)
+        flat_mask[add] = True
+    return mask, have - want
+
+
+class TestActivationMaskEquivalence:
+    """``_activation_mask`` draws the reference's mask and leaves the
+    generator where the reference leaves it."""
+
+    @staticmethod
+    def _assert_matches_reference(shape, density, seed, radius=1):
+        spec = ConvLayerSpec("mask", shape[0], 1, shape[1], shape[2], 1, 1)
+        drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected, miss = reference_activation_mask(spec, density, reference, radius)
+        mask = _activation_mask(spec, density, drawn, np.empty(shape), radius)
+        assert mask.dtype == bool and mask.shape == shape and mask.flags.c_contiguous
+        assert mask.tobytes() == expected.tobytes()
+        assert drawn.random() == reference.random()
+        return miss
+
+    @given(
+        shape=st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=1, max_value=9),
+            st.integers(min_value=1, max_value=9),
+        ),
+        density=st.floats(min_value=0.01, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        radius=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_layers(self, shape, density, seed, radius):
+        self._assert_matches_reference(shape, density, seed, radius)
+
+    # Ten values at density 0.12 leave two above the threshold for one
+    # wanted; seven at 0.5 leave three for four wanted.
+    @pytest.mark.parametrize(
+        "shape, density, sign", [((1, 2, 5), 0.12, 1), ((1, 1, 7), 0.5, -1)]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_both_fix_up_branches(self, shape, density, sign, seed):
+        assert np.sign(self._assert_matches_reference(shape, density, seed)) == sign
 
 
 class TestIntegralImages:
@@ -340,9 +416,8 @@ class TestIntegralImages:
             for px in range(stride):
                 image = images[py * stride + px]
                 assert image.dtype == np.int32
-                assert np.array_equal(
-                    image, reference_integral_image(mask[:, py::stride, px::stride])
-                )
+                reference = reference_integral_image(mask[:, py::stride, px::stride])
+                assert np.array_equal(image, reference.transpose(1, 2, 0))
 
     def test_float_operands_are_masked(self):
         activations = np.random.default_rng(1).standard_normal((3, 8, 8))
@@ -475,3 +550,20 @@ class TestPeakMemory:
         handle = WorkloadHandle("vggnet", 0, index, spec, target)
         trio = [get_architecture(name) for name in TRIO]
         assert _peak_bytes(_layer_task, (handle, trio)) <= 2.25 * tensor
+
+    def test_layer_task_peak_on_a_weight_dominated_layer(self):
+        """VGG conv5_1 draws 2.4M weights for a 100K-element input.  Its
+        layer task holds the dense draw, the jitter (which the partition
+        reuses) and the bool mask, and no index array: about two weight
+        tensors."""
+        network = get_network("vggnet")
+        index, spec = next(
+            (i, layer) for i, layer in enumerate(network.layers)
+            if layer.name.endswith("conv5_1")
+        )
+        tensor = spec.weight_count * 8
+        handle = WorkloadHandle(
+            "vggnet", 0, index, spec, network_sparsity(network)[spec.name]
+        )
+        trio = [get_architecture(name) for name in TRIO]
+        assert _peak_bytes(_layer_task, (handle, trio)) <= 2.1 * tensor

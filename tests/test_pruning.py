@@ -1,11 +1,15 @@
 """Tests for synthetic weight generation and magnitude pruning."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.nn import pruning
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.pruning import (
+    _kept_mask,
     generate_dense_weights,
     generate_pruned_weights,
     kept_count,
@@ -254,3 +258,53 @@ class TestTiesAtTheThreshold:
         rng = RepeatingDraws([])
         expected = reference_prune(values, density, rng)
         assert prune_to_density(values, density, rng).tobytes() == expected.tobytes()
+
+
+class TestKeptMask:
+    """The partition threshold keeps exactly what ``argpartition`` keeps, and
+    falls back to it where the jittered keys tie across the boundary."""
+
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.data(),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_keys_keep_all_but_the_drop_smallest(self, size, data, seed):
+        drop = data.draw(st.integers(min_value=0, max_value=size - 1))
+        rng = np.random.default_rng(seed)
+        keys = rng.permutation(size).astype(float)  # gaps of 1, far above the jitter
+        with mock.patch.object(pruning.np, "argpartition", wraps=np.argpartition) as spy:
+            kept = _kept_mask(keys, drop, rng)
+        assert kept.dtype == bool
+        assert np.array_equal(kept, keys >= drop)
+        spy.assert_not_called()  # the partition threshold alone decided
+
+    @pytest.mark.parametrize(
+        "values, drop",
+        [([1.0, 2.0, 2.0, 3.0], 2), ([2.0, 2.0, 2.0], 1), ([0.5, 3.0, 3.0, 3.0, 1.0], 3)],
+    )
+    def test_a_tie_across_the_boundary_takes_argpartitions_set(self, values, drop):
+        keys = np.array(values)
+        jittered = keys + 0.5e-12  # RepeatingDraws' constant jitter
+        expected = np.ones(keys.size, dtype=bool)
+        expected[np.argpartition(jittered, drop)[:drop]] = False
+        with mock.patch.object(pruning.np, "argpartition", wraps=np.argpartition) as spy:
+            kept = _kept_mask(keys, drop, RepeatingDraws([]))
+        spy.assert_called_once()
+        assert np.array_equal(kept, expected)
+        assert keys.tobytes() == jittered.tobytes()  # the keys hold the jitter
+
+    # A one-weight layer at density 0.5 drops nothing; four weights at 0.75
+    # drop one of three tying zeros, and the other two stay off.
+    @pytest.mark.parametrize(
+        "channels, density, values",
+        [(1, 0.5, [0.0]), (4, 0.75, [0.0, -0.0, 0.0, 1.0]), (4, 0.75, [2.0, 0.0, 1.0, 3.0])],
+    )
+    def test_a_drawn_zero_stays_off_in_the_mask(self, channels, density, values):
+        spec = ConvLayerSpec("zeros", channels, 1, 4, 4, 1, 1)
+        draws = RepeatingDraws(values)
+        expected = reference_prune(values, density, draws) != 0
+        mask = pruned_weight_mask(spec, density, draws)
+        assert np.array_equal(mask.reshape(-1), expected)
+        assert not mask.reshape(-1)[np.asarray(values) == 0].any()
